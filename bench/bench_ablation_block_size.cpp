@@ -4,8 +4,6 @@
 // idea #1; this bench sweeps them on the host CPU (wall clock) and through
 // the cache simulator (Phi L2 misses).
 #include <algorithm>
-#include <cstdio>
-#include <string>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
@@ -41,44 +39,6 @@ double gemm_with_panel(const linalg::Matrix& a, const linalg::Matrix& b,
     }
   }
   return timer.millis() / repeats;
-}
-
-// Best-of-repeats wall milliseconds of `fn` (steadier than the mean on a
-// shared machine; one extra warm-up call first).
-template <typename Fn>
-double best_ms(Fn&& fn, int repeats) {
-  fn();
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const WallTimer timer;
-    fn();
-    const double ms = timer.millis();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-std::string gemm_geo_str(const linalg::tune::GemmGeometry& g) {
-  return "panel_cols=" + std::to_string(g.panel_cols) +
-         ",unroll=" + std::to_string(g.unroll);
-}
-
-std::string syrk_geo_str(const linalg::tune::SyrkGeometry& g) {
-  return "panel_k=" + std::to_string(g.panel_k) +
-         ",micro_rows=" + std::to_string(g.micro_rows);
-}
-
-// Fraction of the fixed-vs-best gap the tuned pick closed: 100 means the
-// tuner matched the measured best, 0 means it did no better than the fixed
-// default.  Two guards keep wall-clock jitter from dominating: a gap under
-// 5% of the fixed time means every candidate ties on this shape (the
-// default already wins — count it as fully recovered rather than divide
-// by noise), and the result is clamped to [-100, 100] so one jittery
-// shape cannot swamp the mean.
-double recovered_pct(double fixed_ms, double best, double tuned_ms) {
-  const double gap = fixed_ms - best;
-  if (gap <= 0.05 * fixed_ms) return 100.0;
-  return std::clamp((fixed_ms - tuned_ms) / gap * 100.0, -100.0, 100.0);
 }
 
 }  // namespace
@@ -132,106 +92,5 @@ int main(int argc, char** argv) {
            Table::num(g / (ms / 1e3), 1)});
   }
   s.print();
-
-  // Autotune vs fixed geometry: for shapes away from the tuned-for default,
-  // time every candidate, the fixed default, and the tuner's pick.  The
-  // `autotune ...` / `autotune_summary ...` lines are parsed by
-  // bench_smoke.sh into the sidecar's tune section.
-  Table at("autotune vs fixed geometry (gap recovered toward measured best)");
-  at.header({"kernel", "shape", "fixed ms", "best ms", "tuned ms",
-             "tuned geometry", "recovered %"});
-  double rec_sum = 0.0;
-  double rec_min = 1e300;
-  int rec_n = 0;
-  auto note = [&](double rec) {
-    rec_sum += rec;
-    rec_min = std::min(rec_min, rec);
-    ++rec_n;
-  };
-
-  const struct {
-    std::size_t v, n;
-  } gemm_shapes[] = {{16, 24576}, {64, 8192}, {256, 2048}};
-  for (const auto& shape : gemm_shapes) {
-    const linalg::Matrix ga = random_matrix(shape.v, 12, 4);
-    const linalg::Matrix gb = random_matrix(shape.n, 12, 5);
-    linalg::Matrix gc(shape.v, shape.n);
-    double fixed_ms = 0.0;
-    double best = 1e300;
-    linalg::tune::GemmGeometry best_geo;
-    for (const auto& geo : linalg::tune::gemm_candidates()) {
-      const double ms = best_ms(
-          [&] { linalg::opt::gemm_nt_with(ga.view(), gb.view(), gc.view(),
-                                          geo); },
-          repeats);
-      if (geo == linalg::tune::GemmGeometry{}) fixed_ms = ms;
-      if (ms < best) {
-        best = ms;
-        best_geo = geo;
-      }
-    }
-    // Resolve the plan before timing so a first-use probe stays outside
-    // the timed region (as it is in production: probe once, then reuse).
-    const auto tuned_geo =
-        linalg::tune::gemm_plan(shape.v, shape.n, 12);
-    const double tuned_ms = best_ms(
-        [&] { linalg::opt::gemm_nt_with(ga.view(), gb.view(), gc.view(),
-                                        tuned_geo); },
-        repeats);
-    const double rec = recovered_pct(fixed_ms, best, tuned_ms);
-    note(rec);
-    const std::string shape_str =
-        std::to_string(shape.v) + "x" + std::to_string(shape.n);
-    at.row({"gemm", shape_str, Table::num(fixed_ms, 3), Table::num(best, 3),
-            Table::num(tuned_ms, 3), gemm_geo_str(tuned_geo),
-            Table::num(rec, 1)});
-    std::printf("autotune gemm %s fixed_ms=%.3f best_ms=%.3f best=%s "
-                "tuned_ms=%.3f tuned=%s recovered_pct=%.1f\n",
-                shape_str.c_str(), fixed_ms, best,
-                gemm_geo_str(best_geo).c_str(), tuned_ms,
-                gemm_geo_str(tuned_geo).c_str(), rec);
-  }
-
-  const struct {
-    std::size_t m, n;
-  } syrk_shapes[] = {{96, 1536}, {204, 4096}, {540, 6144}};
-  for (const auto& shape : syrk_shapes) {
-    const linalg::Matrix sa = random_matrix(shape.m, shape.n, 6);
-    linalg::Matrix sc(shape.m, shape.m);
-    double fixed_ms = 0.0;
-    double best = 1e300;
-    linalg::tune::SyrkGeometry best_geo;
-    for (const auto& geo : linalg::tune::syrk_candidates()) {
-      const double ms = best_ms(
-          [&] { linalg::opt::syrk_with(sa.view(), sc.view(), geo); },
-          repeats);
-      if (geo == linalg::tune::SyrkGeometry{}) fixed_ms = ms;
-      if (ms < best) {
-        best = ms;
-        best_geo = geo;
-      }
-    }
-    const auto tuned_geo = linalg::tune::syrk_plan(shape.m, shape.n);
-    const double tuned_ms = best_ms(
-        [&] { linalg::opt::syrk_with(sa.view(), sc.view(), tuned_geo); },
-        repeats);
-    const double rec = recovered_pct(fixed_ms, best, tuned_ms);
-    note(rec);
-    const std::string shape_str =
-        std::to_string(shape.m) + "x" + std::to_string(shape.n);
-    at.row({"syrk", shape_str, Table::num(fixed_ms, 3), Table::num(best, 3),
-            Table::num(tuned_ms, 3), syrk_geo_str(tuned_geo),
-            Table::num(rec, 1)});
-    std::printf("autotune syrk %s fixed_ms=%.3f best_ms=%.3f best=%s "
-                "tuned_ms=%.3f tuned=%s recovered_pct=%.1f\n",
-                shape_str.c_str(), fixed_ms, best,
-                syrk_geo_str(best_geo).c_str(), tuned_ms,
-                syrk_geo_str(tuned_geo).c_str(), rec);
-  }
-  at.print();
-  std::printf("autotune_summary shapes=%d recovered_pct_mean=%.1f "
-              "recovered_pct_min=%.1f\n",
-              rec_n, rec_n > 0 ? rec_sum / rec_n : 0.0,
-              rec_n > 0 ? rec_min : 0.0);
   return 0;
 }

@@ -4,13 +4,9 @@
 // whatever real CPU this runs on, the paper's SS5.5 observation.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <string_view>
-
 #include "common/rng.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
-#include "linalg/tune.hpp"
 #include "stats/normalization.hpp"
 
 namespace {
@@ -90,49 +86,6 @@ void BM_FisherZscoreBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_FisherZscoreBlock)->Arg(4096)->Arg(34470);
 
-// --tune: instead of the google-benchmark suite, probe the autotuner on the
-// shapes the suite exercises and print each class's winner, one parseable
-// `tune <class> <geometry> src=...` line per decision (bench_smoke.sh lifts
-// these into the sidecar's tune section).
-int run_tune_mode() {
-  auto& tuner = linalg::tune::Tuner::instance();
-  const struct {
-    std::size_t m, n, k;
-  } gemm_shapes[] = {{120, 4096, 12}, {120, 16384, 12}};
-  for (const auto& s : gemm_shapes) {
-    (void)tuner.gemm(s.m, s.n, s.k);
-  }
-  const struct {
-    std::size_t m, n;
-  } syrk_shapes[] = {{204, 8192}, {540, 8192}};
-  for (const auto& s : syrk_shapes) {
-    (void)tuner.syrk(s.m, s.n);
-  }
-  for (const auto& e : tuner.entries()) {
-    if (e.kind == "gemm") {
-      std::printf("tune %s panel_cols=%zu unroll=%d src=%s gflops=%.1f\n",
-                  e.key.c_str(), e.gemm.panel_cols, e.gemm.unroll,
-                  e.source.c_str(), e.gflops);
-    } else {
-      std::printf("tune %s panel_k=%zu micro_rows=%zu src=%s gflops=%.1f\n",
-                  e.key.c_str(), e.syrk.panel_k, e.syrk.micro_rows,
-                  e.source.c_str(), e.gflops);
-    }
-  }
-  std::printf("tune_done probes=%zu cache_hits=%zu\n", tuner.probes(),
-              tuner.cache_hits());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--tune") return run_tune_mode();
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -7,6 +9,37 @@
 #include "common/error.hpp"
 
 namespace fcma {
+
+namespace {
+
+// Shared checks after a strto* call: something was parsed, nothing trails
+// it, no leading blanks, and the value fit its type.
+void check_number(const std::string& text, const char* end,
+                  const std::string& what, const char* kind) {
+  FCMA_CHECK(!text.empty() &&
+                 !std::isspace(static_cast<unsigned char>(text.front())) &&
+                 end != text.c_str() && *end == '\0',
+             what + ": expected " + kind + ", got \"" + text + "\"");
+  FCMA_CHECK(errno != ERANGE, what + ": " + kind + " out of range: " + text);
+}
+
+}  // namespace
+
+long long parse_int(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  check_number(text, end, what, "an integer");
+  return v;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  check_number(text, end, what, "a number");
+  return v;
+}
 
 Cli::Cli(std::string program, std::string blurb)
     : program_(std::move(program)), blurb_(std::move(blurb)) {}
@@ -59,16 +92,20 @@ std::string Cli::get(const std::string& name) const {
 }
 
 long long Cli::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  return parse_int(get(name), "--" + name);
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  return parse_double(get(name), "--" + name);
 }
 
 bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes";
+  if (v == "true" || v == "1" || v == "yes") return true;
+  FCMA_CHECK(v == "false" || v == "0" || v == "no",
+             "--" + name + ": expected true/false/1/0/yes/no, got \"" + v +
+                 "\"");
+  return false;
 }
 
 std::string Cli::help() const {

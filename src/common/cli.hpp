@@ -1,7 +1,9 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supports `--flag value`, `--flag=value` and boolean `--flag`.  Unknown
-// flags are an error so typos in experiment scripts fail loudly.
+// flags are an error so typos in experiment scripts fail loudly, and so are
+// malformed values: the typed getters reject `6x`, `abc`, an empty string or
+// an out-of-range number instead of reading a prefix or zero.
 #pragma once
 
 #include <map>
@@ -10,6 +12,13 @@
 #include <vector>
 
 namespace fcma {
+
+/// Strict number parsing for flag values and environment knobs: the whole
+/// of `text` must be one in-range number, else fcma::Error names `what`.
+[[nodiscard]] long long parse_int(const std::string& text,
+                                  const std::string& what);
+[[nodiscard]] double parse_double(const std::string& text,
+                                  const std::string& what);
 
 /// Declarative CLI: register flags with defaults, then parse().
 class Cli {
@@ -26,6 +35,8 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Typed getters; a malformed value throws fcma::Error.  get_bool
+  /// accepts true/false, 1/0 and yes/no.
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;

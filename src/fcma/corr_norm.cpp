@@ -135,11 +135,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   std::size_t max_e = 0;
   for (const SubjectRun& r : runs) max_e = std::max(max_e, r.last - r.first);
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
-  // One tuning decision covers the whole fused sweep: classify by the
-  // per-row-panel shape (task.count rows, n output columns, t_len depth).
-  const linalg::tune::GemmGeometry geo =
-      linalg::tune::gemm_plan(task.count, n, t_len);
-  auto bt = Workspace::local().acquire(max_e * t_len * geo.panel_cols);
+  constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
+  auto bt = Workspace::local().acquire(max_e * t_len * kPanelCols);
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const SubjectRun& run = runs[r];
     if (r + 1 < runs.size()) {
@@ -147,8 +144,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     }
     const auto lease = epochs.acquire(run.first, run.last);
     const std::size_t e_count = run.last - run.first;
-    for (std::size_t j0 = 0; j0 < n; j0 += geo.panel_cols) {
-      const std::size_t j1 = std::min(n, j0 + geo.panel_cols);
+    for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+      const std::size_t j1 = std::min(n, j0 + kPanelCols);
       const std::size_t width = j1 - j0;
       for (std::size_t e = 0; e < e_count; ++e) {
         linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0, j1,
@@ -160,7 +157,7 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
           linalg::opt::gemm_row_panel(
               act.row(task.first + v), act.cols(),
               bt.data() + e * t_len * width, width,
-              out.row(v * m_total + run.first + e) + j0, geo);
+              out.row(v * m_total + run.first + e) + j0);
         }
         if (tracing) {
           const WallTimer norm_timer;

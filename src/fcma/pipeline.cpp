@@ -5,7 +5,6 @@
 #include "archsim/roofline.hpp"
 #include "common/trace.hpp"
 #include "common/workspace.hpp"
-#include "linalg/tune.hpp"
 
 namespace fcma::core {
 
@@ -22,17 +21,9 @@ void attach_roofline(const memsim::Instrument& ins,
                                        ? archsim::Phi5110P()
                                        : archsim::XeonE5_2670();
   trace::Registry& reg = trace::global();
-  const trace::RooflineStats gemm_pt =
-      archsim::roofline_point(model, out.corr_norm);
-  const trace::RooflineStats syrk_pt =
-      archsim::roofline_point(model, out.kernel);
-  reg.roofline_set("task/correlation/gemm_nt", gemm_pt);
-  reg.roofline_set("task/svm/syrk", syrk_pt);
-  // Close the tuning loop: feed each kernel's measured percent-of-roofline
-  // back to the autotuner, which drops (and later re-probes) a remembered
-  // geometry that falls far below its own best-known fraction.
-  linalg::tune::Tuner::instance().note_roofline("gemm", gemm_pt.pct_roofline);
-  linalg::tune::Tuner::instance().note_roofline("syrk", syrk_pt.pct_roofline);
+  reg.roofline_set("task/correlation/gemm_nt",
+                   archsim::roofline_point(model, out.corr_norm));
+  reg.roofline_set("task/svm/syrk", archsim::roofline_point(model, out.kernel));
   reg.roofline_set("task/svm", archsim::roofline_point(model, out.svm));
   reg.roofline_set("task", archsim::roofline_point(model, out.total()));
   reg.meta_set("roofline/machine", model.name);

@@ -51,11 +51,11 @@ void compute_voxel_kernel(linalg::ConstMatrixView corr, std::size_t epochs,
                           std::size_t v_local, Impl impl,
                           linalg::MatrixView kernel,
                           const linalg::tune::SyrkGeometry* geo) {
+  FCMA_CHECK(geo == nullptr || *geo == linalg::tune::SyrkGeometry{},
+             "compute_voxel_kernel: only the fixed syrk geometry is supported");
   const auto block = voxel_block(corr, epochs, v_local);
   if (impl == Impl::kBaseline) {
     linalg::baseline::syrk(block, kernel);
-  } else if (geo != nullptr) {
-    linalg::opt::syrk_with(block, kernel, *geo);
   } else {
     linalg::opt::syrk(block, kernel);
   }
@@ -75,18 +75,12 @@ SvmStageResult svm_stage(linalg::ConstMatrixView corr,
   result.accuracy.assign(task.count, 0.0);
   std::atomic<long> iterations{0};
 
-  // Every voxel's syrk has the same (m x n) shape; resolve the tuning plan
-  // once so a possible first-use probe runs here, not inside the voxel loop.
-  const linalg::tune::SyrkGeometry syrk_geo =
-      impl == Impl::kBaseline ? linalg::tune::SyrkGeometry{}
-                              : linalg::tune::syrk_plan(m, corr.cols);
-
   auto run_voxel = [&](std::size_t v) {
     // Every voxel of a task needs the same M x M kernel matrix; drawing it
     // from the executing worker's arena turns count allocations into one.
     auto kernel_lease = Workspace::local().acquire(m * m);
     const linalg::MatrixView kernel{kernel_lease.data(), m, m, m};
-    compute_voxel_kernel(corr, m, v, impl, kernel, &syrk_geo);
+    compute_voxel_kernel(corr, m, v, impl, kernel);
     const svm::CvResult cv =
         svm::cross_validate(solver, kernel, labels, folds, options);
     result.accuracy[v] = cv.accuracy();

@@ -30,9 +30,8 @@ struct SvmStageResult {
 };
 
 /// Computes voxel `v_local`'s kernel matrix from the task's correlation
-/// buffer into `kernel` (must be M x M).  `geo` pins the syrk geometry;
-/// null consults the autotuner per call (svm_stage resolves the plan once
-/// per stage and passes it through so the tuner lock is off the voxel loop).
+/// buffer into `kernel` (must be M x M).  `geo`, if given, must be the
+/// fixed geometry (linalg::tune::syrk_plan); any other throws fcma::Error.
 void compute_voxel_kernel(linalg::ConstMatrixView corr, std::size_t epochs,
                           std::size_t v_local, Impl impl,
                           linalg::MatrixView kernel,

@@ -32,7 +32,7 @@ constexpr std::uint64_t kPayloadOffset = 4096;
 constexpr std::uint64_t kRowAlignFloats = 16;
 
 // Fixed-size binary shard header (written field-by-field, little-endian
-// host order — shards are machine-local artifacts like the tune cache).
+// host order — shards are machine-local artifacts).
 struct ShardHeader {
   char magic[4];
   std::uint32_t version;

@@ -25,21 +25,21 @@
 #include <functional>
 
 #include "linalg/matrix.hpp"
-#include "linalg/tune.hpp"
 #include "memsim/instrument.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace fcma::linalg::opt {
 
-/// Width (output columns) of one packed B^T panel for gemm_nt when tuning
-/// is off.  K=12 rows of 512 floats = 24KB: comfortably L1/L2 resident
-/// alongside the C rows.  The autotuner (linalg/tune) searches {128, 256,
-/// 512, 1024} per shape class.
+/// Width (output columns) of one packed B^T panel for gemm_nt.  K=12 rows
+/// of 512 floats = 24KB: comfortably L1/L2 resident alongside the C rows.
 inline constexpr std::size_t kGemmPanelCols = 512;
 
-/// Columns of the long dimension consumed per syrk panel when tuning is off
-/// (paper: 96 rows of the tall operand per block, an integral multiple of
-/// the VPU width).  The autotuner searches {48, 96, 192}.
+/// SIMD column vectors the gemm row-panel kernel advances per broadcast of
+/// an A element (its register block).
+inline constexpr int kGemmUnroll = 4;
+
+/// Columns of the long dimension consumed per syrk panel (paper: 96 rows of
+/// the tall operand per block, an integral multiple of the VPU width).
 inline constexpr std::size_t kSyrkPanelK = 96;
 
 /// Micro-tile height (rows of C updated at once) in the syrk micro-kernel
@@ -48,44 +48,28 @@ inline constexpr std::size_t kSyrkMicroRows = 9;
 
 /// Fixed numeric substep of the syrk accumulation: the micro-kernel flushes
 /// its register accumulators into C every kSyrkNumericK elements of the
-/// long dimension, *independent of the packing panel depth*.  Every
-/// candidate panel_k is a multiple of this, so changing panel depth moves
-/// cache behavior but never a floating-point add — the load-bearing fact
-/// behind "tuned vs untuned runs are byte-identical".
+/// long dimension.  The threaded syrk chunks the long dimension in these
+/// units, so its accumulation chains depend only on (n, pool size).
 inline constexpr std::size_t kSyrkNumericK = 48;
+static_assert(kSyrkPanelK % kSyrkNumericK == 0,
+              "syrk panels must hold whole numeric substeps");
 
 /// C[MxN] = A[MxK] * B[NxK]^T with panel-blocked, transposed-operand inner
 /// loops.  `c.ld` may exceed N (interleaved epoch layout, paper Fig 4).
-/// Geometry comes from the autotuner (tune::gemm_plan).
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
 /// Threaded gemm_nt: column panels are distributed across the pool.
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              threading::ThreadPool& pool);
 
-/// gemm_nt with an explicit geometry (bypasses the tuner; the tuner's own
-/// probes, tests, and benches call these).  Bit-identical to gemm_nt for
-/// every candidate geometry.
-void gemm_nt_with(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const tune::GemmGeometry& geo);
-void gemm_nt_with(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const tune::GemmGeometry& geo, threading::ThreadPool& pool);
-
-/// C[MxM] = A[MxN] * A^T (both triangles written).  Geometry comes from
-/// the autotuner (tune::syrk_plan).
+/// C[MxM] = A[MxN] * A^T (both triangles written).
 void syrk(ConstMatrixView a, MatrixView c);
 
 /// Threaded syrk: the long dimension is distributed across the pool in
 /// kSyrkNumericK-substep chunks; each chunk accumulates a private C and the
 /// caller folds the chunks in order (deterministic for a given n and pool
-/// size, whatever geometry the tuner picked).
+/// size).
 void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool);
-
-/// syrk with an explicit geometry (bypasses the tuner).  Bit-identical to
-/// syrk for every candidate geometry.
-void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo);
-void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo,
-               threading::ThreadPool& pool);
 
 /// Instrumented twins (see baseline.hpp for the model_lanes convention).
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
@@ -103,12 +87,6 @@ void pack_bt_panel(ConstMatrixView b, std::size_t j0, std::size_t j1,
 /// c[j] = sum_k a[k] * bt[k*width + j] for j in [0, width).
 void gemm_row_panel(const float* a, std::size_t k, const float* bt,
                     std::size_t width, float* c);
-
-/// Same, with the register-block unroll chosen by a tuned geometry (the
-/// fused correlate-and-normalize stage passes its plan through here).
-void gemm_row_panel(const float* a, std::size_t k, const float* bt,
-                    std::size_t width, float* c,
-                    const tune::GemmGeometry& geo);
 
 /// Instrumented twins of the panel primitives, for fused pipeline stages.
 void pack_bt_panel_instrumented(ConstMatrixView b, std::size_t j0,

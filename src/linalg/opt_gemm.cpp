@@ -9,15 +9,6 @@
 
 namespace fcma::linalg::opt {
 
-namespace {
-
-// SIMD columns advanced together per broadcast of an A element (the
-// instrumented model's register-block width).  The production inner loop
-// lives in linalg/simd.cpp, selected per ISA at runtime.
-constexpr std::size_t kMicroCols = 4;
-
-}  // namespace
-
 void pack_bt_panel(ConstMatrixView b, std::size_t j0, std::size_t j1,
                    float* FCMA_RESTRICT bt) {
   const std::size_t width = j1 - j0;
@@ -35,25 +26,13 @@ void gemm_row_panel(const float* FCMA_RESTRICT a, std::size_t k,
   simd::kernels().gemm_row_panel(a, k, bt, width, c);
 }
 
-void gemm_row_panel(const float* a, std::size_t k, const float* bt,
-                    std::size_t width, float* c,
-                    const tune::GemmGeometry& geo) {
-  const auto& kernels = simd::kernels();
-  const auto row_fn =
-      geo.unroll == 2 ? kernels.gemm_row_panel_u2 : kernels.gemm_row_panel;
-  row_fn(a, k, bt, width, c);
-}
-
 namespace {
 
 void gemm_panels(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                 std::size_t panel0, std::size_t panel1, float* bt,
-                 const tune::GemmGeometry& geo) {
-  const auto& kernels = simd::kernels();
-  const auto row_fn =
-      geo.unroll == 2 ? kernels.gemm_row_panel_u2 : kernels.gemm_row_panel;
-  for (std::size_t j0 = panel0; j0 < panel1; j0 += geo.panel_cols) {
-    const std::size_t j1 = std::min(panel1, j0 + geo.panel_cols);
+                 std::size_t panel0, std::size_t panel1, float* bt) {
+  const auto row_fn = simd::kernels().gemm_row_panel;
+  for (std::size_t j0 = panel0; j0 < panel1; j0 += kGemmPanelCols) {
+    const std::size_t j1 = std::min(panel1, j0 + kGemmPanelCols);
     const std::size_t width = j1 - j0;
     pack_bt_panel(b, j0, j1, bt);
     for (std::size_t i = 0; i < a.rows; ++i) {
@@ -64,36 +43,26 @@ void gemm_panels(ConstMatrixView a, ConstMatrixView b, MatrixView c,
 
 }  // namespace
 
-void gemm_nt_with(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const tune::GemmGeometry& geo) {
-  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
-  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
-  const trace::Span span("gemm_nt");
-  auto bt = core::Workspace::local().acquire(a.cols * geo.panel_cols);
-  gemm_panels(a, b, c, 0, b.rows, bt.data(), geo);
-}
-
-void gemm_nt_with(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const tune::GemmGeometry& geo, threading::ThreadPool& pool) {
-  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
-  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
-  const trace::Span span("gemm_nt");
-  threading::parallel_for(
-      pool, 0, b.rows, geo.panel_cols, [&](std::size_t j0, std::size_t j1) {
-        // Each chunk runs on one worker; the packed panel comes from that
-        // worker's arena and is reused by every chunk it executes.
-        auto bt = core::Workspace::local().acquire(a.cols * geo.panel_cols);
-        gemm_panels(a, b, c, j0, j1, bt.data(), geo);
-      });
-}
-
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  gemm_nt_with(a, b, c, tune::gemm_plan(a.rows, b.rows, a.cols));
+  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
+  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
+  const trace::Span span("gemm_nt");
+  auto bt = core::Workspace::local().acquire(a.cols * kGemmPanelCols);
+  gemm_panels(a, b, c, 0, b.rows, bt.data());
 }
 
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              threading::ThreadPool& pool) {
-  gemm_nt_with(a, b, c, tune::gemm_plan(a.rows, b.rows, a.cols), pool);
+  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
+  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
+  const trace::Span span("gemm_nt");
+  threading::parallel_for(
+      pool, 0, b.rows, kGemmPanelCols, [&](std::size_t j0, std::size_t j1) {
+        // Each chunk runs on one worker; the packed panel comes from that
+        // worker's arena and is reused by every chunk it executes.
+        auto bt = core::Workspace::local().acquire(a.cols * kGemmPanelCols);
+        gemm_panels(a, b, c, j0, j1, bt.data());
+      });
 }
 
 void pack_bt_panel_instrumented(ConstMatrixView b, std::size_t j0,
@@ -127,7 +96,7 @@ void gemm_row_panel_instrumented(const float* a, std::size_t k,
                                  const float* bt, std::size_t width, float* c,
                                  memsim::Instrument& ins,
                                  unsigned model_lanes) {
-  const std::size_t micro_step = model_lanes * kMicroCols;
+  const std::size_t micro_step = model_lanes * kGemmUnroll;
   for (std::size_t jj = 0; jj < width; jj += micro_step) {
     const std::size_t block = std::min(micro_step, width - jj);
     const auto vecs =
@@ -164,7 +133,7 @@ void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
   FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
   const std::size_t k = a.cols;
   AlignedBuffer<float> bt(k * kGemmPanelCols);
-  const std::size_t micro_step = model_lanes * kMicroCols;
+  const std::size_t micro_step = model_lanes * kGemmUnroll;
   for (std::size_t j0 = 0; j0 < b.rows; j0 += kGemmPanelCols) {
     const std::size_t j1 = std::min(b.rows, j0 + kGemmPanelCols);
     const std::size_t width = j1 - j0;

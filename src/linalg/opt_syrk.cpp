@@ -31,16 +31,12 @@ void pack_panel(ConstMatrixView a, std::size_t k0, std::size_t k1,
 
 // Accumulates the contribution of panel [k0, k1) into c (ldc-strided, full
 // lower triangle in micro-tile granularity).  The tile sweep and its
-// register-blocked micro-kernel live in the runtime-dispatched simd layer;
-// micro_rows picks between the 9- and 6-row table variants.
+// register-blocked micro-kernel live in the runtime-dispatched simd layer.
 void panel_contribution(ConstMatrixView a, std::size_t k0, std::size_t k1,
                         float* a_local, float* at_local, float* c,
-                        std::size_t ldc, std::size_t micro_rows) {
+                        std::size_t ldc) {
   pack_panel(a, k0, k1, a_local, at_local);
-  const auto& kernels = simd::kernels();
-  const auto panel_fn =
-      micro_rows == 6 ? kernels.syrk_panel_r6 : kernels.syrk_panel;
-  panel_fn(a_local, at_local, a.rows, k1 - k0, c, ldc);
+  simd::kernels().syrk_panel(a_local, at_local, a.rows, k1 - k0, c, ldc);
 }
 
 // Mirrors the computed lower triangle into the upper one.
@@ -52,11 +48,8 @@ void mirror_upper(MatrixView c) {
 
 }  // namespace
 
-void syrk_with(ConstMatrixView a, MatrixView c,
-               const tune::SyrkGeometry& geo) {
+void syrk(ConstMatrixView a, MatrixView c) {
   FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
-  FCMA_CHECK(geo.panel_k > 0 && geo.panel_k % kSyrkNumericK == 0,
-             "syrk: panel_k must be a positive multiple of kSyrkNumericK");
   const trace::Span span("syrk");
   const std::size_t m = a.rows;
   const std::size_t n = a.cols;
@@ -64,21 +57,18 @@ void syrk_with(ConstMatrixView a, MatrixView c,
     std::memset(c.row(i), 0, m * sizeof(float));
   }
   auto& workspace = core::Workspace::local();
-  auto a_local = workspace.acquire(m * geo.panel_k);
-  auto at_local = workspace.acquire(geo.panel_k * m);
-  for (std::size_t k0 = 0; k0 < n; k0 += geo.panel_k) {
-    const std::size_t k1 = std::min(n, k0 + geo.panel_k);
+  auto a_local = workspace.acquire(m * kSyrkPanelK);
+  auto at_local = workspace.acquire(kSyrkPanelK * m);
+  for (std::size_t k0 = 0; k0 < n; k0 += kSyrkPanelK) {
+    const std::size_t k1 = std::min(n, k0 + kSyrkPanelK);
     panel_contribution(a, k0, k1, a_local.data(), at_local.data(), c.data,
-                       c.ld, geo.micro_rows);
+                       c.ld);
   }
   mirror_upper(c);
 }
 
-void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo,
-               threading::ThreadPool& pool) {
+void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool) {
   FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
-  FCMA_CHECK(geo.panel_k > 0 && geo.panel_k % kSyrkNumericK == 0,
-             "syrk: panel_k must be a positive multiple of kSyrkNumericK");
   const trace::Span span("syrk");
   const std::size_t m = a.rows;
   const std::size_t n = a.cols;
@@ -92,12 +82,11 @@ void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo,
   // nested parallel_for really runs parallel (the scheduler's help-first
   // joins replaced the inline fallback) — ordered slots keep the result a
   // pure function of the chunking, whatever worker ran what and when.
-  // Chunks are counted in kSyrkNumericK substeps, NOT in (tunable) packing
-  // panels: the chunk partition — and with it every accumulation chain —
-  // then depends only on (n, pool size), never on the tuner's panel_k, so
-  // tuned and untuned threaded runs stay bit-identical too.  Packing
-  // buffers still come from the executing worker's arena; the slots cannot
-  // (workspace leases are thread-affine, the merge runs on the caller).
+  // Chunks are counted in kSyrkNumericK substeps, so the chunk partition —
+  // and with it every accumulation chain — depends only on (n, pool size).
+  // Packing buffers still come from the executing worker's arena; the slots
+  // cannot (workspace leases are thread-affine, the merge runs on the
+  // caller).
   const std::size_t substeps = (n + kSyrkNumericK - 1) / kSyrkNumericK;
   const std::size_t tasks = std::min<std::size_t>(pool.size() * 2, substeps);
   const std::size_t per_task = (substeps + tasks - 1) / tasks;
@@ -108,15 +97,15 @@ void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo,
       pool, 0, substeps, per_task,
       [&](std::size_t s0, std::size_t s1) {
         auto& workspace = core::Workspace::local();
-        auto a_local = workspace.acquire(m * geo.panel_k);
-        auto at_local = workspace.acquire(geo.panel_k * m);
+        auto a_local = workspace.acquire(m * kSyrkPanelK);
+        auto at_local = workspace.acquire(kSyrkPanelK * m);
         float* c_chunk = partials.data() + (s0 / per_task) * m * m;
         const std::size_t k_end = std::min(n, s1 * kSyrkNumericK);
         for (std::size_t k0 = s0 * kSyrkNumericK; k0 < k_end;
-             k0 += geo.panel_k) {
-          const std::size_t k1 = std::min(k_end, k0 + geo.panel_k);
+             k0 += kSyrkPanelK) {
+          const std::size_t k1 = std::min(k_end, k0 + kSyrkPanelK);
           panel_contribution(a, k0, k1, a_local.data(), at_local.data(),
-                             c_chunk, m, geo.micro_rows);
+                             c_chunk, m);
         }
       });
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
@@ -128,14 +117,6 @@ void syrk_with(ConstMatrixView a, MatrixView c, const tune::SyrkGeometry& geo,
     }
   }
   mirror_upper(c);
-}
-
-void syrk(ConstMatrixView a, MatrixView c) {
-  syrk_with(a, c, tune::syrk_plan(a.rows, a.cols));
-}
-
-void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool) {
-  syrk_with(a, c, tune::syrk_plan(a.rows, a.cols), pool);
 }
 
 void syrk_instrumented(ConstMatrixView a, MatrixView c,

@@ -75,15 +75,14 @@ void gemm_row_tail(const float* FCMA_RESTRICT a, std::size_t k,
   }
 }
 
-// U = column vectors advanced per broadcast of an A element (the autotuner
-// picks 2 or 4).  Each output element's dot product is computed whole in
-// one accumulator whatever U is, so the unroll variants are bit-identical —
-// U only changes register-block shape and load scheduling.
-template <int W, int U>
+// U = column vectors advanced per broadcast of an A element.  Each output
+// element's dot product is computed whole in one accumulator.
+template <int W>
 void gemm_row_panel_t(const float* FCMA_RESTRICT a, std::size_t k,
                       const float* FCMA_RESTRICT bt, std::size_t width,
                       float* FCMA_RESTRICT c) {
   using V = typename VecOf<W>::type;
+  constexpr int U = opt::kGemmUnroll;
   constexpr std::size_t kStep = U * W;
   std::size_t j = 0;
   for (; j + kStep <= width; j += kStep) {
@@ -112,11 +111,10 @@ void gemm_row_panel_t(const float* FCMA_RESTRICT a, std::size_t k,
 // ---------------------------------------------------------------------------
 // syrk packed-panel sweep (paper Fig 7): ROWS x W-col micro-tiles over the
 // lower triangle.  The register accumulators flush into C on a FIXED cadence
-// of opt::kSyrkNumericK elements — never the (tunable) packing depth kb —
-// so every candidate panel depth performs the identical sequence of
-// floating-point adds per element.  The full-tile kernel fixes that substep
-// at compile time (a runtime bound defeats the strided a_local loads'
-// unrolling); ragged substeps fall to the shared edge handler.
+// of opt::kSyrkNumericK elements, the unit the threaded syrk chunks the long
+// dimension in.  The full-tile kernel fixes that substep at compile time (a
+// runtime bound defeats the strided a_local loads' unrolling); ragged
+// substeps fall to the shared edge handler.
 // ---------------------------------------------------------------------------
 constexpr std::size_t kSyrkMaxRows = opt::kSyrkMicroRows;  // edge acc bound
 
@@ -291,12 +289,10 @@ void zscore_finish_t(float* FCMA_RESTRICT row, const float* FCMA_RESTRICT mean,
 
 template <int W>
 constexpr KernelTable make_table() {
-  return KernelTable{&gemm_row_panel_t<W, 4>,
+  return KernelTable{&gemm_row_panel_t<W>,
                      &syrk_panel_t<W, opt::kSyrkMicroRows>,
                      &accumulate_moments_t<W>,
-                     &zscore_finish_t<W>,
-                     &gemm_row_panel_t<W, 2>,
-                     &syrk_panel_t<W, 6>};
+                     &zscore_finish_t<W>};
 }
 
 // kScalar = 4-lane portable vectors: GCC lowers them to SSE where present

@@ -43,10 +43,7 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 [[nodiscard]] Isa active_isa();
 
 /// The micro-kernels every optimized hot path calls through.  One table per
-/// ISA; all entries of a table are non-null.  The *_u2 / *_r6 entries are
-/// register-block variants the autotuner (linalg/tune) selects between;
-/// every variant is bit-identical to its sibling (same per-element
-/// accumulation chains, shared ragged tails).
+/// ISA; all entries of a table are non-null.
 struct KernelTable {
   /// gemm row-panel: c[j] = sum_k a[k] * bt[k*width + j] for j in [0,width).
   /// The broadcast-FMA inner loop of the correlation gemm (paper §4.2).
@@ -58,8 +55,7 @@ struct KernelTable {
   /// lower-triangle micro-tiles of c (ldc-strided, m x m).  a_local is the
   /// m x kb row-major packed panel, at_local its kb x m transpose
   /// (paper Fig 7).  Micro-tiles are 9 rows tall; C is updated every
-  /// opt::kSyrkNumericK elements of kb regardless of the packing depth, so
-  /// all panel depths produce identical bits.
+  /// opt::kSyrkNumericK elements of kb.
   void (*syrk_panel)(const float* a_local, const float* at_local,
                      std::size_t m, std::size_t kb, float* c, std::size_t ldc);
 
@@ -73,16 +69,6 @@ struct KernelTable {
   /// Normalization pass 2 for one row: row[j] = (row[j]-mean[j])*inv_sd[j].
   void (*zscore_finish)(float* row, const float* mean, const float* inv_sd,
                         std::size_t width);
-
-  /// gemm_row_panel with a 2-vector register block (lighter register
-  /// pressure; sometimes wins on short panels).  Bit-identical output.
-  void (*gemm_row_panel_u2)(const float* a, std::size_t k, const float* bt,
-                            std::size_t width, float* c);
-
-  /// syrk_panel with 6-row micro-tiles.  Bit-identical output.
-  void (*syrk_panel_r6)(const float* a_local, const float* at_local,
-                        std::size_t m, std::size_t kb, float* c,
-                        std::size_t ldc);
 };
 
 /// The table for an explicit variant (all variants are safe on all hosts).

@@ -1,188 +1,45 @@
-// Shape-adaptive kernel autotuner (ROADMAP item 4).
-//
-// The optimized gemm/syrk kernels are parameterized by a small geometry —
-// packed-panel width and register-block unroll for gemm_nt, panel depth and
-// micro-tile height for syrk — and the best choice depends on the call's
-// (m, n, k) shape (GEMMbench frames tall-skinny GEMM as exactly this search
-// problem).  `Tuner` closes the loop at runtime:
-//
-//   1. Each gemm_nt/syrk call is classified into a shape class (log2-bucketed
-//      dimensions, e.g. "gemm:m6:n13:k4" — shapes within a factor of two
-//      share a class).
-//   2. On a class's first use the tuner sweeps the candidate grid — gemm
-//      panel cols {128, 256, 512, 1024} x row-unroll {2, 4}, syrk panel-k
-//      {48, 96, 192} x micro-rows {6, 9} — with short in-situ timed probes
-//      on a clamped synthetic shape, and remembers the winner.
-//   3. Winners persist per (shape class, ISA, thread count) to an on-disk
-//      cache (schema "fcma.tune.v1", written atomically via tmp+rename like
-//      cluster/checkpoint) loadable with --tune-cache / FCMA_TUNE_CACHE, so
-//      later runs pay zero probes.
-//   4. Live runs feed archsim::roofline percent-of-peak back via
-//      note_roofline(): an entry measuring well below its own best-known
-//      roofline fraction is dropped and re-probed rather than trusted
-//      forever (machine changed, cache copied from another host, ...).
-//
-// Numerics: tuning NEVER changes answers.  Gemm panel width and unroll only
-// regroup whole per-element dot products; syrk candidates all share the
-// fixed `opt::kSyrkNumericK` accumulate->update substep, so every candidate
-// geometry — and therefore tuned, untuned, forced, and cached runs — is
-// bit-identical (enforced in test_linalg/test_tune and smoke_test.sh).
-//
-// Environment: FCMA_TUNE=off disables (fixed default geometry),
-// FCMA_TUNE_CACHE=PATH persists, FCMA_TUNE_FORCE="gemm:256[:u2],syrk:48[:r6]"
-// pins geometries without probing.  FCMA_TUNE_REAL_SHAPES=1 probes the
-// actual call shape instead of the clamped synthetic one — slower first-use
-// sweeps, but the winner is measured on exactly the production shape
-// (lower clamps still apply so degenerate shapes stay probeable).
+// The one kernel geometry the optimized gemm/syrk run (paper §4.2, §4.4):
+// 512-column packed B^T panels with a 4-vector register block for the
+// correlation gemm, 96-deep panels with 9-row micro-tiles for the
+// kernel-matrix syrk.  These records name those constants; the plan
+// functions return them for every shape.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
+
+#include "linalg/opt.hpp"
 
 namespace fcma::linalg::tune {
 
-/// Geometry of one gemm_nt call: packed B^T panel width and how many SIMD
-/// column vectors advance per broadcast of an A element.  The defaults are
-/// the pre-tuner fixed geometry (opt::kGemmPanelCols, 4-wide unroll).
+/// gemm_nt geometry: packed B^T panel width and SIMD column vectors
+/// advanced per broadcast of an A element.
 struct GemmGeometry {
-  std::size_t panel_cols = 512;
-  int unroll = 4;  // 2 or 4
+  std::size_t panel_cols = opt::kGemmPanelCols;
+  int unroll = opt::kGemmUnroll;
 
-  bool operator==(const GemmGeometry& o) const {
-    return panel_cols == o.panel_cols && unroll == o.unroll;
-  }
+  bool operator==(const GemmGeometry&) const = default;
 };
 
-/// Geometry of one syrk call: columns of the long dimension packed per
-/// panel and the micro-tile height.  panel_k is always a multiple of
-/// opt::kSyrkNumericK so the accumulation chains are geometry-invariant.
+/// syrk geometry: long-dimension columns packed per panel and micro-tile
+/// height.
 struct SyrkGeometry {
-  std::size_t panel_k = 96;
-  std::size_t micro_rows = 9;  // 6 or 9
+  std::size_t panel_k = opt::kSyrkPanelK;
+  std::size_t micro_rows = opt::kSyrkMicroRows;
 
-  bool operator==(const SyrkGeometry& o) const {
-    return panel_k == o.panel_k && micro_rows == o.micro_rows;
-  }
+  bool operator==(const SyrkGeometry&) const = default;
 };
 
-/// The candidate grids the probe sweep searches (fixed, also the set of
-/// geometries a tuning cache entry is allowed to name).
-[[nodiscard]] const std::vector<GemmGeometry>& gemm_candidates();
-[[nodiscard]] const std::vector<SyrkGeometry>& syrk_candidates();
+[[nodiscard]] inline GemmGeometry gemm_plan(std::size_t /*m*/,
+                                            std::size_t /*n*/,
+                                            std::size_t /*k*/) {
+  return {};
+}
 
-/// Shape classes: log2-bucketed dimensions, so shapes within a factor of
-/// two of each other share one tuning decision.
-[[nodiscard]] std::string gemm_class(std::size_t m, std::size_t n,
-                                     std::size_t k);
-[[nodiscard]] std::string syrk_class(std::size_t m, std::size_t n);
-
-/// One remembered decision (exposed for tests and the --tune bench mode).
-struct Entry {
-  std::string key;   ///< shape class, e.g. "gemm:m6:n13:k4"
-  std::string kind;  ///< "gemm" or "syrk"
-  std::string isa;
-  unsigned threads = 0;
-  GemmGeometry gemm;  ///< valid when kind == "gemm"
-  SyrkGeometry syrk;  ///< valid when kind == "syrk"
-  double probe_ms = 0.0;      ///< winner's probe time
-  double gflops = 0.0;        ///< winner's probe throughput
-  double pct_roofline = 0.0;  ///< best live %-of-roofline seen (0 = none yet)
-  std::string source;         ///< "probe", "cache", or "forced"
-  /// Shape the probe sweep actually timed (0 for cache/forced entries).
-  /// Diagnostic only — not persisted to the tuning cache.
-  std::size_t probe_m = 0;
-  std::size_t probe_n = 0;
-  std::size_t probe_k = 0;
-};
-
-class Tuner {
- public:
-  Tuner() = default;
-  Tuner(const Tuner&) = delete;
-  Tuner& operator=(const Tuner&) = delete;
-
-  /// The process-wide tuner the production kernels consult.  Initialized
-  /// from FCMA_TUNE / FCMA_TUNE_CACHE / FCMA_TUNE_FORCE on first use (a bad
-  /// value throws fcma::Error, like FCMA_FORCE_ISA).
-  [[nodiscard]] static Tuner& instance();
-
-  /// Tuning on/off.  Off means every call gets the fixed default geometry —
-  /// bit-identical to tuned runs, just not shape-adaptive.
-  void set_enabled(bool enabled);
-  [[nodiscard]] bool enabled() const;
-
-  /// Arms persistence: loads `path` if it exists (corrupt or truncated
-  /// files throw fcma::Error) and re-saves after every new decision.
-  void set_cache_path(const std::string& path);
-
-  /// Pins geometries, bypassing probes and cache: "gemm:256", "gemm:256:u2",
-  /// "syrk:48:r6", comma/semicolon-separated.  Values outside the candidate
-  /// grid throw.  An empty spec clears the pins.
-  void set_force(const std::string& spec);
-
-  /// Probe the real call shape instead of the clamped synthetic one
-  /// (FCMA_TUNE_REAL_SHAPES).  Only the upper clamps are lifted; tiny
-  /// shapes are still padded up to the probeable floor.
-  void set_real_shapes(bool on);
-  [[nodiscard]] bool real_shapes() const;
-
-  /// The geometry to use for a gemm_nt of shape (m x k) * (n x k)^T /
-  /// a syrk of shape (m x n) * T.  Probes on a class's first use.
-  [[nodiscard]] GemmGeometry gemm(std::size_t m, std::size_t n,
-                                  std::size_t k);
-  [[nodiscard]] SyrkGeometry syrk(std::size_t m, std::size_t n);
-
-  /// Roofline feedback from a live run for the most recently decided class
-  /// of `kind` ("gemm"/"syrk").  Records the best observed fraction; when a
-  /// later run measures below kRetuneFraction of it, the entry is dropped
-  /// so the next call re-probes.
-  void note_roofline(const std::string& kind, double pct_roofline);
-
-  /// Counters (also mirrored to trace as tune/probes, tune/cache_hits,
-  /// tune/invalidations when tracing is on).
-  [[nodiscard]] std::size_t probes() const;
-  [[nodiscard]] std::size_t cache_hits() const;
-  [[nodiscard]] std::size_t invalidations() const;
-
-  /// Forgets every decision and counter (pins and cache path survive).
-  /// Tests use this; the cache file is not touched until the next decision.
-  void reset();
-
-  /// Snapshot of the remembered decisions (tests, --tune bench mode).
-  [[nodiscard]] std::vector<Entry> entries() const;
-
-  /// A live measurement below this fraction of an entry's recorded
-  /// pct_roofline invalidates the entry.
-  static constexpr double kRetuneFraction = 0.5;
-
- private:
-  void init_from_env();
-  void load_cache_locked(const std::string& path);
-  void save_cache_locked() const;
-  [[nodiscard]] std::string map_key_locked(const std::string& cls) const;
-
-  mutable std::mutex mutex_;
-  bool enabled_ = true;
-  bool real_shapes_ = false;
-  std::string cache_path_;
-  bool force_gemm_set_ = false;
-  bool force_syrk_set_ = false;
-  GemmGeometry force_gemm_;
-  SyrkGeometry force_syrk_;
-  std::map<std::string, Entry> entries_;
-  std::string last_gemm_key_;
-  std::string last_syrk_key_;
-  std::size_t probes_ = 0;
-  std::size_t cache_hits_ = 0;
-  std::size_t invalidations_ = 0;
-};
-
-/// Shorthands the hot paths call: Tuner::instance().gemm(...) / .syrk(...).
-[[nodiscard]] GemmGeometry gemm_plan(std::size_t m, std::size_t n,
-                                     std::size_t k);
-[[nodiscard]] SyrkGeometry syrk_plan(std::size_t m, std::size_t n);
+// Kept for bench_fcma/bench_fcma.cpp, which passes this plan to
+// core::compute_voxel_kernel.
+[[nodiscard]] inline SyrkGeometry syrk_plan(std::size_t /*m*/,
+                                            std::size_t /*n*/) {
+  return {};
+}
 
 }  // namespace fcma::linalg::tune

@@ -7,6 +7,7 @@
 // fault-free single-node run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -640,11 +641,22 @@ TEST(ControlPlane, ResurrectedWorkerIsPurgedCountedAndBitIdentical) {
   DriverOptions opts;
   opts.workers = 2;
   opts.voxels_per_task = 8;  // 128 tasks
-  // Stall 0.3 s >> lease 0.15 s: rank 2 is declared dead mid-stall, its
-  // tasks requeue to rank 1, then its late result arrives anyway.
-  opts.lease_timeout_s = 0.15;
+  // Stall 2x lease: rank 2 is declared dead mid-stall, its tasks requeue to
+  // rank 1, then its late result arrives anyway.  The lease is sized from a
+  // measured task (sanitizer builds run tasks several times slower) so the
+  // survivor's own tasks never outlast it.
+  double task_s = 1e9;
+  for (int rep = 0; rep < 2; ++rep) {  // the first run also warms caches
+    const auto start = std::chrono::steady_clock::now();
+    (void)core::run_task(w.epochs, core::VoxelTask{0, 8},
+                         core::PipelineConfig::optimized());
+    task_s = std::min(task_s, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
+  }
+  opts.lease_timeout_s = std::max(0.15, 5.0 * task_s);
   opts.faults.stall_rank = 2;
-  opts.faults.stall_s = 0.3;
+  opts.faults.stall_s = 2.0 * opts.lease_timeout_s;
   DriverStats stats;
   const core::Scoreboard board =
       run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);

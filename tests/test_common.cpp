@@ -211,6 +211,62 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(cli.parse(3, argv), Error);
 }
 
+TEST(Cli, MalformedNumbersThrow) {
+  Cli cli("prog", "test");
+  cli.add_flag("top-k", "20", "count");
+  cli.add_flag("fdr", "0.05", "level");
+  const auto int_of = [&](const char* value) {
+    const char* argv[] = {"prog", "--top-k", value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    return cli.get_int("top-k");
+  };
+  const auto double_of = [&](const char* value) {
+    const char* argv[] = {"prog", "--fdr", value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    return cli.get_double("fdr");
+  };
+  EXPECT_EQ(int_of("-6"), -6);
+  EXPECT_THROW(int_of("6x"), Error);
+  EXPECT_THROW(int_of("abc"), Error);
+  EXPECT_THROW(int_of(""), Error);
+  EXPECT_THROW(int_of(" 6"), Error);
+  EXPECT_THROW(int_of("1.5"), Error);
+  EXPECT_THROW(int_of("99999999999999999999"), Error);
+  EXPECT_DOUBLE_EQ(double_of("1e-3"), 1e-3);
+  EXPECT_THROW(double_of("0.05q"), Error);
+  EXPECT_THROW(double_of(""), Error);
+  EXPECT_THROW(double_of("1e999"), Error);
+}
+
+TEST(Cli, BoolAcceptsOnlyKnownSpellings) {
+  Cli cli("prog", "test");
+  cli.add_flag("full", "false", "flag");
+  const auto bool_of = [&](const std::string& value) {
+    const std::string arg = "--full=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(cli.parse(2, argv));
+    return cli.get_bool("full");
+  };
+  EXPECT_TRUE(bool_of("yes"));
+  EXPECT_TRUE(bool_of("1"));
+  EXPECT_FALSE(bool_of("no"));
+  EXPECT_FALSE(bool_of("0"));
+  EXPECT_FALSE(bool_of("false"));
+  EXPECT_THROW(bool_of("maybe"), Error);
+  EXPECT_THROW(bool_of("TRUE"), Error);
+  EXPECT_THROW(bool_of(""), Error);
+}
+
+TEST(Cli, ParseHelpersNameTheSource) {
+  EXPECT_EQ(parse_int("32", "FCMA_TL_RING"), 32);
+  try {
+    (void)parse_int("3 2", "FCMA_TL_RING");
+    FAIL() << "expected fcma::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FCMA_TL_RING"), std::string::npos);
+  }
+}
+
 TEST(Cli, HelpReturnsFalse) {
   Cli cli("prog", "test");
   cli.add_flag("x", "1", "x");

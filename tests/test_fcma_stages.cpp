@@ -244,6 +244,28 @@ TEST(SvmStage, BaselineAndOptimizedKernelsAgree) {
   EXPECT_LE(max_diff(kb, ko), 1e-2f);
 }
 
+TEST(SvmStage, PlannedGeometryMatchesDefaultAndOthersThrow) {
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  const std::size_t m = ne.per_epoch.size();
+  const VoxelTask task{0, 2};
+  linalg::Matrix buf = make_corr_buffer(task, m, d.voxels());
+  optimized_correlate_normalize(ne, task, buf.view(), NormMode::kMerged);
+  const linalg::tune::SyrkGeometry geo = linalg::tune::syrk_plan(m, d.voxels());
+  linalg::Matrix planned(m, m);
+  linalg::Matrix plain(m, m);
+  compute_voxel_kernel(buf.view(), m, 1, Impl::kOptimized, planned.view(),
+                       &geo);
+  compute_voxel_kernel(buf.view(), m, 1, Impl::kOptimized, plain.view());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) EXPECT_EQ(planned(i, j), plain(i, j));
+  }
+  const linalg::tune::SyrkGeometry other{48, 6};
+  EXPECT_THROW(compute_voxel_kernel(buf.view(), m, 1, Impl::kOptimized,
+                                    planned.view(), &other),
+               Error);
+}
+
 TEST(SvmStage, InformativeVoxelsScoreAboveNoise) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);

@@ -392,101 +392,31 @@ TEST(Matrix, ViewsShareStorage) {
   EXPECT_EQ(cv(1, 1), 9.0f);
 }
 
-// Bit-identity across the autotuner's candidate grid: every geometry the
-// probe sweep can pick must produce exactly the bits of the default
-// geometry, or a timing-dependent tuner decision would change results.
-// Gemm regroups whole per-element dot products; syrk flushes accumulators
-// every opt::kSyrkNumericK elements regardless of panel depth.
-
-TEST(TuneGeometry, EveryGemmCandidateIsBitIdentical) {
-  const std::size_t m = 7, n = 1337, k = 12;  // ragged vs every panel width
-  const Matrix a = random_matrix(m, k, 61);
-  const Matrix b = random_matrix(n, k, 62);
-  Matrix ref(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), ref.view(), tune::GemmGeometry{});
-  for (const tune::GemmGeometry& geo : tune::gemm_candidates()) {
-    Matrix c(m, n);
-    opt::gemm_nt_with(a.view(), b.view(), c.view(), geo);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_cols=" << geo.panel_cols << " unroll=" << geo.unroll
-            << " at (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(TuneGeometry, EveryGemmCandidateIsBitIdenticalThreaded) {
-  threading::ThreadPool pool(3);
-  const std::size_t m = 5, n = 2100, k = 12;
-  const Matrix a = random_matrix(m, k, 63);
-  const Matrix b = random_matrix(n, k, 64);
-  Matrix ref(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), ref.view(), tune::GemmGeometry{});
-  for (const tune::GemmGeometry& geo : tune::gemm_candidates()) {
-    Matrix c(m, n);
-    opt::gemm_nt_with(a.view(), b.view(), c.view(), geo, pool);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_cols=" << geo.panel_cols << " unroll=" << geo.unroll;
-      }
-    }
-  }
-}
-
-TEST(TuneGeometry, EverySyrkCandidateIsBitIdentical) {
-  const std::size_t m = 33, n = 1000;  // ragged vs every panel_k and tile
-  const Matrix a = random_matrix(m, n, 65);
-  Matrix ref(m, m);
-  opt::syrk_with(a.view(), ref.view(), tune::SyrkGeometry{});
-  for (const tune::SyrkGeometry& geo : tune::syrk_candidates()) {
-    Matrix c(m, m);
-    opt::syrk_with(a.view(), c.view(), geo);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_k=" << geo.panel_k << " micro_rows=" << geo.micro_rows
-            << " at (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(TuneGeometry, EverySyrkCandidateIsBitIdenticalThreaded) {
-  // The threaded syrk chunks the long dimension in kSyrkNumericK substeps,
-  // so the chunk partition — and every accumulation chain — is a function
-  // of (n, pool size) only, never of the tuner's panel depth.
-  threading::ThreadPool pool(3);
-  const std::size_t m = 21, n = 700;
+// The pooled syrk chunks the long dimension in kSyrkNumericK substeps and
+// folds the chunks in order, so its result is a pure function of (n, pool
+// size): which worker ran which chunk, and when, must not move a bit.
+TEST(OptSyrk, PooledRunsAreBitIdentical) {
+  const std::size_t m = 21, n = 700;  // ragged vs panel depth and tile
   const Matrix a = random_matrix(m, n, 66);
   Matrix ref(m, m);
-  opt::syrk_with(a.view(), ref.view(), tune::SyrkGeometry{}, pool);
-  for (const tune::SyrkGeometry& geo : tune::syrk_candidates()) {
-    Matrix c(m, m);
-    opt::syrk_with(a.view(), c.view(), geo, pool);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_k=" << geo.panel_k << " micro_rows=" << geo.micro_rows;
+  {
+    threading::ThreadPool pool(3);
+    opt::syrk(a.view(), ref.view(), pool);
+  }
+  for (int rep = 0; rep < 4; ++rep) {
+    threading::ThreadPool pool(3);
+    for (int run = 0; run < 2; ++run) {
+      Matrix c(m, m);
+      opt::syrk(a.view(), c.view(), pool);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(c(i, j), ref(i, j))
+              << "rep " << rep << " run " << run << " at (" << i << "," << j
+              << ")";
+        }
       }
     }
   }
-}
-
-TEST(TuneGeometry, CandidatesStayWithinReferenceTolerance) {
-  // Identical to each other is necessary but not sufficient — anchor the
-  // shared bits to the double-precision reference too.
-  const std::size_t m = 9, n = 300, k = 12;
-  const Matrix a = random_matrix(m, k, 67);
-  const Matrix b = random_matrix(n, k, 68);
-  Matrix c(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), c.view(),
-                    tune::GemmGeometry{128, 2});
-  Matrix want(m, n);
-  reference::gemm_nt(a.view(), b.view(), want.view());
-  EXPECT_LE(reference::max_abs_diff(want.view(), c.view()), tolerance(k));
 }
 
 }  // namespace

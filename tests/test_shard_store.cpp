@@ -1,6 +1,6 @@
 // Tests for the subject-sharded on-disk store (fcma.shards.v1): bit-exact
-// round trips, mmap lifecycle, and — mirroring the tune-cache negative
-// tests — rejection of truncated, corrupted, and wrong-schema files.
+// round trips, mmap lifecycle, and rejection of truncated, corrupted, and
+// wrong-schema files.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

@@ -37,12 +37,6 @@ SPANS = [
     ("benches.cluster_smoke_faulted.recovery_wall_s", "down", 0.10),
     ("benches.cluster_smoke_failover.wall_s", "down", 0.10),
     ("benches.cluster_smoke_failover.recovery_wall_s", "down", 0.15),
-    # Autotuner quality (fcma.bench_smoke.v5+): how much of the fixed-vs-
-    # best geometry gap the tuned pick recovers, clamped per shape to
-    # [-100, 100].  A ratio of small wall-clock gaps swings tens of points
-    # between runs, so the floor is set to catch only a sign-level collapse
-    # (tuner actively mistuning), not jitter.
-    ("benches.tune.recovered_pct_mean", "up", 100.0),
 ]
 
 

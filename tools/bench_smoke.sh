@@ -60,11 +60,6 @@ wall_s() {
 }
 
 echo "bench smoke sweep (scaled-down problem sizes)"
-# The legacy timed sweep runs with the autotuner off so its wall-clock
-# numbers stay comparable with pre-autotuner sidecars (results are
-# bit-identical either way; only first-use probe time would differ).  The
-# dedicated tune runs below re-enable it.
-export FCMA_TUNE=off
 run_bench table5_matmul_gflops "$BENCH_DIR/bench_table5_matmul_gflops" \
   --voxels 2048 --syrk-voxels 512 --epochs 2
 run_bench table7_stage_merging "$BENCH_DIR/bench_table7_stage_merging" \
@@ -99,13 +94,6 @@ cp "$BENCH_DIR/bench_cluster_smoke.metrics.json" \
 # and match the resident run bit-for-bit; the sidecar records the cost.
 run_bench oocore "$BENCH_DIR/bench_oocore" --task 64
 cp "$BENCH_DIR/bench_oocore.metrics.json" "$WORK/oocore_metrics.json"
-
-# Autotuner sweep (tuning back on): per-shape winners from the micro-bench
-# probe mode plus the ablation bench's fixed-vs-tuned gap recovery.
-run_bench kernels_micro_tune env FCMA_TUNE=on \
-  "$BENCH_DIR/bench_kernels_micro" --tune
-run_bench ablation_autotune env FCMA_TUNE=on \
-  "$BENCH_DIR/bench_ablation_block_size" --voxels 4096 --rows 32 --repeats 2
 
 # Tracing overhead: the serial pipeline sweep with tracing fully off vs
 # streaming every span to tlstream segments, run as interleaved A/B pairs
@@ -216,24 +204,6 @@ OOC_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/reports_identical")
 test "$OOC_WITHIN" = "1"
 test "$OOC_IDENTICAL" = "1"
 
-# Autotuner results: each `tune <class> <geometry> src=... gflops=...` line
-# becomes one winners[] string; the ablation summary provides the
-# recovered-gap headline numbers.
-TUNE_PROBES=$(sed -n 's/^tune_done probes=\([0-9]*\).*/\1/p' \
-  "$WORK/kernels_micro_tune.txt")
-TUNE_WINNERS=$(awk '/^tune /{
-  line = $0; sub(/^tune /, "", line);
-  printf "%s\"%s\"", sep, line; sep = ", "
-}' "$WORK/kernels_micro_tune.txt")
-TUNE_REC_MEAN=$(sed -n \
-  's/^autotune_summary.*recovered_pct_mean=\(-\{0,1\}[0-9.]*\).*/\1/p' \
-  "$WORK/ablation_autotune.txt")
-TUNE_REC_MIN=$(sed -n \
-  's/^autotune_summary.*recovered_pct_min=\(-\{0,1\}[0-9.]*\).*/\1/p' \
-  "$WORK/ablation_autotune.txt")
-test -n "$TUNE_PROBES" && test -n "$TUNE_WINNERS"
-test -n "$TUNE_REC_MEAN" && test -n "$TUNE_REC_MIN"
-
 # Every sidecar this sweep consumed must pass the schema check (skipped
 # where python3 is unavailable).
 if command -v python3 >/dev/null 2>&1; then
@@ -245,7 +215,7 @@ fi
 
 cat > "$OUT" <<EOF
 {
-  "schema": "fcma.bench_smoke.v7",
+  "schema": "fcma.bench_smoke.v8",
   "simd_isa": "$ISA",
   "benches": {
     "table5_matmul_gflops": {
@@ -293,13 +263,6 @@ cat > "$OUT" <<EOF
       "streamed_slowdown": $OOC_SLOWDOWN,
       "within_budget": $OOC_WITHIN,
       "reports_identical": $OOC_IDENTICAL
-    },
-    "tune": {
-      "wall_s": $(wall_s ablation_autotune),
-      "probes": $TUNE_PROBES,
-      "recovered_pct_mean": $TUNE_REC_MEAN,
-      "recovered_pct_min": $TUNE_REC_MIN,
-      "winners": [$TUNE_WINNERS]
     },
     "tracing_overhead": {
       "baseline_wall_s": $OVH_OFF_S,

@@ -37,7 +37,6 @@ METRICS = [
      "%.3f", "down"),
     ("failover s", "benches.cluster_smoke_failover.recovery_wall_s",
      "%.3f", "down"),
-    ("tune rec %", "benches.tune.recovered_pct_mean", "%.1f", "up"),
     ("oocore slow x", "benches.oocore.streamed_slowdown", "%.1f", "down"),
     ("trace ovh %", "benches.tracing_overhead.overhead_pct", "%.1f", "down"),
 ]

@@ -44,7 +44,6 @@
 #include "fmri/shard_store.hpp"
 #include "fmri/synthetic.hpp"
 #include "linalg/simd.hpp"
-#include "linalg/tune.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace {
@@ -70,29 +69,6 @@ void usage() {
       "              roofline, cluster balance)\n"
       "\n"
       "run `fcma <command> --help` for that command's flags.");
-}
-
-// Autotuner knobs shared by the analysis commands (analyze/cluster/offline).
-// CLI flags override the FCMA_TUNE / FCMA_TUNE_CACHE / FCMA_TUNE_FORCE
-// environment the Tuner read on first use.
-void add_tune_flags(Cli& cli) {
-  cli.add_flag("tune-off", "false",
-               "disable the shape-adaptive kernel autotuner (fixed default "
-               "geometry; results stay bit-identical either way)");
-  cli.add_flag("tune-cache", "",
-               "persistent tuning cache path (fcma.tune.v1 JSON; loaded if "
-               "present, rewritten after new decisions)");
-  cli.add_flag("tune-force", "",
-               "pin kernel geometries, e.g. gemm:256:u2,syrk:48:r6");
-}
-
-void apply_tune_flags(const Cli& cli) {
-  auto& tuner = linalg::tune::Tuner::instance();
-  if (cli.get_bool("tune-off")) tuner.set_enabled(false);
-  if (!cli.get("tune-force").empty()) tuner.set_force(cli.get("tune-force"));
-  if (!cli.get("tune-cache").empty()) {
-    tuner.set_cache_path(cli.get("tune-cache"));
-  }
 }
 
 // Tracing knobs shared by the analysis commands (analyze/cluster/offline).
@@ -128,12 +104,11 @@ TraceSetup setup_tracing(const Cli& cli) {
   trace::set_enabled(true);
   // FCMA_TL_RING shrinks the per-thread event rings (tests force tiny
   // rings to exercise the spill path mid-run).
-  if (const char* ring = std::getenv("FCMA_TL_RING")) {
-    const long n = std::strtol(ring, nullptr, 10);
-    if (n > 0) {
-      trace::Timeline::global().set_ring_capacity(
-          static_cast<std::size_t>(n));
-    }
+  const char* ring = std::getenv("FCMA_TL_RING");
+  if (ring != nullptr && ring[0] != '\0') {
+    const long long n = parse_int(ring, "FCMA_TL_RING");
+    FCMA_CHECK(n > 0, "FCMA_TL_RING must be positive");
+    trace::Timeline::global().set_ring_capacity(static_cast<std::size_t>(n));
   }
   // Event capture must be live before the recording threads register their
   // sinks (rings are sized at sink creation); streaming implies events.
@@ -364,9 +339,7 @@ int cmd_analyze(int argc, const char* const* argv) {
                "task scheduler: steal (work-stealing pool) or serial");
   add_trace_flags(cli);
   add_budget_flag(cli);
-  add_tune_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  apply_tune_flags(cli);
   const std::string sched = cli.get("sched");
   FCMA_CHECK(sched == "steal" || sched == "serial",
              "--sched expects 'steal' or 'serial'");
@@ -507,9 +480,7 @@ int cmd_cluster(int argc, const char* const* argv) {
                "resume from a checkpoint, skipping scored voxel ranges");
   add_trace_flags(cli);
   add_budget_flag(cli);
-  add_tune_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  apply_tune_flags(cli);
 
   const TraceSetup tracing_setup = setup_tracing(cli);
 
@@ -635,9 +606,7 @@ int cmd_offline(int argc, const char* const* argv) {
                "task scheduler: steal (work-stealing pool) or serial");
   add_trace_flags(cli);
   add_budget_flag(cli);
-  add_tune_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  apply_tune_flags(cli);
   const std::string sched = cli.get("sched");
   FCMA_CHECK(sched == "steal" || sched == "serial",
              "--sched expects 'steal' or 'serial'");

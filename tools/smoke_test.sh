@@ -82,6 +82,12 @@ if "$FCMA" analyze --in clean --sched bogus 2>/dev/null; then
   echo "expected failure for an unknown --sched value" >&2
   exit 1
 fi
+# Numeric flags parse strictly: a malformed value is an error, not a 0.
+if "$FCMA" analyze --in clean --report bad_topk.txt --top-k abc \
+    2>/dev/null; then
+  echo "expected failure for a non-numeric --top-k" >&2
+  exit 1
+fi
 
 # Forced-ISA dispatch: every variant runs on any host (portable vector
 # code), reports itself in the trace metadata, and — because dispatch never
@@ -93,43 +99,6 @@ for isa in scalar avx2 avx512; do
 done
 cmp isa_scalar.txt isa_avx2.txt
 cmp isa_scalar.txt isa_avx512.txt
-
-# Shape-adaptive autotuner: geometry only regroups whole dot products, so
-# tuned, untuned, and forced runs must all render byte-identical reports.
-# The persistent cache pays the probe cost exactly once, a forced geometry
-# is honored verbatim, and a corrupt cache fails loudly instead of
-# silently mistuning.
-env FCMA_TUNE=on "$FCMA" analyze --in clean --report tuned.txt --top-k 6 \
-    --tune-cache tune_cache.json --trace tuned1.json
-test -f tune_cache.json
-grep -q '"fcma.tune.v1"' tune_cache.json
-grep -q '"tune/enabled": "1"' tuned1.json
-grep -q '"tune/probes"' tuned1.json
-trace_check tuned1.json
-cmp traced.txt tuned.txt
-# Warm cache: the second run must decide every shape class with zero probes.
-env FCMA_TUNE=on "$FCMA" analyze --in clean --report tuned2.txt --top-k 6 \
-    --tune-cache tune_cache.json --trace tuned2.json
-grep -q '"tune/probes": 0' tuned2.json
-cmp traced.txt tuned2.txt
-# Tuning disabled and a forced off-default geometry: same bytes again.
-env FCMA_TUNE=on "$FCMA" analyze --in clean --report tune_off.txt --top-k 6 \
-    --tune-off
-cmp tuned.txt tune_off.txt
-env FCMA_TUNE=on "$FCMA" analyze --in clean --report tune_forced.txt \
-    --top-k 6 --tune-force gemm:256,syrk:192 --trace tune_forced.json
-grep -q 'panel_cols=256' tune_forced.json
-grep -q 'panel_k=192' tune_forced.json
-grep -q 'src=forced' tune_forced.json
-trace_check tune_forced.json
-cmp tuned.txt tune_forced.txt
-# A corrupt cache is a hard error, not a silent re-probe.
-echo '{not json' > corrupt_cache.json
-if env FCMA_TUNE=on "$FCMA" analyze --in clean --report bad_tune.txt \
-    --top-k 6 --tune-cache corrupt_cache.json 2>/dev/null; then
-  echo "expected failure for a corrupt tuning cache" >&2
-  exit 1
-fi
 
 "$FCMA" offline --in clean --report offline.txt --top-k 12 --threads 2 \
     --voxels-per-task 100

@@ -39,16 +39,6 @@ REQUIRED_SPAN_FIELDS = (
     "count", "total_s", "min_s", "max_s", "p50_s", "p95_s", "p99_s")
 REQUIRED_ROOFLINE_FIELDS = (
     "modeled_s", "gflops", "ai_flops_per_byte", "pct_roofline", "bound")
-# Autotuner decisions recorded in the meta section, one per shape class.
-# The class key encodes the log2-bucketed dimensions; the value is the
-# winning geometry plus provenance (probe sweep, cache hit, or forced).
-TUNE_CLASS_RE = re.compile(r"^tune/(gemm:m\d+:n\d+:k\d+|syrk:m\d+:n\d+)$")
-TUNE_GEMM_RE = re.compile(
-    r"^panel_cols=\d+ unroll=\d+ src=(probe|cache|forced) "
-    r"gflops=[0-9.]+ pct_roof=[0-9.]+$")
-TUNE_SYRK_RE = re.compile(
-    r"^panel_k=\d+ micro_rows=\d+ src=(probe|cache|forced) "
-    r"gflops=[0-9.]+ pct_roof=[0-9.]+$")
 # Quantiles interpolate inside power-of-two buckets, so allow a hair of
 # floating-point slack around the exact recorded range.
 EPS = 1e-9
@@ -119,31 +109,6 @@ def check_metrics(c, doc):
         stall = gauges.get("io/stall_s") if isinstance(gauges, dict) else None
         c.check(c.is_number(stall) and stall >= 0,
                 "streamed run: gauge 'io/stall_s' missing or negative")
-    # Autotuner runs must record every decision coherently: the enabled
-    # flag is "0"/"1", each tune/<class> meta key names a valid shape class
-    # and carries the full geometry + provenance string, and the probe /
-    # cache-hit counters are seeded (zeros included) whenever the tuner ran.
-    meta = doc.get("meta", {})
-    meta = meta if isinstance(meta, dict) else {}
-    tune_keys = [k for k in meta if k.startswith("tune/")]
-    if tune_keys:
-        enabled = meta.get("tune/enabled")
-        c.check(enabled in ("0", "1"),
-                "meta 'tune/enabled' is %r, expected '0' or '1'" % enabled)
-        for name in ("tune/probes", "tune/cache_hits"):
-            c.check(c.is_number(counters.get(name))
-                    and counters.get(name, -1) >= 0,
-                    "tune run: counter %r missing or negative" % name)
-        for key in sorted(tune_keys):
-            if key == "tune/enabled":
-                continue
-            if not c.check(TUNE_CLASS_RE.match(key) is not None,
-                           "meta %r: not a valid tune shape class" % key):
-                continue
-            pattern = TUNE_GEMM_RE if key.startswith("tune/gemm") \
-                else TUNE_SYRK_RE
-            c.check(pattern.match(meta[key]) is not None,
-                    "meta %r: malformed tune decision %r" % (key, meta[key]))
     for label, roof in sorted(doc.get("roofline", {}).items()):
         for field in REQUIRED_ROOFLINE_FIELDS:
             c.check(field in roof,
@@ -157,10 +122,8 @@ def check_metrics(c, doc):
             c.check(c.is_number(roof["ai_flops_per_byte"])
                     and roof["ai_flops_per_byte"] >= 0.0,
                     "roofline %r: arithmetic intensity negative" % label)
-    decisions = sum(1 for k in tune_keys if k != "tune/enabled")
-    return "fcma.trace.v2 metrics: %d spans, %d roofline points, " \
-        "%d tune decisions" % (
-            len(spans), len(doc.get("roofline", {})), decisions)
+    return "fcma.trace.v2 metrics: %d spans, %d roofline points" % (
+        len(spans), len(doc.get("roofline", {})))
 
 
 def check_timeline(c, doc):
