@@ -25,10 +25,7 @@ int main(int argc, char** argv) {
   cli.add_flag("fault-kill-master-after", "0",
                "batches the primary master dispatches before crashing "
                "(0 = never; standby takes over)");
-  cli.add_flag("fault-stall-rank", "0", "worker rank that straggles");
-  cli.add_flag("fault-stall-s", "0", "straggler sleep before each task");
   cli.add_flag("standby", "1", "replicate the control plane to a standby");
-  cli.add_flag("speculate", "0", "re-dispatch straggling leases to idle ranks");
   if (!cli.parse(argc, argv)) return 0;
 
   bench::print_preamble(
@@ -49,11 +46,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("fault-kill-after"));
   options.faults.kill_master_after_batches =
       static_cast<std::size_t>(cli.get_int("fault-kill-master-after"));
-  options.faults.stall_rank =
-      static_cast<std::size_t>(cli.get_int("fault-stall-rank"));
-  options.faults.stall_s = cli.get_double("fault-stall-s");
   options.standby = cli.get_int("standby") != 0;
-  options.speculate = cli.get_int("speculate") != 0;
   cluster::DriverStats stats;
   const core::Scoreboard board = run_cluster_analysis(
       w.epochs, w.dataset.voxels(), options, &stats);
@@ -93,8 +86,6 @@ int main(int argc, char** argv) {
          Table::count(static_cast<long long>(stats.heartbeat_misses))});
   r.row({"recovery wall (s)", Table::num(stats.recovery_wall_s, 3)});
   r.row({"failovers", Table::count(static_cast<long long>(stats.failovers))});
-  r.row({"speculative dispatches",
-         Table::count(static_cast<long long>(stats.speculative_dispatches))});
   r.row({"resurrections",
          Table::count(static_cast<long long>(stats.resurrections))});
   r.print();

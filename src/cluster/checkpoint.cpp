@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -78,8 +79,10 @@ core::Scoreboard load_checkpoint(const std::string& path,
   const json::Value doc = json::parse_file(path);
   FCMA_CHECK(doc.at("schema").as_string() == kSchema,
              "not an fcma.ckpt.v1 checkpoint: " + path);
-  const auto total =
-      static_cast<std::size_t>(doc.at("total_voxels").as_number());
+  // Voxel indices are uint32 (VoxelTask::first), which bounds the board.
+  const auto total = static_cast<std::size_t>(doc.at("total_voxels").as_uint(
+      std::numeric_limits<std::uint32_t>::max(),
+      "checkpoint total_voxels in " + path));
   FCMA_CHECK(total > 0, "checkpoint has no voxels: " + path);
   FCMA_CHECK(expected_voxels == 0 || expected_voxels == total,
              "checkpoint voxel count does not match the dataset");
@@ -87,15 +90,16 @@ core::Scoreboard load_checkpoint(const std::string& path,
   core::Scoreboard board(total);
   for (const json::Value& run : doc.at("runs").elements()) {
     core::TaskResult result;
-    result.task.first =
-        static_cast<std::uint32_t>(run.at("first").as_number());
+    result.task.first = static_cast<std::uint32_t>(
+        run.at("first").as_uint(total - 1, "checkpoint run first in " + path));
     const auto& acc = run.at("accuracy").elements();
     result.task.count = static_cast<std::uint32_t>(acc.size());
     result.accuracy.reserve(acc.size());
     for (const json::Value& a : acc) result.accuracy.push_back(a.as_number());
     board.add(result);  // strict: a checkpoint never repeats a voxel
   }
-  const auto scored = static_cast<std::size_t>(doc.at("scored").as_number());
+  const auto scored = static_cast<std::size_t>(
+      doc.at("scored").as_uint(total, "checkpoint scored in " + path));
   FCMA_CHECK(board.scored() == scored,
              "checkpoint scored-count mismatch: " + path);
   return board;

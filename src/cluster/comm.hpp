@@ -58,9 +58,6 @@ enum class Tag : std::int32_t {
   kMasterPing = 8,   ///< master -> standby: liveness while no results flow
   kTakeover = 9,     ///< standby -> everyone: I am the master now; route
                      ///< protocol traffic to this message's source rank
-  kJoinGo = 10,      ///< master -> parked joiner: enter the worker loop
-  kLeave = 11,       ///< worker -> master: graceful departure (requeue my
-                     ///< leases; do not count me as a death)
   kUser = 100,       ///< first tag available to applications
 };
 

@@ -21,6 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// A worker requests its next batch when its local queue drops to this many
+// tasks, so the request overlaps the last task's compute.
+constexpr std::size_t kLowWater = 1;
+
 // kWorkRequest flag byte: a plain low-water refill request, or an idle
 // retransmit (the worker has nothing to do and suspects a lost message —
 // the master must requeue that worker's outstanding leases).
@@ -75,36 +79,15 @@ std::optional<PackedResult> decode_result(
 ///
 /// The master is not a fixed rank: protocol traffic goes to whichever rank
 /// last assigned work or announced a takeover, so a standby promotion
-/// redirects the farm without restarting it.  A `parked` worker (elastic
-/// join) waits for kJoinGo before entering the loop, and the scheduled
-/// leaver sends kLeave and exits after its quota.
+/// redirects the farm without restarting it.
 void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
-                 const DriverOptions& options, std::size_t low_water,
-                 double& busy_s, bool parked) {
+                 const DriverOptions& options, double& busy_s) {
   // Per-worker span family: count/total/min/max of this rank's task
   // latencies, the cluster-level analogue of Table 3's load-balance data.
   const std::string task_label =
       "cluster/worker" + std::to_string(rank) + "/task";
   trace::set_thread_name("cluster/worker" + std::to_string(rank));
   std::size_t master = 0;  // rank currently running the control plane
-  if (parked) {
-    // Elastic join: park until whichever master crosses the join threshold
-    // releases us.  A takeover announcement only re-routes; it does not
-    // release.
-    for (;;) {
-      const Message m = comm.recv(rank);
-      if (m.tag == Tag::kShutdown) return;
-      if (m.tag == Tag::kTakeover) {
-        master = m.source;
-        continue;
-      }
-      if (m.tag == Tag::kJoinGo) {
-        master = m.source;
-        break;
-      }
-      // Anything else is stale traffic; stay parked.
-    }
-  }
   // Local queue entries remember their causal origin: the master's dispatch
   // span (from the assignment's piggybacked context) parents everything the
   // task records, and the arrival instant feeds the queue-wait attribution.
@@ -176,7 +159,7 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
       // Any other tag is stale traffic from a recovered fault; ignore it.
       continue;
     }
-    if (!requested && local.size() <= low_water) {
+    if (!requested && local.size() <= kLowWater) {
       comm.send(rank, master, Tag::kWorkRequest, {kRequestRefill});
       requested = true;
     }
@@ -190,9 +173,9 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
     const trace::ScopedParent dispatch_parent(entry.parent_span);
     comm.send(rank, master, Tag::kHeartbeat, {});  // renews our lease
     if (options.faults.stalls(rank)) {
-      // Scheduled straggler: the lease ages while we sleep, but the
-      // heartbeat above keeps us alive — the speculation trigger, not the
-      // death trigger.
+      // Scheduled straggler: the lease ages while we sleep.  A stall longer
+      // than the lease gets us declared dead mid-task, and the late result
+      // below exercises the master's resurrection path.
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options.faults.stall_s));
     }
@@ -219,12 +202,6 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
       comm.send(rank, master, Tag::kTaskResult, encode_vector(packed));
     }
     ++completed;
-    if (options.leave_rank == rank && completed >= options.leave_after_tasks) {
-      // Graceful departure: unlike a crash, we say goodbye so the master
-      // requeues immediately instead of waiting out the lease.
-      comm.send(rank, master, Tag::kLeave, {});
-      return;
-    }
   }
 }
 
@@ -256,8 +233,6 @@ void emit_counters(const DriverStats& s, std::size_t reassigned) {
                static_cast<std::int64_t>(s.heartbeat_misses));
   trace::count("cluster/corrupt_payloads",
                static_cast<std::int64_t>(s.corrupt_payloads));
-  trace::count("cluster/speculative_dispatches",
-               static_cast<std::int64_t>(s.speculative_dispatches));
   trace::count("cluster/resurrections",
                static_cast<std::int64_t>(s.resurrections));
   trace::count("cluster/failovers", static_cast<std::int64_t>(s.failovers));
@@ -269,7 +244,6 @@ struct ControlContext {
   const DriverOptions& options;
   const std::vector<core::VoxelTask>& tasks;
   std::size_t batch_size;
-  std::size_t worker_ranks;  ///< initial + joiner ranks (1..worker_ranks)
   std::size_t standby_rank;  ///< 0 = control plane not replicated
 };
 
@@ -282,7 +256,7 @@ enum class MasterExit {
 /// The master protocol loop, runnable by the primary (self = 0, fresh or
 /// resumed state) and by a promoted standby (self = standby_rank, state
 /// replicated from the delta stream).  Rebuilds the pending queue from the
-/// scoreboard exactly like checkpoint/resume, primes the initial workers,
+/// scoreboard exactly like checkpoint/resume, primes every worker,
 /// then collects results, answers work requests, and recovers losses until
 /// every voxel is scored.  `reassigned_death` accumulates tasks moved off
 /// dead workers (the cluster/reassignments counter).
@@ -292,7 +266,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
                            std::size_t& reassigned_death) {
   Comm& comm = ctx.comm;
   const DriverOptions& options = ctx.options;
-  const std::size_t worker_ranks = ctx.worker_ranks;
+  const std::size_t workers = options.workers;
   const bool replicate = ctx.standby_rank != 0 && self != ctx.standby_rank;
 
   const auto task_scored = [&board](const core::VoxelTask& task) {
@@ -314,20 +288,11 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   struct Lease {
     std::size_t worker = 0;
     std::vector<core::VoxelTask> outstanding;  ///< tasks without a result yet
-    Clock::time_point granted{};
-    bool speculated = false;  ///< a replica exists (or this is one)
   };
   std::unordered_map<std::uint64_t, Lease> leases;
   std::uint64_t next_batch_id = is_failover ? kFailoverBatchBase : 1;
-  std::vector<char> alive(worker_ranks + 1, 1);
-  // Joiner ranks park until released.  The release threshold is a pure
-  // function of the scoreboard, so whichever incarnation crosses it sends
-  // the go; a duplicate go is ignored by an already-running worker.
-  std::vector<char> released(worker_ranks + 1, 0);
-  for (std::size_t w = 1; w <= options.workers; ++w) released[w] = 1;
-  bool joiners_parked = options.join_workers > 0;
-  std::vector<Clock::time_point> last_activity(worker_ranks + 1,
-                                               Clock::now());
+  std::vector<char> alive(workers + 1, 1);
+  std::vector<Clock::time_point> last_activity(workers + 1, Clock::now());
   std::unordered_map<std::uint32_t, std::size_t> requeue_count;
   std::size_t results_since_ckpt = 0;
   // A failover IS a recovery window: clock it from promotion to completion.
@@ -336,10 +301,10 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
 
   // Returns `w`'s outstanding leased tasks to the front of the pending
   // queue (prompt recovery) and drops the leases.  Tasks whose voxels are
-  // already fully scored (a late result or speculative replica raced the
-  // requeue) are purged without recompute — and without burning a retry.
-  // The retry cap aborts the run instead of spinning when faults are severe
-  // enough that no delivery ever lands.
+  // already fully scored (a late result raced the requeue) are purged
+  // without recompute — and without burning a retry.  The retry cap aborts
+  // the run instead of spinning when faults are severe enough that no
+  // delivery ever lands.
   const auto requeue_worker = [&](std::size_t w) -> std::size_t {
     std::size_t n = 0;
     for (auto it = leases.begin(); it != leases.end();) {
@@ -386,7 +351,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
       const trace::Span dispatch_span("cluster/dispatch");
       comm.send(self, w, Tag::kTaskAssign, assign_payload(batch_id, batch));
     }
-    leases[batch_id] = Lease{w, std::move(batch), Clock::now(), false};
+    leases[batch_id] = Lease{w, std::move(batch)};
     stats.tasks_dispatched += count;
     ++stats.batches;
     ++stats.messages;
@@ -399,39 +364,20 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     return true;
   };
 
-  // Releases the parked joiner ranks once `join_after_tasks` tasks are
-  // fully scored (or immediately when forced — the farm would otherwise
-  // have no capacity left).
-  const auto release_joiners = [&](bool force) {
-    if (!joiners_parked) return;
-    if (!force) {
-      std::size_t done = 0;
-      for (const auto& task : ctx.tasks) {
-        if (task_scored(task)) ++done;
-      }
-      if (done < options.join_after_tasks) return;
-    }
-    for (std::size_t w = options.workers + 1; w <= worker_ranks; ++w) {
-      comm.send(self, w, Tag::kJoinGo, {});
-      ++stats.messages;
-      released[w] = 1;
-      ++stats.workers_joined;
-    }
-    joiners_parked = false;
-  };
-
-  // Declares silent workers dead (a leased worker with no sign of life for
+  // Declares silent workers dead: a leased worker with no sign of life for
   // a full lease timeout is not coming back; its tasks move to the
-  // survivors) and speculatively replicates straggling leases onto idle
-  // ranks before they get that far.
+  // survivors.
   const auto sweep = [&] {
     const auto now = Clock::now();
-    for (std::size_t w = 1; w <= worker_ranks; ++w) {
+    bool any_alive = false;
+    for (std::size_t w = 1; w <= workers; ++w) {
       if (!alive[w]) continue;
-      if (!holds_lease(w)) continue;
       const double silent_s =
           std::chrono::duration<double>(now - last_activity[w]).count();
-      if (silent_s <= options.lease_timeout_s) continue;
+      if (!holds_lease(w) || silent_s <= options.lease_timeout_s) {
+        any_alive = true;
+        continue;
+      }
       alive[w] = 0;
       ++stats.workers_died;
       ++stats.heartbeat_misses;
@@ -443,62 +389,11 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
       // Recovery window for this death: last sign of life to requeue done.
       trace::record_interval("cluster/recovery", last_activity[w], now);
     }
-    if (options.speculate) {
-      // A lease older than speculation_factor * lease_timeout_s on a live
-      // worker is a straggler: clone its unscored tasks onto an idle rank.
-      // Both replicas run to completion and the idempotent scoreboard keeps
-      // whichever result lands first, so this is pure tail-latency insurance.
-      std::vector<std::uint64_t> stale;
-      for (const auto& [id, lease] : leases) {
-        const double age_s =
-            std::chrono::duration<double>(now - lease.granted).count();
-        if (!lease.speculated &&
-            age_s > options.speculation_factor * options.lease_timeout_s) {
-          stale.push_back(id);
-        }
-      }
-      for (const std::uint64_t id : stale) {
-        std::size_t idle = 0;
-        for (std::size_t w = 1; w <= worker_ranks; ++w) {
-          if (alive[w] && released[w] && w != leases[id].worker &&
-              !holds_lease(w)) {
-            idle = w;
-            break;
-          }
-        }
-        if (idle == 0) break;  // nobody free; later sweeps retry
-        leases[id].speculated = true;
-        std::vector<core::VoxelTask> copy;
-        for (const auto& task : leases[id].outstanding) {
-          if (!task_scored(task)) copy.push_back(task);
-        }
-        if (copy.empty()) continue;
-        const std::uint64_t replica_id = next_batch_id++;
-        {
-          const trace::Span dispatch_span("cluster/dispatch");
-          comm.send(self, idle, Tag::kTaskAssign,
-                    assign_payload(replica_id, copy));
-        }
-        stats.tasks_dispatched += copy.size();
-        ++stats.batches;
-        ++stats.messages;
-        ++stats.speculative_dispatches;
-        leases[replica_id] = Lease{idle, std::move(copy), now, true};
-      }
-    }
-    bool any_active = false;
-    for (std::size_t w = 1; w <= worker_ranks; ++w) {
-      if (alive[w] && released[w]) any_active = true;
-    }
-    if (!any_active && joiners_parked) {
-      // Parked joiners are untapped capacity: release them instead of
-      // declaring the farm lost.
-      release_joiners(true);
-      for (std::size_t w = 1; w <= worker_ranks; ++w) {
-        if (alive[w] && released[w]) any_active = true;
-      }
-    }
-    FCMA_CHECK(any_active, "every worker died before the analysis completed");
+    FCMA_CHECK(any_alive,
+               "every worker died before the analysis completed (lease "
+               "timeout " + std::to_string(options.lease_timeout_s) +
+                   " s; workers heartbeat only at task start, so the lease "
+                   "timeout must exceed the longest task)");
   };
 
   const auto checkpoint_if_due = [&](bool force) {
@@ -512,10 +407,10 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     results_since_ckpt = 0;
   };
 
-  // Prime every initial worker with one batch; surplus workers idle until
+  // Prime every worker with one batch; surplus workers idle until
   // shutdown.  (A promoted standby re-primes the same way: stale in-flight
   // work is absorbed idempotently.)
-  for (std::size_t w = 1; w <= options.workers; ++w) (void)dispatch(w);
+  for (std::size_t w = 1; w <= workers; ++w) (void)dispatch(w);
 
   // Collect results, answer work requests, and recover losses until every
   // voxel is scored.  The poll timeout bounds how stale the lease sweep can
@@ -530,7 +425,6 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     }
     const std::optional<Message> maybe = comm.recv_for(self, master_poll);
     sweep();
-    release_joiners(false);
     if (replicate) {
       // Liveness for the standby while no results flow; results themselves
       // double as liveness (every delta refreshes the standby's timer).
@@ -554,7 +448,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     }
     ++stats.messages;
     const std::size_t w = m.source;
-    if (w < 1 || w > worker_ranks) {
+    if (w < 1 || w > workers) {
       // Control-plane traffic from the old master (a not-actually-dead
       // primary still relaying): absorb state deltas, ignore pings.
       if (m.tag == Tag::kStateDelta && m.checksum_ok()) {
@@ -579,14 +473,6 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     switch (m.tag) {
       case Tag::kHeartbeat:
         break;
-      case Tag::kLeave: {
-        // Graceful departure: requeue whatever it still holds, but do not
-        // count a death — nothing timed out.
-        alive[w] = 0;
-        ++stats.workers_left;
-        (void)requeue_worker(w);
-        break;
-      }
       case Tag::kWorkRequest: {
         ++stats.work_requests;
         const bool idle_retry =
@@ -627,8 +513,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
         const auto packed = decode_result(m.payload);
         FCMA_CHECK(packed.has_value(), "malformed result payload");
         // At-least-once: duplicates (redelivery, recomputation after a
-        // false requeue, a speculative replica) are absorbed; disagreement
-        // throws.
+        // false requeue) are absorbed; disagreement throws.
         const std::size_t newly = board.add_idempotent(packed->result);
         if (replicate && newly > 0) {
           // Replicate before anything else observes the new state: the
@@ -663,7 +548,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   }
   checkpoint_if_due(true);
   // Release the farm; a lost shutdown is covered by the guard's close().
-  for (std::size_t w = 1; w <= worker_ranks; ++w) {
+  for (std::size_t w = 1; w <= workers; ++w) {
     comm.send(self, w, Tag::kShutdown, {});
     ++stats.messages;
   }
@@ -724,7 +609,7 @@ void standby_main(const ControlContext& ctx, core::Scoreboard board,
       // in case it is merely slow — it abdicates on receipt), then run the
       // same master loop from the replicated state.
       out.stats.failovers = 1;
-      for (std::size_t w = 1; w <= ctx.worker_ranks; ++w) {
+      for (std::size_t w = 1; w <= ctx.options.workers; ++w) {
         ctx.comm.send(ctx.standby_rank, w, Tag::kTakeover, {});
         ++out.stats.messages;
       }
@@ -759,10 +644,7 @@ void merge_stats(DriverStats& total, const DriverStats& part) {
   total.corrupt_payloads += part.corrupt_payloads;
   total.checkpoints_written += part.checkpoints_written;
   total.failovers += part.failovers;
-  total.speculative_dispatches += part.speculative_dispatches;
   total.resurrections += part.resurrections;
-  total.workers_joined += part.workers_joined;
-  total.workers_left += part.workers_left;
   total.recovery_wall_s = std::max(total.recovery_wall_s,
                                    part.recovery_wall_s);
 }
@@ -774,39 +656,26 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
                                       const DriverOptions& options,
                                       DriverStats* stats) {
   FCMA_CHECK(options.workers >= 1, "need at least one worker");
-  FCMA_CHECK(options.low_water >= 1, "low_water must be at least 1");
   FCMA_CHECK(total_voxels >= 1, "need at least one voxel");
   FCMA_CHECK(options.lease_timeout_s > 0.0, "lease timeout must be positive");
   FCMA_CHECK(options.worker_poll_s > 0.0, "worker poll must be positive");
   FCMA_CHECK(options.max_task_retries >= 1, "retry limit must be at least 1");
-  FCMA_CHECK(options.speculation_factor > 0.0 &&
-                 options.speculation_factor <= 1.0,
-             "speculation factor must be in (0, 1]");
-  const std::size_t worker_ranks = options.workers + options.join_workers;
-  options.faults.validate(worker_ranks + 1);
+  options.faults.validate(options.workers + 1);
   FCMA_CHECK(options.faults.kill_master_after_batches == 0 || options.standby,
              "a master kill schedule requires a standby rank");
-  if (options.leave_rank != 0) {
-    FCMA_CHECK(options.leave_rank <= worker_ranks, "leave rank out of range");
-  }
 
   const std::size_t per_task =
       options.voxels_per_task != 0
           ? options.voxels_per_task
           : (total_voxels + options.workers - 1) / options.workers;
   const auto tasks = core::partition_voxels(total_voxels, per_task);
-  // Clamp the batch size to the task count (a larger request could never be
-  // filled) and the low-water mark to the batch size (a higher mark would
-  // only re-request immediately after every refill).
-  const std::size_t batch_size = std::min(
-      options.batch != 0
-          ? options.batch
-          : std::max<std::size_t>(1, tasks.size() / (options.workers * 4)),
-      tasks.size());
-  const std::size_t low_water = std::min(options.low_water, batch_size);
+  // A quarter of a worker's even share per batch: every worker refills ~4
+  // times, so the tail stays balanced.
+  const std::size_t batch_size =
+      std::max<std::size_t>(1, tasks.size() / (options.workers * 4));
 
   DriverStats totals;
-  totals.worker_busy_s.assign(worker_ranks, 0.0);
+  totals.worker_busy_s.assign(options.workers, 0.0);
 
   core::Scoreboard board =
       options.resume != nullptr ? *options.resume
@@ -826,28 +695,26 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
     return board;
   }
 
-  // Rank layout: 0 = primary master, 1..workers = initial workers,
-  // workers+1..worker_ranks = parked joiners, last = standby (if enabled).
-  const std::size_t standby_rank = options.standby ? worker_ranks + 1 : 0;
-  const std::size_t ranks = worker_ranks + 1 + (options.standby ? 1 : 0);
+  // Rank layout: 0 = primary master, 1..workers = workers, last = standby
+  // (if enabled).
+  const std::size_t standby_rank = options.standby ? options.workers + 1 : 0;
+  const std::size_t ranks = options.workers + 1 + (options.standby ? 1 : 0);
   const std::unique_ptr<Comm> comm_owner =
       options.faults.message_faults()
           ? std::make_unique<FaultyComm>(ranks, options.faults)
           : std::make_unique<Comm>(ranks);
   Comm& comm = *comm_owner;
 
-  const ControlContext ctx{comm,       options,      tasks,
-                           batch_size, worker_ranks, standby_rank};
+  const ControlContext ctx{comm, options, tasks, batch_size, standby_rank};
 
   std::vector<std::thread> workers;
-  workers.reserve(worker_ranks);
+  workers.reserve(options.workers);
   std::thread standby_thread;
   const FarmGuard guard{comm, workers, &standby_thread};
-  for (std::size_t w = 1; w <= worker_ranks; ++w) {
+  for (std::size_t w = 1; w <= options.workers; ++w) {
     workers.emplace_back(worker_main, std::ref(comm), w, std::ref(epochs),
-                         std::cref(options), low_water,
-                         std::ref(totals.worker_busy_s[w - 1]),
-                         /*parked=*/w > options.workers);
+                         std::cref(options),
+                         std::ref(totals.worker_busy_s[w - 1]));
   }
   StandbyOutcome standby_out;
   if (options.standby) {

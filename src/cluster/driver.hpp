@@ -4,9 +4,11 @@
 // rank 0 (master) partitions the brain into voxel-range tasks and streams
 // them to the workers in *batches*; a worker runs the three-stage pipeline
 // task by task, returning one accuracies message per task, and sends a
-// work request when its local queue drops to the low-water mark so the
-// next batch overlaps the tail of the current one (the paper's dynamic
-// load-balancing protocol, where idle coprocessors pull work).
+// work request when its local queue drops to one task so the next batch
+// overlaps the tail of the current one (the paper's dynamic load-balancing
+// protocol, where idle coprocessors pull work).  A batch is a quarter of a
+// worker's even share of the tasks, so every worker refills ~4 times and
+// the tail stays balanced.
 //
 // Unlike the paper's farm, this driver survives faults (PR 5).  Every
 // dispatched batch carries an id and is tracked as a master-side *lease*;
@@ -27,13 +29,11 @@
 // master dead after lease_timeout_s of silence, announces the takeover to
 // every worker, and resumes the same master loop from the replicated state
 // — the failover analogue of checkpoint/resume, with in-flight duplicates
-// absorbed by the idempotent scoreboard.  Straggling leases are
-// speculatively re-dispatched to idle ranks at speculation_factor of the
-// lease timeout, and workers can join (parked until released) or leave
-// (graceful kLeave) mid-run over the same lease/requeue machinery.  Fault
+// absorbed by the idempotent scoreboard.  A worker declared dead that
+// speaks again is readmitted after its stale leases are purged.  Fault
 // injection for all of the above lives in fault.hpp; the virtual-time
 // simulator (sim.hpp) answers the timing questions at 96-node scale,
-// including recovery, failover, and speculation overhead.
+// including recovery and failover overhead.
 #pragma once
 
 #include <cstddef>
@@ -52,14 +52,6 @@ namespace fcma::cluster {
 struct DriverOptions {
   std::size_t workers = 2;
   std::size_t voxels_per_task = 0;  ///< 0 = one task per worker
-  /// Tasks per kTaskAssign batch.  0 = auto: a quarter of a worker's even
-  /// share, so every worker refills ~4 times and the tail stays balanced.
-  /// Clamped to the task count.
-  std::size_t batch = 0;
-  /// A worker requests more work when its local queue drops to this many
-  /// tasks (it keeps computing while the request is in flight).  Clamped to
-  /// the batch size — a higher value would only re-request immediately.
-  std::size_t low_water = 1;
   core::PipelineConfig pipeline;
 
   // --- fault tolerance ---------------------------------------------------
@@ -79,7 +71,8 @@ struct DriverOptions {
   /// Fault injection (inactive by default).  Message faults wrap the
   /// communicator in a FaultyComm; kill_rank/kill_after_tasks crash a
   /// worker thread mid-run; kill_master_after_batches crashes the primary
-  /// master (standby takeover); stall_rank/stall_s plants a straggler.
+  /// master (standby takeover); stall_rank/stall_s plants a straggler that
+  /// outlives its lease (the resurrection path).
   FaultPlan faults;
 
   // --- replicated control plane -------------------------------------------
@@ -90,30 +83,6 @@ struct DriverOptions {
   /// re-primes the workers mid-fold.  The idempotent scoreboard absorbs any
   /// work the old master had in flight, so failover is bit-identical.
   bool standby = true;
-
-  // --- speculative execution ----------------------------------------------
-  /// Re-dispatch a straggling lease's unscored tasks to an idle rank once
-  /// the lease is older than speculation_factor * lease_timeout_s.  Both
-  /// replicas run to completion; the first result scores each voxel and the
-  /// duplicate is absorbed idempotently, so speculation never changes
-  /// results — it only shortens the straggler tail.  Off by default: a
-  /// speculative replica can recover a crashed worker's lease before death
-  /// detection fires, which is the desired production behaviour but makes
-  /// death/requeue counters timing-dependent — opt in per run.
-  bool speculate = false;
-  double speculation_factor = 0.75;
-
-  // --- elastic membership --------------------------------------------------
-  /// Extra worker ranks that join mid-run: they park until the master has
-  /// collected `join_after_tasks` task results, then enter the normal
-  /// worker loop and pull work through the same lease/request machinery.
-  std::size_t join_workers = 0;
-  std::size_t join_after_tasks = 1;
-  /// Graceful departure: rank `leave_rank` (0 = disabled) sends kLeave and
-  /// exits after completing `leave_after_tasks` tasks; its leases requeue
-  /// without being counted as a death.
-  std::size_t leave_rank = 0;
-  std::size_t leave_after_tasks = 1;
 
   // --- checkpoint / resume ----------------------------------------------
   /// When non-empty, the master writes the scoreboard here (fcma.ckpt.v1,
@@ -148,13 +117,9 @@ struct DriverStats {
 
   // --- control plane ------------------------------------------------------
   std::size_t failovers = 0;  ///< standby promotions (master silence)
-  /// Straggler leases speculatively re-dispatched to an idle rank.
-  std::size_t speculative_dispatches = 0;
   /// Declared-dead workers readmitted after late traffic (their stale
   /// leases are purged on the way back in).
   std::size_t resurrections = 0;
-  std::size_t workers_joined = 0;  ///< parked ranks released mid-run
-  std::size_t workers_left = 0;    ///< graceful kLeave departures
   /// Wall-clock from the first death detection to completion — the real
   /// protocol's analogue of the simulator's recovery_overhead_s.
   double recovery_wall_s = 0.0;
@@ -180,12 +145,13 @@ struct DriverStats {
 
 /// Runs the task farm over `epochs`, scoring every voxel of the brain.
 /// Returns the populated scoreboard.  The result is a pure function of
-/// (epochs, total_voxels, pipeline, voxels_per_task): workers/batch/
-/// low_water only move tasks between ranks, the scoreboard stores per-voxel
+/// (epochs, total_voxels, pipeline, voxels_per_task): the worker count only
+/// moves tasks between ranks, the scoreboard stores per-voxel
 /// slots, and every recovery path recomputes identical values — so any
 /// configuration, faulted or not, is bit-identical to the single-node run
-/// over the same tasks.  Throws fcma::Error if every worker dies or a task
-/// exhausts max_task_retries.
+/// over the same tasks.  Throws fcma::Error if every worker dies (the
+/// message names lease_timeout_s, which must exceed the longest task) or a
+/// task exhausts max_task_retries.
 ///
 /// The EpochSource form is primary: all worker ranks lease panels from the
 /// shared source (both backends are thread-safe), so a streamed source

@@ -59,8 +59,9 @@ struct FaultPlan {
 
   /// Deterministic straggler: rank `stall_rank` (0 = disabled) sleeps
   /// `stall_s` wall-clock seconds before each task's compute, after its
-  /// lease-renewing heartbeat — the rank stays alive but its lease ages,
-  /// which is exactly what speculative re-dispatch triggers on.
+  /// lease-renewing heartbeat.  A stall longer than the lease gets the rank
+  /// declared dead mid-task; its late result then drives the resurrection
+  /// path (stale-lease purge on readmission).
   std::size_t stall_rank = 0;
   double stall_s = 0.0;
 

@@ -103,8 +103,6 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
              "master failure time must be non-negative");
   FCMA_CHECK(config.failover_detect_s > 0.0,
              "failover detection interval must be positive");
-  FCMA_CHECK(config.speculate_after_s > 0.0,
-             "speculation threshold must be positive");
 
   FarmOutcomeEx outcome;
   outcome.base.worker_busy_s.assign(workers.size(), 0.0);
@@ -186,36 +184,6 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
         continue;
       }
       const double result_arrives = compute_done + result_s;
-      if (std::isfinite(config.speculate_after_s) &&
-          service > config.speculate_after_s && !free_at.empty()) {
-        // Straggler: clone the task onto the next free node once the lease
-        // has aged speculate_after_s.  Both replicas run to completion (no
-        // preemption, exactly like the real driver); the earlier result
-        // wins and the loser's service time is pure waste.  Only the
-        // winner's compute counts as useful.
-        const auto [spec_ready, w2] = free_at.top();
-        // The replica send happens in the future (at the trigger), so it
-        // must not reserve the master's send pipe now — one extra message
-        // among thousands does not move the aggregate floor.
-        const double spec_send = std::max(
-            spec_ready, send_begin + assign_s + config.speculate_after_s);
-        const double spec_service =
-            config.task_overhead_s + task.task_s / workers[w2].speed;
-        const double spec_done = spec_send + assign_s + spec_service;
-        if (spec_done < compute_done) {
-          free_at.pop();
-          ++outcome.tasks_speculated;
-          outcome.speculative_waste_s += service;
-          outcome.base.compute_s += task.task_s / workers[w2].speed;
-          outcome.base.worker_busy_s[w2] += task.task_s / workers[w2].speed;
-          // Both nodes return a result; the original's duplicate is
-          // absorbed idempotently and only frees its node.
-          free_at.push({result_arrives, w});
-          free_at.push({spec_done + result_s, w2});
-          fold_end = std::max(fold_end, spec_done + result_s);
-          continue;
-        }
-      }
       if (master_mortal && result_arrives >= config.master_fails_at &&
           result_arrives < failover_resume) {
         // The result was in flight to the dead master: lost.  The promoted

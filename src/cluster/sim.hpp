@@ -66,12 +66,6 @@ struct FarmConfig {
   /// Standby silence threshold: the dispatch blackout after a master death
   /// lasts this long (the real driver waits 1.5 lease timeouts).
   double failover_detect_s = 5.0;
-  /// Speculative re-execution trigger: a task whose service time exceeds
-  /// this is cloned onto a free worker that long after its assignment;
-  /// both replicas run to completion and the earlier result wins
-  /// (infinity = speculation off).  Models the driver's
-  /// speculation_factor * lease_timeout_s re-dispatch.
-  double speculate_after_s = std::numeric_limits<double>::infinity();
 };
 
 /// Outcome of a simulated run.
@@ -138,10 +132,6 @@ struct FarmOutcomeEx {
   /// (failover_detect_s) plus the compute of every result lost in flight
   /// to the dead master.
   double failover_overhead_s = 0.0;
-  std::size_t tasks_speculated = 0;  ///< straggler tasks cloned to a free node
-  /// Node-seconds burned by losing speculative replicas (both copies run to
-  /// completion; the loser's full service time is waste).
-  double speculative_waste_s = 0.0;
 };
 
 /// Heterogeneous / faulty cluster: like simulate_task_farm but each worker

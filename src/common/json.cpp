@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,6 +18,20 @@ const Value& Value::at(std::string_view key) const {
     if (name == key) return value;
   }
   return g_null;
+}
+
+std::uint64_t Value::as_uint(std::uint64_t max, std::string_view what) const {
+  // 2^64: the first double that no longer fits a uint64_t (also rejects inf;
+  // NaN fails the >= 0 test).
+  constexpr double kTwo64 = 18446744073709551616.0;
+  const bool ok = kind_ == Kind::Number && num_ >= 0.0 && num_ < kTwo64 &&
+                  std::floor(num_) == num_ &&
+                  static_cast<std::uint64_t>(num_) <= max;
+  if (!ok) {
+    throw fcma::Error(std::string(what) + ": expected an integer in [0, " +
+                      std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(num_);
 }
 
 bool Value::has(std::string_view key) const {

@@ -9,7 +9,8 @@
 // favours convenience over schema enforcement — lookups on the wrong kind
 // return empty/zero values instead of throwing, so report code can probe
 // optional sections ("roofline" may be absent in a v1 file) without
-// ceremony.
+// ceremony.  The one strict accessor, as_uint(), is for counts and indices
+// that size or address memory (checkpoint voxel ranges, shard geometry).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,10 @@ class Value {
     return kind_ == Kind::Number ? num_ : 0.0;
   }
   [[nodiscard]] const std::string& as_string() const { return str_; }
+  /// Strict integer read: throws fcma::Error naming `what` unless this is a
+  /// number holding a finite, non-negative integer no larger than `max`.
+  [[nodiscard]] std::uint64_t as_uint(std::uint64_t max,
+                                      std::string_view what) const;
 
   /// Object lookup; a shared Null value for missing keys / non-objects.
   [[nodiscard]] const Value& at(std::string_view key) const;

@@ -9,7 +9,9 @@ Scoreboard::Scoreboard(std::size_t total_voxels)
     : scores_(total_voxels, 0.0), seen_(total_voxels, false) {}
 
 void Scoreboard::add(const TaskResult& result) {
-  FCMA_CHECK(result.task.first + result.task.count <= scores_.size(),
+  // size_t arithmetic: a uint32 first + count near 2^32 must not wrap.
+  FCMA_CHECK(std::size_t{result.task.first} + result.task.count <=
+                 scores_.size(),
              "task exceeds scoreboard range");
   FCMA_CHECK(result.accuracy.size() == result.task.count,
              "task result size mismatch");
@@ -23,7 +25,8 @@ void Scoreboard::add(const TaskResult& result) {
 }
 
 std::size_t Scoreboard::add_idempotent(const TaskResult& result) {
-  FCMA_CHECK(result.task.first + result.task.count <= scores_.size(),
+  FCMA_CHECK(std::size_t{result.task.first} + result.task.count <=
+                 scores_.size(),
              "task exceeds scoreboard range");
   FCMA_CHECK(result.accuracy.size() == result.task.count,
              "task result size mismatch");

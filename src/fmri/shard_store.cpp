@@ -124,10 +124,9 @@ void atomic_rename(const std::string& tmp, const std::string& path) {
 
 std::uint64_t require_u64(const json::Value& obj, const char* key,
                           const std::string& path) {
-  const json::Value& v = obj.at(key);
-  FCMA_CHECK(v.is_number(), std::string("shard manifest missing ") + key +
-                                ": " + path);
-  return static_cast<std::uint64_t>(v.as_number());
+  return obj.at(key).as_uint(std::numeric_limits<std::uint64_t>::max(),
+                             std::string("shard manifest ") + key + " in " +
+                                 path);
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(FaultSim, RejectsBadProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-plane model: master failover and speculative re-execution
+// Control-plane model: master failover
 // ---------------------------------------------------------------------------
 
 TEST(FaultSim, MasterFailoverAddsTheDetectionWindow) {
@@ -209,23 +209,6 @@ TEST(FaultSim, ImmortalMasterReportsNoFailover) {
   const auto outcome = simulate_task_farm(config, tasks, 1, workers);
   EXPECT_EQ(outcome.failovers, 0u);
   EXPECT_EQ(outcome.failover_overhead_s, 0.0);
-  EXPECT_EQ(outcome.tasks_speculated, 0u);
-  EXPECT_EQ(outcome.speculative_waste_s, 0.0);
-}
-
-TEST(FaultSim, SpeculationBeatsTheStragglerTailAndChargesWaste) {
-  // A tenth-speed node turns any task it picks up into a 10 s tail.
-  const std::vector<double> tasks(32, 1.0);
-  FarmConfig config = basic_config();
-  auto workers = uniform_workers(8);
-  workers[0].speed = 0.1;
-  const auto plain = simulate_task_farm(config, tasks, 1, workers);
-  config.speculate_after_s = 2.0;
-  const auto spec = simulate_task_farm(config, tasks, 1, workers);
-  EXPECT_GE(spec.tasks_speculated, 1u);
-  EXPECT_GT(spec.speculative_waste_s, 0.0);
-  // The replica on a full-speed node finishes well before the straggler.
-  EXPECT_LT(spec.base.makespan_s, plain.base.makespan_s);
 }
 
 TEST(FaultSim, RejectsBadControlPlaneConfig) {
@@ -236,9 +219,6 @@ TEST(FaultSim, RejectsBadControlPlaneConfig) {
   EXPECT_THROW((void)simulate_task_farm(config, tasks, 1, workers), Error);
   config = basic_config();
   config.failover_detect_s = 0.0;
-  EXPECT_THROW((void)simulate_task_farm(config, tasks, 1, workers), Error);
-  config = basic_config();
-  config.speculate_after_s = 0.0;
   EXPECT_THROW((void)simulate_task_farm(config, tasks, 1, workers), Error);
 }
 

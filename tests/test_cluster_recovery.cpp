@@ -396,28 +396,26 @@ TEST(DriverRecovery, AllWorkersDeadThrows) {
   opts.lease_timeout_s = 0.2;
   opts.faults.kill_rank = 1;
   opts.faults.kill_after_tasks = 0;  // dies before its first task
-  EXPECT_THROW(
-      (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, nullptr),
-      Error);
+  try {
+    (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, nullptr);
+    ADD_FAILURE() << "expected every worker to die";
+  } catch (const Error& e) {
+    // The likeliest cause is a lease shorter than one task: the message
+    // must say so, naming the configured timeout.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lease timeout 0.2"), std::string::npos) << what;
+    EXPECT_NE(what.find("longest task"), std::string::npos) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// DriverOptions validation / clamping (satellite bugfix)
+// DriverOptions validation
 // ---------------------------------------------------------------------------
 
 TEST(DriverOptionsValidation, ZeroWorkersIsAClearError) {
   const Workload w = tiny_workload(32);
   DriverOptions opts;
   opts.workers = 0;
-  EXPECT_THROW(
-      (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, nullptr),
-      Error);
-}
-
-TEST(DriverOptionsValidation, ZeroLowWaterIsAClearError) {
-  const Workload w = tiny_workload(32);
-  DriverOptions opts;
-  opts.low_water = 0;
   EXPECT_THROW(
       (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, nullptr),
       Error);
@@ -435,35 +433,6 @@ TEST(DriverOptionsValidation, NonPositiveTimeoutsAreClearErrors) {
   EXPECT_THROW(
       (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, nullptr),
       Error);
-}
-
-TEST(DriverOptionsValidation, BatchLargerThanTaskCountIsClamped) {
-  const Workload w = tiny_workload(64);
-  DriverOptions opts;
-  opts.workers = 2;
-  opts.voxels_per_task = 16;  // 4 tasks
-  opts.batch = 1000;          // would never fill: clamped to 4
-  DriverStats stats;
-  const core::Scoreboard board =
-      run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);
-  EXPECT_TRUE(board.complete());
-  EXPECT_EQ(stats.tasks_dispatched, 4u);
-  expect_bit_identical(single_node_reference(w, 16), board);
-}
-
-TEST(DriverOptionsValidation, LowWaterAboveBatchIsClamped) {
-  const Workload w = tiny_workload(64);
-  DriverOptions opts;
-  opts.workers = 2;
-  opts.voxels_per_task = 8;  // 8 tasks
-  opts.batch = 2;
-  opts.low_water = 50;  // above the batch: used to stall/spin, now clamps
-  DriverStats stats;
-  const core::Scoreboard board =
-      run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);
-  EXPECT_TRUE(board.complete());
-  EXPECT_EQ(stats.tasks_dispatched, 8u);
-  expect_bit_identical(single_node_reference(w, 8), board);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,13 +468,32 @@ TEST(Checkpoint, RejectsMismatchedVoxelCountAndGarbage) {
   write_checkpoint(f.path, board);
   EXPECT_THROW((void)load_checkpoint(f.path, 32), Error);
   EXPECT_NO_THROW((void)load_checkpoint(f.path, 0));  // 0 = accept file's
-  {
+  const auto rejects = [&f](const std::string& text) {
     std::FILE* bad = std::fopen(f.path.c_str(), "w");
     ASSERT_NE(bad, nullptr);
-    std::fputs("{\"schema\": \"something.else\"}", bad);
+    std::fputs(text.c_str(), bad);
     std::fclose(bad);
-  }
-  EXPECT_THROW((void)load_checkpoint(f.path, 16), Error);
+    EXPECT_THROW((void)load_checkpoint(f.path, 16), Error) << text;
+  };
+  rejects("{\"schema\": \"something.else\"}");
+  // Hostile integers: each must be a clean fcma::Error, never a wrapped
+  // range check (2^32 - 1 + 2 wraps to 1 in uint32) or an undefined cast.
+  const auto ckpt = [](const std::string& total, const std::string& run) {
+    return "{\"schema\": \"fcma.ckpt.v1\", \"total_voxels\": " + total +
+           ", \"scored\": 2, \"runs\": [{" + run + "}]}";
+  };
+  const std::string acc = "\"accuracy\": [0.5, 0.5]";
+  rejects(ckpt("16", "\"first\": 4294967295, " + acc));
+  rejects(ckpt("16", "\"first\": -1, " + acc));
+  rejects(ckpt("16", "\"first\": 1.5, " + acc));
+  rejects(ckpt("16", "\"first\": 1e300, " + acc));
+  rejects(ckpt("16", acc));  // missing first
+  rejects(ckpt("-16", "\"first\": 0, " + acc));
+  // The scoreboard's own range check does its sum in size_t, too.
+  core::Scoreboard direct(16);
+  EXPECT_THROW(direct.add(fake_result(4294967295u, 2, 0.5)), Error);
+  EXPECT_THROW((void)direct.add_idempotent(fake_result(4294967295u, 2, 0.5)),
+               Error);
 }
 
 TEST(Checkpoint, DriverWritesAndResumeReproducesBitIdentically) {
@@ -573,7 +561,7 @@ TEST(Checkpoint, ResumeFromCompleteCheckpointDispatchesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated control plane: failover, speculation, elastic membership
+// Replicated control plane: failover and resurrection
 // ---------------------------------------------------------------------------
 
 TEST(ControlPlane, MasterKilledMidFoldFailsOverBitIdentically) {
@@ -604,29 +592,6 @@ TEST(ControlPlane, MasterKillWithoutStandbyIsAClearError) {
   EXPECT_THROW(
       (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts),
       Error);
-}
-
-TEST(ControlPlane, StragglerLeaseIsSpeculativelyReDispatched) {
-  const Workload w = tiny_workload(64);
-  DriverOptions opts;
-  opts.workers = 2;
-  opts.voxels_per_task = 8;  // 8 tasks
-  opts.speculate = true;
-  // Rank 2 sleeps 0.5 s before each task but heartbeats first, so it stays
-  // alive (silence < 0.6 s lease timeout) while its lease ages past the
-  // 0.45 s speculation threshold — the idle rank 1 gets the replica, and
-  // the straggler's own late result is absorbed idempotently.
-  opts.lease_timeout_s = 0.6;
-  opts.faults.stall_rank = 2;
-  opts.faults.stall_s = 0.5;
-  DriverStats stats;
-  const core::Scoreboard board =
-      run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);
-  EXPECT_TRUE(board.complete());
-  EXPECT_GE(stats.speculative_dispatches, 1u);
-  EXPECT_EQ(stats.workers_died, 0u);
-  EXPECT_EQ(stats.failovers, 0u);
-  expect_bit_identical(single_node_reference(w, 8), board);
 }
 
 // The resurrection bugfix (this PR): a worker declared dead after a long
@@ -664,38 +629,6 @@ TEST(ControlPlane, ResurrectedWorkerIsPurgedCountedAndBitIdentical) {
   EXPECT_GE(stats.workers_died, 1u);
   EXPECT_GE(stats.resurrections, 1u);
   EXPECT_GE(stats.tasks_requeued, 1u);
-  expect_bit_identical(single_node_reference(w, 8), board);
-}
-
-TEST(ControlPlane, JoiningWorkerIsReleasedMidRunBitIdentically) {
-  const Workload w = tiny_workload(64);
-  DriverOptions opts;
-  opts.workers = 1;
-  opts.join_workers = 1;  // rank 2 parks until released
-  opts.join_after_tasks = 1;
-  opts.voxels_per_task = 8;
-  DriverStats stats;
-  const core::Scoreboard board =
-      run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);
-  EXPECT_TRUE(board.complete());
-  EXPECT_EQ(stats.workers_joined, 1u);
-  EXPECT_EQ(stats.workers_died, 0u);
-  expect_bit_identical(single_node_reference(w, 8), board);
-}
-
-TEST(ControlPlane, GracefulLeaveRequeuesWithoutCountingADeath) {
-  const Workload w = tiny_workload(64);
-  DriverOptions opts;
-  opts.workers = 2;
-  opts.leave_rank = 2;  // departs after its first completed task
-  opts.leave_after_tasks = 1;
-  opts.voxels_per_task = 8;
-  DriverStats stats;
-  const core::Scoreboard board =
-      run_cluster_analysis(w.epochs, w.dataset.voxels(), opts, &stats);
-  EXPECT_TRUE(board.complete());
-  EXPECT_EQ(stats.workers_left, 1u);
-  EXPECT_EQ(stats.workers_died, 0u);
   expect_bit_identical(single_node_reference(w, 8), board);
 }
 
@@ -761,21 +694,6 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
 }
 
 #endif  // FCMA_TRACE_DISABLED
-
-TEST(ControlPlane, SpeculationFactorOutOfRangeIsAClearError) {
-  const Workload w = tiny_workload(32);
-  DriverOptions opts;
-  opts.workers = 2;
-  opts.voxels_per_task = 8;
-  opts.speculation_factor = 0.0;
-  EXPECT_THROW(
-      (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts),
-      Error);
-  opts.speculation_factor = 1.5;
-  EXPECT_THROW(
-      (void)run_cluster_analysis(w.epochs, w.dataset.voxels(), opts),
-      Error);
-}
 
 }  // namespace
 }  // namespace fcma::cluster

@@ -431,8 +431,6 @@ int cmd_cluster(int argc, const char* const* argv) {
   cli.add_flag("workers", "3", "worker ranks (rank 0 is the master)");
   cli.add_flag("voxels-per-task", "0",
                "voxels per task (0 = one task per worker)");
-  cli.add_flag("batch", "0", "tasks per assignment (0 = auto)");
-  cli.add_flag("low-water", "1", "worker queue level that requests a refill");
   cli.add_flag("top-k", "20", "voxels listed in the report");
   cli.add_flag("fdr", "0.05", "FDR level for the selected set");
   cli.add_flag("lease-timeout", "10.0",
@@ -450,27 +448,9 @@ int cmd_cluster(int argc, const char* const* argv) {
   cli.add_flag("fault-kill-master-after", "0",
                "batches the primary master dispatches before crashing "
                "(0 = never; requires --standby 1)");
-  cli.add_flag("fault-stall-rank", "0",
-               "worker rank that straggles (0 = none)");
-  cli.add_flag("fault-stall-s", "0",
-               "seconds the straggler sleeps before each task");
   cli.add_flag("standby", "1",
                "replicate the control plane to a standby rank that takes "
                "over if the master goes silent");
-  cli.add_flag("speculate", "0",
-               "speculatively re-dispatch straggling leases to idle ranks");
-  cli.add_flag("spec-factor", "0.75",
-               "lease age (fraction of --lease-timeout) that triggers "
-               "speculation");
-  cli.add_flag("join-workers", "0",
-               "extra worker ranks that join mid-run (parked until "
-               "--join-after results are in)");
-  cli.add_flag("join-after", "1",
-               "completed tasks that release the joining workers");
-  cli.add_flag("leave-rank", "0",
-               "worker rank that leaves gracefully mid-run (0 = none)");
-  cli.add_flag("leave-after", "1",
-               "tasks the leaving rank completes before departing");
   cli.add_flag("checkpoint", "",
                "scoreboard checkpoint path (fcma.ckpt.v1; written "
                "periodically and at completion)");
@@ -491,8 +471,6 @@ int cmd_cluster(int argc, const char* const* argv) {
   opts.workers = static_cast<std::size_t>(cli.get_int("workers"));
   opts.voxels_per_task =
       static_cast<std::size_t>(cli.get_int("voxels-per-task"));
-  opts.batch = static_cast<std::size_t>(cli.get_int("batch"));
-  opts.low_water = static_cast<std::size_t>(cli.get_int("low-water"));
   opts.lease_timeout_s = cli.get_double("lease-timeout");
   opts.faults.seed = static_cast<std::uint64_t>(cli.get_int("fault-seed"));
   opts.faults.drop = cli.get_double("fault-drop");
@@ -505,17 +483,7 @@ int cmd_cluster(int argc, const char* const* argv) {
       static_cast<std::size_t>(cli.get_int("fault-kill-after"));
   opts.faults.kill_master_after_batches =
       static_cast<std::size_t>(cli.get_int("fault-kill-master-after"));
-  opts.faults.stall_rank =
-      static_cast<std::size_t>(cli.get_int("fault-stall-rank"));
-  opts.faults.stall_s = cli.get_double("fault-stall-s");
   opts.standby = cli.get_int("standby") != 0;
-  opts.speculate = cli.get_int("speculate") != 0;
-  opts.speculation_factor = cli.get_double("spec-factor");
-  opts.join_workers = static_cast<std::size_t>(cli.get_int("join-workers"));
-  opts.join_after_tasks = static_cast<std::size_t>(cli.get_int("join-after"));
-  opts.leave_rank = static_cast<std::size_t>(cli.get_int("leave-rank"));
-  opts.leave_after_tasks =
-      static_cast<std::size_t>(cli.get_int("leave-after"));
   opts.checkpoint_path = cli.get("checkpoint");
   opts.checkpoint_every =
       static_cast<std::size_t>(cli.get_int("checkpoint-every"));
@@ -562,10 +530,8 @@ int cmd_cluster(int argc, const char* const* argv) {
               stats.workers_died, stats.tasks_requeued, stats.retries,
               stats.heartbeat_misses, stats.corrupt_payloads,
               stats.recovery_wall_s);
-  std::printf("control plane: failovers=%zu speculative=%zu "
-              "resurrections=%zu joined=%zu left=%zu\n",
-              stats.failovers, stats.speculative_dispatches,
-              stats.resurrections, stats.workers_joined, stats.workers_left);
+  std::printf("control plane: failovers=%zu resurrections=%zu\n",
+              stats.failovers, stats.resurrections);
   if (stats.checkpoints_written > 0) {
     std::printf("checkpoint written to %s (%zu snapshot(s))\n",
                 opts.checkpoint_path.c_str(), stats.checkpoints_written);

@@ -178,19 +178,14 @@ trace_check cluster_faulted.json
 grep -q 'failovers=1' cluster_failover.log
 cmp cluster_clean.txt cluster_failover.txt
 grep -q 'cluster/failovers' cluster_failover.json
-grep -q 'cluster/speculative_dispatches' cluster_failover.json
 grep -q 'cluster/resurrections' cluster_failover.json
 trace_check cluster_failover.json
 
-# Speculative re-execution: a planted straggler ages its leases past the
-# speculation threshold; duplicate completions are absorbed idempotently,
-# so the report is byte-identical again (the dispatch count itself is
-# timing-dependent, so only the identity is asserted).
-"$FCMA" cluster --in clean --report cluster_spec.txt --workers 2 \
-    --voxels-per-task 40 --top-k 6 --lease-timeout 0.6 --speculate 1 \
-    --fault-stall-rank 2 --fault-stall-s 0.5 > cluster_spec.log
-grep -q 'speculative=' cluster_spec.log
-cmp cluster_clean.txt cluster_spec.txt
+# Speculative re-dispatch is not part of the farm: the flag is unknown.
+if "$FCMA" cluster --in clean --speculate 1 2>/dev/null; then
+  echo "expected failure for the removed --speculate flag" >&2
+  exit 1
+fi
 
 # Checkpoint during the run, then resume from the snapshot: the resumed run
 # reports its head start and renders the same report again.
@@ -206,6 +201,21 @@ grep -q 'resuming from' cluster_resume.log
 cmp cluster_clean.txt cluster_resumed.txt
 if "$FCMA" cluster --in clean --resume /nonexistent 2>/dev/null; then
   echo "expected failure for a missing resume checkpoint" >&2
+  exit 1
+fi
+# A crafted checkpoint whose run starts at 2^32 - 1 (it would wrap a uint32
+# range check and write far outside the scoreboard) is a clean error: exit
+# status 1, not a crash.
+voxels=$(sed -n 's/.*"total_voxels": \([0-9]*\).*/\1/p' board.ckpt)
+printf '{"schema": "fcma.ckpt.v1", "total_voxels": %s, "scored": 2, ' \
+    "$voxels" > wrapped.ckpt
+printf '"runs": [{"first": 4294967295, "accuracy": [0.5, 0.5]}]}\n' \
+    >> wrapped.ckpt
+status=0
+"$FCMA" cluster --in clean --report cluster_wrapped.txt \
+    --resume wrapped.ckpt 2>/dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "expected exit 1 for a wrapped checkpoint run, got $status" >&2
   exit 1
 fi
 

@@ -92,7 +92,6 @@ def check_metrics(c, doc):
     if isinstance(counters, dict) and "cluster/tasks_dispatched" in counters:
         for name in ("cluster/retries", "cluster/reassignments",
                      "cluster/heartbeat_misses", "cluster/corrupt_payloads",
-                     "cluster/speculative_dispatches",
                      "cluster/resurrections", "cluster/failovers"):
             value = counters.get(name)
             c.check(c.is_number(value) and value >= 0,
