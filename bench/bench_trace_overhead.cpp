@@ -46,12 +46,6 @@ int main(int argc, char** argv) {
 
   bench::print_preamble(
       "Tracing overhead: untraced vs streamed pipeline, interleaved A/B");
-#ifdef FCMA_TRACE_DISABLED
-  std::printf("tracing compiled out (FCMA_TRACE=OFF): nothing to measure\n");
-  std::printf("trace_overhead pct=0.00 baseline_s=0 streaming_s=0 "
-              "events=0 dropped=0\n");
-  return 0;
-#else
   const bench::Workload w = bench::make_workload(
       fmri::face_scene_spec(), static_cast<std::size_t>(cli.get_int("voxels")),
       static_cast<std::int32_t>(cli.get_int("subjects")));
@@ -103,16 +97,14 @@ int main(int argc, char** argv) {
     timeline.set_ring_capacity(ring);
     trace::new_run_id();
     trace::set_enabled(true);
-    trace::set_timeline_enabled(true);
     trace::set_stream_dir(dir);
     const double s = wall([&] {
       sum_on = sweep();
       timeline.finalize_stream();
     });
-    streamed_events = timeline.events_published();
+    streamed_events = timeline.events_streamed();
     streamed_dropped += timeline.events_dropped();
     trace::set_stream_dir("");
-    trace::set_timeline_enabled(false);
     return s;
   };
 
@@ -176,5 +168,4 @@ int main(int argc, char** argv) {
   trace::gauge_set("trace/streamed_events",
                    static_cast<double>(streamed_events));
   return 0;
-#endif  // FCMA_TRACE_DISABLED
 }

@@ -1,7 +1,6 @@
 #include "common/timeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -28,48 +27,14 @@ struct LocalInterns {
 };
 thread_local LocalInterns t_interns;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Microseconds with sub-ns-safe precision for Chrome's "ts"/"dur" fields.
-std::string json_us(std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
-}
-
 }  // namespace
 
 void ThreadSink::record(std::uint32_t label, std::uint64_t start_ns,
                         std::uint64_t end_ns, bool event, std::uint64_t span,
                         std::uint64_t parent) {
-  // One uncontended per-thread lock covers the aggregate fold AND the ring
-  // publish: spill must be able to recycle ring slots, so readers snapshot
-  // rings under this mutex too — the release/acquire pair on published_
-  // still lets the TSan stress test's lock-free counter reads stay exact.
-  const std::lock_guard<std::mutex> lock(agg_mutex_);
+  // One uncontended per-thread lock covers the aggregate fold and the ring
+  // append; flush_into() and finalize_stream() take it from other threads.
+  const std::lock_guard<std::mutex> lock(mutex_);
   {
     LabelAggregate& agg = aggs_[label];
     const std::uint64_t dur_ns = end_ns - start_ns;
@@ -77,43 +42,29 @@ void ThreadSink::record(std::uint32_t label, std::uint64_t start_ns,
     agg.hist.record_ns(dur_ns);
   }
   if (!event) return;
-  if (ring_.empty()) {
-    // Event capture was off when this sink was created: nowhere to put the
-    // event, visibly counted.
+  if (ring_.size() >= ring_capacity_) spill_locked();
+  if (ring_.size() >= ring_capacity_) {
+    // The stream was finalized or disarmed under a full ring: nowhere to
+    // put the event, visibly counted.
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::uint64_t n = published_.load(std::memory_order_relaxed);
-  if (n >= ring_.size()) {
-    // Full ring: spill to the stream (events keep flowing, dropped stays
-    // 0), or — with no stream armed — drop the newest event, counted.
-    if (spill_locked()) n = published_.load(std::memory_order_relaxed);
-    if (n >= ring_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  ring_[n] = TimelineEvent{start_ns, end_ns, span, parent, label};
-  published_.store(n + 1, std::memory_order_release);
+  if (ring_.capacity() == 0) ring_.reserve(ring_capacity_);
+  ring_.push_back(TimelineEvent{start_ns, end_ns, span, parent, label});
 }
 
-bool ThreadSink::spill_locked(bool force) {
+void ThreadSink::spill_locked(bool force) {
+  if (ring_.empty()) return;  // nothing to spill: don't even open a lane
   const auto stream = owner_->stream_state();
-  if (stream == nullptr || stream->config.dir.empty()) return false;
-  if (!force && stream->finalized.load(std::memory_order_acquire)) {
-    return false;
-  }
-  const std::uint64_t n = published_.load(std::memory_order_relaxed);
-  if (n == 0) return true;  // nothing to spill: don't even open a lane
+  if (stream == nullptr) return;
+  if (!force && stream->finalized.load(std::memory_order_acquire)) return;
   if (writer_ == nullptr) {
     writer_ = std::make_unique<tlstream::SegmentWriter>(
         stream->config, stream->used_bytes, lane_,
         name_.empty() ? "thread" + std::to_string(lane_) : name_, run_id());
   }
   const std::vector<std::string> labels = owner_->label_names();
-  bool ok = true;
-  for (std::uint64_t i = 0; i < n && i < ring_.size(); ++i) {
-    const TimelineEvent& ev = ring_[i];
+  for (const TimelineEvent& ev : ring_) {
     tlstream::EventRecord rec;
     rec.label = ev.label < labels.size() ? std::string_view(labels[ev.label])
                                          : std::string_view("<unknown>");
@@ -127,14 +78,12 @@ bool ThreadSink::spill_locked(bool force) {
       // Disk budget exhausted (or I/O failure): the event is gone, and the
       // dropped counter says so — never a silent truncation.
       dropped_.fetch_add(1, std::memory_order_relaxed);
-      ok = false;
     }
   }
   // Batch flush: concurrent --follow readers see whole lines, once per
   // spill rather than per event.
   writer_->flush();
-  published_.store(0, std::memory_order_release);
-  return ok;
+  ring_.clear();
 }
 
 Timeline& Timeline::global() {
@@ -159,15 +108,16 @@ void Timeline::set_stream(tlstream::StreamConfig config) {
   const std::lock_guard<std::mutex> lock(stream_mutex_);
   if (config.dir.empty()) {
     stream_.reset();
-    return;
+  } else {
+    stream_ = std::make_shared<StreamState>();
+    stream_->config = std::move(config);
   }
-  stream_ = std::make_shared<StreamState>();
-  stream_->config = std::move(config);
+  streaming_.store(stream_ != nullptr, std::memory_order_relaxed);
 }
 
-bool Timeline::streaming() const {
+std::string Timeline::stream_dir() const {
   const std::lock_guard<std::mutex> lock(stream_mutex_);
-  return stream_ != nullptr;
+  return stream_ != nullptr ? stream_->config.dir : std::string();
 }
 
 std::shared_ptr<Timeline::StreamState> Timeline::stream_state() const {
@@ -193,10 +143,10 @@ void Timeline::finalize_stream() {
   std::uint64_t dropped = 0;
   std::size_t lanes = 0;
   for (const auto& sink : sinks) {
-    const std::lock_guard<std::mutex> lock(sink->agg_mutex_);
+    const std::lock_guard<std::mutex> lock(sink->mutex_);
     // Force: the finalized flag is already up (it exists to fence off
     // *later* spills from stale counts), but this last flush must land.
-    (void)sink->spill_locked(/*force=*/true);
+    sink->spill_locked(/*force=*/true);
     if (sink->writer_ != nullptr) {
       sink->writer_->finalize();
       ++lanes;
@@ -212,9 +162,8 @@ ThreadSink& Timeline::local() {
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (t_local.sink == nullptr || t_local.generation != gen) {
     const std::lock_guard<std::mutex> lock(sinks_mutex_);
-    const bool collect = collect_.load(std::memory_order_relaxed);
-    t_local.sink = std::make_shared<ThreadSink>(collect ? ring_capacity_ : 0,
-                                                this, next_lane_++);
+    t_local.sink =
+        std::make_shared<ThreadSink>(ring_capacity_, this, next_lane_++);
     t_local.generation = gen;
     sinks_.push_back(t_local.sink);
   }
@@ -242,11 +191,10 @@ std::uint32_t Timeline::intern(std::string_view label) {
   return id;
 }
 
-void Timeline::name_thread(std::string_view name, int worker) {
+void Timeline::name_thread(std::string_view name) {
   ThreadSink& sink = local();
-  const std::lock_guard<std::mutex> lock(sink.agg_mutex_);
+  const std::lock_guard<std::mutex> lock(sink.mutex_);
   sink.name_ = std::string(name);
-  sink.worker_.store(worker, std::memory_order_relaxed);
 }
 
 void Timeline::flush_into(Registry& registry) {
@@ -258,7 +206,7 @@ void Timeline::flush_into(Registry& registry) {
   for (const auto& sink : sinks) {
     std::unordered_map<std::uint32_t, LabelAggregate> drained;
     {
-      const std::lock_guard<std::mutex> lock(sink->agg_mutex_);
+      const std::lock_guard<std::mutex> lock(sink->mutex_);
       drained.swap(sink->aggs_);
     }
     for (const auto& [id, agg] : drained) {
@@ -272,118 +220,10 @@ void Timeline::flush_into(Registry& registry) {
   }
 }
 
-std::string Timeline::chrome_json() const {
-  std::vector<std::shared_ptr<ThreadSink>> sinks;
-  {
-    const std::lock_guard<std::mutex> lock(sinks_mutex_);
-    sinks = sinks_;
-  }
-  std::vector<std::string> labels;
-  {
-    const std::lock_guard<std::mutex> lock(intern_mutex_);
-    labels = names_;
-  }
-  auto label_of = [&labels](std::uint32_t id) -> std::string {
-    return id < labels.size() ? labels[id] : "<unknown>";
-  };
-
-  struct Row {
-    std::string label;
-    std::uint64_t start_ns = 0;
-    std::uint64_t end_ns = 0;
-    std::uint64_t span = 0;
-    std::uint64_t parent = 0;
-    std::size_t tid = 0;
-  };
-  std::vector<Row> rows;
-  std::vector<std::string> lane_names(sinks.size());
-  std::unordered_map<std::size_t, std::size_t> lane_to_tid;  // stream lane id
-  std::uint64_t dropped = 0;
-  const auto stream = stream_state();
-  for (std::size_t t = 0; t < sinks.size(); ++t) {
-    ThreadSink& sink = *sinks[t];
-    const std::lock_guard<std::mutex> lock(sink.agg_mutex_);
-    lane_names[t] =
-        sink.name_.empty() ? "thread" + std::to_string(t) : sink.name_;
-    lane_to_tid.emplace(sink.lane_, t);
-    dropped += sink.dropped();
-    // Ring snapshot under the sink mutex: spill recycles slots, so the
-    // acquire-only protocol from PR 4 is no longer enough when streaming.
-    const std::uint64_t n = sink.published_.load(std::memory_order_acquire);
-    for (std::uint64_t i = 0; i < n && i < sink.ring_.size(); ++i) {
-      const TimelineEvent& ev = sink.ring_[i];
-      rows.push_back(Row{label_of(ev.label), ev.start_ns, ev.end_ns, ev.span,
-                         ev.parent, t});
-    }
-    // Make every spilled line visible to the disk read below.
-    if (sink.writer_ != nullptr) sink.writer_->flush();
-  }
-
-  // Merge back the spilled half.  Ring and segments are disjoint: a spill
-  // moves events out of the ring, so no dedup is needed.
-  if (stream != nullptr && !stream->config.dir.empty()) {
-    const tlstream::StreamRead disk =
-        tlstream::read_stream_dir(stream->config.dir);
-    for (const tlstream::StreamEvent& ev : disk.events) {
-      auto it = lane_to_tid.find(ev.lane_id);
-      if (it == lane_to_tid.end()) {
-        // A lane from a detached generation (or another run's leftovers in
-        // the same dir): give it a fresh tid so nothing is silently merged.
-        const std::size_t tid = lane_names.size();
-        lane_names.push_back(ev.lane);
-        it = lane_to_tid.emplace(ev.lane_id, tid).first;
-      }
-      rows.push_back(Row{ev.label, ev.start_ns, ev.end_ns, ev.span, ev.parent,
-                         it->second});
-    }
-  }
-
-  // Chrome/Perfetto tolerate any order, but a time-sorted stream is what
-  // tools/trace_check.py asserts (monotonic timestamps) and what makes the
-  // file diffable.
-  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.start_ns < b.start_ns;
-  });
-
-  std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
-                    "{\"schema\": \"fcma.timeline.v1\", \"dropped_events\": " +
-                    std::to_string(dropped) + "},\n\"traceEvents\": [\n";
-  out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
-         "\"process_name\", \"args\": {\"name\": \"fcma\"}}";
-  for (std::size_t t = 0; t < lane_names.size(); ++t) {
-    out += ",\n{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(t) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
-           json_escape(lane_names[t]) + "\"}}";
-  }
-  for (const Row& row : rows) {
-    out += ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " +
-           std::to_string(row.tid) + ", \"name\": \"" +
-           json_escape(row.label) + "\", \"ts\": " + json_us(row.start_ns) +
-           ", \"dur\": " + json_us(row.end_ns - row.start_ns);
-    if (row.span != 0) {
-      out += ", \"args\": {\"span\": \"" + tlstream::trace_hex(row.span) +
-             "\", \"parent\": \"" + tlstream::trace_hex(row.parent) + "\"}";
-    }
-    out += "}";
-  }
-  out += "\n]\n}\n";
-  return out;
-}
-
-void Timeline::write_chrome_json(const std::string& path) const {
-  const std::string json = chrome_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  FCMA_CHECK(f != nullptr, "cannot open timeline output file " + path);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  FCMA_CHECK(written == json.size(), "short write to timeline file " + path);
-}
-
-std::uint64_t Timeline::events_published() const {
+std::uint64_t Timeline::events_streamed() const {
   const std::lock_guard<std::mutex> lock(sinks_mutex_);
   std::uint64_t total = 0;
   for (const auto& sink : sinks_) {
-    total += sink->published_.load(std::memory_order_acquire);
     total += sink->spilled_.load(std::memory_order_relaxed);
   }
   return total;
@@ -392,7 +232,9 @@ std::uint64_t Timeline::events_published() const {
 std::uint64_t Timeline::events_dropped() const {
   const std::lock_guard<std::mutex> lock(sinks_mutex_);
   std::uint64_t total = 0;
-  for (const auto& sink : sinks_) total += sink->dropped();
+  for (const auto& sink : sinks_) {
+    total += sink->dropped_.load(std::memory_order_relaxed);
+  }
   return total;
 }
 
@@ -405,6 +247,7 @@ void Timeline::reset() {
   {
     const std::lock_guard<std::mutex> lock(stream_mutex_);
     stream_.reset();
+    streaming_.store(false, std::memory_order_relaxed);
   }
   {
     const std::lock_guard<std::mutex> lock(intern_mutex_);

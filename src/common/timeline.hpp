@@ -1,4 +1,4 @@
-// Timeline collector: sharded per-thread span sinks + lock-free event rings.
+// Timeline collector: sharded per-thread span sinks + event write buffers.
 //
 // PR 1's trace layer funnels every span through one registry mutex — fine at
 // stage granularity, hostile once the work-stealing scheduler (PR 3) records
@@ -15,35 +15,21 @@
 //     the sink's own mutex — only the owner writes, so the lock is
 //     uncontended until trace::flush() drains every shard into the global
 //     Registry at export;
-//   * a lock-free single-writer event ring: the owner publishes
-//     TimelineEvents with a release store of the publish counter, readers
-//     snapshot with an acquire load.  Filled rings drop the *newest* events
-//     (counted), keeping published entries immutable forever.
+//   * a bounded event ring: a private write buffer that only this lane's
+//     fcma.tlstream.v1 SegmentWriter drains (tlstream.hpp).
 //
 // Span labels are interned to 32-bit ids through a per-thread cache, so the
 // steady-state record path touches no process-wide lock at all.
 //
-// Event collection (the ring half) is off unless set_collect_events(true) —
-// `fcma analyze --trace-timeline` — because rings cost memory per thread;
-// aggregate collection runs whenever tracing is enabled.  Rings are sized
-// at sink creation, so enable event capture *before* the recording threads
-// first record (a thread whose sink predates the switch drops its events,
-// visibly, into the dropped counter).  chrome_json() exports the merged,
-// time-sorted timeline in Chrome-trace / Perfetto JSON ("chrome://tracing",
-// https://ui.perfetto.dev), one lane per recording thread, named via
-// set_thread_name() (scheduler workers, cluster ranks).
-//
-// Continuous profiling (PR 9).  set_stream() arms incremental spill: a ring
-// that fills no longer drops its newest events — the owning thread spills
-// the ring to its per-lane fcma.tlstream.v1 segment files (tlstream.hpp)
-// and keeps recording, so `dropped_events` stays 0 for as long as the disk
-// budget holds.  Ring publish moves inside the sink's (per-thread,
-// uncontended) mutex so spill can recycle ring slots without tearing a
-// reader's snapshot; chrome_json() merges the on-disk segments back with
-// whatever is still in the rings.  finalize_stream() flushes every ring
-// tail to disk and publishes the stream.done manifest — it runs from the
-// crash-safe exit dump too, so a fault-killed rank's spans still reach the
-// merged report.
+// One event store.  Events are recorded only while a stream is armed
+// (set_stream(), `--trace-stream DIR`); aggregates collect whenever tracing
+// is enabled.  A full ring spills to the lane's segment files and keeps
+// recording, so `dropped` stays 0 for as long as the disk budget holds.
+// finalize_stream() flushes every ring tail to disk and publishes the
+// stream.done manifest — it runs from the crash-safe exit dump too, so a
+// fault-killed rank's spans still reach the merged report.  Every view of
+// the events (the Chrome timeline, `fcma report --stream-in`) is read back
+// from the stream directory.
 #pragma once
 
 #include <atomic>
@@ -85,72 +71,61 @@ class Timeline;
 /// One thread's shard: written only by the owning thread.
 class ThreadSink {
  public:
-  /// `ring_capacity` of 0 disables event storage for this sink (aggregates
-  /// still collect; attempted events count as dropped).  `lane` is the
-  /// sink's stable stream-lane id; `owner` resolves labels and stream
-  /// configuration at spill time.
+  /// `ring_capacity` bounds the event buffer (allocated on the first
+  /// event).  `lane` is the sink's stable stream-lane id; `owner` resolves
+  /// labels and stream configuration at spill time.
   ThreadSink(std::size_t ring_capacity, Timeline* owner, std::size_t lane)
-      : owner_(owner), lane_(lane) {
-    ring_.resize(ring_capacity);
-  }
+      : owner_(owner), lane_(lane), ring_capacity_(ring_capacity) {}
 
   /// Records one span occurrence: always folds the duration into the
   /// aggregate shard; appends a timeline event only when `event` is set.
-  /// A full ring spills to the stream (when armed) or counts a drop.
+  /// A full ring spills to the stream; once the stream is finalized or
+  /// disarmed, events that find the ring full are dropped, counted.
   void record(std::uint32_t label, std::uint64_t start_ns,
               std::uint64_t end_ns, bool event, std::uint64_t span = 0,
               std::uint64_t parent = 0);
 
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class Timeline;
 
-  /// Spills every published ring event to this lane's segment files and
-  /// recycles the ring.  Caller holds agg_mutex_.  False when streaming is
-  /// not armed (or already finalized, unless `force`) or the disk budget
-  /// refused the events.
-  bool spill_locked(bool force = false);
+  /// Appends every ring event to this lane's segment files (events the
+  /// disk budget refuses count as dropped) and empties the ring.  Caller
+  /// holds mutex_.  Leaves the ring untouched when the stream is disarmed
+  /// or, unless `force`, already finalized.
+  void spill_locked(bool force = false);
 
   Timeline* owner_ = nullptr;
   std::size_t lane_ = 0;
-  std::vector<TimelineEvent> ring_;
-  std::atomic<std::uint64_t> published_{0};  // events visible to readers
-  std::atomic<std::uint64_t> spilled_{0};    // events moved to segment files
-  std::atomic<std::uint64_t> dropped_{0};    // events lost to a full ring
-  std::atomic<std::int32_t> worker_{-1};     // scheduler worker id, if any
+  std::size_t ring_capacity_ = 0;
+  std::atomic<std::uint64_t> spilled_{0};  // events moved to segment files
+  std::atomic<std::uint64_t> dropped_{0};  // events lost
 
-  std::mutex agg_mutex_;  // guards aggs_, name_, writer_, and ring recycling
+  std::mutex mutex_;  // guards everything below
+  std::vector<TimelineEvent> ring_;
   std::unordered_map<std::uint32_t, LabelAggregate> aggs_;
   std::string name_;
   std::unique_ptr<tlstream::SegmentWriter> writer_;
 };
 
-/// Process-wide sink registry, label interner, and timeline exporter.
+/// Process-wide sink registry, label interner, and event-stream owner.
 class Timeline {
  public:
   /// The process-wide instance (immortal: never destroyed, so worker
   /// threads outliving main() can still record safely).
   [[nodiscard]] static Timeline& global();
 
-  /// Turns event-ring collection on/off (aggregates are always collected).
-  void set_collect_events(bool on) {
-    collect_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool collect_events() const {
-    return collect_.load(std::memory_order_relaxed);
-  }
-
   /// Ring capacity (events per thread) for sinks created afterwards.
   void set_ring_capacity(std::size_t events);
 
-  /// Arms incremental spill: full rings stream to per-lane segment files
-  /// under `config.dir` instead of dropping events.  Arm before the
-  /// recording threads start; an empty dir disarms (new spills drop again).
+  /// Arms the event stream: spans become events, and full rings spill to
+  /// per-lane segment files under `config.dir`.  An empty dir disarms.
   void set_stream(tlstream::StreamConfig config);
-  [[nodiscard]] bool streaming() const;
+  /// True while a stream is armed (one relaxed load: the span hot path).
+  [[nodiscard]] bool streaming() const {
+    return streaming_.load(std::memory_order_relaxed);
+  }
+  /// The armed stream's directory ("" when disarmed).
+  [[nodiscard]] std::string stream_dir() const;
 
   /// Flushes every sink's remaining ring events to its segment files,
   /// finalizes the active segments, and publishes the stream.done manifest.
@@ -166,9 +141,8 @@ class Timeline {
   /// the global intern table is touched once per (thread, label).
   [[nodiscard]] std::uint32_t intern(std::string_view label);
 
-  /// Names the calling thread's timeline lane (e.g. "sched/worker3") and
-  /// optionally tags its scheduler-worker id.
-  void name_thread(std::string_view name, int worker = -1);
+  /// Names the calling thread's timeline lane (e.g. "sched/worker3").
+  void name_thread(std::string_view name);
 
   /// Nanoseconds since the collector's epoch for a steady_clock instant.
   [[nodiscard]] std::uint64_t since_epoch_ns(
@@ -185,16 +159,8 @@ class Timeline {
   /// emptied; re-flushing adds nothing).  Events stay in their rings.
   void flush_into(Registry& registry);
 
-  /// Chrome-trace JSON of every published event, sorted by start time, one
-  /// pid=1 lane per recording thread plus thread_name metadata.
-  [[nodiscard]] std::string chrome_json() const;
-
-  /// Writes chrome_json() to `path` (throws fcma::Error on I/O failure).
-  void write_chrome_json(const std::string& path) const;
-
-  /// Total events captured (still in rings + spilled to segments) /
-  /// dropped across every sink.
-  [[nodiscard]] std::uint64_t events_published() const;
+  /// Total events written to the stream / dropped, across every sink.
+  [[nodiscard]] std::uint64_t events_streamed() const;
   [[nodiscard]] std::uint64_t events_dropped() const;
 
   /// Detaches every sink and starts a new generation: live threads get a
@@ -224,15 +190,15 @@ class Timeline {
   [[nodiscard]] std::vector<std::string> label_names() const;
 
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> collect_{false};
+  std::atomic<bool> streaming_{false};
   std::atomic<std::uint64_t> generation_{0};
 
-  mutable std::mutex sinks_mutex_;  // guards sinks_, ring_capacity_, lanes_
+  mutable std::mutex sinks_mutex_;  // guards sinks_, ring_capacity_, next_lane_
   std::vector<std::shared_ptr<ThreadSink>> sinks_;
   std::size_t ring_capacity_ = 1u << 16;
   std::size_t next_lane_ = 0;
 
-  mutable std::mutex stream_mutex_;  // guards stream_
+  mutable std::mutex stream_mutex_;  // guards stream_ (streaming_ mirrors it)
   std::shared_ptr<StreamState> stream_;
 
   mutable std::mutex intern_mutex_;  // guards ids_ and names_

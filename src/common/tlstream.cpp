@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -40,6 +41,19 @@ std::string json_escape(std::string_view s) {
 
 std::string u64(std::uint64_t v) {
   return std::to_string(static_cast<unsigned long long>(v));
+}
+
+/// Writes `body` to `path` through a same-directory `.part` + rename, so a
+/// reader sees the complete file or none.
+void publish_file(const std::string& path, const std::string& body) {
+  const std::string tmp = path + ".part";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  FCMA_CHECK(f != nullptr, "cannot write " + tmp);
+  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  FCMA_CHECK(written == body.size(), "short write to " + tmp);
+  FCMA_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+             "cannot publish " + path);
 }
 
 }  // namespace
@@ -136,35 +150,35 @@ void SegmentWriter::finalize() {
   file_ = nullptr;
   // Same-directory rename: the segment appears under its final name with
   // every line intact or not at all — readers never see a renamed torn file.
-  if (std::rename(part_path_.c_str(), final_path_.c_str()) != 0) {
-    // The .part stays readable in place; rotation just didn't promote it.
-    failed_ = failed_ || false;
-  }
+  // On failure the .part stays readable in place; rotation just didn't
+  // promote it.
+  (void)std::rename(part_path_.c_str(), final_path_.c_str());
   ++seq_;
 }
 
 void write_done_manifest(const std::string& dir, std::uint64_t trace_id,
                          std::uint64_t events, std::uint64_t dropped,
                          std::size_t lanes) {
-  const std::string tmp = dir + "/" + std::string(kDoneFile) + ".part";
-  const std::string final_path = dir + "/" + std::string(kDoneFile);
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  FCMA_CHECK(f != nullptr, "cannot write stream manifest " + tmp);
-  const std::string body =
-      std::string("{\"schema\": \"") + std::string(kSchema) +
-      "\", \"done\": true, \"trace\": \"" + trace_hex(trace_id) +
-      "\", \"events\": " + u64(events) + ", \"dropped\": " + u64(dropped) +
-      ", \"lanes\": " + std::to_string(lanes) + "}\n";
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  FCMA_CHECK(written == body.size(), "short write to stream manifest " + tmp);
-  FCMA_CHECK(std::rename(tmp.c_str(), final_path.c_str()) == 0,
-             "cannot publish stream manifest " + final_path);
+  publish_file(dir + "/" + std::string(kDoneFile),
+               std::string("{\"schema\": \"") + std::string(kSchema) +
+                   "\", \"done\": true, \"trace\": \"" + trace_hex(trace_id) +
+                   "\", \"events\": " + u64(events) +
+                   ", \"dropped\": " + u64(dropped) +
+                   ", \"lanes\": " + std::to_string(lanes) + "}\n");
 }
 
 namespace {
 
-std::uint64_t parse_hex(const std::string& s) {
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// Strict trace id read: exactly 16 hex digits (the trace_hex() spelling).
+std::uint64_t parse_trace_id(const json::Value& v) {
+  const std::string& s = v.as_string();
+  const bool ok = s.size() == 16 &&
+                  std::all_of(s.begin(), s.end(), [](char c) {
+                    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+                  });
+  FCMA_CHECK(ok, "trace id \"" + s + "\" is not 16 hex digits");
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
@@ -192,10 +206,7 @@ bool read_segment(const fs::path& path, StreamRead& out) {
   }
   std::fclose(f);
 
-  std::string lane;
-  std::size_t lane_id = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t trace_id = 0;
+  StreamEvent header;  // lane, lane_id, seq and trace id for every event
   bool have_header = false;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -204,44 +215,57 @@ bool read_segment(const fs::path& path, StreamRead& out) {
     const std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.empty()) continue;
-    json::Value v;
-    try {
-      v = json::parse(line);
-    } catch (const Error&) {
-      out.warnings.push_back("malformed line in " + path.string());
-      continue;
-    }
     if (!have_header) {
-      if (v.at("schema").as_string() != kSchema) {
-        out.warnings.push_back("bad segment header in " + path.string());
+      try {
+        const json::Value v = json::parse(line);
+        FCMA_CHECK(v.at("schema").as_string() == kSchema,
+                   "schema is not " + std::string(kSchema));
+        header.lane = v.at("lane").as_string();
+        header.lane_id = v.at("lane_id").as_uint(
+            std::numeric_limits<std::size_t>::max(), "lane_id");
+        header.seq = v.at("seq").as_uint(kMaxU64, "seq");
+        header.trace_id = parse_trace_id(v.at("trace"));
+      } catch (const Error& e) {
+        out.warnings.push_back("bad segment header in " + path.string() +
+                               ": " + e.what());
         return false;
       }
-      lane = v.at("lane").as_string();
-      lane_id = static_cast<std::size_t>(v.at("lane_id").as_number());
-      seq = static_cast<std::uint64_t>(v.at("seq").as_number());
-      trace_id = parse_hex(v.at("trace").as_string());
-      if (out.trace_id == 0) out.trace_id = trace_id;
+      if (out.trace_id == 0) out.trace_id = header.trace_id;
+      out.lanes.emplace(header.lane_id, header.lane);
       have_header = true;
       continue;
     }
-    StreamEvent ev;
-    ev.lane = lane;
-    ev.lane_id = lane_id;
-    ev.seq = seq;
-    ev.label = v.at("label").as_string();
-    ev.start_ns = static_cast<std::uint64_t>(v.at("ts").as_number());
-    ev.end_ns = ev.start_ns + static_cast<std::uint64_t>(
-                                  v.at("dur").as_number());
-    ev.span = static_cast<std::uint64_t>(v.at("span").as_number());
-    ev.parent = static_cast<std::uint64_t>(v.at("parent").as_number());
-    ev.trace_id = parse_hex(v.at("trace").as_string());
-    out.events.push_back(std::move(ev));
+    try {
+      const json::Value v = json::parse(line);
+      StreamEvent ev = header;
+      ev.label = v.at("label").as_string();
+      ev.start_ns = v.at("ts").as_uint(kMaxU64, "ts");
+      const std::uint64_t dur = v.at("dur").as_uint(kMaxU64, "dur");
+      FCMA_CHECK(dur <= kMaxU64 - ev.start_ns, "ts + dur overflows");
+      ev.end_ns = ev.start_ns + dur;
+      ev.span = v.at("span").as_uint(kMaxU64, "span");
+      ev.parent = v.at("parent").as_uint(kMaxU64, "parent");
+      ev.trace_id = parse_trace_id(v.at("trace"));
+      out.events.push_back(std::move(ev));
+    } catch (const Error& e) {
+      out.warnings.push_back("malformed event line in " + path.string() +
+                             ": " + e.what());
+    }
   }
   if (!have_header) {
     out.warnings.push_back("segment without header " + path.string());
     return false;
   }
   return true;
+}
+
+/// Microseconds with ns precision for Chrome's "ts"/"dur" fields.
+std::string json_us(std::uint64_t ns) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  return buf;
 }
 
 }  // namespace
@@ -280,21 +304,65 @@ StreamRead read_stream_dir(const std::string& dir) {
   if (fs::exists(done, ec)) {
     try {
       const json::Value v = json::parse_file(done.string());
-      if (v.at("schema").as_string() == kSchema) {
-        out.done = true;
-        out.done_events =
-            static_cast<std::uint64_t>(v.at("events").as_number());
-        out.done_dropped =
-            static_cast<std::uint64_t>(v.at("dropped").as_number());
-        if (out.trace_id == 0) {
-          out.trace_id = parse_hex(v.at("trace").as_string());
-        }
-      }
-    } catch (const Error&) {
-      out.warnings.push_back("unreadable stream.done manifest");
+      FCMA_CHECK(v.at("schema").as_string() == kSchema,
+                 "schema is not " + std::string(kSchema));
+      const std::uint64_t events = v.at("events").as_uint(kMaxU64, "events");
+      const std::uint64_t dropped =
+          v.at("dropped").as_uint(kMaxU64, "dropped");
+      const std::uint64_t trace_id = parse_trace_id(v.at("trace"));
+      out.done = true;
+      out.done_events = events;
+      out.done_dropped = dropped;
+      if (out.trace_id == 0) out.trace_id = trace_id;
+    } catch (const Error& e) {
+      out.warnings.push_back(std::string("unreadable stream.done manifest: ") +
+                             e.what());
     }
   }
   return out;
+}
+
+std::string timeline_view_json(const StreamRead& read) {
+  // Chrome/Perfetto tolerate any order, but a time-sorted stream is what
+  // tools/trace_check.py asserts (monotonic timestamps) and what makes the
+  // file diffable.
+  std::vector<const StreamEvent*> rows;
+  rows.reserve(read.events.size());
+  for (const StreamEvent& ev : read.events) rows.push_back(&ev);
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const StreamEvent* a, const StreamEvent* b) {
+                     return a->start_ns < b->start_ns;
+                   });
+
+  std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
+                    "{\"schema\": \"fcma.timeline.v1\", \"dropped_events\": " +
+                    u64(read.done_dropped) + "},\n\"traceEvents\": [\n";
+  out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
+         "\"process_name\", \"args\": {\"name\": \"fcma\"}}";
+  for (const auto& [lane_id, name] : read.lanes) {
+    out += ",\n{\"ph\": \"M\", \"pid\": 1, \"tid\": " +
+           std::to_string(lane_id) +
+           ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
+           json_escape(name) + "\"}}";
+  }
+  for (const StreamEvent* ev : rows) {
+    out += ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " +
+           std::to_string(ev->lane_id) + ", \"name\": \"" +
+           json_escape(ev->label) + "\", \"ts\": " + json_us(ev->start_ns) +
+           ", \"dur\": " + json_us(ev->end_ns - ev->start_ns);
+    if (ev->span != 0) {
+      out += ", \"args\": {\"span\": \"" + trace_hex(ev->span) +
+             "\", \"parent\": \"" + trace_hex(ev->parent) + "\"}";
+    }
+    out += "}";
+  }
+  out += "\n]\n}\n";
+  return out;
+}
+
+void write_timeline_view(const std::string& dir) {
+  publish_file(dir + "/" + std::string(kTimelineFile),
+               timeline_view_json(read_stream_dir(dir)));
 }
 
 std::string span_class_of(std::string_view label) {

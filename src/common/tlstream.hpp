@@ -1,17 +1,17 @@
 // Timeline stream segments: continuous-profiling spill format + reader.
 //
-// PR 4's event rings are bounded, so a long run used to drop its newest
-// events once a ring filled.  This module gives the timeline collector a
-// disk lane instead: each recording thread spills its ring to per-lane
-// segment files under one stream directory, and exporters (plus the live
-// `fcma report --follow` tail) merge the segments back into one cross-rank
-// timeline.
+// The stream is the one store of timeline events: each recording thread
+// spills its bounded ring to per-lane segment files under one stream
+// directory, and every view — the Chrome timeline (timeline.json), the
+// merged `fcma report --stream-in` tables and the live `--follow` tail —
+// reads the segments back into one cross-rank timeline.
 //
 // Format (`fcma.tlstream.v1`).  A stream directory holds
 //
 //   lane<id>-<seq>.tls       finalized segments (rotated atomically)
 //   lane<id>-<seq>.tls.part  the segment currently being appended
 //   stream.done              end-of-run manifest (written via rename)
+//   timeline.json            Chrome view rendered from the segments at exit
 //
 // Every segment is JSON-lines: one header object (schema, lane name,
 // lane id, segment seq, run trace id) followed by one object per event
@@ -25,14 +25,15 @@
 // event.  stream.done exists only after a clean finalize; its event count
 // lets validators (tools/trace_check.py) prove the merge lost nothing.
 //
-// The writer half runs under the owning ThreadSink's mutex (timeline.cpp);
-// the reader half and the SLO rule grammar are shared by the CLI report
-// path and the tests.
+// The writer half runs under the owning ThreadSink's mutex (timeline.cpp).
+// The reader validates every field it reads (this is the only input to
+// every view), and shares the SLO rule grammar with the CLI report path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,6 +43,7 @@ namespace fcma::trace::tlstream {
 
 inline constexpr std::string_view kSchema = "fcma.tlstream.v1";
 inline constexpr std::string_view kDoneFile = "stream.done";
+inline constexpr std::string_view kTimelineFile = "timeline.json";
 
 /// Stream-wide configuration, shared by every lane's writer.
 struct StreamConfig {
@@ -127,11 +129,13 @@ struct StreamEvent {
 };
 
 /// A merged read of a stream directory.  The reader is deliberately
-/// tolerant — torn tails are skipped, unreadable segments become warnings —
-/// because it must work mid-run against files being appended; strict
-/// validation lives in tools/trace_check.py.
+/// tolerant — torn tails are skipped; malformed event lines, segments with
+/// an unusable header and an unreadable manifest become warnings — because
+/// it must work mid-run against files being appended; strict validation
+/// lives in tools/trace_check.py.
 struct StreamRead {
   std::vector<StreamEvent> events;  ///< ordered by (lane_id, seq, file order)
+  std::map<std::size_t, std::string> lanes;  ///< lane id -> name (headers)
   bool done = false;                ///< stream.done manifest present
   std::uint64_t done_events = 0;    ///< manifest totals (when done)
   std::uint64_t done_dropped = 0;
@@ -143,6 +147,17 @@ struct StreamRead {
 /// Reads every segment (final and partial) under `dir`.  Throws fcma::Error
 /// only when `dir` itself cannot be listed.
 [[nodiscard]] StreamRead read_stream_dir(const std::string& dir);
+
+/// The Chrome-trace / Perfetto view of a stream read ("chrome://tracing",
+/// https://ui.perfetto.dev): an `fcma.timeline.v1` document with one pid=1
+/// lane per stream lane (tid = lane id, named by its segment header), the
+/// events as time-sorted "X" complete events, and `dropped_events` from
+/// the stream.done manifest.
+[[nodiscard]] std::string timeline_view_json(const StreamRead& read);
+
+/// Reads `dir` and writes timeline_view_json() to `dir`/timeline.json
+/// (throws fcma::Error on I/O failure).
+void write_timeline_view(const std::string& dir);
 
 /// 16-digit lowercase hex of a trace id (the on-disk spelling).
 [[nodiscard]] std::string trace_hex(std::uint64_t trace_id);

@@ -1,7 +1,5 @@
 #include "common/trace.hpp"
 
-#ifndef FCMA_TRACE_DISABLED
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/timeline.hpp"
+#include "common/tlstream.hpp"
 
 namespace fcma::trace {
 
@@ -58,7 +57,6 @@ namespace {
 // Exit-dump state: armed by set_exit_dump(), fired at most once.
 std::mutex g_dump_mutex;
 std::string g_dump_trace_path;
-std::string g_dump_timeline_path;
 bool g_dump_done = false;
 bool g_atexit_registered = false;
 
@@ -67,19 +65,13 @@ void record_to_sink(const std::string& label, std::uint64_t start_ns,
                     std::uint64_t span = 0, std::uint64_t parent = 0) {
   Timeline& tl = Timeline::global();
   const std::uint32_t id = tl.intern(label);
-  tl.local().record(id, start_ns, end_ns, want_event && tl.collect_events(),
-                    span, parent);
+  tl.local().record(id, start_ns, end_ns, want_event && tl.streaming(), span,
+                    parent);
 }
 
 }  // namespace
 
 }  // namespace detail
-
-void set_timeline_enabled(bool on) {
-  Timeline::global().set_collect_events(on);
-}
-
-bool timeline_enabled() { return Timeline::global().collect_events(); }
 
 std::uint64_t run_id() {
   std::uint64_t id = detail::g_run_id.load(std::memory_order_acquire);
@@ -118,10 +110,9 @@ void set_stream_dir(const std::string& dir, std::uint64_t budget_bytes,
 
 bool streaming() { return Timeline::global().streaming(); }
 
-Span::Span(std::string_view label, Registry* registry) {
+Span::Span(std::string_view label) {
   if (!enabled()) return;
   active_ = true;
-  registry_ = registry;
   std::string& path = detail::t_path;
   parent_len_ = path.size();
   if (!path.empty()) path += '/';
@@ -140,11 +131,6 @@ Span::~Span() {
   const auto end = std::chrono::steady_clock::now();
   detail::t_path.resize(parent_len_);
   detail::t_current_span = saved_parent_;
-  if (registry_ != nullptr) {
-    registry_->record_span(label_,
-                           std::chrono::duration<double>(end - start_).count());
-    return;
-  }
   Timeline& tl = Timeline::global();
   detail::record_to_sink(label_, tl.since_epoch_ns(start_),
                          tl.since_epoch_ns(end), /*want_event=*/true, id_,
@@ -187,21 +173,16 @@ void record_interval_ns(std::string_view label, std::uint64_t start_ns,
       detail::t_current_span);
 }
 
-void set_thread_name(std::string_view name, int worker) {
+void set_thread_name(std::string_view name) {
   if (!enabled()) return;
-  Timeline::global().name_thread(name, worker);
+  Timeline::global().name_thread(name);
 }
 
 void flush() { Timeline::global().flush_into(global()); }
 
-void write_timeline_json(const std::string& path) {
-  Timeline::global().write_chrome_json(path);
-}
-
-void set_exit_dump(std::string trace_path, std::string timeline_path) {
+void set_exit_dump(std::string trace_path) {
   const std::lock_guard<std::mutex> lock(detail::g_dump_mutex);
   detail::g_dump_trace_path = std::move(trace_path);
-  detail::g_dump_timeline_path = std::move(timeline_path);
   detail::g_dump_done = false;
   if (!detail::g_atexit_registered) {
     detail::g_atexit_registered = true;
@@ -211,25 +192,26 @@ void set_exit_dump(std::string trace_path, std::string timeline_path) {
 
 void dump_now() {
   std::string trace_path;
-  std::string timeline_path;
   {
     const std::lock_guard<std::mutex> lock(detail::g_dump_mutex);
     if (detail::g_dump_done) return;
     detail::g_dump_done = true;
     trace_path = detail::g_dump_trace_path;
-    timeline_path = detail::g_dump_timeline_path;
   }
-  const bool stream_armed = streaming();
-  if (trace_path.empty() && timeline_path.empty() && !stream_armed) return;
+  const std::string stream_dir = Timeline::global().stream_dir();
+  if (trace_path.empty() && stream_dir.empty()) return;
   // May run from atexit, where an escaping exception aborts the process:
   // report write failures instead of throwing.
   try {
     flush();
     if (!trace_path.empty()) global().write_json(trace_path);
-    if (!timeline_path.empty()) write_timeline_json(timeline_path);
-    // A killed rank's ring tail must still land on disk: finalize the
-    // stream so the master-side merged report accounts its spans.
-    if (stream_armed) Timeline::global().finalize_stream();
+    if (!stream_dir.empty()) {
+      // A killed rank's ring tail must still land on disk: finalize the
+      // stream so the merged report accounts its spans, then render the
+      // Chrome view from what the stream holds.
+      Timeline::global().finalize_stream();
+      tlstream::write_timeline_view(stream_dir);
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fcma: trace exit dump failed: %s\n", e.what());
   }
@@ -256,5 +238,3 @@ void meta_set(std::string_view name, std::string_view value) {
 }
 
 }  // namespace fcma::trace
-
-#endif  // FCMA_TRACE_DISABLED

@@ -12,29 +12,26 @@
 // "task/svm", ... — a static call-tree profile.  Threads root their own
 // hierarchy (a pool worker's spans are not children of the submitter's).
 //
-// Recording path.  Spans bound to the global registry do NOT take the
-// registry mutex: they record into the calling thread's timeline shard
-// (common/timeline.hpp) and the shards merge into the registry at flush()
-// — which every exporter (CLI --trace dump, bench MetricsSidecar) calls
-// before serializing.  Readers of trace::global() mid-run must flush()
-// first or they will not see span aggregates recorded since the last
-// flush.  Spans given an explicit Registry record into it directly.
+// Recording path.  Spans do NOT take the registry mutex: they record into
+// the calling thread's timeline shard (common/timeline.hpp) and the shards
+// merge into the global registry at flush() — which every exporter (CLI
+// --trace dump, bench MetricsSidecar) calls before serializing.  Readers
+// of trace::global() mid-run must flush() first or they will not see span
+// aggregates recorded since the last flush.
 //
-// Timelines.  set_timeline_enabled(true) additionally captures each span
-// occurrence as a timestamped event in the shard's lock-free ring;
-// write_timeline_json() exports the merged Chrome-trace timeline
-// (`fcma analyze --trace-timeline out.json`).
+// Timelines.  The fcma.tlstream.v1 stream is the one store of timestamped
+// events: set_stream_dir() arms it, and only then does each span occurrence
+// also become an event (`fcma analyze --trace-stream DIR`).  The Chrome
+// view DIR/timeline.json is rendered from the stream by dump_now().
 //
 // Crash safety.  set_exit_dump() arms an idempotent dump (flush + write of
-// the configured --trace/--trace-timeline outputs) that the CLI fires from
-// its fcma::Error handler and an atexit backstop, so a run that dies
-// mid-pipeline still leaves its trace on disk.
+// the --trace output, then stream finalize + DIR/timeline.json) that the
+// CLI fires from its fcma::Error handler and an atexit backstop, so a run
+// that dies mid-pipeline still leaves its trace on disk.
 //
-// Kill switches.  Runtime: tracing is *off* by default; when off, every
-// helper is one relaxed atomic load + branch, so instrumented hot paths
-// (the blocked kernels run millions of times in benches) pay nothing
-// measurable.  Compile time: configure with -DFCMA_TRACE=OFF (defines
-// FCMA_TRACE_DISABLED) and every helper collapses to an inline no-op.
+// Kill switch.  Tracing is *off* by default; when off, every helper is one
+// relaxed atomic load + branch, so instrumented hot paths (the blocked
+// kernels run millions of times in benches) pay nothing measurable.
 //
 // Distributed correlation (PR 9).  Every process run carries one trace id
 // (run_id()) and every Span an id unique within the process; the span
@@ -42,10 +39,8 @@
 // {run_id, current_span} onto each outgoing message, and the receiver
 // adopts the sender's span as parent via ScopedParent — so a worker's task
 // spans stitch causally under the master's dispatch spans in the merged
-// timeline, across ranks.  set_stream_dir() arms continuous profiling
-// (timeline rings spill to fcma.tlstream.v1 segments instead of dropping);
-// dump_now() finalizes the stream too, so a fault-killed rank's partial
-// lane still reaches the master-side merged report.
+// timeline, across ranks.  dump_now() finalizes the stream, so a
+// fault-killed rank's partial lane still reaches the merged report.
 #pragma once
 
 #include <atomic>
@@ -57,8 +52,6 @@
 #include "common/metrics.hpp"
 
 namespace fcma::trace {
-
-#ifndef FCMA_TRACE_DISABLED
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -78,11 +71,6 @@ inline void set_enabled(bool on) {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Turns per-event timeline capture on/off (implies nothing about the main
-/// switch: aggregates need enabled(), events need both).
-void set_timeline_enabled(bool on);
-[[nodiscard]] bool timeline_enabled();
-
 /// The process run's trace id: one nonzero 64-bit id per run, lazily drawn,
 /// shared by every rank (ranks are threads) and stamped on every stream
 /// segment and comm message.
@@ -98,7 +86,7 @@ void new_run_id();
 [[nodiscard]] std::uint64_t current_span();
 
 /// Nanoseconds since the timeline epoch (one epoch per process, so ranks'
-/// timestamps compare directly).  0 when tracing is compiled out.
+/// timestamps compare directly).
 [[nodiscard]] std::uint64_t now_ns();
 
 /// Adopts `parent_span` (typically a remote rank's span id, from a comm
@@ -116,9 +104,9 @@ class ScopedParent {
   std::uint64_t saved_ = 0;
 };
 
-/// Arms continuous profiling: timeline rings spill to fcma.tlstream.v1
-/// segment files under `dir` (empty disarms).  0 keeps a default budget /
-/// rotation threshold.  Arm before recording threads start.
+/// Arms the event stream: span occurrences are recorded as events and
+/// spill to fcma.tlstream.v1 segment files under `dir` (empty disarms).
+/// 0 keeps a default budget / rotation threshold.
 void set_stream_dir(const std::string& dir, std::uint64_t budget_bytes = 0,
                     std::uint64_t rotate_bytes = 0);
 [[nodiscard]] bool streaming();
@@ -127,10 +115,9 @@ void set_stream_dir(const std::string& dir, std::uint64_t budget_bytes = 0,
 /// under the nesting-qualified label.  No-op while tracing is disabled.
 class Span {
  public:
-  /// Opens a span against `registry`; by default the span records into the
-  /// calling thread's timeline shard, which merges into the global
-  /// registry at flush().
-  explicit Span(std::string_view label, Registry* registry = nullptr);
+  /// Opens a span; it records into the calling thread's timeline shard,
+  /// which merges into the global registry at flush().
+  explicit Span(std::string_view label);
   ~Span();
 
   Span(const Span&) = delete;
@@ -142,7 +129,6 @@ class Span {
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
  private:
-  Registry* registry_ = nullptr;  // non-null = explicit-registry direct path
   bool active_ = false;           // false = disabled at construction
   std::size_t parent_len_ = 0;
   std::uint64_t id_ = 0;
@@ -160,7 +146,7 @@ void record_span(std::string_view label, double seconds);
 /// Records one span occurrence with its true wall-clock interval — the
 /// timestamped cousin of record_span() for callers that already hold both
 /// endpoints (scheduler worker busy periods).  Emits a timeline event when
-/// timeline capture is on.
+/// the stream is armed.
 void record_interval(std::string_view label,
                      std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point end);
@@ -171,23 +157,18 @@ void record_interval(std::string_view label,
 void record_interval_ns(std::string_view label, std::uint64_t start_ns,
                         std::uint64_t end_ns);
 
-/// Names the calling thread's timeline lane (e.g. "sched/worker3") and
-/// optionally tags its scheduler-worker id.  No-op while tracing is
-/// disabled.
-void set_thread_name(std::string_view name, int worker = -1);
+/// Names the calling thread's timeline lane (e.g. "sched/worker3").  No-op
+/// while tracing is disabled.
+void set_thread_name(std::string_view name);
 
 /// Drains every per-thread shard into the global registry.  Call before
 /// reading span aggregates from trace::global() or exporting its JSON.
 void flush();
 
-/// Writes the Chrome-trace timeline JSON to `path` (throws fcma::Error on
-/// I/O failure).
-void write_timeline_json(const std::string& path);
-
 /// Arms the idempotent exit dump: dump_now() — and an atexit backstop —
-/// will flush() and write the global registry JSON to `trace_path` and/or
-/// the timeline JSON to `timeline_path` (empty = skip that output).
-void set_exit_dump(std::string trace_path, std::string timeline_path);
+/// will flush() and write the global registry JSON to `trace_path` (empty
+/// = skip), then finalize an armed stream and render its Chrome view.
+void set_exit_dump(std::string trace_path);
 
 /// Fires the armed exit dump once; later calls (and the atexit backstop)
 /// are no-ops.  Safe to call with nothing armed.
@@ -203,53 +184,5 @@ void gauge_max(std::string_view name, double value);
 /// Attaches a run-metadata string (e.g. "simd/isa" -> "avx512") to the
 /// global registry's exported JSON.  No-op while tracing is disabled.
 void meta_set(std::string_view name, std::string_view value);
-
-#else  // FCMA_TRACE_DISABLED: everything collapses to no-ops.
-
-inline void set_enabled(bool) {}
-[[nodiscard]] constexpr bool enabled() { return false; }
-inline void set_timeline_enabled(bool) {}
-[[nodiscard]] constexpr bool timeline_enabled() { return false; }
-[[nodiscard]] constexpr std::uint64_t run_id() { return 0; }
-inline void new_run_id() {}
-[[nodiscard]] constexpr std::uint64_t current_span() { return 0; }
-[[nodiscard]] constexpr std::uint64_t now_ns() { return 0; }
-
-class ScopedParent {
- public:
-  explicit ScopedParent(std::uint64_t) {}
-  ScopedParent(const ScopedParent&) = delete;
-  ScopedParent& operator=(const ScopedParent&) = delete;
-};
-
-inline void set_stream_dir(const std::string&, std::uint64_t = 0,
-                           std::uint64_t = 0) {}
-[[nodiscard]] constexpr bool streaming() { return false; }
-
-class Span {
- public:
-  explicit Span(std::string_view, Registry* = nullptr) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  [[nodiscard]] constexpr std::uint64_t id() const { return 0; }
-};
-
-inline void record_span(std::string_view, double) {}
-inline void record_interval(std::string_view,
-                            std::chrono::steady_clock::time_point,
-                            std::chrono::steady_clock::time_point) {}
-inline void record_interval_ns(std::string_view, std::uint64_t,
-                               std::uint64_t) {}
-inline void set_thread_name(std::string_view, int = -1) {}
-inline void flush() {}
-inline void write_timeline_json(const std::string&) {}
-inline void set_exit_dump(std::string, std::string) {}
-inline void dump_now() {}
-inline void count(std::string_view, std::int64_t = 1) {}
-inline void gauge_set(std::string_view, double) {}
-inline void gauge_max(std::string_view, double) {}
-inline void meta_set(std::string_view, std::string_view) {}
-
-#endif  // FCMA_TRACE_DISABLED
 
 }  // namespace fcma::trace

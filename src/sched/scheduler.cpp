@@ -230,8 +230,7 @@ void Scheduler::worker_loop(std::size_t index) {
   t_worker.index = index;
   // Claims this thread's timeline lane (no-op unless tracing was enabled
   // before the scheduler was built — the CLI/bench order).
-  trace::set_thread_name("sched/worker" + std::to_string(index),
-                         static_cast<int>(index));
+  trace::set_thread_name("sched/worker" + std::to_string(index));
   for (;;) {
     if (run_one(index)) continue;
     std::unique_lock<std::mutex> lock(idle_mutex_);

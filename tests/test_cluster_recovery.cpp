@@ -636,8 +636,6 @@ TEST(ControlPlane, ResurrectedWorkerIsPurgedCountedAndBitIdentical) {
 // Crash-safe stream flush: a dead rank's spans reach the merged timeline
 // ---------------------------------------------------------------------------
 
-#ifndef FCMA_TRACE_DISABLED
-
 // The satellite-6 regression: with continuous profiling armed, a rank that
 // the fault plan kills mid-run must still contribute its completed spans to
 // the merged cross-rank stream — finalize flushes the dead lane's ring tail
@@ -651,7 +649,6 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
   trace::Timeline::global().set_ring_capacity(64);  // force mid-run spills
   trace::new_run_id();
   trace::set_enabled(true);
-  trace::set_timeline_enabled(true);
   trace::set_stream_dir(dir);
 
   const Workload w = tiny_workload(64);
@@ -672,7 +669,6 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
   // binary expect tracing off).
   trace::set_stream_dir("");
   trace::set_enabled(false);
-  trace::set_timeline_enabled(false);
   trace::global().reset();
   trace::Timeline::global().reset();
   trace::Timeline::global().set_ring_capacity(1u << 16);
@@ -692,8 +688,6 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
   // been flushed out of its (now ownerless) ring by the finalize.
   EXPECT_GE(dead_rank_tasks, 1u);
 }
-
-#endif  // FCMA_TRACE_DISABLED
 
 }  // namespace
 }  // namespace fcma::cluster

@@ -1,39 +1,66 @@
 // Unit + stress tests for the timeline profiler substrate: the log-bucketed
-// latency histogram (common/histogram.hpp), the per-thread sink shards and
-// Chrome-trace export (common/timeline.hpp), and the trace-layer plumbing
-// that routes spans through them (flush, record_interval, exit dump).  The
-// concurrent-stress cases here also run under TSan via ci_tsan.sh.
+// latency histogram (common/histogram.hpp), the per-thread sink shards
+// (common/timeline.hpp), the Chrome view rendered from the event stream
+// (DIR/timeline.json), and the trace-layer plumbing that routes spans
+// through them (flush, record_interval, exit dump).  The concurrent-stress
+// cases here also run under TSan via ci_tsan.sh.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timeline.hpp"
+#include "common/tlstream.hpp"
 #include "common/trace.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace fcma::trace {
 namespace {
 
-#ifndef FCMA_TRACE_DISABLED
-
 class TimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     global().reset();
     Timeline::global().reset();
-    Timeline::global().set_ring_capacity(1u << 16);  // undo per-test shrinks
     set_enabled(true);
-    set_timeline_enabled(true);
   }
   void TearDown() override {
+    set_stream_dir("");
     set_enabled(false);
-    set_timeline_enabled(false);
     global().reset();
     Timeline::global().reset();
   }
 };
+
+/// Fresh per-test stream directory, removed on scope exit.
+struct ScratchDir {
+  std::string path;
+  explicit ScratchDir(const std::string& name)
+      : path(::testing::TempDir() + name) {
+    std::filesystem::remove_all(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  [[nodiscard]] std::string view_path() const {
+    return path + "/" + std::string(tlstream::kTimelineFile);
+  }
+};
+
+/// Whole-file read ("" when the file is missing).
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 // --- histogram ----------------------------------------------------------
 
@@ -125,31 +152,6 @@ TEST_F(TimelineTest, FlushMergesShardAggregatesExactlyOnce) {
   EXPECT_EQ(global().span("flush/span").count, 2u);
 }
 
-TEST_F(TimelineTest, FullRingDropsNewestEventsAndCountsThem) {
-  Timeline& tl = Timeline::global();
-  tl.reset();  // detach this thread's default-capacity sink
-  tl.set_ring_capacity(16);
-  for (int i = 0; i < 100; ++i) {
-    const Span s("ring/event");
-  }
-  EXPECT_EQ(tl.events_published(), 16u);
-  EXPECT_EQ(tl.events_dropped(), 84u);
-  // Aggregates are not subject to the ring: all 100 spans count.
-  flush();
-  EXPECT_EQ(global().span("ring/event").count, 100u);
-}
-
-TEST_F(TimelineTest, EventsAreOnlyCollectedWhenTimelineEnabled) {
-  Timeline& tl = Timeline::global();
-  set_timeline_enabled(false);
-  tl.reset();  // re-register sinks under the events-off regime
-  { const Span s("quiet/span"); }
-  EXPECT_EQ(tl.events_published(), 0u);
-  EXPECT_EQ(tl.events_dropped(), 0u);  // not even counted as drops
-  flush();
-  EXPECT_EQ(global().span("quiet/span").count, 1u);
-}
-
 // --- concurrent stress (runs under TSan via ci_tsan.sh) -----------------
 
 TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
@@ -181,23 +183,6 @@ TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
   EXPECT_GT(busy, 0u);
 }
 
-TEST_F(TimelineTest, ConcurrentEventPublishingIsReadableMidRun) {
-  // Readers (chrome_json / events_published) run concurrently with writers;
-  // under TSan this validates the acquire/release ring protocol.
-  threading::ThreadPool pool(4);
-  std::vector<std::future<void>> futures;
-  for (int batch = 0; batch < 10; ++batch) {
-    for (int i = 0; i < 50; ++i) {
-      futures.push_back(pool.submit([] { const Span s("mid/span"); }));
-    }
-    (void)Timeline::global().events_published();
-    (void)Timeline::global().chrome_json();
-  }
-  for (auto& f : futures) f.get();
-  flush();
-  EXPECT_EQ(global().span("mid/span").count, 500u);
-}
-
 // --- Chrome-trace export ------------------------------------------------
 
 /// Extracts every `"<key>": <number>` in order of appearance.
@@ -214,37 +199,55 @@ std::vector<double> extract_numbers(const std::string& json,
 }
 
 TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
+  const ScratchDir dir("fcma_timeline_lanes");
+  set_stream_dir(dir.path);
   {
     threading::ThreadPool pool(2);
-    threading::parallel_for_each(pool, 0, 64, [](std::size_t) {
+    // Lanes exist for threads that recorded events: two tasks that wait for
+    // each other occupy both workers, so each worker lane records.
+    std::atomic<int> started{0};
+    std::vector<std::future<void>> both;
+    for (int i = 0; i < 2; ++i) {
+      both.push_back(pool.submit([&started] {
+        const Span s("chrome/span");
+        started.fetch_add(1);
+        while (started.load() < 2) std::this_thread::yield();
+      }));
+    }
+    for (auto& f : both) f.get();
+    threading::parallel_for_each(pool, 0, 62, [](std::size_t) {
       const Span s("chrome/span");
     });
   }
-  const std::string json = Timeline::global().chrome_json();
+  Timeline::global().finalize_stream();
+  tlstream::write_timeline_view(dir.path);
+  const std::string json = slurp(dir.view_path());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"fcma.timeline.v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
   // One named lane per scheduler worker.
   EXPECT_NE(json.find("\"sched/worker0\""), std::string::npos);
   EXPECT_NE(json.find("\"sched/worker1\""), std::string::npos);
-  // Complete events sorted by timestamp, with non-negative durations.
+  // Complete events sorted by timestamp, with non-negative durations, and
+  // exactly the events the stream holds.
   const std::vector<double> ts = extract_numbers(json, "ts");
   ASSERT_GE(ts.size(), 64u);
+  EXPECT_EQ(ts.size(), tlstream::read_stream_dir(dir.path).done_events);
   for (std::size_t i = 1; i < ts.size(); ++i) EXPECT_LE(ts[i - 1], ts[i]);
   for (const double d : extract_numbers(json, "dur")) EXPECT_GE(d, 0.0);
 }
 
 TEST_F(TimelineTest, WriteChromeJsonCreatesTheFile) {
+  const ScratchDir dir("fcma_timeline_file");
+  set_stream_dir(dir.path);
   { const Span s("file/span"); }
-  const std::string path = ::testing::TempDir() + "fcma_timeline_test.json";
-  write_timeline_json(path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_GT(n, 0u);
-  EXPECT_NE(std::string(buf).find("displayTimeUnit"), std::string::npos);
+  Timeline::global().finalize_stream();
+  tlstream::write_timeline_view(dir.path);
+  const std::string json = slurp(dir.view_path());
+  EXPECT_EQ(json.rfind("{\n\"displayTimeUnit\"", 0), 0u);
+  EXPECT_NE(json.find("\"file/span\""), std::string::npos);
+  // Published through a rename: no temp file is left behind.
+  EXPECT_FALSE(std::filesystem::exists(dir.view_path() + ".part"));
 }
 
 // --- exit dump ----------------------------------------------------------
@@ -252,7 +255,7 @@ TEST_F(TimelineTest, WriteChromeJsonCreatesTheFile) {
 TEST_F(TimelineTest, ExitDumpWritesOnceAndIsIdempotent) {
   const std::string trace_path = ::testing::TempDir() + "fcma_dump_test.json";
   { const Span s("dump/span"); }
-  set_exit_dump(trace_path, "");
+  set_exit_dump(trace_path);
   dump_now();
   std::remove(trace_path.c_str());
   dump_now();  // already fired: must not recreate the file
@@ -260,7 +263,7 @@ TEST_F(TimelineTest, ExitDumpWritesOnceAndIsIdempotent) {
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);
   // Re-arming makes the next dump fire again.
-  set_exit_dump(trace_path, "");
+  set_exit_dump(trace_path);
   dump_now();
   f = std::fopen(trace_path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -268,11 +271,24 @@ TEST_F(TimelineTest, ExitDumpWritesOnceAndIsIdempotent) {
   std::remove(trace_path.c_str());
   // Disarm so the atexit backstop does not resurrect the temp file after
   // gtest finishes.
-  set_exit_dump("", "");
+  set_exit_dump("");
   dump_now();
 }
 
-#endif  // FCMA_TRACE_DISABLED
+TEST_F(TimelineTest, ExitDumpFinalizesTheStreamAndRendersItsView) {
+  const ScratchDir dir("fcma_dump_stream");
+  set_stream_dir(dir.path);
+  { const Span s("dump/streamed"); }
+  set_exit_dump("");  // no --trace file: the armed stream alone fires it
+  dump_now();
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/stream.done"));
+  const std::string json = slurp(dir.view_path());
+  EXPECT_NE(json.find("\"dump/streamed\""), std::string::npos);
+  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+  set_stream_dir("");
+  set_exit_dump("");
+  dump_now();
+}
 
 }  // namespace
 }  // namespace fcma::trace

@@ -1,9 +1,11 @@
 // Tests for the continuous-profiling stream (common/tlstream.hpp) and the
 // PR 9 trace-correlation layer built on it: segment round-trips, rotation,
-// the torn-tail crash-safety contract, the disk budget, the SLO rule
-// grammar, ring-overflow spill exactness (dropped_events stays 0 while
-// streaming), cross-rank span-context stitching through the cluster comm,
-// and the follow-reader-vs-writers race (runs under TSan via ci_tsan.sh).
+// the torn-tail crash-safety contract, the disk budget, the reader's
+// rejection of malformed fields, the Chrome view rendered from a read, the
+// SLO rule grammar, ring-overflow spill exactness (dropped_events stays 0
+// while streaming), cross-rank span-context stitching through the cluster
+// comm, and the follow-reader-vs-writers race (runs under TSan via
+// ci_tsan.sh; the reader cases also under ASan+UBSan via ci_asan.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,8 +36,6 @@ namespace fcma::trace {
 namespace {
 
 namespace tls = tlstream;
-
-#ifndef FCMA_TRACE_DISABLED
 
 /// Unique per-test stream directory, removed on scope exit.
 struct StreamDir {
@@ -197,6 +197,131 @@ TEST(StreamReader, EmptyDirIsEmptyReadAndMissingDirThrows) {
   EXPECT_THROW((void)tls::read_stream_dir(dir.path + "/missing"), Error);
 }
 
+/// Writes `lines` (each newline-terminated) as segment `name` under `dir`.
+void write_segment(const std::string& dir, const std::string& name,
+                   const std::vector<std::string>& lines) {
+  std::FILE* f = std::fopen((dir + "/" + name).c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  for (const std::string& line : lines) {
+    std::fputs(line.c_str(), f);
+    std::fputc('\n', f);
+  }
+  std::fclose(f);
+}
+
+std::string header_line(const std::string& lane_id, const std::string& trace) {
+  return "{\"schema\": \"fcma.tlstream.v1\", \"lane\": \"main\", "
+         "\"lane_id\": " + lane_id + ", \"seq\": 0, \"trace\": \"" + trace +
+         "\"}";
+}
+
+std::string event_line(const std::string& ts, const std::string& dur,
+                       const std::string& span, const std::string& trace) {
+  return "{\"ts\": " + ts + ", \"dur\": " + dur +
+         ", \"label\": \"x\", \"span\": " + span +
+         ", \"parent\": 0, \"trace\": \"" + trace + "\"}";
+}
+
+// Every integer field is read strictly: negative, fractional, huge or
+// overflowing values and malformed trace ids become warnings (the event
+// line or the whole segment is skipped), never a wrapped number.
+TEST(StreamReader, RejectsOutOfRangeFieldsAndBadTraceIds) {
+  const StreamDir dir("tls_reader_strict");
+  const std::string ok_trace = "00000000000000aa";
+  // Bad headers: each segment is skipped whole.
+  write_segment(dir.path, "lane1-0.tls", {header_line("-3", ok_trace),
+                                          event_line("1", "1", "1", ok_trace)});
+  write_segment(dir.path, "lane2-0.tls", {header_line("1e300", ok_trace),
+                                          event_line("1", "1", "1", ok_trace)});
+  write_segment(dir.path, "lane3-0.tls", {header_line("3", "zz"),
+                                          event_line("1", "1", "1", ok_trace)});
+  write_segment(dir.path, "lane4-0.tls", {"{\"schema\": \"nope\"}"});
+  // A good header whose bad event lines are skipped one by one.
+  write_segment(dir.path, "lane5-0.tls",
+                {header_line("5", ok_trace),
+                 event_line("10", "5", "1", ok_trace),          // kept
+                 event_line("-1", "5", "2", ok_trace),          // ts < 0
+                 event_line("10", "2.5", "3", ok_trace),        // fractional
+                 event_line("10", "1e30", "4", ok_trace),       // > 2^64
+                 event_line("18446744073709549568", "4096", "5",
+                            ok_trace),                          // ts+dur wraps
+                 event_line("10", "5", "-6", ok_trace),         // span < 0
+                 event_line("10", "5", "7", "zz"),              // trace id
+                 event_line("10", "5", "8", "00000000000000aa0"),  // 17 digits
+                 event_line("20", "5", "9", ok_trace)});        // kept
+  const tls::StreamRead read = tls::read_stream_dir(dir.path);
+  EXPECT_EQ(read.segments, 1u);
+  ASSERT_EQ(read.events.size(), 2u);
+  EXPECT_EQ(read.events[0].span, 1u);
+  EXPECT_EQ(read.events[1].span, 9u);
+  EXPECT_EQ(read.trace_id, 0xAAu);
+  ASSERT_EQ(read.lanes.size(), 1u);
+  EXPECT_EQ(read.lanes.at(5), "main");
+  std::size_t bad_headers = 0;
+  std::size_t bad_events = 0;
+  for (const std::string& w : read.warnings) {
+    if (w.find("bad segment header") != std::string::npos) ++bad_headers;
+    if (w.find("malformed event line") != std::string::npos) ++bad_events;
+  }
+  EXPECT_EQ(bad_headers, 4u);
+  EXPECT_EQ(bad_events, 7u);
+  EXPECT_EQ(read.warnings.size(), 11u);
+}
+
+TEST(StreamReader, MalformedManifestIsAWarningNotADoneStream) {
+  const StreamDir dir("tls_reader_manifest");
+  for (const std::string body :
+       {"\"events\": -1, \"dropped\": 0, \"trace\": \"00000000000000aa\"",
+        "\"events\": 1, \"dropped\": 1e300, \"trace\": \"00000000000000aa\"",
+        "\"events\": 1, \"dropped\": 0, \"trace\": \"zz\""}) {
+    std::FILE* f = std::fopen((dir.path + "/stream.done").c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(("{\"schema\": \"fcma.tlstream.v1\", " + body + "}\n").c_str(),
+               f);
+    std::fclose(f);
+    const tls::StreamRead read = tls::read_stream_dir(dir.path);
+    EXPECT_FALSE(read.done) << body;
+    ASSERT_EQ(read.warnings.size(), 1u) << body;
+    EXPECT_NE(read.warnings[0].find("stream.done"), std::string::npos);
+  }
+}
+
+// --- Chrome view --------------------------------------------------------
+
+// The view is a pure function of the read: lanes (tid = lane id) named by
+// the segment headers, events time-sorted across lanes, dropped_events
+// from the manifest.
+TEST(TimelineView, RendersLanesEventsAndDropsFromTheStream) {
+  const StreamDir dir("tls_view");
+  const auto used = std::make_shared<std::atomic<std::uint64_t>>(0);
+  {
+    tls::SegmentWriter a(test_config(dir.path), used, 0, "main", 7);
+    tls::SegmentWriter b(test_config(dir.path), used, 3, "sched/worker0", 7);
+    EXPECT_TRUE(a.append({"late", 5000, 6000, 1, 0}));
+    EXPECT_TRUE(b.append({"early", 1000, 2500, 2, 1}));
+  }
+  tls::write_done_manifest(dir.path, 7, 2, 4, 2);
+  const std::string json =
+      tls::timeline_view_json(tls::read_stream_dir(dir.path));
+  EXPECT_NE(json.find("\"schema\": \"fcma.timeline.v1\", "
+                      "\"dropped_events\": 4"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\": 0, \"name\": \"thread_name\", \"args\": "
+                      "{\"name\": \"main\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\": 3, \"name\": \"thread_name\", \"args\": "
+                      "{\"name\": \"sched/worker0\"}"),
+            std::string::npos);
+  const std::size_t early = json.find(
+      "{\"ph\": \"X\", \"pid\": 1, \"tid\": 3, \"name\": \"early\", "
+      "\"ts\": 1.000, \"dur\": 1.500, \"args\": {\"span\": "
+      "\"0000000000000002\", \"parent\": \"0000000000000001\"}}");
+  const std::size_t late = json.find("\"name\": \"late\", \"ts\": 5.000");
+  ASSERT_NE(early, std::string::npos);
+  ASSERT_NE(late, std::string::npos);
+  EXPECT_LT(early, late);  // sorted by start time, not by lane
+}
+
 // --- span classes, trace ids, SLO grammar -------------------------------
 
 TEST(SpanClass, FoldsWorkerRankSegments) {
@@ -261,12 +386,10 @@ class StreamingTimelineTest : public ::testing::Test {
     Timeline::global().set_ring_capacity(1u << 16);
     new_run_id();
     set_enabled(true);
-    set_timeline_enabled(true);
   }
   void TearDown() override {
     set_stream_dir("");
     set_enabled(false);
-    set_timeline_enabled(false);
     global().reset();
     Timeline::global().reset();
     Timeline::global().set_ring_capacity(1u << 16);
@@ -286,7 +409,7 @@ TEST_F(StreamingTimelineTest, OverflowSpillsAndMergeIsCountExact) {
   }
   Timeline::global().finalize_stream();
   EXPECT_EQ(Timeline::global().events_dropped(), 0u);
-  EXPECT_EQ(Timeline::global().events_published(), kSpans);
+  EXPECT_EQ(Timeline::global().events_streamed(), kSpans);
   const tls::StreamRead read = tls::read_stream_dir(dir.path);
   EXPECT_TRUE(read.done);
   EXPECT_EQ(read.done_events, kSpans);
@@ -299,16 +422,17 @@ TEST_F(StreamingTimelineTest, OverflowSpillsAndMergeIsCountExact) {
   }
 }
 
-// Without a stream the overflow regime is unchanged: newest events drop,
-// counted — never silently truncated.
-TEST_F(StreamingTimelineTest, OverflowWithoutStreamStillCountsDrops) {
-  Timeline::global().set_ring_capacity(16);  // 16 is the capacity floor
+// Without a stream no events are recorded at all: aggregates still count
+// every span, but the rings stay empty and nothing is dropped.
+TEST_F(StreamingTimelineTest, NoStreamRecordsAggregatesButNoEvents) {
   ASSERT_FALSE(streaming());
   for (int i = 0; i < 100; ++i) {
-    const Span s("drop/span");
+    const Span s("quiet/span");
   }
-  EXPECT_EQ(Timeline::global().events_published(), 16u);
-  EXPECT_EQ(Timeline::global().events_dropped(), 84u);
+  EXPECT_EQ(Timeline::global().events_streamed(), 0u);
+  EXPECT_EQ(Timeline::global().events_dropped(), 0u);
+  flush();
+  EXPECT_EQ(global().span("quiet/span").count, 100u);
 }
 
 TEST_F(StreamingTimelineTest, FinalizeIsIdempotentAndLaterSpillsDrop) {
@@ -322,7 +446,7 @@ TEST_F(StreamingTimelineTest, FinalizeIsIdempotentAndLaterSpillsDrop) {
   const tls::StreamRead first = tls::read_stream_dir(dir.path);
   EXPECT_TRUE(first.done);
   EXPECT_EQ(first.done_events, 40u);
-  // Post-finalize records can fill the recycled ring but never spill: the
+  // Post-finalize records can fill the emptied ring but never spill: the
   // manifest's totals must stay the truth about the segments.
   for (int i = 0; i < 20; ++i) {
     const Span s("fin/late");
@@ -513,8 +637,6 @@ TEST_F(StreamingTimelineTest, FollowReaderRacesWritersWithoutTornReads) {
   EXPECT_EQ(race_spans, kSpans);  // exactness under concurrency
   expect_lane_monotonic(read.events);
 }
-
-#endif  // FCMA_TRACE_DISABLED
 
 }  // namespace
 }  // namespace fcma::trace

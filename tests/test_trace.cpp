@@ -16,8 +16,6 @@
 namespace fcma::trace {
 namespace {
 
-#ifndef FCMA_TRACE_DISABLED
-
 /// Enables tracing for one test and restores the default (off) after, with
 /// a clean global registry and timeline on both sides (global-bound spans
 /// land in per-thread timeline shards until flush()).
@@ -69,66 +67,65 @@ TEST_F(TraceTest, ReadsOfUnknownNamesDoNotInsertThem) {
 }
 
 TEST_F(TraceTest, ScopedSpanRecordsIntoRegistry) {
-  Registry reg;
-  { const Span span("work", &reg); }
-  const SpanStats s = reg.span("work");
+  { const Span span("work"); }
+  flush();
+  const SpanStats s = global().span("work");
   EXPECT_EQ(s.count, 1u);
   EXPECT_GE(s.total_s, 0.0);
 }
 
 TEST_F(TraceTest, NestedSpansRecordHierarchicalLabels) {
-  Registry reg;
   {
-    const Span outer("outer", &reg);
-    { const Span inner("inner", &reg); }
-    { const Span inner("inner", &reg); }
+    const Span outer("outer");
+    { const Span inner("inner"); }
+    { const Span inner("inner"); }
   }
-  EXPECT_EQ(reg.span("outer").count, 1u);
-  EXPECT_EQ(reg.span("outer/inner").count, 2u);
-  EXPECT_EQ(reg.span("inner").count, 0u);  // never recorded unqualified
+  flush();
+  EXPECT_EQ(global().span("outer").count, 1u);
+  EXPECT_EQ(global().span("outer/inner").count, 2u);
+  EXPECT_EQ(global().span("inner").count, 0u);  // never recorded unqualified
 }
 
 TEST_F(TraceTest, NestingPathUnwindsAfterScopeExit) {
-  Registry reg;
-  { const Span a("a", &reg); }
-  { const Span b("b", &reg); }  // must NOT become "a/b"
-  EXPECT_EQ(reg.span("a").count, 1u);
-  EXPECT_EQ(reg.span("b").count, 1u);
-  EXPECT_EQ(reg.span("a/b").count, 0u);
+  { const Span a("a"); }
+  { const Span b("b"); }  // must NOT become "a/b"
+  flush();
+  EXPECT_EQ(global().span("a").count, 1u);
+  EXPECT_EQ(global().span("b").count, 1u);
+  EXPECT_EQ(global().span("a/b").count, 0u);
 }
 
 TEST_F(TraceTest, ThreeLevelNesting) {
-  Registry reg;
   {
-    const Span a("a", &reg);
-    const Span b("b", &reg);
-    const Span c("c", &reg);
+    const Span a("a");
+    const Span b("b");
+    const Span c("c");
   }
-  EXPECT_EQ(reg.span("a/b/c").count, 1u);
-  EXPECT_EQ(reg.span("a/b").count, 1u);
-  EXPECT_EQ(reg.span("a").count, 1u);
+  flush();
+  EXPECT_EQ(global().span("a/b/c").count, 1u);
+  EXPECT_EQ(global().span("a/b").count, 1u);
+  EXPECT_EQ(global().span("a").count, 1u);
 }
 
 TEST_F(TraceTest, SpansOnOtherThreadsRootTheirOwnHierarchy) {
-  Registry reg;
   {
-    const Span outer("outer", &reg);
-    std::thread t([&reg] { const Span s("thread_span", &reg); });
+    const Span outer("outer");
+    std::thread t([] { const Span s("thread_span"); });
     t.join();
   }
-  EXPECT_EQ(reg.span("thread_span").count, 1u);
-  EXPECT_EQ(reg.span("outer/thread_span").count, 0u);
+  flush();  // the exited thread's shard outlives it until drained
+  EXPECT_EQ(global().span("thread_span").count, 1u);
+  EXPECT_EQ(global().span("outer/thread_span").count, 0u);
 }
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
-  Registry reg;
   set_enabled(false);
-  { const Span span("work", &reg); }
+  { const Span span("work"); }
   record_span("manual", 1.0);
   count("ticks");
   gauge_set("depth", 3.0);
   flush();
-  EXPECT_EQ(reg.span("work").count, 0u);
+  EXPECT_EQ(global().span("work").count, 0u);
   EXPECT_EQ(global().span("manual").count, 0u);
   EXPECT_EQ(global().counter("ticks"), 0);
   EXPECT_DOUBLE_EQ(global().gauge("depth"), 0.0);
@@ -297,8 +294,6 @@ TEST_F(TraceTest, WriteJsonCreatesTheFile) {
   EXPECT_GT(n, 0u);
   EXPECT_NE(std::string(buf).find("fcma.trace.v2"), std::string::npos);
 }
-
-#endif  // FCMA_TRACE_DISABLED
 
 }  // namespace
 }  // namespace fcma::trace

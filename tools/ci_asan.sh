@@ -1,11 +1,13 @@
 #!/bin/sh
 # Address+UB sanitizer gate for the memory-sensitive layers: configures a
-# separate build tree with -DFCMA_SANITIZE=address,undefined, builds the
+# separate build tree with -DFCMA_SANITIZE=$SANITIZE (below), builds the
 # data-plane test binaries (shard store mmap lifecycle, streamed epoch
-# cache, fmri io, pipeline stages), and runs them instrumented.  Any heap
-# error, leak, or UB report fails the script (halt_on_error); environments
-# where ASan cannot compile or run (no libasan, restricted ptrace/ASLR)
-# skip with exit 77, which CTest maps to "skipped" via SKIP_RETURN_CODE.
+# cache, fmri io, pipeline stages, timeline stream reader), and runs them
+# instrumented.  float-cast-overflow is listed on its own because GCC's
+# `undefined` group leaves it out.  Any heap error, leak, or UB report
+# fails the script (halt_on_error); environments where ASan cannot compile
+# or run (no libasan, restricted ptrace/ASLR) skip with exit 77, which
+# CTest maps to "skipped" via SKIP_RETURN_CODE.
 #
 # Usage: ci_asan.sh <repo-root> [build-dir]
 set -eu
@@ -23,9 +25,10 @@ int main() {
   return v[3] - 1;
 }
 EOF
-if ! c++ -fsanitize=address,undefined -g "$PROBE_DIR/probe.cpp" \
+SANITIZE=address,undefined,float-cast-overflow
+if ! c++ -fsanitize=$SANITIZE -g "$PROBE_DIR/probe.cpp" \
     -o "$PROBE_DIR/probe" 2>/dev/null; then
-  echo "ci_asan: toolchain cannot link -fsanitize=address,undefined; skipping" >&2
+  echo "ci_asan: toolchain cannot link -fsanitize=$SANITIZE; skipping" >&2
   exit 77
 fi
 if ! "$PROBE_DIR/probe" >/dev/null 2>&1; then
@@ -35,7 +38,7 @@ fi
 
 cmake -S "$SRC" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DFCMA_SANITIZE=address,undefined \
+  -DFCMA_SANITIZE=$SANITIZE \
   -DFCMA_BUILD_BENCH=OFF \
   -DFCMA_BUILD_EXAMPLES=OFF \
   -DFCMA_NATIVE_ARCH=OFF > /dev/null
@@ -43,6 +46,7 @@ cmake -S "$SRC" -B "$BUILD" \
 JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_shard_store test_epoch_source test_fmri test_fcma_stages \
+          test_tlstream \
   -j "$JOBS" > /dev/null
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -57,4 +61,8 @@ echo "ci_asan: running test_fmri under ASan+UBSan"
 "$BUILD/tests/test_fmri"
 echo "ci_asan: running test_fcma_stages under ASan+UBSan"
 "$BUILD/tests/test_fcma_stages"
+# The stream reader parses untrusted segment files into integers; the
+# malformed-input tests drive its casts under float-cast-overflow.
+echo "ci_asan: running test_tlstream under ASan+UBSan"
+"$BUILD/tests/test_tlstream"
 echo "ci_asan: clean"

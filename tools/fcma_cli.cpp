@@ -75,20 +75,17 @@ void usage() {
 void add_trace_flags(Cli& cli) {
   cli.add_flag("trace", "",
                "write a JSON span/counter trace of the run to this path");
-  cli.add_flag("trace-timeline", "",
-               "write a Chrome-trace timeline of the run to this path "
-               "(open in chrome://tracing or ui.perfetto.dev)");
   cli.add_flag("trace-stream", "",
                "continuously stream the timeline to fcma.tlstream.v1 "
-               "segment files in this directory (full rings spill instead "
-               "of dropping; tail live with `fcma report --stream-in <dir> "
-               "--follow`)");
+               "segment files in this directory, plus a Chrome-trace view "
+               "<dir>/timeline.json at exit (open in chrome://tracing or "
+               "ui.perfetto.dev; tail live with `fcma report --stream-in "
+               "<dir> --follow`)");
 }
 
 /// What setup_tracing() armed, for the end-of-run prints and exit dump.
 struct TraceSetup {
   std::string trace_path;
-  std::string timeline_path;
   std::string stream_dir;
   bool tracing = false;
 };
@@ -96,10 +93,8 @@ struct TraceSetup {
 TraceSetup setup_tracing(const Cli& cli) {
   TraceSetup t;
   t.trace_path = cli.get("trace");
-  t.timeline_path = cli.get("trace-timeline");
   t.stream_dir = cli.get("trace-stream");
-  t.tracing = !t.trace_path.empty() || !t.timeline_path.empty() ||
-              !t.stream_dir.empty();
+  t.tracing = !t.trace_path.empty() || !t.stream_dir.empty();
   if (!t.tracing) return t;
   trace::set_enabled(true);
   // FCMA_TL_RING shrinks the per-thread event rings (tests force tiny
@@ -110,14 +105,9 @@ TraceSetup setup_tracing(const Cli& cli) {
     FCMA_CHECK(n > 0, "FCMA_TL_RING must be positive");
     trace::Timeline::global().set_ring_capacity(static_cast<std::size_t>(n));
   }
-  // Event capture must be live before the recording threads register their
-  // sinks (rings are sized at sink creation); streaming implies events.
-  if (!t.timeline_path.empty() || !t.stream_dir.empty()) {
-    trace::set_timeline_enabled(true);
-  }
   if (!t.stream_dir.empty()) trace::set_stream_dir(t.stream_dir);
   trace::set_thread_name("main");
-  trace::set_exit_dump(t.trace_path, t.timeline_path);
+  trace::set_exit_dump(t.trace_path);
   trace::meta_set("simd/isa",
                   linalg::simd::isa_name(linalg::simd::active_isa()));
   trace::meta_set("trace/run_id",
@@ -131,13 +121,13 @@ void finish_tracing(const TraceSetup& t) {
   if (!t.trace_path.empty()) {
     std::printf("trace written to %s\n", t.trace_path.c_str());
   }
-  if (!t.timeline_path.empty()) {
-    std::printf("timeline written to %s\n", t.timeline_path.c_str());
-  }
   if (!t.stream_dir.empty()) {
-    std::printf("timeline stream written to %s (trace %s)\n",
+    std::printf("timeline stream written to %s (trace %s), Chrome view "
+                "%s/%s\n",
                 t.stream_dir.c_str(),
-                trace::tlstream::trace_hex(trace::run_id()).c_str());
+                trace::tlstream::trace_hex(trace::run_id()).c_str(),
+                t.stream_dir.c_str(),
+                std::string(trace::tlstream::kTimelineFile).c_str());
   }
 }
 
@@ -632,6 +622,32 @@ std::map<std::string, ClassStats> fold_classes(
   return classes;
 }
 
+/// One row of the span table: a v2 trace span or a folded stream class.
+struct SpanRow {
+  std::string name;
+  double count = 0.0;
+  double total_s = 0.0;
+  double p50_s = 0.0;
+  double p95_s = 0.0;
+  double p99_s = 0.0;
+};
+
+/// Prints the count/total/percentile table shared by --trace-in and
+/// --stream-in; rows past `limit` are summarized in one line.
+void print_span_table(const char* heading, const std::vector<SpanRow>& rows,
+                      std::size_t limit) {
+  std::printf("\n%-36s %10s %12s %12s %12s %12s\n", heading, "count",
+              "total_s", "p50_s", "p95_s", "p99_s");
+  for (std::size_t i = 0; i < rows.size() && i < limit; ++i) {
+    const SpanRow& r = rows[i];
+    std::printf("%-36s %10.0f %12.4g %12.4g %12.4g %12.4g\n", r.name.c_str(),
+                r.count, r.total_s, r.p50_s, r.p95_s, r.p99_s);
+  }
+  if (rows.size() > limit) {
+    std::printf("  ... %zu more span label(s)\n", rows.size() - limit);
+  }
+}
+
 /// Evaluates `rules` against the class rollup; prints one row per rule and
 /// returns the violation count.  A rule matching no class is a violation
 /// too — a silently-absent span class must not read as "SLO met".
@@ -720,6 +736,8 @@ int report_stream(const Cli& cli) {
   const bool follow = cli.get_bool("follow");
   const double follow_timeout = cli.get_double("follow-timeout");
   const double poll_s = cli.get_double("poll");
+  FCMA_CHECK(poll_s > 0.0, "--poll must be positive");
+  FCMA_CHECK(follow_timeout >= 0.0, "--follow-timeout must not be negative");
   const std::vector<trace::tlstream::SloRule> rules =
       trace::tlstream::parse_slo_rules(cli.get("slo"));
 
@@ -779,14 +797,13 @@ int report_stream(const Cli& cli) {
   }
 
   const auto classes = fold_classes(read);
-  std::printf("\n%-36s %10s %12s %12s %12s %12s\n", "span class", "count",
-              "total_s", "p50_s", "p95_s", "p99_s");
+  std::vector<SpanRow> rows;
   for (const auto& [name, c] : classes) {
-    std::printf("%-36s %10llu %12.4g %12.4g %12.4g %12.4g\n", name.c_str(),
-                static_cast<unsigned long long>(c.count), c.total_s,
-                c.hist.quantile(0.50), c.hist.quantile(0.95),
-                c.hist.quantile(0.99));
+    rows.push_back({name, static_cast<double>(c.count), c.total_s,
+                    c.hist.quantile(0.50), c.hist.quantile(0.95),
+                    c.hist.quantile(0.99)});
   }
+  print_span_table("span class", rows, rows.size());
   print_attribution(classes);
 
   const std::size_t violations = evaluate_slo(rules, classes);
@@ -828,27 +845,18 @@ int cmd_report(int argc, const char* const* argv) {
 
   // Spans, widest first.  v1 files have no percentile fields; at() then
   // yields 0 and the columns print as zeros rather than failing.
-  std::vector<std::pair<std::string, const json::Value*>> spans;
+  std::vector<SpanRow> spans;
   for (const auto& [label, v] : doc.at("spans").members()) {
-    spans.emplace_back(label, &v);
+    spans.push_back({label, v.at("count").as_number(),
+                     v.at("total_s").as_number(), v.at("p50_s").as_number(),
+                     v.at("p95_s").as_number(), v.at("p99_s").as_number()});
   }
-  std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
-    return a.second->at("total_s").as_number() >
-           b.second->at("total_s").as_number();
-  });
-  const auto top = static_cast<std::size_t>(cli.get_int("top"));
-  std::printf("\n%-36s %10s %12s %12s %12s %12s\n", "span", "count",
-              "total_s", "p50_s", "p95_s", "p99_s");
-  for (std::size_t i = 0; i < spans.size() && i < top; ++i) {
-    const json::Value& s = *spans[i].second;
-    std::printf("%-36s %10.0f %12.4g %12.4g %12.4g %12.4g\n",
-                spans[i].first.c_str(), s.at("count").as_number(),
-                s.at("total_s").as_number(), s.at("p50_s").as_number(),
-                s.at("p95_s").as_number(), s.at("p99_s").as_number());
-  }
-  if (spans.size() > top) {
-    std::printf("  ... %zu more span label(s)\n", spans.size() - top);
-  }
+  std::sort(spans.begin(), spans.end(),
+            [](const SpanRow& a, const SpanRow& b) {
+              return a.total_s > b.total_s;
+            });
+  print_span_table("span", spans,
+                   static_cast<std::size_t>(cli.get_int("top")));
 
   if (doc.at("roofline").size() > 0) {
     std::printf("\n%-36s %12s %10s %10s %8s  %s\n", "roofline", "modeled_s",
@@ -902,7 +910,7 @@ int main(int argc, char** argv) {
     return 1;
   } catch (const fcma::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    // A failed run still leaves its --trace/--trace-timeline files behind
+    // A failed run still leaves its --trace/--trace-stream files behind
     // (no-op unless a command armed the dump).
     fcma::trace::dump_now();
     return 1;

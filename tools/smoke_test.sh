@@ -37,11 +37,11 @@ grep -q "ROI clusters" analysis.txt
 
 # Tracing: the run's span/counter breakdown lands in a JSON file with all
 # three pipeline stages, latency percentiles, roofline attribution, and the
-# work-stealing scheduler's activity; --trace-timeline adds a Chrome-trace
-# event dump with one named lane per scheduler worker.
+# work-stealing scheduler's activity; --trace-stream adds the event stream
+# and its Chrome-trace view (one named lane per scheduler worker).
 "$FCMA" analyze --in clean --report traced.txt --top-k 6 --trace trace.json \
-    --trace-timeline timeline.json
-test -f trace.json && test -f timeline.json
+    --trace-stream tl_stream
+test -f trace.json && test -f tl_stream/timeline.json
 grep -q '"fcma.trace.v2"' trace.json
 grep -q 'correlation' trace.json
 grep -q 'normalization' trace.json
@@ -52,9 +52,15 @@ grep -q 'sched/local_hits' trace.json
 grep -q '"p95_s"' trace.json
 grep -q '"roofline"' trace.json
 grep -q 'task/correlation/gemm_nt' trace.json
-grep -q '"fcma.timeline.v1"' timeline.json
-grep -q 'sched/worker0' timeline.json
-trace_check trace.json timeline.json
+grep -q '"fcma.timeline.v1"' tl_stream/timeline.json
+grep -q 'sched/worker0' tl_stream/timeline.json
+trace_check trace.json tl_stream
+# The Chrome view comes only from the stream: the old flag is gone.
+if "$FCMA" analyze --in clean --report gone.txt --trace-timeline x \
+    2>/dev/null; then
+  echo "expected --trace-timeline to be rejected as an unknown flag" >&2
+  exit 1
+fi
 
 # The report subcommand renders the JSON back into tables.
 "$FCMA" report --trace-in trace.json > report.txt
@@ -66,13 +72,14 @@ grep -q 'roofline' report.txt
 # Abnormal exit still flushes the trace: a failing run must exit non-zero
 # yet leave valid (if sparse) trace artifacts behind.
 if "$FCMA" analyze --in /nonexistent --trace err.json \
-    --trace-timeline err_tl.json 2>/dev/null; then
+    --trace-stream err_stream 2>/dev/null; then
   echo "expected failure for a missing analyze input" >&2
   exit 1
 fi
-test -f err.json && test -f err_tl.json
+test -f err.json && test -f err_stream/stream.done
+test -f err_stream/timeline.json
 grep -q '"fcma.trace.v2"' err.json
-trace_check err.json err_tl.json
+trace_check err.json err_stream/timeline.json
 
 # --sched serial runs the same analysis without a pool and must produce an
 # identical report (the scheduler only moves tasks between threads).
@@ -104,6 +111,11 @@ cmp isa_scalar.txt isa_avx512.txt
     --voxels-per-task 100
 grep -q "per-fold results" offline.txt
 grep -q "mean held-out accuracy" offline.txt
+# Streaming the timeline never changes answers either.
+"$FCMA" offline --in clean --report offline_traced.txt --top-k 12 \
+    --threads 2 --voxels-per-task 100 --trace-stream offline_stream
+cmp offline.txt offline_traced.txt
+trace_check offline_stream
 
 # Out-of-core data plane: shard the dataset (subject-sharded fcma.shards.v1
 # store), then run analyze/offline streamed under a memory budget from both
@@ -260,6 +272,12 @@ grep -q 'slo/violations 1' slo_report.txt
 "$FCMA" report --stream-in stream_dir \
     --slo 'cluster/worker/task:p99<100s' > slo_ok.txt
 grep -q 'slo/violations 0' slo_ok.txt
+# A zero poll interval would re-read the stream in a busy loop.
+if "$FCMA" report --stream-in stream_dir --follow --poll 0 \
+    2>/dev/null >/dev/null; then
+  echo "expected --poll 0 to be rejected" >&2
+  exit 1
+fi
 
 # Live SLO surface: --follow tails the stream of a *running* job and only
 # reports once the stream finalizes; the violation still exits non-zero.

@@ -10,10 +10,11 @@ Accepts any artifact the CLI / benches emit and sniffs which one it got:
   numeric, and that any roofline attribution carries the full field set
   with sane values.
 * a Chrome-trace timeline (``fcma.timeline.v1``): the per-thread event
-  dump written by ``--trace-timeline``.  Checks that complete events are
-  globally time-sorted with non-negative durations, that every event's
-  lane (tid) has exactly one thread_name metadata record, and that named
-  scheduler-worker lanes are distinct (one lane per worker).
+  view ``DIR/timeline.json`` rendered from a ``--trace-stream DIR`` stream.
+  Checks that complete events are globally time-sorted with non-negative
+  durations, that every event's lane (tid) has exactly one thread_name
+  metadata record, and that named scheduler-worker lanes are distinct (one
+  lane per worker).
 * a stream directory (``fcma.tlstream.v1``): the continuous-profiling
   segments written by ``--trace-stream`` (pass the directory itself).
   Checks every segment's header against its filename, that every event
@@ -22,7 +23,8 @@ Accepts any artifact the CLI / benches emit and sniffs which one it got:
   manifest is present — that the manifest's event total equals the merged
   parse (nothing was lost), that no torn tail survived the finalize, and
   that every non-zero parent span id resolves somewhere in the merge (no
-  orphan cross-rank references).
+  orphan cross-rank references), and that ``timeline.json`` validates as a
+  timeline holding exactly the stream's events, lanes and dropped count.
 
 Exit status 0 means the artifact validated; 1 means a check failed (each
 failure is printed); 2 means it could not be read or parsed.
@@ -134,7 +136,7 @@ def check_timeline(c, doc):
             "otherData.dropped_events missing or non-numeric")
     events = doc.get("traceEvents", [])
     if not c.check(isinstance(events, list), "'traceEvents' is not a list"):
-        return "invalid"
+        return 0, 0, 0
     lane_names = {}  # tid -> list of thread_name records
     complete = []
     for i, ev in enumerate(events):
@@ -172,8 +174,7 @@ def check_timeline(c, doc):
                         "worker lane %r claimed by tid %r and %r"
                         % (name, workers.get(name), tid))
                 workers[name] = tid
-    return "fcma.timeline.v1: %d events across %d lanes (%d worker lanes)" % (
-        len(complete), len(lane_names), len(workers))
+    return len(complete), len(lane_names), len(workers)
 
 
 SEGMENT_RE = re.compile(r"^lane(\d+)-(\d+)\.tls(\.part)?$")
@@ -311,40 +312,52 @@ def check_stream_dir(c, dirpath):
         if len(orphans) > 5:
             c.check(False, "... and %d more orphan parents"
                     % (len(orphans) - 5))
+        # The Chrome view is rendered from the finalized stream: it must
+        # validate on its own and hold exactly what the stream holds.
+        try:
+            with open(os.path.join(dirpath, "timeline.json"), "r",
+                      encoding="utf-8") as f:
+                view = json.load(f)
+        except (OSError, ValueError) as err:
+            c.check(False, "unreadable timeline.json: %s" % err)
+        else:
+            vc = Checker(dirpath)
+            events, lanes, _ = check_timeline(vc, view)
+            c.failures += ["timeline.json: " + f for f in vc.failures]
+            c.check(events == state["events"],
+                    "timeline.json has %d events, the stream %d"
+                    % (events, state["events"]))
+            c.check(lanes == len(state["lanes"]),
+                    "timeline.json has %d lanes, the stream %d"
+                    % (lanes, len(state["lanes"])))
+            dropped = view.get("otherData", {}).get("dropped_events")
+            c.check(dropped == manifest.get("dropped"),
+                    "timeline.json dropped_events %r != stream.done %r"
+                    % (dropped, manifest.get("dropped")))
     return "fcma.tlstream.v1: %d events, %d lanes, %d segments%s" % (
         state["events"], len(state["lanes"]), len(segments),
         ", finalized" if done else " (live)")
 
 
 def check_file(path):
-    if os.path.isdir(path):
-        c = Checker(path)
-        try:
-            summary = check_stream_dir(c, path)
-        except OSError as err:
-            print("%s: cannot read stream dir: %s" % (path, err),
-                  file=sys.stderr)
-            return 2
-        if c.failures:
-            for failure in c.failures:
-                print("%s: FAIL: %s" % (path, failure), file=sys.stderr)
-            return 1
-        print("%s: OK (%s)" % (path, summary))
-        return 0
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as err:
-        print("%s: cannot parse: %s" % (path, err), file=sys.stderr)
-        return 2
     c = Checker(path)
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        summary = check_timeline(c, doc)
-    elif isinstance(doc, dict) and "spans" in doc:
-        summary = check_metrics(c, doc)
-    else:
-        print("%s: neither a metrics dump nor a Chrome trace" % path,
-              file=sys.stderr)
+    try:
+        if os.path.isdir(path):
+            summary = check_stream_dir(c, path)
+        else:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+            if isinstance(doc, dict) and "traceEvents" in doc:
+                summary = ("fcma.timeline.v1: %d events across %d lanes "
+                           "(%d worker lanes)" % check_timeline(c, doc))
+            elif isinstance(doc, dict) and "spans" in doc:
+                summary = check_metrics(c, doc)
+            else:
+                print("%s: neither a metrics dump nor a Chrome trace" % path,
+                      file=sys.stderr)
+                return 2
+    except (OSError, ValueError) as err:
+        print("%s: cannot read: %s" % (path, err), file=sys.stderr)
         return 2
     if c.failures:
         for failure in c.failures:
