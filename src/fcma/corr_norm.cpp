@@ -1,6 +1,7 @@
 #include "fcma/corr_norm.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -101,7 +102,8 @@ void baseline_correlate_normalize(const fmri::NormalizedEpochs& epochs,
 }
 
 void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
-                                   linalg::MatrixView out, NormMode mode) {
+                                   linalg::MatrixView out, NormMode mode,
+                                   threading::ThreadPool* pool) {
   const std::size_t m_total = epochs.meta().size();
   FCMA_CHECK(out.rows == task.count * m_total, "bad corr buffer shape");
   if (mode == NormMode::kSeparated) {
@@ -121,35 +123,44 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
 
   // Merged (idea #2): per subject and per column panel, compute that
   // subject's E epoch rows for each voxel and normalize them immediately,
-  // while the freshly-written panel is still cache resident.  The two
-  // logical stages interleave per panel, so their trace spans are split by
-  // accumulating the normalization slices and attributing the rest of the
-  // elapsed time to correlation.  The fused sweep needs one subject's
-  // panels live at a time — that run is the streaming granularity, and the
-  // next subject's panels prefetch while this one computes.
+  // while the freshly-written panel is still cache resident.  The fused
+  // sweep needs one subject's panels live at a time — that run is the
+  // streaming granularity, and the next subject's panels prefetch while
+  // this one computes (requested once this run is pinned, so the prefetch
+  // never competes with its loads for the budget).  Within a run the
+  // column panels are independent: each packs its own B^T slice from its
+  // thread's workspace and writes only its own columns, so they spread
+  // across the pool when one is given.
+  //
+  // The two logical stages interleave per panel, so their trace spans are
+  // split by timing the normalization slices of every panel and
+  // attributing the rest of the fused wall time to correlation.
   const bool tracing = trace::enabled();
   const WallTimer fused_timer;
-  double norm_s = 0.0;
   const std::size_t n = out.cols;
   const auto runs = subject_runs(epochs.meta());
-  std::size_t max_e = 0;
-  for (const SubjectRun& r : runs) max_e = std::max(max_e, r.last - r.first);
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
   constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
-  auto bt = Workspace::local().acquire(max_e * t_len * kPanelCols);
+  const std::size_t panels = (n + kPanelCols - 1) / kPanelCols;
+  // Per-panel busy and normalization seconds; runs are separated by the
+  // pool's join, so each slot has one writer at a time.
+  std::vector<double> busy_s(tracing ? panels : 0, 0.0);
+  std::vector<double> norm_s(tracing ? panels : 0, 0.0);
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const SubjectRun& run = runs[r];
+    const auto lease = epochs.acquire(run.first, run.last);
     if (r + 1 < runs.size()) {
       epochs.prefetch(runs[r + 1].first, runs[r + 1].last);
     }
-    const auto lease = epochs.acquire(run.first, run.last);
     const std::size_t e_count = run.last - run.first;
-    for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
-      const std::size_t j1 = std::min(n, j0 + kPanelCols);
-      const std::size_t width = j1 - j0;
+    threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
+      const WallTimer panel_timer;
+      const std::size_t j0 = p * kPanelCols;
+      const std::size_t width = std::min(n, j0 + kPanelCols) - j0;
+      auto bt = Workspace::local().acquire(e_count * t_len * width);
       for (std::size_t e = 0; e < e_count; ++e) {
-        linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0, j1,
-                                   bt.data() + e * t_len * width);
+        linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0,
+                                   j0 + width, bt.data() + e * t_len * width);
       }
       for (std::size_t v = 0; v < task.count; ++v) {
         for (std::size_t e = 0; e < e_count; ++e) {
@@ -163,17 +174,26 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
           const WallTimer norm_timer;
           stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
                                      e_count, width, out.ld);
-          norm_s += norm_timer.seconds();
+          norm_s[p] += norm_timer.seconds();
         } else {
           stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
                                      e_count, width, out.ld);
         }
       }
-    }
+      if (tracing) busy_s[p] += panel_timer.seconds();
+    });
   }
   if (tracing) {
-    trace::record_span("normalization", norm_s);
-    trace::record_span("correlation", fused_timer.seconds() - norm_s);
+    // Pool workers' seconds add up to more than the fused wall; keep
+    // normalization's share of the busy thread time so neither span can
+    // exceed the wall or go negative.  A serial sweep's busy time never
+    // exceeds its wall, so it records the measured seconds unscaled.
+    const double wall = fused_timer.seconds();
+    const double busy = std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
+    double norm = std::accumulate(norm_s.begin(), norm_s.end(), 0.0);
+    if (busy > wall) norm = std::min(wall, norm * (wall / busy));
+    trace::record_span("normalization", norm);
+    trace::record_span("correlation", wall - norm);
   }
 }
 

@@ -47,9 +47,13 @@ void baseline_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
 void baseline_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                   const VoxelTask& task, linalg::MatrixView out);
 
-/// Optimized stages 1+2.
+/// Optimized stages 1+2.  With a `pool`, the merged sweep spreads each
+/// subject run's column panels across it; every output column is still
+/// written by the serial arithmetic, so the result is bit-identical to the
+/// pool-less call.  The separated mode ignores the pool.
 void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
-                                   linalg::MatrixView out, NormMode mode);
+                                   linalg::MatrixView out, NormMode mode,
+                                   threading::ThreadPool* pool = nullptr);
 void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                    const VoxelTask& task,
                                    linalg::MatrixView out, NormMode mode);

@@ -8,6 +8,14 @@
 
 namespace fcma::core {
 
+namespace {
+
+std::size_t panel_bytes(const linalg::Matrix& panel) {
+  return panel.rows() * panel.ld() * sizeof(float);
+}
+
+}  // namespace
+
 EpochSource::Lease ResidentEpochs::acquire(std::size_t first,
                                            std::size_t last) {
   FCMA_CHECK(first <= last && last <= epochs_->per_epoch.size(),
@@ -72,42 +80,73 @@ std::size_t StreamedEpochs::resident_bytes() const {
   return bytes_;
 }
 
+std::size_t StreamedEpochs::panel_allocations() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return allocations_;
+}
+
 std::size_t StreamedEpochs::estimated_panel_bytes(std::size_t m) const {
   return voxels_ * meta_[m].length * sizeof(float);
+}
+
+std::size_t StreamedEpochs::lru_unpinned_locked() const {
+  std::size_t victim = slots_.size();
+  for (std::size_t m = 0; m < slots_.size(); ++m) {
+    const Slot& s = slots_[m];
+    if (s.state != Slot::State::kReady || s.refs != 0) continue;
+    if (victim == slots_.size() || s.last_use < slots_[victim].last_use) {
+      victim = m;
+    }
+  }
+  return victim;
+}
+
+linalg::Matrix StreamedEpochs::take_panel_locked(std::size_t victim) {
+  Slot& s = slots_[victim];
+  s.state = Slot::State::kEmpty;
+  s.prefetched = false;
+  return std::exchange(s.panel, linalg::Matrix());
 }
 
 void StreamedEpochs::evict_locked() {
   if (options_.budget_bytes == 0) return;
   while (bytes_ > options_.budget_bytes) {
-    std::size_t victim = slots_.size();
-    for (std::size_t m = 0; m < slots_.size(); ++m) {
-      const Slot& s = slots_[m];
-      if (s.state != Slot::State::kReady || s.refs != 0) continue;
-      if (victim == slots_.size() || s.last_use < slots_[victim].last_use) {
-        victim = m;
-      }
-    }
+    const std::size_t victim = lru_unpinned_locked();
     if (victim == slots_.size()) return;  // everything left is pinned
-    Slot& s = slots_[victim];
-    bytes_ -= s.panel.rows() * s.panel.ld() * sizeof(float);
-    s.panel = linalg::Matrix();
-    s.state = Slot::State::kEmpty;
-    s.prefetched = false;
+    bytes_ -= panel_bytes(take_panel_locked(victim));
   }
 }
 
-void StreamedEpochs::fill_slot(std::size_t m) {
+linalg::Matrix StreamedEpochs::claim_buffer_locked(std::size_t m) {
+  const std::size_t need = estimated_panel_bytes(m);
+  while (options_.budget_bytes != 0 &&
+         bytes_ + need > options_.budget_bytes) {
+    const std::size_t victim = lru_unpinned_locked();
+    if (victim == slots_.size()) break;  // everything left is pinned
+    linalg::Matrix panel = take_panel_locked(victim);
+    if (panel.cols() == meta_[m].length) return panel;
+    bytes_ -= panel_bytes(panel);
+  }
+  bytes_ += need;
+  ++allocations_;
+  return linalg::Matrix();
+}
+
+bool StreamedEpochs::fits_locked(std::size_t m) const {
+  return options_.budget_bytes == 0 ||
+         bytes_ + estimated_panel_bytes(m) <= options_.budget_bytes;
+}
+
+void StreamedEpochs::fill_slot(std::size_t m, linalg::Matrix panel) {
   const fmri::Epoch& e = meta_[m];
-  linalg::Matrix panel(voxels_, e.length);
+  if (panel.cols() != e.length) panel = linalg::Matrix(voxels_, e.length);
   // The backing shard (if any) stays mapped only for this call: the
   // Panel's keepalive drops when epoch_panel's result goes out of scope.
   fmri::normalize_epoch_panel(view_->epoch_panel(indices_[m]), panel.view());
   std::lock_guard<std::mutex> lock(mu_);
   Slot& s = slots_[m];
-  bytes_ += panel.rows() * panel.ld() * sizeof(float);
   s.panel = std::move(panel);
   s.state = Slot::State::kReady;
-  evict_locked();
   cv_.notify_all();
 }
 
@@ -115,22 +154,26 @@ EpochSource::Lease StreamedEpochs::acquire(std::size_t first,
                                            std::size_t last) {
   FCMA_CHECK(first <= last && last <= meta_.size(),
              "epoch range out of bounds");
-  std::vector<std::size_t> to_load;
+  std::vector<std::pair<std::size_t, linalg::Matrix>> to_load;
   std::vector<std::size_t> to_wait;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++tick_;
+    // Pin the whole range first, so the buffer claims below never evict a
+    // panel of the range itself.
+    for (std::size_t m = first; m < last; ++m) {
+      ++slots_[m].refs;
+      slots_[m].last_use = tick_;
+    }
     for (std::size_t m = first; m < last; ++m) {
       Slot& s = slots_[m];
-      ++s.refs;
-      s.last_use = tick_;
       switch (s.state) {
         case Slot::State::kEmpty:
           // Claim and load synchronously.  Never wait for a queued-but-
           // unstarted prefetch task: with help-first scheduler joins a
           // worker blocking on queued work can deadlock.
           s.state = Slot::State::kLoading;
-          to_load.push_back(m);
+          to_load.emplace_back(m, claim_buffer_locked(m));
           break;
         case Slot::State::kLoading:
           if (s.prefetched) {
@@ -148,7 +191,7 @@ EpochSource::Lease StreamedEpochs::acquire(std::size_t first,
       }
     }
   }
-  for (const std::size_t m : to_load) fill_slot(m);
+  for (auto& [m, panel] : to_load) fill_slot(m, std::move(panel));
   if (!to_wait.empty()) {
     const auto t0 = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lock(mu_);
@@ -194,10 +237,7 @@ void StreamedEpochs::prefetch(std::size_t first, std::size_t last) {
     if (s.state != Slot::State::kEmpty || s.prefetch_queued) continue;
     // Do not prefetch past the budget: a panel nothing has pinned yet
     // would only evict panels compute is about to use.
-    if (options_.budget_bytes != 0 &&
-        bytes_ + estimated_panel_bytes(m) > options_.budget_bytes) {
-      break;
-    }
+    if (!fits_locked(m)) break;
     s.prefetch_queued = true;
     ++inflight_;
     options_.pool->submit([this, m] { prefetch_task(m); });
@@ -205,18 +245,22 @@ void StreamedEpochs::prefetch(std::size_t first, std::size_t last) {
 }
 
 void StreamedEpochs::prefetch_task(std::size_t m) {
+  linalg::Matrix panel;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Slot& s = slots_[m];
     s.prefetch_queued = false;
-    if (shutdown_ || s.state != Slot::State::kEmpty) {
+    // Loads since the prefetch was queued may have filled the budget; the
+    // panel then loads when it is acquired.
+    if (shutdown_ || s.state != Slot::State::kEmpty || !fits_locked(m)) {
       if (--inflight_ == 0) cv_.notify_all();
       return;
     }
     s.state = Slot::State::kLoading;
     s.prefetched = true;
+    panel = claim_buffer_locked(m);
   }
-  fill_slot(m);
+  fill_slot(m, std::move(panel));
   std::lock_guard<std::mutex> lock(mu_);
   if (--inflight_ == 0) cv_.notify_all();
 }

@@ -11,7 +11,11 @@
 //     (in-memory or mmap'd shard store), normalizes them with the shared
 //     normalize_epoch_panel kernel, caches them under a byte budget with
 //     LRU eviction of unpinned panels, and overlaps loads with compute by
-//     prefetching upcoming epochs on the scheduler.
+//     prefetching upcoming epochs on the scheduler.  A load that would
+//     overflow the budget takes over the evicted panel's buffer instead of
+//     freeing one and allocating another, so a streamed run allocates the
+//     panels that fit at once, never one per load, and no panel memory
+//     changes hands between threads' allocator arenas.
 //
 // Both backends produce bit-identical panels; the repo's standing
 // EXPECT_EQ contract (streamed == resident == serial == pooled) holds
@@ -140,9 +144,13 @@ class StreamedEpochs final : public EpochSource {
   [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override;
   void prefetch(std::size_t first, std::size_t last) override;
 
-  /// Cache introspection for tests and the oocore bench.
+  /// Cache introspection for tests and the oocore bench.  resident_bytes()
+  /// counts every panel buffer the cache holds, loaded or loading; it stays
+  /// within the budget unless pinned panels alone exceed it.
+  /// panel_allocations() counts the panel buffers ever allocated.
   [[nodiscard]] std::size_t resident_panels() const;
   [[nodiscard]] std::size_t resident_bytes() const;
+  [[nodiscard]] std::size_t panel_allocations() const;
   [[nodiscard]] std::size_t budget_bytes() const {
     return options_.budget_bytes;
   }
@@ -158,13 +166,27 @@ class StreamedEpochs final : public EpochSource {
     linalg::Matrix panel;
   };
 
-  /// Loads slot `m` (caller already transitioned it to kLoading), then
-  /// publishes it ready.  Runs without the mutex during I/O + normalize.
-  void fill_slot(std::size_t m);
+  /// Loads slot `m` (caller already transitioned it to kLoading and
+  /// claimed `panel` for it), then publishes it ready.  Runs without the
+  /// mutex during allocation, I/O and normalize.
+  void fill_slot(std::size_t m, linalg::Matrix panel);
   void prefetch_task(std::size_t m);
   void release_range(std::size_t first, std::size_t last);
-  /// Frees LRU unpinned panels until within budget.  Caller holds mu_.
+  /// The following helpers run with mu_ held.
+  /// Least recently used ready, unpinned slot (slots_.size() if none).
+  [[nodiscard]] std::size_t lru_unpinned_locked() const;
+  /// Empties slot `victim` and hands back its panel buffer.
+  [[nodiscard]] linalg::Matrix take_panel_locked(std::size_t victim);
+  /// True when a fresh panel for slot `m` fits the budget.
+  [[nodiscard]] bool fits_locked(std::size_t m) const;
+  /// Frees LRU unpinned panels until within budget (after pinned panels
+  /// pushed the cache past it).
   void evict_locked();
+  /// Reserves slot `m`'s buffer in the budget.  While a fresh panel would
+  /// overflow it, evicts the LRU unpinned panel and returns its buffer when
+  /// the shapes match; otherwise returns an empty matrix and the caller
+  /// allocates outside the lock.
+  [[nodiscard]] linalg::Matrix claim_buffer_locked(std::size_t m);
   [[nodiscard]] std::size_t estimated_panel_bytes(std::size_t m) const;
 
   const fmri::DatasetView* view_;
@@ -176,7 +198,8 @@ class StreamedEpochs final : public EpochSource {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Slot> slots_;
-  std::size_t bytes_ = 0;
+  std::size_t bytes_ = 0;         ///< every panel buffer held, incl. loading
+  std::size_t allocations_ = 0;   ///< panel buffers ever allocated
   std::uint64_t tick_ = 0;
   std::size_t inflight_ = 0;  ///< submitted prefetch tasks not yet done
   bool shutdown_ = false;

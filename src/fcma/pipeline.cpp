@@ -99,46 +99,58 @@ std::vector<TaskResult> run_tasks(const fmri::NormalizedEpochs& epochs,
   return run_tasks(source, tasks, config);
 }
 
-TaskResult run_task_grouped(EpochSource& epochs, const VoxelTask& task,
-                            const PipelineConfig& config,
-                            std::size_t group_voxels) {
+std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
+                                            const VoxelTask& task,
+                                            const PipelineConfig& config,
+                                            std::size_t group_voxels) {
   FCMA_CHECK(!epochs.meta().empty(), "no epochs to process");
   FCMA_CHECK(group_voxels > 0, "group size must be positive");
-  const trace::Span task_span("task");
-  trace::count("pipeline/tasks");
   const std::size_t m = epochs.meta().size();
   const std::size_t n = epochs.voxels();
 
-  // Phase 1: per group, correlate+normalize into a reusable buffer and
-  // reduce each voxel to its kernel matrix.  One group-sized workspace
-  // lease covers every group (the last, possibly shorter group just views
-  // a prefix).
+  // Per group, correlate+normalize into a reusable buffer and reduce each
+  // voxel to its kernel matrix, both across the pool: the optimized stage
+  // 1+2 spreads column panels, and each voxel's kernel is one serial syrk
+  // on one thread (never the chunk-parallel syrk, whose fold order follows
+  // the pool size), so results are pool-independent.  One group-sized
+  // workspace lease covers every group (the last, possibly shorter group
+  // just views a prefix).  Iterating in size_t keeps a group larger than
+  // 2^32 - 1 voxels from wrapping the loop.
   std::vector<linalg::Matrix> kernels;
   kernels.reserve(task.count);
   const std::size_t max_group =
       std::min<std::size_t>(group_voxels, task.count);
   auto corr_lease = Workspace::local().acquire(max_group * m * n);
-  for (std::uint32_t g0 = 0; g0 < task.count; g0 += group_voxels) {
+  for (std::size_t g0 = 0; g0 < task.count; g0 += max_group) {
     const VoxelTask group{
-        task.first + g0,
-        static_cast<std::uint32_t>(
-            std::min<std::size_t>(group_voxels, task.count - g0))};
+        task.first + static_cast<std::uint32_t>(g0),
+        static_cast<std::uint32_t>(std::min(max_group, task.count - g0))};
     const linalg::MatrixView corr{
         corr_lease.data(), static_cast<std::size_t>(group.count) * m, n, n};
     if (config.impl == Impl::kBaseline) {
       baseline_correlate_normalize(epochs, group, corr);
     } else {
-      optimized_correlate_normalize(epochs, group, corr, config.norm_mode);
+      optimized_correlate_normalize(epochs, group, corr, config.norm_mode,
+                                    config.pool);
     }
-    for (std::uint32_t v = 0; v < group.count; ++v) {
-      linalg::Matrix kernel(m, m);
-      compute_voxel_kernel(corr, m, v, config.impl, kernel.view());
-      kernels.push_back(std::move(kernel));
-    }
+    for (std::uint32_t v = 0; v < group.count; ++v) kernels.emplace_back(m, m);
+    threading::for_each_index(config.pool, 0, group.count, [&](std::size_t v) {
+      compute_voxel_kernel(corr, m, v, config.impl, kernels[g0 + v].view());
+    });
   }
+  return kernels;
+}
 
-  // Phase 2: cross-validate the accumulated kernel matrices — all voxels at
-  // once, the regime where every hardware thread has a problem to solve.
+TaskResult run_task_grouped(EpochSource& epochs, const VoxelTask& task,
+                            const PipelineConfig& config,
+                            std::size_t group_voxels) {
+  const trace::Span task_span("task");
+  trace::count("pipeline/tasks");
+  const std::vector<linalg::Matrix> kernels =
+      grouped_kernels(epochs, task, config, group_voxels);
+
+  // Cross-validate the accumulated kernel matrices — all voxels at once,
+  // the regime where every hardware thread has a problem to solve.
   const trace::Span svm_span("svm");
   const auto folds = config.cv_folds != nullptr
                          ? *config.cv_folds
@@ -148,18 +160,13 @@ TaskResult run_task_grouped(EpochSource& epochs, const VoxelTask& task,
   result.task = task;
   result.accuracy.assign(task.count, 0.0);
   std::atomic<long> iterations{0};
-  auto run_voxel = [&](std::size_t v) {
+  threading::for_each_index(config.pool, 0, task.count, [&](std::size_t v) {
     const svm::CvResult cv =
         svm::cross_validate(config.solver, kernels[v].view(), labels, folds,
                             config.svm_options);
     result.accuracy[v] = cv.accuracy();
     iterations.fetch_add(cv.iterations, std::memory_order_relaxed);
-  };
-  if (config.pool != nullptr) {
-    threading::parallel_for_each(*config.pool, 0, task.count, run_voxel);
-  } else {
-    for (std::size_t v = 0; v < task.count; ++v) run_voxel(v);
-  }
+  });
   result.svm_iterations = iterations.load();
   trace::count("svm/cv_iterations", result.svm_iterations);
   return result;

@@ -23,7 +23,11 @@ struct PipelineConfig {
   NormMode norm_mode = NormMode::kMerged;
   svm::SolverKind solver = svm::SolverKind::kPhiSvm;
   svm::TrainOptions svm_options;
-  /// Optional pool for voxel-parallel stage 3 and panel-parallel kernels.
+  /// Optional pool.  run_task_grouped runs every stage on it: column
+  /// panels of the optimized merged stage 1+2, one serial syrk per voxel
+  /// (never the chunk-parallel syrk, whose fold order follows the pool
+  /// size), and one SVM cross-validation per voxel.  run_task uses it for
+  /// stage 3 and run_tasks for whole tasks.  Results never depend on it.
   threading::ThreadPool* pool = nullptr;
   /// Optional custom cross-validation folds (test-index groups).  When
   /// null, leave-one-subject-out folds are derived from the epoch metadata.
@@ -111,6 +115,12 @@ struct InstrumentedTaskResult {
 /// the small kernel matrices accumulate, so a task of 240+ voxels fits the
 /// modeled 6GB — the enabler for full thread occupancy during SVM
 /// cross-validation.  Peak correlation memory: group_voxels * M * N floats.
+///
+/// With config.pool set, stages 1-2 of each group use the pool as well:
+/// the optimized merged sweep spreads column panels across it and the
+/// kernel matrices are computed voxel-parallel, one serial syrk per voxel,
+/// so accuracies are bit-identical to the pool-less run.  A group size of
+/// task.count or more processes the task as one group.
 [[nodiscard]] TaskResult run_task_grouped(EpochSource& epochs,
                                           const VoxelTask& task,
                                           const PipelineConfig& config,
@@ -119,5 +129,13 @@ struct InstrumentedTaskResult {
                                           const VoxelTask& task,
                                           const PipelineConfig& config,
                                           std::size_t group_voxels);
+
+/// Stages 1-2 and the kernel reduction of run_task_grouped: the M x M
+/// kernel matrix of every task voxel, in voxel order, computed group by
+/// group.  Bit-identical for any config.pool; run_task_grouped
+/// cross-validates exactly these matrices.
+[[nodiscard]] std::vector<linalg::Matrix> grouped_kernels(
+    EpochSource& epochs, const VoxelTask& task, const PipelineConfig& config,
+    std::size_t group_voxels);
 
 }  // namespace fcma::core

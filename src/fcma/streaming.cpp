@@ -171,11 +171,7 @@ void StreamingAnalyzer::train() {
                       static_cast<double>(test.size());
     fold_total[f] = test.size();
   };
-  if (options_.pool != nullptr) {
-    threading::parallel_for_each(*options_.pool, 0, folds.size(), eval_fold);
-  } else {
-    for (std::size_t f = 0; f < folds.size(); ++f) eval_fold(f);
-  }
+  threading::for_each_index(options_.pool, 0, folds.size(), eval_fold);
   double correct = 0.0;
   std::size_t total = 0;
   for (std::size_t f = 0; f < folds.size(); ++f) {

@@ -87,11 +87,7 @@ SvmStageResult svm_stage(linalg::ConstMatrixView corr,
     iterations.fetch_add(cv.iterations, std::memory_order_relaxed);
   };
 
-  if (pool != nullptr) {
-    threading::parallel_for_each(*pool, 0, task.count, run_voxel);
-  } else {
-    for (std::size_t v = 0; v < task.count; ++v) run_voxel(v);
-  }
+  threading::for_each_index(pool, 0, task.count, run_voxel);
   result.svm_iterations = iterations.load();
   trace::count("svm/cv_iterations", result.svm_iterations);
   return result;

@@ -77,4 +77,16 @@ inline void parallel_for_each(ThreadPool& pool, std::size_t begin,
   pool.scheduler().parallel_for_each(begin, end, body);
 }
 
+/// parallel_for_each on `pool`, or an in-order loop on the calling thread
+/// when `pool` is null — one loop body for the serial and pooled runs.
+inline void for_each_index(ThreadPool* pool, std::size_t begin,
+                           std::size_t end,
+                           const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    parallel_for_each(*pool, begin, end, body);
+  } else {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  }
+}
+
 }  // namespace fcma::threading

@@ -6,10 +6,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
+#include "fcma/corr_norm.hpp"
 #include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
 #include "fcma/pipeline.hpp"
@@ -171,6 +174,162 @@ TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
   }
   for (std::size_t v = 0; v < d.voxels(); ++v) {
     EXPECT_EQ(accuracy[v], whole.accuracy[v]) << "voxel " << v;
+  }
+}
+
+// The grouped pipeline's pooled stages 1-2 (column panels across the pool,
+// one serial syrk per voxel) against the pool-less run, over the whole
+// configuration space: N = 1100 gives three column panels, the last a
+// ragged 76 wide; pools of 1-4 threads; groups of 1, 7 and the whole task;
+// resident panels and streamed ones under a budget that forces evictions.
+class PooledGroupedPipeline : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 1100;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView view(d);
+  const VoxelTask task{500, 20};
+  const PipelineConfig serial = PipelineConfig::optimized();
+  const TaskResult want = run_task_grouped(norm, task, serial, task.count);
+  ResidentEpochs resident(norm);
+  const std::vector<linalg::Matrix> want_kernels =
+      grouped_kernels(resident, task, serial, task.count);
+
+  threading::ThreadPool pool(GetParam());
+  PipelineConfig pooled = serial;
+  pooled.pool = &pool;
+
+  // Stage 1+2 output itself, byte for byte.
+  const std::size_t m = norm.meta.size();
+  linalg::Matrix corr_serial(task.count * m, d.voxels());
+  linalg::Matrix corr_pooled(task.count * m, d.voxels());
+  optimized_correlate_normalize(resident, task, corr_serial.view(),
+                                NormMode::kMerged);
+  optimized_correlate_normalize(resident, task, corr_pooled.view(),
+                                NormMode::kMerged, &pool);
+  EXPECT_EQ(std::memcmp(corr_serial.data(), corr_pooled.data(),
+                        corr_serial.rows() * corr_serial.ld() * sizeof(float)),
+            0);
+
+  const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
+  for (const std::size_t group : {std::size_t{1}, std::size_t{7},
+                                  static_cast<std::size_t>(task.count)}) {
+    SCOPED_TRACE("group " + std::to_string(group));
+    StreamedEpochs streamed(view, {budget, &pool});
+    // Kernel matrices byte for byte: SVM accuracies alone would hide a
+    // last-bit change in them.
+    for (EpochSource* source : {static_cast<EpochSource*>(&resident),
+                                static_cast<EpochSource*>(&streamed)}) {
+      const auto kernels = grouped_kernels(*source, task, pooled, group);
+      ASSERT_EQ(kernels.size(), want_kernels.size());
+      for (std::size_t v = 0; v < kernels.size(); ++v) {
+        EXPECT_EQ(std::memcmp(kernels[v].data(), want_kernels[v].data(),
+                              m * m * sizeof(float)),
+                  0)
+            << "voxel " << v;
+      }
+    }
+    const TaskResult from_resident =
+        run_task_grouped(resident, task, pooled, group);
+    const TaskResult from_streamed =
+        run_task_grouped(streamed, task, pooled, group);
+    EXPECT_LT(streamed.resident_panels(), streamed.meta().size());
+    ASSERT_EQ(from_resident.accuracy.size(), want.accuracy.size());
+    ASSERT_EQ(from_streamed.accuracy.size(), want.accuracy.size());
+    for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
+      EXPECT_EQ(from_resident.accuracy[v], want.accuracy[v]) << "voxel " << v;
+      EXPECT_EQ(from_streamed.accuracy[v], want.accuracy[v]) << "voxel " << v;
+    }
+    EXPECT_EQ(from_resident.svm_iterations, want.svm_iterations);
+    EXPECT_EQ(from_streamed.svm_iterations, want.svm_iterations);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledGroupedPipeline,
+                         ::testing::Values(1, 2, 3, 4));
+
+// Counts epoch_panel calls: one per panel load.
+class CountingView final : public fmri::DatasetView {
+ public:
+  explicit CountingView(const fmri::DatasetView& inner) : inner_(inner) {}
+  [[nodiscard]] const std::string& name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] std::size_t voxels() const override { return inner_.voxels(); }
+  [[nodiscard]] std::size_t timepoints() const override {
+    return inner_.timepoints();
+  }
+  [[nodiscard]] std::int32_t subjects() const override {
+    return inner_.subjects();
+  }
+  [[nodiscard]] const std::vector<fmri::Epoch>& epochs() const override {
+    return inner_.epochs();
+  }
+  [[nodiscard]] Panel epoch_panel(std::size_t idx) const override {
+    loads_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.epoch_panel(idx);
+  }
+  [[nodiscard]] std::size_t loads() const { return loads_.load(); }
+
+ private:
+  const fmri::DatasetView& inner_;
+  mutable std::atomic<std::size_t> loads_{0};
+};
+
+// Checks the cache's footprint each time the pipeline pins a range.
+class FootprintCheckingSource final : public EpochSource {
+ public:
+  FootprintCheckingSource(StreamedEpochs& inner, std::size_t panel)
+      : inner_(inner), panel_(panel) {}
+  [[nodiscard]] const std::vector<fmri::Epoch>& meta() const override {
+    return inner_.meta();
+  }
+  [[nodiscard]] std::size_t voxels() const override { return inner_.voxels(); }
+  [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override {
+    Lease lease = inner_.acquire(first, last);
+    EXPECT_LE(inner_.resident_bytes(),
+              inner_.budget_bytes() + (last - first) * panel_);
+    return lease;
+  }
+  void prefetch(std::size_t first, std::size_t last) override {
+    inner_.prefetch(first, last);
+  }
+
+ private:
+  StreamedEpochs& inner_;
+  std::size_t panel_;
+};
+
+TEST(StreamedEpochs, EvictedPanelBuffersAreRecycled) {
+  // A pooled grouped run sweeps every subject run once per group, so it
+  // loads far more panels than the budget holds.  Each load past the budget
+  // takes over the evicted panel's buffer: the cache allocates the panels
+  // that fit at once and never holds more than the budget plus what the
+  // pipeline has pinned.
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView inner(d);
+  const CountingView view(inner);
+  const std::size_t panel = panel_bytes(d);
+  const std::size_t budget = (d.epochs_per_subject() + 1) * panel;
+  threading::ThreadPool pool(3);
+  PipelineConfig config = PipelineConfig::optimized();
+  config.pool = &pool;
+  const VoxelTask task{0, static_cast<std::uint32_t>(d.voxels())};
+
+  StreamedEpochs streamed(view, {budget, &pool});
+  FootprintCheckingSource checked(streamed, panel);
+  const TaskResult got = run_task_grouped(checked, task, config, 5);
+
+  EXPECT_EQ(streamed.panel_allocations(), budget / panel);
+  EXPECT_GT(view.loads(), 2 * streamed.panel_allocations());
+  EXPECT_LE(streamed.resident_bytes(), budget);
+  const TaskResult want = run_task_grouped(norm, task, config, 5);
+  for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
+    EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
   }
 }
 

@@ -10,6 +10,9 @@
 #include <numeric>
 #include <set>
 
+#include "common/timeline.hpp"
+#include "common/timer.hpp"
+#include "common/trace.hpp"
 #include "fcma/corr_norm.hpp"
 #include "fcma/memory_model.hpp"
 #include "fcma/pipeline.hpp"
@@ -17,6 +20,7 @@
 #include "fmri/presets.hpp"
 #include "fmri/synthetic.hpp"
 #include "stats/stats.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace fcma::core {
 namespace {
@@ -134,6 +138,45 @@ TEST(CorrStage, MergedAndSeparatedAgree) {
   optimized_correlate_normalize(ne, task, separated.view(),
                                 NormMode::kSeparated);
   EXPECT_LE(max_diff(merged, separated), 2e-3f);
+}
+
+TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
+  // The pooled sweep still records task/correlation and task/normalization
+  // on the calling thread.  Worker seconds add up past the wall, so the
+  // normalization share is scaled to it: neither span goes negative and
+  // together they never exceed the fused call's wall time.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 1100;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  const std::size_t m = ne.per_epoch.size();
+  const VoxelTask task{0, 24};
+  linalg::Matrix buf = make_corr_buffer(task, m, d.voxels());
+  ResidentEpochs source(ne);
+  threading::ThreadPool pool(3);
+
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  trace::set_enabled(true);
+  const WallTimer wall;
+  {
+    const trace::Span task_span("task");
+    optimized_correlate_normalize(source, task, buf.view(), NormMode::kMerged,
+                                  &pool);
+  }
+  const double elapsed = wall.seconds();
+  trace::set_enabled(false);
+  trace::flush();
+  const trace::SpanStats corr = trace::global().span("task/correlation");
+  const trace::SpanStats norm = trace::global().span("task/normalization");
+  trace::global().reset();
+  trace::Timeline::global().reset();
+
+  EXPECT_EQ(corr.count, 1u);
+  EXPECT_EQ(norm.count, 1u);
+  EXPECT_GE(corr.total_s, 0.0);
+  EXPECT_GE(norm.total_s, 0.0);
+  EXPECT_LE(corr.total_s + norm.total_s, elapsed);
 }
 
 TEST(CorrStage, InstrumentedTwinsMatchFastPaths) {

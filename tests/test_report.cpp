@@ -42,7 +42,7 @@ TEST_P(GroupSizes, GroupedMatchesMonolithicPipeline) {
       ne, task, config, static_cast<std::size_t>(GetParam()));
   ASSERT_EQ(whole.accuracy.size(), grouped.accuracy.size());
   for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_NEAR(whole.accuracy[v], grouped.accuracy[v], 1e-9) << v;
+    EXPECT_EQ(whole.accuracy[v], grouped.accuracy[v]) << v;
   }
 }
 
@@ -59,7 +59,7 @@ TEST(GroupedPipeline, WorksWithBaselineImplAndThreads) {
   config.pool = &pool;
   const auto threaded = core::run_task_grouped(ne, task, config, 8);
   for (std::size_t v = 0; v < serial.accuracy.size(); ++v) {
-    EXPECT_NEAR(serial.accuracy[v], threaded.accuracy[v], 1e-9);
+    EXPECT_EQ(serial.accuracy[v], threaded.accuracy[v]);
   }
 }
 
@@ -73,7 +73,22 @@ TEST(GroupedPipeline, HonorsCustomFolds) {
   const auto grouped = core::run_task_grouped(ne, task, config, 3);
   const auto whole = core::run_task(ne, task, config);
   for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_NEAR(whole.accuracy[v], grouped.accuracy[v], 1e-9);
+    EXPECT_EQ(whole.accuracy[v], grouped.accuracy[v]);
+  }
+}
+
+TEST(GroupedPipeline, GroupBeyondUint32IsOneGroup) {
+  // A group size beyond the 32-bit voxel range must not wrap the group
+  // offset: any group >= task.count is one group.
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  const core::VoxelTask task{4, 12};
+  const core::PipelineConfig config = core::PipelineConfig::optimized();
+  const auto huge = core::run_task_grouped(ne, task, config, 1ull << 32);
+  const auto whole = core::run_task_grouped(ne, task, config, task.count);
+  ASSERT_EQ(huge.accuracy.size(), whole.accuracy.size());
+  for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
+    EXPECT_EQ(huge.accuracy[v], whole.accuracy[v]) << v;
   }
 }
 

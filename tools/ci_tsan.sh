@@ -1,8 +1,8 @@
 #!/bin/sh
 # ThreadSanitizer gate for the concurrency-sensitive layers: configures a
 # separate build tree with -DFCMA_SANITIZE=thread, builds the scheduler
-# (unit + sched-stress), threading, tracing, and cluster fault-tolerance
-# test binaries, and runs them under TSan.  Any reported race fails
+# (unit + sched-stress), threading, tracing, cluster fault-tolerance and
+# epoch-source test binaries, and runs them under TSan.  Any reported race fails
 # the script (halt_on_error); environments where TSan cannot compile or run
 # (no libtsan, unsupported kernel/ASLR settings) skip with exit 77, which
 # CTest maps to "skipped" via SKIP_RETURN_CODE.
@@ -48,6 +48,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_sched test_sched_stress test_threading test_trace \
           test_timeline test_tlstream test_cluster test_cluster_recovery \
+          test_epoch_source \
   -j "$JOBS" > /dev/null
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -71,4 +72,8 @@ echo "ci_tsan: running test_cluster under TSan"
 "$BUILD/tests/test_cluster"
 echo "ci_tsan: running test_cluster_recovery under TSan"
 "$BUILD/tests/test_cluster_recovery"
+# The pooled grouped pipeline: workers write disjoint columns of one
+# correlation buffer while prefetch tasks fill the shared panel cache.
+echo "ci_tsan: running test_epoch_source under TSan"
+"$BUILD/tests/test_epoch_source"
 echo "ci_tsan: clean"

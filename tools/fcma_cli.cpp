@@ -159,6 +159,13 @@ std::size_t parse_bytes(const std::string& s) {
   return static_cast<std::size_t>(value * static_cast<double>(scale));
 }
 
+// --threads as a pool size: 0 means hardware concurrency.
+std::size_t threads_flag(const Cli& cli) {
+  const long long threads = cli.get_int("threads");
+  FCMA_CHECK(threads >= 0, "--threads must not be negative");
+  return static_cast<std::size_t>(threads);
+}
+
 core::BudgetPlan budget_plan_for(const fmri::DatasetView& view,
                                  std::size_t budget_bytes) {
   return core::plan_residency(
@@ -324,7 +331,7 @@ int cmd_analyze(int argc, const char* const* argv) {
   cli.add_flag("grouped", "64", "voxels in flight (memory-bounded driver)");
   cli.add_flag("baseline", "false", "use the baseline implementation");
   cli.add_flag("threads", "0",
-               "worker threads for stage 3 (0 = hardware concurrency)");
+               "worker threads for every stage (0 = hardware concurrency)");
   cli.add_flag("sched", "steal",
                "task scheduler: steal (work-stealing pool) or serial");
   add_trace_flags(cli);
@@ -333,6 +340,9 @@ int cmd_analyze(int argc, const char* const* argv) {
   const std::string sched = cli.get("sched");
   FCMA_CHECK(sched == "steal" || sched == "serial",
              "--sched expects 'steal' or 'serial'");
+  const std::size_t threads = threads_flag(cli);
+  const long long grouped = cli.get_int("grouped");
+  FCMA_CHECK(grouped >= 1, "--grouped must be at least 1");
 
   const TraceSetup tracing_setup = setup_tracing(cli);
   const bool tracing = tracing_setup.tracing;
@@ -344,7 +354,7 @@ int cmd_analyze(int argc, const char* const* argv) {
                                     : core::PipelineConfig::optimized();
   std::optional<threading::ThreadPool> pool;
   if (sched == "steal") {
-    pool.emplace(static_cast<std::size_t>(cli.get_int("threads")));
+    pool.emplace(threads);
     config.pool = &*pool;
   }
   WallTimer timer;
@@ -370,7 +380,7 @@ int cmd_analyze(int argc, const char* const* argv) {
     board.add(core::run_task_grouped(
         *epochs,
         core::VoxelTask{0, static_cast<std::uint32_t>(view->voxels())},
-        config, static_cast<std::size_t>(cli.get_int("grouped"))));
+        config, static_cast<std::size_t>(grouped)));
   }
   std::printf("scored %zu voxels in %.1f s\n", view->voxels(),
               timer.seconds());
@@ -566,6 +576,7 @@ int cmd_offline(int argc, const char* const* argv) {
   const std::string sched = cli.get("sched");
   FCMA_CHECK(sched == "steal" || sched == "serial",
              "--sched expects 'steal' or 'serial'");
+  const std::size_t threads = threads_flag(cli);
 
   const TraceSetup tracing_setup = setup_tracing(cli);
 
@@ -577,7 +588,7 @@ int cmd_offline(int argc, const char* const* argv) {
   opts.memory_budget_bytes = parse_bytes(cli.get("memory-budget"));
   std::optional<threading::ThreadPool> pool;
   if (sched == "steal") {
-    pool.emplace(static_cast<std::size_t>(cli.get_int("threads")));
+    pool.emplace(threads);
     opts.pipeline.pool = &*pool;
   }
   WallTimer timer;

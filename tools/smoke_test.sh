@@ -43,8 +43,8 @@ grep -q "ROI clusters" analysis.txt
     --trace-stream tl_stream
 test -f trace.json && test -f tl_stream/timeline.json
 grep -q '"fcma.trace.v2"' trace.json
-grep -q 'correlation' trace.json
-grep -q 'normalization' trace.json
+grep -q '"task/correlation"' trace.json
+grep -q '"task/normalization"' trace.json
 grep -q 'svm' trace.json
 grep -q 'sched/' trace.json
 grep -q 'sched/steals' trace.json
@@ -96,6 +96,20 @@ if "$FCMA" analyze --in clean --report bad_topk.txt --top-k abc \
   exit 1
 fi
 
+# Negative or zero counts are clean errors (exit 1), not an uncaught
+# exception that aborts the process on a signal.
+expect_exit_1() {
+  status=0
+  "$FCMA" "$@" --in clean --report bad_count.txt 2>/dev/null || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "expected exit 1 for '$*', got $status" >&2
+    exit 1
+  fi
+}
+expect_exit_1 analyze --threads -1
+expect_exit_1 offline --threads -1
+expect_exit_1 analyze --grouped 0
+
 # Forced-ISA dispatch: every variant runs on any host (portable vector
 # code), reports itself in the trace metadata, and — because dispatch never
 # changes answers — produces an identical report.
@@ -141,6 +155,18 @@ trace_check streamed.json
 "$FCMA" offline --in sharded --report offline_streamed.txt --top-k 12 \
     --threads 2 --voxels-per-task 100 --memory-budget 16M
 cmp offline.txt offline_streamed.txt
+# Multi-panel bit-identity: 1100 voxels give three 512-column correlation
+# panels, the last a ragged 76 wide, which the pooled stages 1-2 spread
+# across threads.  Serial, pooled and pooled-streamed-under-eviction runs
+# must render the same report byte for byte.
+"$FCMA" generate --out wide --voxels 1100 --subjects 4 \
+    --epochs-per-subject 12 --informative 32 > /dev/null
+"$FCMA" analyze --in wide --report wide_serial.txt --top-k 6 --sched serial
+"$FCMA" analyze --in wide --report wide_pooled.txt --top-k 6 --threads 4
+"$FCMA" analyze --in wide --report wide_streamed.txt --top-k 6 --threads 3 \
+    --memory-budget 2M
+cmp wide_serial.txt wide_pooled.txt
+cmp wide_serial.txt wide_streamed.txt
 # A budget too small for even one subject's panels fails loudly.
 if "$FCMA" analyze --in sharded --report tiny.txt --memory-budget 64K \
     2>/dev/null; then
