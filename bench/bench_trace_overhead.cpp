@@ -1,34 +1,77 @@
 // Prices continuous profiling (PR 9): the identical serial pipeline sweep
 // with tracing fully off vs streaming every span to fcma.tlstream.v1
-// segment files.  Two measurement choices keep a small delta resolvable on
-// shared hardware:
+// segment files.  Three measurement choices keep a small delta resolvable
+// on shared hardware:
 //
-//  * Both variants run interleaved inside ONE process as back-to-back
-//    pairs, alternating which leg of each pair goes first, and the
+//  * Both variants run interleaved inside ONE process, task by task: one
+//    pair is a sweep in which every task runs untraced and streamed back
+//    to back, the order alternating per task and per pair, and the
 //    overhead is the median of the per-pair streamed/untraced wall-clock
-//    ratios — process-level A/B timing swings ±10% between invocations
-//    (DVFS, CPU contention), while the two legs of one pair sample the
-//    same machine state, so their ratio cancels the machine's mood and
-//    the median discards bursts that land inside a single leg.
+//    ratios.  Process-level A/B timing swings ±10% between invocations
+//    (DVFS, CPU contention), and even whole-sweep legs run back to back
+//    differ by a few percent; runs milliseconds apart sample the same
+//    machine state, so their ratio cancels the machine's mood, and the
+//    median discards bursts that land inside a single pair.
+//  * The verdict comes from an interval, not a point.  After --reps
+//    pairs, and after each further pair up to kMaxPairs, a distribution-
+//    free 95% confidence interval on the median ratio (order statistics
+//    of the sorted ratios) is checked against the budget: wholly at or
+//    below 1 + 3% passes, wholly above fails, anything else adds a pair.
+//    A run still undecided at kMaxPairs fails.
 //  * The workload is the single-threaded stage 1-3 pipeline, not the
 //    cluster farm: the farm's scheduler/heartbeat jitter on a loaded box
 //    dwarfs the tracing cost being measured.  The span record + ring
 //    publish + spill path priced here is per-thread and identical to what
 //    every cluster rank runs.
 //
-// The streamed leg uses a deliberately small ring (--ring) so segments
+// The streamed runs use a deliberately small ring (--ring) so segments
 // spill continuously mid-run — the always-on production shape, not a
-// single flush at exit — and the timed window includes finalize_stream()
+// single flush at exit — and the streamed time includes finalize_stream()
 // because publishing the manifest is part of the streaming cost.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/timeline.hpp"
 
 using namespace fcma;
+
+namespace {
+
+// The always-on streaming budget, as a streamed/untraced wall ratio.
+constexpr double kBudgetRatio = 1.03;
+// Pair cap: undecided at this many pairs fails the gate.
+constexpr int kMaxPairs = 31;
+
+// Distribution-free 95% confidence interval for the median of `sorted`:
+// [x_(k), x_(n+1-k)] with the largest k whose binomial tail
+// P(Binom(n, 1/2) <= k-1) is at most 2.5%, so coverage is at least 95%.
+// Needs n >= 6 (below that even [min, max] covers less than 95%).
+std::pair<double, double> median_ci95(const std::vector<double>& sorted) {
+  const std::size_t n = sorted.size();
+  double tail = 0.0;  // P(B <= j), accumulated term by term
+  double term = std::ldexp(1.0, -static_cast<int>(n));  // C(n, 0) / 2^n
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    tail += term;
+    if (tail > 0.025) break;
+    k = j + 1;
+    term *= static_cast<double>(n - j) / static_cast<double>(j + 1);
+  }
+  FCMA_CHECK(k >= 1, "median_ci95: too few pairs for a 95% interval");
+  return {sorted[k - 1], sorted[n - k]};
+}
+
+double median_of(const std::vector<double>& sorted) {
+  const std::size_t mid = sorted.size() / 2;
+  return sorted.size() % 2 != 0 ? sorted[mid]
+                                : 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const fcma::bench::MetricsSidecar metrics(argv[0]);
@@ -37,7 +80,8 @@ int main(int argc, char** argv) {
   cli.add_flag("voxels", "128", "scaled brain size");
   cli.add_flag("subjects", "4", "scaled subject count");
   cli.add_flag("task", "8", "voxels per task (small = more spans per rep)");
-  cli.add_flag("reps", "3", "interleaved untraced/streamed pairs");
+  cli.add_flag("reps", "9", "interleaved untraced/streamed sweep pairs "
+                            "before the first verdict check (6-31)");
   cli.add_flag("ring", "64", "per-thread ring capacity (small = spill "
                              "continuously mid-run)");
   cli.add_flag("stream-dir", "", "stream segment root (default "
@@ -53,23 +97,13 @@ int main(int argc, char** argv) {
   const auto task_voxels = static_cast<std::uint32_t>(cli.get_int("task"));
   const auto total = static_cast<std::uint32_t>(w.dataset.voxels());
   const int reps = cli.get_int("reps");
+  FCMA_CHECK(reps >= 6 && reps <= kMaxPairs,
+             "--reps must be between 6 and 31");
   const auto ring = static_cast<std::size_t>(cli.get_int("ring"));
   std::string stream_root = cli.get("stream-dir");
   if (stream_root.empty()) stream_root = std::string(argv[0]) + ".stream";
   std::filesystem::remove_all(stream_root);
 
-  // One full sweep over the brain, serial, returning an accuracy checksum
-  // so the two variants can be compared for identity.
-  auto sweep = [&] {
-    double checksum = 0.0;
-    for (std::uint32_t first = 0; first < total; first += task_voxels) {
-      const core::VoxelTask task{first,
-                                 std::min(task_voxels, total - first)};
-      const core::TaskResult r = core::run_task(w.epochs, task, config);
-      for (const double a : r.accuracy) checksum += a;
-    }
-    return checksum;
-  };
   auto wall = [](auto&& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
@@ -78,49 +112,63 @@ int main(int argc, char** argv) {
   };
   auto& timeline = trace::Timeline::global();
 
-  // One untraced leg: the main switch is off, so spans, counters and comm
-  // span contexts all collapse to no-ops.
+  // One pair: a full serial sweep over the brain in which every task runs
+  // twice, once untraced (the main switch off, so spans, counters and comm
+  // span contexts all collapse to no-ops) and once streamed, in an order
+  // that alternates per task and per pair.  Each variant's time is the sum
+  // over its task runs, plus, for the streamed one, finalize_stream().
+  // The streamed runs get fresh sinks and a run id per pair (reset()
+  // detaches the previous pair's lanes, so every pair streams into its own
+  // directory).  Accuracy checksums compare the variants for identity.
   double sum_off = 0.0;
-  auto run_off = [&] {
-    trace::set_enabled(false);
-    return wall([&] { sum_off = sweep(); });
-  };
-  // One streamed leg: fresh sinks and run id per rep (reset() detaches the
-  // previous rep's lanes, so every rep streams into its own directory).
   double sum_on = 0.0;
   std::uint64_t streamed_events = 0;
   std::uint64_t streamed_dropped = 0;
-  int rep_seq = 0;
-  auto run_on = [&] {
-    const std::string dir = stream_root + "/rep" + std::to_string(rep_seq++);
+  auto run_pair = [&](int rep) {
     timeline.reset();
     timeline.set_ring_capacity(ring);
     trace::new_run_id();
+    trace::set_stream_dir(stream_root + "/rep" + std::to_string(rep));
+    double off = 0.0;
+    double on = 0.0;
+    sum_off = sum_on = 0.0;
+    for (std::uint32_t first = 0; first < total; first += task_voxels) {
+      const core::VoxelTask task{first,
+                                 std::min(task_voxels, total - first)};
+      const bool on_first = (first / task_voxels + rep) % 2 != 0;
+      for (const bool traced : {on_first, !on_first}) {
+        trace::set_enabled(traced);
+        core::TaskResult r;
+        const double s =
+            wall([&] { r = core::run_task(w.epochs, task, config); });
+        (traced ? on : off) += s;
+        for (const double a : r.accuracy) (traced ? sum_on : sum_off) += a;
+      }
+    }
     trace::set_enabled(true);
-    trace::set_stream_dir(dir);
-    const double s = wall([&] {
-      sum_on = sweep();
-      timeline.finalize_stream();
-    });
+    on += wall([&] { timeline.finalize_stream(); });
     streamed_events = timeline.events_streamed();
     streamed_dropped += timeline.events_dropped();
     trace::set_stream_dir("");
-    return s;
+    return std::pair{off, on};
   };
 
   std::vector<double> off_s;
   std::vector<double> on_s;
-  for (int rep = 0; rep < reps; ++rep) {
-    if (rep % 2 == 0) {
-      off_s.push_back(run_off());
-      on_s.push_back(run_on());
-    } else {
-      on_s.push_back(run_on());
-      off_s.push_back(run_off());
-    }
+  std::vector<double> ratios;  // sorted streamed/untraced per-pair ratios
+  std::pair<double, double> ci{0.0, 0.0};
+  for (int rep = 0; rep < kMaxPairs; ++rep) {
+    const auto [off, on] = run_pair(rep);
+    off_s.push_back(off);
+    on_s.push_back(on);
+    const double ratio = on / off;
+    ratios.insert(std::upper_bound(ratios.begin(), ratios.end(), ratio),
+                  ratio);
+    if (rep + 1 < reps) continue;
+    ci = median_ci95(ratios);
+    if (ci.second <= kBudgetRatio || ci.first > kBudgetRatio) break;
   }
-  // The sidecar's own dump below needs the main switch back on.
-  trace::set_enabled(true);
+  const int pairs = static_cast<int>(ratios.size());
 
   if (std::abs(sum_off - sum_on) > 1e-12) {
     std::fprintf(stderr,
@@ -139,32 +187,30 @@ int main(int argc, char** argv) {
 
   const double min_off = *std::min_element(off_s.begin(), off_s.end());
   const double min_on = *std::min_element(on_s.begin(), on_s.end());
-  std::vector<double> ratios(off_s.size());
-  for (std::size_t i = 0; i < off_s.size(); ++i) {
-    ratios[i] = on_s[i] / off_s[i];
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const std::size_t mid = ratios.size() / 2;
-  const double median_ratio =
-      ratios.size() % 2 != 0 ? ratios[mid]
-                             : 0.5 * (ratios[mid - 1] + ratios[mid]);
-  const double pct = 100.0 * (median_ratio - 1.0);
+  const double pct = 100.0 * (median_of(ratios) - 1.0);
+  const double ci_lo_pct = 100.0 * (ci.first - 1.0);
+  const double ci_hi_pct = 100.0 * (ci.second - 1.0);
+  const char* verdict = ci.second <= kBudgetRatio ? "pass" : "fail";
 
-  Table t("wall clock over " + std::to_string(reps) + " interleaved pairs");
+  Table t("wall clock over " + std::to_string(pairs) + " interleaved pairs");
   t.header({"variant", "min wall (s)", "events", "dropped"});
   t.row({"untraced", Table::num(min_off, 3), "0", "0"});
   t.row({"streamed", Table::num(min_on, 3),
          Table::count(static_cast<long long>(streamed_events)), "0"});
   t.print();
 
-  std::printf("trace_overhead pct=%.2f baseline_s=%.3f streaming_s=%.3f "
-              "events=%llu dropped=%llu\n",
-              pct, min_off, min_on,
+  std::printf("trace_overhead pct=%.2f ci_lo=%.2f ci_hi=%.2f pairs=%d "
+              "verdict=%s baseline_s=%.3f streaming_s=%.3f events=%llu "
+              "dropped=%llu\n",
+              pct, ci_lo_pct, ci_hi_pct, pairs, verdict, min_off, min_on,
               static_cast<unsigned long long>(streamed_events),
               static_cast<unsigned long long>(streamed_dropped));
   trace::gauge_set("trace/baseline_wall_s", min_off);
   trace::gauge_set("trace/streaming_wall_s", min_on);
   trace::gauge_set("trace/overhead_pct", pct);
+  trace::gauge_set("trace/overhead_ci_lo_pct", ci_lo_pct);
+  trace::gauge_set("trace/overhead_ci_hi_pct", ci_hi_pct);
+  trace::gauge_set("trace/pairs", pairs);
   trace::gauge_set("trace/streamed_events",
                    static_cast<double>(streamed_events));
   return 0;

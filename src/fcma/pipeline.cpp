@@ -1,5 +1,6 @@
 #include "fcma/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "archsim/roofline.hpp"
@@ -33,34 +34,10 @@ void attach_roofline(const memsim::Instrument& ins,
 
 TaskResult run_task(EpochSource& epochs, const VoxelTask& task,
                     const PipelineConfig& config) {
-  FCMA_CHECK(!epochs.meta().empty(), "no epochs to process");
-  const trace::Span task_span("task");
-  trace::count("pipeline/tasks");
-  const std::size_t m = epochs.meta().size();
-  const std::size_t n = epochs.voxels();
-  // The count*M x N correlation buffer is the single biggest allocation of
-  // the pipeline; tasks of equal size reuse it through the worker's arena.
-  auto corr_lease =
-      Workspace::local().acquire(static_cast<std::size_t>(task.count) * m * n);
-  const linalg::MatrixView corr{corr_lease.data(),
-                                static_cast<std::size_t>(task.count) * m, n,
-                                n};
-  if (config.impl == Impl::kBaseline) {
-    baseline_correlate_normalize(epochs, task, corr);
-  } else {
-    optimized_correlate_normalize(epochs, task, corr, config.norm_mode);
-  }
-  const auto folds = config.cv_folds != nullptr
-                         ? *config.cv_folds
-                         : epoch_loso_folds(epochs.meta());
-  const SvmStageResult stage3 =
-      svm_stage(corr, epochs.meta(), folds, task, config.impl, config.solver,
-                config.svm_options, config.pool);
-  TaskResult result;
-  result.task = task;
-  result.accuracy = stage3.accuracy;
-  result.svm_iterations = stage3.svm_iterations;
-  return result;
+  // The whole task is one group; an empty task still gets a valid group
+  // size and returns no accuracies.
+  return run_task_grouped(epochs, task, config,
+                          std::max<std::size_t>(task.count, 1));
 }
 
 TaskResult run_task(const fmri::NormalizedEpochs& epochs,
@@ -74,17 +51,22 @@ std::vector<TaskResult> run_tasks(EpochSource& epochs,
                                   const PipelineConfig& config) {
   std::vector<TaskResult> results(tasks.size());
   if (config.pool != nullptr && tasks.size() > 1) {
-    // One task per scheduler task; the nested stage-3 parallel_for inside
-    // each runs through the same scheduler (help-first joins), so small
-    // task counts still fill the machine.  Arithmetic is identical to the
-    // single-thread path: every voxel writes its own accuracy slot and the
-    // results vector is indexed by task order, not completion order.
+    // One scheduler task per FCMA task, and no pool below it: each task's
+    // stages run inline on the worker that took it.  Nesting the stages on
+    // the same pool would let a worker that helps while it joins start a
+    // sibling task with its own correlation buffer still held, stacking
+    // buffers per thread.  Every voxel writes its own accuracy slot and the
+    // results vector is indexed by task order, so results match the serial
+    // loop exactly.
+    PipelineConfig inline_config = config;
+    inline_config.pool = nullptr;
     threading::parallel_for_each(
-        *config.pool, 0, tasks.size(),
-        [&](std::size_t i) { results[i] = run_task(epochs, tasks[i], config); });
+        *config.pool, 0, tasks.size(), [&](std::size_t i) {
+          results[i] = run_task(epochs, tasks[i], inline_config);
+        });
   } else {
-    // A single task (or no pool): run on the calling thread so the pool
-    // stays free for the task's inner stage-3 parallelism.
+    // A single task (or no pool): run on the calling thread so the task's
+    // stages keep the whole pool.
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       results[i] = run_task(epochs, tasks[i], config);
     }
@@ -111,8 +93,7 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   // Per group, correlate+normalize into a reusable buffer and reduce each
   // voxel to its kernel matrix, both across the pool: the optimized stage
   // 1+2 spreads column panels, and each voxel's kernel is one serial syrk
-  // on one thread (never the chunk-parallel syrk, whose fold order follows
-  // the pool size), so results are pool-independent.  One group-sized
+  // on one thread, so results are pool-independent.  One group-sized
   // workspace lease covers every group (the last, possibly shorter group
   // just views a prefix).  Iterating in size_t keeps a group larger than
   // 2^32 - 1 voxels from wrapping the loop.

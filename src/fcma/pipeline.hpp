@@ -2,10 +2,11 @@
 //
 // run_task executes stages 1-3 for one voxel-range task against
 // pre-normalized epoch data, returning one cross-validation accuracy per
-// assigned voxel.  PipelineConfig selects the baseline or optimized
-// implementation of every stage; run_task_instrumented additionally collects
-// the per-stage event counts that drive the Table 1/7 and Fig 9/10/11
-// reproductions.
+// assigned voxel.  It is run_task_grouped with the whole task as one group:
+// the grouped pipeline is the only task driver.  PipelineConfig selects the
+// baseline or optimized implementation of every stage;
+// run_task_instrumented additionally collects the per-stage event counts
+// that drive the Table 1/7 and Fig 9/10/11 reproductions.
 #pragma once
 
 #include <span>
@@ -23,11 +24,12 @@ struct PipelineConfig {
   NormMode norm_mode = NormMode::kMerged;
   svm::SolverKind solver = svm::SolverKind::kPhiSvm;
   svm::TrainOptions svm_options;
-  /// Optional pool.  run_task_grouped runs every stage on it: column
-  /// panels of the optimized merged stage 1+2, one serial syrk per voxel
-  /// (never the chunk-parallel syrk, whose fold order follows the pool
-  /// size), and one SVM cross-validation per voxel.  run_task uses it for
-  /// stage 3 and run_tasks for whole tasks.  Results never depend on it.
+  /// Optional pool, used at exactly one level.  run_task and
+  /// run_task_grouped run every stage on it: column panels of the optimized
+  /// merged stage 1+2, one serial syrk per voxel, and one SVM
+  /// cross-validation per voxel.  run_tasks with more than one task spreads
+  /// whole tasks over it instead, and their stages run pool-less on their
+  /// worker.  Results never depend on it.
   threading::ThreadPool* pool = nullptr;
   /// Optional custom cross-validation folds (test-index groups).  When
   /// null, leave-one-subject-out folds are derived from the epoch metadata.
@@ -54,7 +56,8 @@ struct TaskResult {
   long svm_iterations = 0;
 };
 
-/// Runs the three-stage pipeline for `task`.
+/// Runs the three-stage pipeline for `task`:
+/// run_task_grouped(epochs, task, config, task.count).
 ///
 /// The EpochSource form is primary: stages lease epoch panels in the
 /// granularity they need (per epoch, or per subject run when stage 1/2 are
@@ -71,10 +74,11 @@ struct TaskResult {
 /// Runs every task and returns the results in task order.
 ///
 /// With a pool configured and more than one task, tasks are distributed
-/// across the workers (the paper's task-level parallelism); each task's
-/// inner stages then run inline on their worker.  With one task — or no
-/// pool — tasks run on the calling thread, which keeps the pool available
-/// to the *inner* stage parallelism instead.  Either way the result vector
+/// across the workers (the paper's task-level parallelism); each task runs
+/// with config.pool cleared, so its stages run inline on its worker and no
+/// pool work nests inside another.  With one task — or no pool — tasks run
+/// on the calling thread with the config unchanged, which keeps the pool
+/// available to the task's stages instead.  Either way the result vector
 /// is ordered by task index, so downstream consumers see an identical
 /// sequence regardless of thread count.
 [[nodiscard]] std::vector<TaskResult> run_tasks(
@@ -104,17 +108,17 @@ struct InstrumentedTaskResult {
     const PipelineConfig& config, memsim::Instrument& ins,
     unsigned model_lanes = 16);
 
-/// Memory-bounded variant of run_task — the paper's §4.4 workflow.
+/// The memory-bounded pipeline — the paper's §4.4 workflow.
 ///
-/// run_task keeps the whole task's correlation buffer (task.count x M x N
-/// floats) alive through stage 3; at the paper's dimensions that caps a
-/// coprocessor task at ~120 voxels.  run_task_grouped instead processes the
-/// task in groups of `group_voxels`: stages 1+2 run for one group, each
-/// group voxel's M x N block is immediately reduced to its M x M kernel
-/// matrix, and the correlation buffer is reused for the next group.  Only
-/// the small kernel matrices accumulate, so a task of 240+ voxels fits the
-/// modeled 6GB — the enabler for full thread occupancy during SVM
-/// cross-validation.  Peak correlation memory: group_voxels * M * N floats.
+/// Holding the whole task's correlation buffer (task.count x M x N floats)
+/// at once caps a coprocessor task at ~120 voxels at the paper's
+/// dimensions.  run_task_grouped instead processes the task in groups of
+/// `group_voxels`: stages 1+2 run for one group, each group voxel's M x N
+/// block is immediately reduced to its M x M kernel matrix, and the
+/// correlation buffer is reused for the next group.  Only the small kernel
+/// matrices accumulate, so a task of 240+ voxels fits the modeled 6GB — the
+/// enabler for full thread occupancy during SVM cross-validation.  Peak
+/// correlation memory: group_voxels * M * N floats.
 ///
 /// With config.pool set, stages 1-2 of each group use the pool as well:
 /// the optimized merged sweep spreads column panels across it and the

@@ -1,11 +1,9 @@
 #include "fcma/svm_stage.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
 
@@ -59,38 +57,6 @@ void compute_voxel_kernel(linalg::ConstMatrixView corr, std::size_t epochs,
   } else {
     linalg::opt::syrk(block, kernel);
   }
-}
-
-SvmStageResult svm_stage(linalg::ConstMatrixView corr,
-                         const std::vector<fmri::Epoch>& meta,
-                         const std::vector<std::vector<std::size_t>>& folds,
-                         const VoxelTask& task, Impl impl,
-                         svm::SolverKind solver,
-                         const svm::TrainOptions& options,
-                         threading::ThreadPool* pool) {
-  const trace::Span span("svm");
-  const std::size_t m = meta.size();
-  const auto labels = epoch_labels(meta);
-  SvmStageResult result;
-  result.accuracy.assign(task.count, 0.0);
-  std::atomic<long> iterations{0};
-
-  auto run_voxel = [&](std::size_t v) {
-    // Every voxel of a task needs the same M x M kernel matrix; drawing it
-    // from the executing worker's arena turns count allocations into one.
-    auto kernel_lease = Workspace::local().acquire(m * m);
-    const linalg::MatrixView kernel{kernel_lease.data(), m, m, m};
-    compute_voxel_kernel(corr, m, v, impl, kernel);
-    const svm::CvResult cv =
-        svm::cross_validate(solver, kernel, labels, folds, options);
-    result.accuracy[v] = cv.accuracy();
-    iterations.fetch_add(cv.iterations, std::memory_order_relaxed);
-  };
-
-  threading::for_each_index(pool, 0, task.count, run_voxel);
-  result.svm_iterations = iterations.load();
-  trace::count("svm/cv_iterations", result.svm_iterations);
-  return result;
 }
 
 SvmStageResult svm_stage_instrumented(

@@ -1,11 +1,12 @@
-// Pipeline stage 3: per-voxel kernel precomputation + SVM cross-validation
-// (paper §3.2 baseline, §4.4 optimized).
+// Pipeline stage 3 building blocks (paper §3.2 baseline, §4.4 optimized).
 //
-// For every assigned voxel, its M x N correlation block is reduced to an
-// M x M linear-kernel matrix (a syrk), and a leave-one-subject-out
-// cross-validation assigns the voxel an accuracy score.  The baseline uses
-// the generic syrk and the LibSVM solver; the optimized path uses the
-// panel-blocked syrk and PhiSVM.
+// Each assigned voxel's M x N correlation block is reduced to an M x M
+// linear-kernel matrix (compute_voxel_kernel, one serial syrk), and a
+// cross-validation over the epoch labels and folds built here assigns the
+// voxel an accuracy score.  The baseline uses the generic syrk and the
+// LibSVM solver; the optimized path uses the panel-blocked syrk and PhiSVM.
+// The task driver that composes them is run_task_grouped (pipeline.hpp);
+// svm_stage_instrumented is its serial, event-counted stage 3.
 #pragma once
 
 #include <vector>
@@ -16,14 +17,13 @@
 #include "linalg/tune.hpp"
 #include "memsim/instrument.hpp"
 #include "svm/cross_validation.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace fcma::core {
 
 /// Which kernel implementations stage 3 uses.
 enum class Impl { kBaseline, kOptimized };
 
-/// Per-voxel outcome of stage 3.
+/// Per-voxel outcome of the instrumented stage 3.
 struct SvmStageResult {
   std::vector<double> accuracy;  ///< CV accuracy per task voxel
   long svm_iterations = 0;       ///< total SMO iterations across voxels
@@ -37,18 +37,9 @@ void compute_voxel_kernel(linalg::ConstMatrixView corr, std::size_t epochs,
                           linalg::MatrixView kernel,
                           const linalg::tune::SyrkGeometry* geo = nullptr);
 
-/// Runs stage 3 for every voxel of the task.  `corr` is the stage-1/2
-/// output buffer (task.count * M rows by N); `folds` are the CV test groups
-/// (leave-one-subject-out for multi-subject analysis, k-fold over epochs for
-/// online single-subject selection).  If `pool` is non-null, voxels are
-/// cross-validated in parallel, one problem per thread (the paper's scheme).
-[[nodiscard]] SvmStageResult svm_stage(
-    linalg::ConstMatrixView corr, const std::vector<fmri::Epoch>& meta,
-    const std::vector<std::vector<std::size_t>>& folds, const VoxelTask& task,
-    Impl impl, svm::SolverKind solver, const svm::TrainOptions& options,
-    threading::ThreadPool* pool = nullptr);
-
-/// Instrumented twin (serial; events accumulate into `ins`).
+/// Runs stage 3 for every voxel of the task, serially, with events
+/// accumulating into `ins`.  `corr` is the stage-1/2 output buffer
+/// (task.count * M rows by N); `folds` are the CV test groups.
 [[nodiscard]] SvmStageResult svm_stage_instrumented(
     linalg::ConstMatrixView corr, const std::vector<fmri::Epoch>& meta,
     const std::vector<std::vector<std::size_t>>& folds, const VoxelTask& task,

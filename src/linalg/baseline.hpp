@@ -19,22 +19,14 @@
 
 #include "linalg/matrix.hpp"
 #include "memsim/instrument.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace fcma::linalg::baseline {
 
 /// C[MxN] = A[MxK] * B[NxK]^T, generic dot-product blocking.
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
-/// Threaded variant: rows of C are split across the pool.
-void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             threading::ThreadPool& pool);
-
 /// C[MxM] = A[MxN] * A^T (both triangles written), generic blocking.
 void syrk(ConstMatrixView a, MatrixView c);
-
-/// Threaded variant: row tiles of C are split across the pool.
-void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool);
 
 /// Instrumented gemm_nt: computes the same result with scalar code while
 /// narrating the generic kernel's instruction stream to `ins`, modeling a

@@ -47,21 +47,6 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   }
 }
 
-void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             threading::ThreadPool& pool) {
-  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
-  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
-  const trace::Span span("baseline_gemm_nt");
-  threading::parallel_for(
-      pool, 0, a.rows, kRowBlock,
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t j0 = 0; j0 < b.rows; j0 += kColBlock) {
-          const std::size_t j1 = std::min(b.rows, j0 + kColBlock);
-          gemm_tile(a, b, c, i0, i1, j0, j1);
-        }
-      });
-}
-
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                           memsim::Instrument& ins, unsigned model_lanes) {
   FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");

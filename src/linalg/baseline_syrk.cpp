@@ -42,15 +42,6 @@ void syrk(ConstMatrixView a, MatrixView c) {
   }
 }
 
-void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool) {
-  FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
-  const trace::Span span("baseline_syrk");
-  threading::parallel_for(pool, 0, a.rows, kTile,
-                          [&](std::size_t i0, std::size_t i1) {
-                            syrk_tile(a, c, i0, i1);
-                          });
-}
-
 void syrk_instrumented(ConstMatrixView a, MatrixView c,
                        memsim::Instrument& ins, unsigned model_lanes) {
   FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");

@@ -11,22 +11,23 @@
 //              the tall-skinny operand, idea #3 transpose for vector loads).
 //
 //   syrk     — SVM kernel precomputation: C[M,M] = A[M,N] * A^T with
-//              M ~ 200-550, N ~ 35k.  Following the paper's Fig 7, threads
-//              walk the long dimension in panels of 96 columns, copy the
-//              panel into a local buffer, transpose it, run a fixed
-//              (rows x lanes x 96) register-blocked micro-kernel, and merge
-//              their partial C under a lock.
+//              M ~ 200-550, N ~ 35k.  Following the paper's Fig 7, the
+//              kernel walks the long dimension in panels of 96 columns,
+//              copies each panel into a local buffer, transposes it, and
+//              runs a fixed (rows x lanes x 96) register-blocked
+//              micro-kernel that accumulates into C in panel order.
+//
+// Both kernels are serial.  The pipeline parallelizes around them — column
+// panels of the correlation stage, one syrk per voxel — so a result never
+// depends on how many threads ran.
 //
 // Each kernel has an instrumented twin that recomputes the result in scalar
 // code while narrating the production instruction stream to a
 // memsim::Instrument (see memsim/instrument.hpp).
 #pragma once
 
-#include <functional>
-
 #include "linalg/matrix.hpp"
 #include "memsim/instrument.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace fcma::linalg::opt {
 
@@ -48,8 +49,8 @@ inline constexpr std::size_t kSyrkMicroRows = 9;
 
 /// Fixed numeric substep of the syrk accumulation: the micro-kernel flushes
 /// its register accumulators into C every kSyrkNumericK elements of the
-/// long dimension.  The threaded syrk chunks the long dimension in these
-/// units, so its accumulation chains depend only on (n, pool size).
+/// long dimension, whatever the dispatched ISA, so every accumulation chain
+/// depends only on n.
 inline constexpr std::size_t kSyrkNumericK = 48;
 static_assert(kSyrkPanelK % kSyrkNumericK == 0,
               "syrk panels must hold whole numeric substeps");
@@ -58,18 +59,8 @@ static_assert(kSyrkPanelK % kSyrkNumericK == 0,
 /// loops.  `c.ld` may exceed N (interleaved epoch layout, paper Fig 4).
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
-/// Threaded gemm_nt: column panels are distributed across the pool.
-void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             threading::ThreadPool& pool);
-
 /// C[MxM] = A[MxN] * A^T (both triangles written).
 void syrk(ConstMatrixView a, MatrixView c);
-
-/// Threaded syrk: the long dimension is distributed across the pool in
-/// kSyrkNumericK-substep chunks; each chunk accumulates a private C and the
-/// caller folds the chunks in order (deterministic for a given n and pool
-/// size).
-void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool);
 
 /// Instrumented twins (see baseline.hpp for the model_lanes convention).
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,

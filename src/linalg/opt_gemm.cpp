@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/trace.hpp"
@@ -49,20 +48,6 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   const trace::Span span("gemm_nt");
   auto bt = core::Workspace::local().acquire(a.cols * kGemmPanelCols);
   gemm_panels(a, b, c, 0, b.rows, bt.data());
-}
-
-void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-             threading::ThreadPool& pool) {
-  FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
-  FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
-  const trace::Span span("gemm_nt");
-  threading::parallel_for(
-      pool, 0, b.rows, kGemmPanelCols, [&](std::size_t j0, std::size_t j1) {
-        // Each chunk runs on one worker; the packed panel comes from that
-        // worker's arena and is reused by every chunk it executes.
-        auto bt = core::Workspace::local().acquire(a.cols * kGemmPanelCols);
-        gemm_panels(a, b, c, j0, j1, bt.data());
-      });
 }
 
 void pack_bt_panel_instrumented(ConstMatrixView b, std::size_t j0,

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/trace.hpp"
@@ -63,58 +62,6 @@ void syrk(ConstMatrixView a, MatrixView c) {
     const std::size_t k1 = std::min(n, k0 + kSyrkPanelK);
     panel_contribution(a, k0, k1, a_local.data(), at_local.data(), c.data,
                        c.ld);
-  }
-  mirror_upper(c);
-}
-
-void syrk(ConstMatrixView a, MatrixView c, threading::ThreadPool& pool) {
-  FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
-  const trace::Span span("syrk");
-  const std::size_t m = a.rows;
-  const std::size_t n = a.cols;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::memset(c.row(i), 0, m * sizeof(float));
-  }
-  // Each chunk owns a contiguous range of the long dimension and
-  // accumulates into its own slot of a caller-owned buffer; the caller then
-  // folds the slots into C *in chunk order*.  The paper uses an OpenMP lock
-  // here, but a completion-order merge stops being reproducible now that
-  // nested parallel_for really runs parallel (the scheduler's help-first
-  // joins replaced the inline fallback) — ordered slots keep the result a
-  // pure function of the chunking, whatever worker ran what and when.
-  // Chunks are counted in kSyrkNumericK substeps, so the chunk partition —
-  // and with it every accumulation chain — depends only on (n, pool size).
-  // Packing buffers still come from the executing worker's arena; the slots
-  // cannot (workspace leases are thread-affine, the merge runs on the
-  // caller).
-  const std::size_t substeps = (n + kSyrkNumericK - 1) / kSyrkNumericK;
-  const std::size_t tasks = std::min<std::size_t>(pool.size() * 2, substeps);
-  const std::size_t per_task = (substeps + tasks - 1) / tasks;
-  const std::size_t chunks = (substeps + per_task - 1) / per_task;
-  AlignedBuffer<float> partials(chunks * m * m);
-  std::memset(partials.data(), 0, chunks * m * m * sizeof(float));
-  threading::parallel_for(
-      pool, 0, substeps, per_task,
-      [&](std::size_t s0, std::size_t s1) {
-        auto& workspace = core::Workspace::local();
-        auto a_local = workspace.acquire(m * kSyrkPanelK);
-        auto at_local = workspace.acquire(kSyrkPanelK * m);
-        float* c_chunk = partials.data() + (s0 / per_task) * m * m;
-        const std::size_t k_end = std::min(n, s1 * kSyrkNumericK);
-        for (std::size_t k0 = s0 * kSyrkNumericK; k0 < k_end;
-             k0 += kSyrkPanelK) {
-          const std::size_t k1 = std::min(k_end, k0 + kSyrkPanelK);
-          panel_contribution(a, k0, k1, a_local.data(), at_local.data(),
-                             c_chunk, m);
-        }
-      });
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    const float* chunk_c = partials.data() + chunk * m * m;
-    for (std::size_t i = 0; i < m; ++i) {
-      float* FCMA_RESTRICT dst = c.row(i);
-      const float* FCMA_RESTRICT src = chunk_c + i * m;
-      for (std::size_t j = 0; j <= i; ++j) dst[j] += src[j];
-    }
   }
   mirror_upper(c);
 }

@@ -111,8 +111,8 @@ void gemm_row_panel_t(const float* FCMA_RESTRICT a, std::size_t k,
 // ---------------------------------------------------------------------------
 // syrk packed-panel sweep (paper Fig 7): ROWS x W-col micro-tiles over the
 // lower triangle.  The register accumulators flush into C on a FIXED cadence
-// of opt::kSyrkNumericK elements, the unit the threaded syrk chunks the long
-// dimension in.  The full-tile kernel fixes that substep at compile time (a
+// of opt::kSyrkNumericK elements at every lane width, so all ISAs round
+// alike.  The full-tile kernel fixes that substep at compile time (a
 // runtime bound defeats the strided a_local loads' unrolling); ragged
 // substeps fall to the shared edge handler.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the EpochSource data plane: streamed panels must be bit-
 // identical to the resident path — serial or pooled, in-memory or shard-
 // backed, whole-brain or partitioned — and the cache must respect its
-// byte budget.  Also covers the plan_residency budget split.
+// byte budget.  Also covers the plan_residency budget split and run_tasks'
+// single level of pool work.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -249,6 +250,66 @@ TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledGroupedPipeline,
+                         ::testing::Values(1, 2, 3, 4));
+
+// run_tasks spreads whole tasks over the pool and runs each task's stages
+// inline on its worker: one scheduler task per FCMA task, nothing nested
+// below it.  Resident panels keep the count exact (a streamed source's
+// prefetch also runs on the pool).
+TEST(RunTasks, SpawnsOnePoolTaskPerTask) {
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  ResidentEpochs resident(norm);
+  const std::vector<VoxelTask> tasks = partition_voxels(d.voxels(), 8);
+  ASSERT_EQ(tasks.size(), 5u);
+  threading::ThreadPool pool(3);
+  PipelineConfig config = PipelineConfig::optimized();
+  config.pool = &pool;
+  const std::uint64_t before = pool.scheduler().stats().executed;
+  const std::vector<TaskResult> results = run_tasks(resident, tasks, config);
+  EXPECT_EQ(pool.scheduler().stats().executed - before, tasks.size());
+  EXPECT_EQ(results.size(), tasks.size());
+}
+
+// Pooled run_tasks against the serial loop of run_task, over pools of 1-4
+// threads, on resident panels and on streamed ones under a budget that
+// forces evictions.
+class PooledRunTasks : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PooledRunTasks, MatchesTheSerialLoop) {
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView view(d);
+  const std::vector<VoxelTask> tasks = partition_voxels(d.voxels(), 7);
+  const PipelineConfig serial = PipelineConfig::optimized();
+  std::vector<TaskResult> want;
+  for (const VoxelTask& task : tasks) {
+    want.push_back(run_task(norm, task, serial));
+  }
+
+  threading::ThreadPool pool(GetParam());
+  PipelineConfig pooled = serial;
+  pooled.pool = &pool;
+  ResidentEpochs resident(norm);
+  StreamedEpochs streamed(
+      view, {(d.epochs_per_subject() + 1) * panel_bytes(d), &pool});
+  for (EpochSource* source : {static_cast<EpochSource*>(&resident),
+                              static_cast<EpochSource*>(&streamed)}) {
+    const std::vector<TaskResult> got = run_tasks(*source, tasks, pooled);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      ASSERT_EQ(got[t].accuracy.size(), want[t].accuracy.size());
+      for (std::size_t v = 0; v < want[t].accuracy.size(); ++v) {
+        EXPECT_EQ(got[t].accuracy[v], want[t].accuracy[v])
+            << "task " << t << " voxel " << v;
+      }
+      EXPECT_EQ(got[t].svm_iterations, want[t].svm_iterations);
+    }
+  }
+  EXPECT_LT(streamed.resident_panels(), streamed.meta().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledRunTasks,
                          ::testing::Values(1, 2, 3, 4));
 
 // Counts epoch_panel calls: one per panel load.

@@ -312,14 +312,8 @@ TEST(SvmStage, PlannedGeometryMatchesDefaultAndOthersThrow) {
 TEST(SvmStage, InformativeVoxelsScoreAboveNoise) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
-  const std::size_t m = ne.per_epoch.size();
   const VoxelTask task{0, static_cast<std::uint32_t>(d.voxels())};
-  linalg::Matrix buf = make_corr_buffer(task, m, d.voxels());
-  optimized_correlate_normalize(ne, task, buf.view(), NormMode::kMerged);
-  const auto folds = epoch_loso_folds(ne.meta);
-  const SvmStageResult r =
-      svm_stage(buf.view(), ne.meta, folds, task, Impl::kOptimized,
-                svm::SolverKind::kPhiSvm, svm::TrainOptions{});
+  const TaskResult r = run_task(ne, task, PipelineConfig::optimized());
   const auto& inf = d.informative_voxels();
   std::set<std::uint32_t> inf_set(inf.begin(), inf.end());
   double inf_mean = 0.0;
@@ -338,27 +332,6 @@ TEST(SvmStage, InformativeVoxelsScoreAboveNoise) {
   EXPECT_GT(inf_mean, 0.75);
   EXPECT_LT(noise_mean, 0.65);
   EXPECT_GT(inf_mean, noise_mean + 0.15);
-}
-
-TEST(SvmStage, ThreadedMatchesSerial) {
-  const fmri::Dataset d = small_dataset();
-  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
-  const std::size_t m = ne.per_epoch.size();
-  const VoxelTask task{0, 10};
-  linalg::Matrix buf = make_corr_buffer(task, m, d.voxels());
-  optimized_correlate_normalize(ne, task, buf.view(), NormMode::kMerged);
-  const auto folds = epoch_loso_folds(ne.meta);
-  const SvmStageResult serial =
-      svm_stage(buf.view(), ne.meta, folds, task, Impl::kOptimized,
-                svm::SolverKind::kPhiSvm, svm::TrainOptions{});
-  threading::ThreadPool pool(4);
-  const SvmStageResult threaded =
-      svm_stage(buf.view(), ne.meta, folds, task, Impl::kOptimized,
-                svm::SolverKind::kPhiSvm, svm::TrainOptions{}, &pool);
-  ASSERT_EQ(serial.accuracy.size(), threaded.accuracy.size());
-  for (std::size_t v = 0; v < serial.accuracy.size(); ++v) {
-    EXPECT_NEAR(serial.accuracy[v], threaded.accuracy[v], 1e-9);
-  }
 }
 
 TEST(EpochLabels, MapsToPlusMinusOne) {

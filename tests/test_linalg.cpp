@@ -13,7 +13,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/opt.hpp"
 #include "linalg/reference.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace fcma::linalg {
 namespace {
@@ -128,17 +127,6 @@ TEST_P(SyrkShapes, OptimizedMatchesReference) {
   EXPECT_LE(reference::max_abs_diff(want.view(), got.view()), tolerance(n));
 }
 
-TEST_P(SyrkShapes, OptimizedThreadedMatchesReference) {
-  const auto [m, n] = GetParam();
-  const Matrix a = random_matrix(m, n, 13);
-  Matrix want(m, m);
-  Matrix got(m, m);
-  reference::syrk(a.view(), want.view());
-  threading::ThreadPool pool(4);
-  opt::syrk(a.view(), got.view(), pool);
-  EXPECT_LE(reference::max_abs_diff(want.view(), got.view()), tolerance(n));
-}
-
 TEST_P(SyrkShapes, InstrumentedTwinsMatchReference) {
   const auto [m, n] = GetParam();
   const Matrix a = random_matrix(m, n, 14);
@@ -168,30 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SyrkShape{64, 97}));  // panel remainder
 
 // ---------------------------------------------------------------------------
-// threaded gemm, interleaved layout, panel primitives
+// interleaved layout, panel primitives
 // ---------------------------------------------------------------------------
-
-TEST(Gemm, ThreadedMatchesSerial) {
-  const Matrix a = random_matrix(24, 12, 21);
-  const Matrix b = random_matrix(1500, 12, 22);
-  Matrix serial(24, 1500);
-  Matrix threaded(24, 1500);
-  opt::gemm_nt(a.view(), b.view(), serial.view());
-  threading::ThreadPool pool(4);
-  opt::gemm_nt(a.view(), b.view(), threaded.view(), pool);
-  EXPECT_EQ(reference::max_abs_diff(serial.view(), threaded.view()), 0.0f);
-}
-
-TEST(Gemm, BaselineThreadedMatchesSerial) {
-  const Matrix a = random_matrix(24, 12, 23);
-  const Matrix b = random_matrix(700, 12, 24);
-  Matrix serial(24, 700);
-  Matrix threaded(24, 700);
-  baseline::gemm_nt(a.view(), b.view(), serial.view());
-  threading::ThreadPool pool(3);
-  baseline::gemm_nt(a.view(), b.view(), threaded.view(), pool);
-  EXPECT_EQ(reference::max_abs_diff(serial.view(), threaded.view()), 0.0f);
-}
 
 TEST(Gemm, InterleavedLdcWritesStridedRows) {
   // The FCMA layout trick: epoch slices use ld = epochs * N so voxel rows
@@ -390,33 +356,6 @@ TEST(Matrix, ViewsShareStorage) {
   EXPECT_EQ(m(1, 1), 9.0f);
   ConstMatrixView cv = m.view();
   EXPECT_EQ(cv(1, 1), 9.0f);
-}
-
-// The pooled syrk chunks the long dimension in kSyrkNumericK substeps and
-// folds the chunks in order, so its result is a pure function of (n, pool
-// size): which worker ran which chunk, and when, must not move a bit.
-TEST(OptSyrk, PooledRunsAreBitIdentical) {
-  const std::size_t m = 21, n = 700;  // ragged vs panel depth and tile
-  const Matrix a = random_matrix(m, n, 66);
-  Matrix ref(m, m);
-  {
-    threading::ThreadPool pool(3);
-    opt::syrk(a.view(), ref.view(), pool);
-  }
-  for (int rep = 0; rep < 4; ++rep) {
-    threading::ThreadPool pool(3);
-    for (int run = 0; run < 2; ++run) {
-      Matrix c(m, m);
-      opt::syrk(a.view(), c.view(), pool);
-      for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < m; ++j) {
-          EXPECT_EQ(c(i, j), ref(i, j))
-              << "rep " << rep << " run " << run << " at (" << i << "," << j
-              << ")";
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

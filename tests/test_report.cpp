@@ -30,19 +30,45 @@ fmri::Dataset small_dataset() {
 // run_task_grouped
 // ---------------------------------------------------------------------------
 
+// The monolithic pipeline, composed serially from the public stage calls:
+// stages 1+2 over the whole task, then per voxel its kernel matrix and a
+// cross-validation.  An independent reference for the task driver.
+std::vector<double> monolithic_accuracies(
+    const fmri::NormalizedEpochs& ne, const core::VoxelTask& task,
+    const std::vector<std::vector<std::size_t>>& folds) {
+  const std::size_t m = ne.meta.size();
+  linalg::Matrix corr =
+      core::make_corr_buffer(task, m, ne.per_epoch.front().rows());
+  core::optimized_correlate_normalize(ne, task, corr.view(),
+                                      core::NormMode::kMerged);
+  const auto labels = core::epoch_labels(ne.meta);
+  std::vector<double> accuracy;
+  for (std::size_t v = 0; v < task.count; ++v) {
+    linalg::Matrix kernel(m, m);
+    core::compute_voxel_kernel(corr.view(), m, v, core::Impl::kOptimized,
+                               kernel.view());
+    accuracy.push_back(svm::cross_validate(svm::SolverKind::kPhiSvm,
+                                           kernel.view(), labels, folds,
+                                           svm::TrainOptions{})
+                           .accuracy());
+  }
+  return accuracy;
+}
+
 class GroupSizes : public ::testing::TestWithParam<int> {};
 
 TEST_P(GroupSizes, GroupedMatchesMonolithicPipeline) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
   const core::VoxelTask task{8, 40};
-  const core::PipelineConfig config = core::PipelineConfig::optimized();
-  const core::TaskResult whole = core::run_task(ne, task, config);
+  const std::vector<double> want =
+      monolithic_accuracies(ne, task, core::epoch_loso_folds(ne.meta));
   const core::TaskResult grouped = core::run_task_grouped(
-      ne, task, config, static_cast<std::size_t>(GetParam()));
-  ASSERT_EQ(whole.accuracy.size(), grouped.accuracy.size());
-  for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_EQ(whole.accuracy[v], grouped.accuracy[v]) << v;
+      ne, task, core::PipelineConfig::optimized(),
+      static_cast<std::size_t>(GetParam()));
+  ASSERT_EQ(grouped.accuracy.size(), want.size());
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    EXPECT_EQ(grouped.accuracy[v], want[v]) << v;
   }
 }
 
@@ -70,10 +96,14 @@ TEST(GroupedPipeline, HonorsCustomFolds) {
   core::PipelineConfig config = core::PipelineConfig::optimized();
   config.cv_folds = &folds;
   const core::VoxelTask task{0, 8};
+  const std::vector<double> want = monolithic_accuracies(ne, task, folds);
   const auto grouped = core::run_task_grouped(ne, task, config, 3);
   const auto whole = core::run_task(ne, task, config);
-  for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_EQ(whole.accuracy[v], grouped.accuracy[v]);
+  ASSERT_EQ(grouped.accuracy.size(), want.size());
+  ASSERT_EQ(whole.accuracy.size(), want.size());
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    EXPECT_EQ(grouped.accuracy[v], want[v]) << v;
+    EXPECT_EQ(whole.accuracy[v], want[v]) << v;
   }
 }
 

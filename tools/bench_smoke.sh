@@ -8,7 +8,8 @@
 # file: per-bench wall-clock, the Table 5 per-kernel GFLOPS, p95 span
 # latencies of the pipeline stages, the cluster load-imbalance ratio, the
 # recovery/failover costs, and the cost of always-on streaming tracing
-# (interleaved untraced vs streamed pipeline pairs, asserted < 3%).
+# (interleaved untraced vs streamed pipeline pairs; the upper end of a 95%
+# confidence interval on the median ratio must be at or below 3%).
 #
 # Usage: bench_smoke.sh <bench-dir> [output.json] [--pr N]
 #
@@ -96,27 +97,40 @@ run_bench oocore "$BENCH_DIR/bench_oocore" --task 64
 cp "$BENCH_DIR/bench_oocore.metrics.json" "$WORK/oocore_metrics.json"
 
 # Tracing overhead: the serial pipeline sweep with tracing fully off vs
-# streaming every span to tlstream segments, run as interleaved A/B pairs
-# inside one process (see bench_trace_overhead.cpp for why process-level
+# streaming every span to tlstream segments, run as task-interleaved A/B
+# pairs inside one process (see bench_trace_overhead.cpp for why process-level
 # timing cannot resolve a small delta on shared hardware).  The
-# continuous-profiling contract is that always-on streaming costs < 3%.
+# continuous-profiling contract is that always-on streaming costs <= 3%:
+# the bench adds pairs (9 up to 31) until a 95% confidence interval on the
+# median per-pair ratio clears the bound, and the gate passes only when
+# the interval's upper end is at or below 3%.
 run_bench trace_overhead "$BENCH_DIR/bench_trace_overhead" \
-  --voxels 256 --reps 5
+  --voxels 256 --reps 9
 OVH_LINE=$(grep '^trace_overhead ' "$WORK/trace_overhead.txt")
 OVH_PCT=$(echo "$OVH_LINE" \
-  | sed -n 's/.*pct=\(-\{0,1\}[0-9.]*\).*/\1/p')
+  | sed -n 's/.* pct=\(-\{0,1\}[0-9.]*\).*/\1/p')
+OVH_CI_LO=$(echo "$OVH_LINE" \
+  | sed -n 's/.* ci_lo=\(-\{0,1\}[0-9.]*\).*/\1/p')
+OVH_CI_HI=$(echo "$OVH_LINE" \
+  | sed -n 's/.* ci_hi=\(-\{0,1\}[0-9.]*\).*/\1/p')
+OVH_PAIRS=$(echo "$OVH_LINE" | sed -n 's/.* pairs=\([0-9]*\).*/\1/p')
 OVH_OFF_S=$(echo "$OVH_LINE" \
   | sed -n 's/.*baseline_s=\([0-9.]*\).*/\1/p')
 OVH_ON_S=$(echo "$OVH_LINE" \
   | sed -n 's/.*streaming_s=\([0-9.]*\).*/\1/p')
 OVH_EVENTS=$(echo "$OVH_LINE" | sed -n 's/.*events=\([0-9]*\).*/\1/p')
 test -n "$OVH_PCT" && test -n "$OVH_OFF_S" && test -n "$OVH_ON_S"
+test -n "$OVH_CI_LO" && test -n "$OVH_CI_HI" && test -n "$OVH_PAIRS"
 # The streamed legs must have been real ones: zero drops, spans on disk.
 echo "$OVH_LINE" | grep -q 'dropped=0'
 test "$OVH_EVENTS" -gt 0
-echo "  tracing overhead: ${OVH_PCT}% (${OVH_EVENTS} events streamed)"
-awk -v pct="$OVH_PCT" 'BEGIN {exit !(pct < 3.0)}' || {
-  echo "bench smoke: tracing overhead ${OVH_PCT}% breaches the 3% budget" >&2
+echo "  tracing overhead: ${OVH_PCT}%, 95% CI [${OVH_CI_LO}%, ${OVH_CI_HI}%]" \
+  "over ${OVH_PAIRS} pairs (${OVH_EVENTS} events streamed)"
+# The bench decides against its 3% budget (kBudgetRatio) on the unrounded
+# interval; verdict=pass means the upper end is at or below 3%.
+echo "$OVH_LINE" | grep -q ' verdict=pass ' || {
+  echo "bench smoke: tracing overhead 95% CI [${OVH_CI_LO}%, ${OVH_CI_HI}%]" \
+    "over ${OVH_PAIRS} pairs does not clear the 3% budget" >&2
   exit 1
 }
 
@@ -215,7 +229,7 @@ fi
 
 cat > "$OUT" <<EOF
 {
-  "schema": "fcma.bench_smoke.v8",
+  "schema": "fcma.bench_smoke.v9",
   "simd_isa": "$ISA",
   "benches": {
     "table5_matmul_gflops": {
@@ -268,10 +282,11 @@ cat > "$OUT" <<EOF
       "baseline_wall_s": $OVH_OFF_S,
       "streaming_wall_s": $OVH_ON_S,
       "overhead_pct": $OVH_PCT,
+      "overhead_ci95_pct": [$OVH_CI_LO, $OVH_CI_HI],
       "overhead_budget_pct": 3.0,
       "streamed_events": $OVH_EVENTS,
-      "estimator": "median of per-pair streamed/untraced wall ratios",
-      "reps": 5
+      "estimator": "median of per-pair streamed/untraced wall ratios, each pair one task-interleaved sweep; pass when its distribution-free 95% CI upper end is <= 3%",
+      "pairs": $OVH_PAIRS
     }
   }
 }

@@ -14,6 +14,7 @@
 // analysis report then includes ROI clusters.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,7 +157,11 @@ std::size_t parse_bytes(const std::string& s) {
       default: fcma::raise("bad byte-size suffix: " + s);
     }
   }
-  return static_cast<std::size_t>(value * static_cast<double>(scale));
+  // Converting a double at or beyond 2^64 (or inf) to size_t is undefined.
+  const double bytes = value * static_cast<double>(scale);
+  FCMA_CHECK(std::isfinite(bytes) && bytes < 0x1p64,
+             "byte size out of range: " + s);
+  return static_cast<std::size_t>(bytes);
 }
 
 // --threads as a pool size: 0 means hardware concurrency.

@@ -109,6 +109,9 @@ expect_exit_1() {
 expect_exit_1 analyze --threads -1
 expect_exit_1 offline --threads -1
 expect_exit_1 analyze --grouped 0
+# A byte size no size_t can hold is rejected, not converted.
+expect_exit_1 analyze --memory-budget inf
+expect_exit_1 analyze --memory-budget 1e30G
 
 # Forced-ISA dispatch: every variant runs on any host (portable vector
 # code), reports itself in the trace metadata, and — because dispatch never
