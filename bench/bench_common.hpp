@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "archsim/arch_model.hpp"
@@ -16,6 +17,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "common/tlstream.hpp"
 #include "common/trace.hpp"
 #include "fcma/pipeline.hpp"
 #include "fmri/presets.hpp"
@@ -91,36 +93,46 @@ inline cluster::CalibratedCost calibrate(const Workload& w,
   return cluster::CalibratedCost(run, dims_of(w, calib_task_voxels));
 }
 
-/// Writes the global trace registry (stage spans, thread-pool and comm
-/// counters) as JSON to `path`.  Spans are recorded into per-thread shards
-/// first (see common/timeline.hpp), so drain them into the registry before
-/// serializing.
-inline void dump_metrics(const std::string& path) {
-  trace::flush();
-  trace::global().write_json(path);
-}
-
-/// Turns tracing on for the bench's lifetime and writes the metrics
-/// sidecar `<argv0>.metrics.json` when main() returns, so every table and
-/// figure reproduction leaves a machine-readable stage breakdown next to
-/// its printed output.  Declare first in main().
+/// Turns tracing on for the bench's lifetime, streaming it to
+/// `<argv0>.stream/`, and writes the stream's fcma.trace.v2 view as the
+/// metrics sidecar `<argv0>.metrics.json` when main() returns, so every
+/// table and figure reproduction leaves a machine-readable stage breakdown
+/// next to its printed output.  Declare first in main().
 class MetricsSidecar {
  public:
   explicit MetricsSidecar(const std::string& argv0)
-      : path_(argv0 + ".metrics.json") {
+      : stream_dir_(argv0 + ".stream"), path_(argv0 + ".metrics.json") {
+    // A previous run's lanes would otherwise merge into this run's views.
+    std::filesystem::remove_all(stream_dir_);
+    trace::set_stream_dir(stream_dir_);
     trace::set_enabled(true);
+    trace::set_exit_dump();
     trace::meta_set("simd/isa",
                     linalg::simd::isa_name(linalg::simd::active_isa()));
   }
   ~MetricsSidecar() {
-    dump_metrics(path_);
+    trace::dump_now();
+    std::error_code ec;
+    std::filesystem::copy_file(
+        stream_dir_ + "/" + std::string(trace::tlstream::kTraceFile), path_,
+        std::filesystem::copy_options::overwrite_existing, ec);
+    if (ec) {
+      std::fprintf(stderr, "metrics sidecar %s not written: %s\n",
+                   path_.c_str(), ec.message().c_str());
+      return;
+    }
     std::printf("\nmetrics sidecar written to %s\n", path_.c_str());
   }
 
   MetricsSidecar(const MetricsSidecar&) = delete;
   MetricsSidecar& operator=(const MetricsSidecar&) = delete;
 
+  /// The stream this sidecar renders (a bench that arms streams of its own
+  /// re-arms this one before main() returns).
+  [[nodiscard]] const std::string& stream_dir() const { return stream_dir_; }
+
  private:
+  std::string stream_dir_;
   std::string path_;
 };
 

@@ -24,6 +24,7 @@
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
+#include "common/trace.hpp"
 #include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
 #include "fmri/dataset_view.hpp"
@@ -141,6 +142,8 @@ int phase_resident(const PhaseArgs& a) {
 
 int phase_streamed(const PhaseArgs& a) {
   WallTimer timer;
+  // The io/* counters need tracing on, and tracing records into a stream.
+  trace::set_stream_dir(a.dir + "/streamed.stream");
   trace::set_enabled(true);
   const auto view = fmri::open_shard_store(a.dir + "/store", "store");
   const core::BudgetPlan plan = core::plan_residency(
@@ -169,7 +172,6 @@ int phase_streamed(const PhaseArgs& a) {
   }
   write_accuracies(a.dir + "/streamed.acc", accuracy);
 
-  trace::flush();
   const auto& reg = trace::global();
   const std::size_t peak = peak_rss_bytes();
   std::ofstream stats(a.dir + "/streamed.stats");

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   cli.add_flag("ring", "64", "per-thread ring capacity (small = spill "
                              "continuously mid-run)");
   cli.add_flag("stream-dir", "", "stream segment root (default "
-                                 "<argv0>.stream, wiped per invocation)");
+                                 "<argv0>.pairs, wiped per invocation)");
   if (!cli.parse(argc, argv)) return 0;
 
   bench::print_preamble(
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
              "--reps must be between 6 and 31");
   const auto ring = static_cast<std::size_t>(cli.get_int("ring"));
   std::string stream_root = cli.get("stream-dir");
-  if (stream_root.empty()) stream_root = std::string(argv[0]) + ".stream";
+  if (stream_root.empty()) stream_root = std::string(argv[0]) + ".pairs";
   std::filesystem::remove_all(stream_root);
 
   auto wall = [](auto&& fn) {
@@ -169,6 +169,10 @@ int main(int argc, char** argv) {
     if (ci.second <= kBudgetRatio || ci.first > kBudgetRatio) break;
   }
   const int pairs = static_cast<int>(ratios.size());
+  // Hand the stream back to the metrics sidecar: every pair armed its own,
+  // and reset() detaches the last pair's lanes.
+  timeline.reset();
+  trace::set_stream_dir(metrics.stream_dir());
 
   if (std::abs(sum_off - sum_on) > 1e-12) {
     std::fprintf(stderr,

@@ -23,8 +23,10 @@
 int main() {
   using namespace fcma;
 
-  // Trace the run: the sidecar picks up comm message/byte counters and the
-  // per-worker task latency spans from part 1's real protocol run.
+  // Trace the run into a stream: its views pick up comm message/byte
+  // counters and the per-worker task latency spans from part 1's real
+  // protocol run.
+  trace::set_stream_dir("cluster_scaling.stream");
   trace::set_enabled(true);
 
   fmri::DatasetSpec spec = fmri::tiny_spec();
@@ -52,7 +54,7 @@ int main() {
               static_cast<long long>(
                   trace::global().counter("comm/messages")),
               static_cast<long long>(trace::global().counter("comm/bytes")));
-  trace::global().write_json("cluster_scaling.trace.json");
+  trace::dump_now();  // cluster_scaling.stream/{trace,timeline}.json
 
   // ---- Part 2: virtual-time projection to a 96-node cluster ------------
   std::printf("part 2: virtual 48-node cluster, paper-scale face-scene\n");

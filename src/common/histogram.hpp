@@ -1,6 +1,6 @@
 // Log-bucketed latency histogram: fixed-footprint percentile tracking.
 //
-// The trace layer's SpanStats answer "how much total time", but the paper's
+// A span's count and total answer "how much time", but the paper's
 // load-balance story (§3.1.1, Table 3) and any straggler diagnosis need the
 // *distribution* of span latencies — a handful of slow SVM voxels can hide
 // behind a healthy mean.  LatencyHistogram buckets durations by power-of-two
@@ -8,8 +8,8 @@
 // width b), which covers 1 ns .. ~290 years in 64 fixed counters with a
 // worst-case quantile error of one octave, tightened by linear interpolation
 // inside the winning bucket.  Recording is one bit-scan plus one increment;
-// merging is 64 additions — cheap enough to keep one histogram per span
-// label per thread and merge shards at export (see common/timeline.hpp).
+// merging is 64 additions — cheap enough to fold one histogram per span
+// label (or span class) when a view is rendered from the event stream.
 #pragma once
 
 #include <bit>
@@ -47,7 +47,7 @@ class LatencyHistogram {
   /// Quantile estimate in seconds for p in [0, 1]: finds the bucket holding
   /// the rank-p sample and interpolates linearly across the bucket's
   /// nanosecond range.  Returns 0 for an empty histogram.  Callers that
-  /// track exact min/max (SpanStats) should clamp the estimate to them.
+  /// track exact min/max should clamp the estimate to them.
   [[nodiscard]] double quantile(double p) const;
 
   void reset() {

@@ -1,16 +1,16 @@
-// Minimal JSON reader for fcma's own trace files.
+// Minimal JSON reader for fcma's own files.
 //
-// `fcma report --trace-in run.json` re-reads what `--trace` wrote, and the
-// container ships no JSON library — so this is a small recursive-descent
-// parser of standard JSON (RFC 8259: objects, arrays, strings with the
-// usual escapes, numbers, true/false/null).  It is a *reader for trusted,
-// self-produced files*: inputs are parsed strictly (trailing garbage or
+// The trace stream's segments and manifest, scoreboard checkpoints and
+// shard manifests are JSON, and the container ships no JSON library — so
+// this is a small recursive-descent parser of standard JSON (RFC 8259:
+// objects, arrays, strings with the usual escapes, numbers,
+// true/false/null).  Inputs are parsed strictly (trailing garbage or
 // malformed syntax throw fcma::Error with a byte offset), but the API
 // favours convenience over schema enforcement — lookups on the wrong kind
-// return empty/zero values instead of throwing, so report code can probe
-// optional sections ("roofline" may be absent in a v1 file) without
-// ceremony.  The one strict accessor, as_uint(), is for counts and indices
-// that size or address memory (checkpoint voxel ranges, shard geometry).
+// return empty/zero values instead of throwing, so callers check kinds
+// (is_number(), is_object(), ...) where a field must be present.  The one
+// strict accessor, as_uint(), is for counts and indices that size or
+// address memory (checkpoint voxel ranges, shard geometry, stream ids).
 #pragma once
 
 #include <cstdint>

@@ -1,214 +1,66 @@
 #include "common/metrics.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
-#include "common/error.hpp"
-
 namespace fcma::trace {
-
-namespace {
-
-// Labels are library-chosen, but escape defensively so the exporter always
-// emits valid JSON even for user-supplied label text.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
-void Registry::record_span(const std::string& label, double seconds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SpanEntry& entry = spans_[label];
-  entry.stats.record(seconds);
-  entry.hist.record_seconds(seconds);
-}
-
-void Registry::merge_span(const std::string& label, const SpanStats& stats,
-                          const LatencyHistogram& hist) {
-  if (stats.count == 0 && hist.count() == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SpanEntry& entry = spans_[label];
-  entry.stats.merge(stats);
-  entry.hist.merge(hist);
-}
 
 void Registry::count(const std::string& name, std::int64_t delta) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  counters_[name] += delta;
+  data_.counters[name] += delta;
 }
 
 void Registry::gauge_set(const std::string& name, double value) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[name] = value;
+  data_.gauges[name] = value;
 }
 
 void Registry::gauge_max(const std::string& name, double value) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = gauges_.emplace(name, value);
+  const auto [it, inserted] = data_.gauges.emplace(name, value);
   if (!inserted && value > it->second) it->second = value;
 }
 
 void Registry::meta_set(const std::string& name, const std::string& value) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  meta_[name] = value;
+  data_.meta[name] = value;
 }
 
 void Registry::roofline_set(const std::string& label,
                             const RooflineStats& stats) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  roofline_[label] = stats;
-}
-
-SpanStats Registry::span(const std::string& label) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = spans_.find(label);
-  return it == spans_.end() ? SpanStats{} : it->second.stats;
-}
-
-double Registry::clamped_quantile(const SpanEntry& entry, double p) {
-  if (entry.hist.count() == 0) return 0.0;
-  return std::clamp(entry.hist.quantile(p), entry.stats.min_s,
-                    entry.stats.max_s);
-}
-
-double Registry::span_quantile(const std::string& label, double p) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = spans_.find(label);
-  return it == spans_.end() ? 0.0 : clamped_quantile(it->second, p);
+  data_.roofline[label] = stats;
 }
 
 std::int64_t Registry::counter(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  const auto it = data_.counters.find(name);
+  return it == data_.counters.end() ? 0 : it->second;
 }
 
 double Registry::gauge(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
+  const auto it = data_.gauges.find(name);
+  return it == data_.gauges.end() ? 0.0 : it->second;
 }
 
 std::string Registry::meta(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = meta_.find(name);
-  return it == meta_.end() ? std::string() : it->second;
+  const auto it = data_.meta.find(name);
+  return it == data_.meta.end() ? std::string() : it->second;
 }
 
 RooflineStats Registry::roofline(const std::string& label) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = roofline_.find(label);
-  return it == roofline_.end() ? RooflineStats{} : it->second;
+  const auto it = data_.roofline.find(label);
+  return it == data_.roofline.end() ? RooflineStats{} : it->second;
 }
 
-std::vector<std::string> Registry::span_labels() const {
+Metrics Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(spans_.size());
-  for (const auto& [label, entry] : spans_) out.push_back(label);
-  return out;
-}
-
-std::string Registry::to_json() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"schema\": \"fcma.trace.v2\",\n  \"meta\": {";
-  bool first = true;
-  for (const auto& [name, v] : meta_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": \"" + json_escape(v) + "\"";
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"spans\": {";
-  first = true;
-  for (const auto& [label, e] : spans_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(label) + "\": {\"count\": " +
-           std::to_string(e.stats.count) + ", \"total_s\": " +
-           json_double(e.stats.total_s) + ", \"min_s\": " +
-           json_double(e.stats.min_s) + ", \"max_s\": " +
-           json_double(e.stats.max_s) + ", \"p50_s\": " +
-           json_double(clamped_quantile(e, 0.50)) + ", \"p95_s\": " +
-           json_double(clamped_quantile(e, 0.95)) + ", \"p99_s\": " +
-           json_double(clamped_quantile(e, 0.99)) + "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"counters\": {";
-  first = true;
-  for (const auto& [name, v] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_double(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"roofline\": {";
-  first = true;
-  for (const auto& [label, r] : roofline_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(label) + "\": {\"modeled_s\": " +
-           json_double(r.modeled_s) + ", \"gflops\": " +
-           json_double(r.gflops) + ", \"ai_flops_per_byte\": " +
-           json_double(r.ai_flops_per_byte) + ", \"pct_roofline\": " +
-           json_double(r.pct_roofline) + ", \"bound\": \"" +
-           json_escape(r.bound) + "\"}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
-}
-
-void Registry::write_json(const std::string& path) const {
-  const std::string json = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  FCMA_CHECK(f != nullptr, "cannot open trace output file " + path);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  FCMA_CHECK(written == json.size(), "short write to trace file " + path);
+  return data_;
 }
 
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  spans_.clear();
-  counters_.clear();
-  gauges_.clear();
-  meta_.clear();
-  roofline_.clear();
+  data_ = Metrics{};
 }
 
 Registry& global() {

@@ -1,65 +1,36 @@
-// Thread-safe metrics registry: span statistics, counters, and gauges.
+// Thread-safe metrics registry: counters, gauges, run metadata, rooflines.
 //
-// This is the aggregation substrate of the fcma::trace layer (trace.hpp).
-// A Registry holds four label-keyed families:
+// This is the in-memory half of the fcma::trace layer (trace.hpp).  Spans
+// are not kept here: every span occurrence is an event in the
+// fcma.tlstream.v1 stream (tlstream.hpp), and per-label span statistics are
+// folded from the stream when a view is rendered.  A Registry holds the
+// values that are not events:
 //
-//   spans     — duration aggregates (count / total / min / max seconds plus
-//               a log-bucketed latency histogram for p50/p95/p99), fed by
-//               trace::Span RAII timers, record_span() directly, or merged
-//               from the per-thread timeline shards at trace::flush();
 //   counters  — monotonically adjusted signed integers (messages, bytes,
 //               tasks executed, SVM iterations, ...);
 //   gauges    — last-or-max point-in-time values (queue depth, ...);
+//   meta      — run-metadata strings (ISA in use, run id, ...);
 //   roofline  — per-kernel roofline attributions (modeled time, arithmetic
 //               intensity, % of the machine roofline) attached by the
 //               memsim-instrumented paths (see archsim/roofline.hpp).
 //
-// All mutation goes through one mutex.  That is fine for the families that
-// record at *stage* granularity (counters, gauges, direct record_span), but
-// the per-task span hot path does NOT come here anymore: trace::Span records
-// into the calling thread's timeline shard (common/timeline.hpp) and the
-// shards merge into this registry via merge_span() at export.  The
+// All mutation goes through one mutex; these families record at stage
+// granularity.  In-process reads (counter(), gauge(), ...) see every value
+// at once; the stream's finalize copies a snapshot() into its stream.done
+// manifest, from which the fcma.trace.v2 view renders them.  The
 // process-wide instance is trace::global(); tests construct their own.
 //
-// Read semantics: span(), counter(), gauge(), span_quantile() and meta() on
-// a name that was never recorded return a zero value (empty string for
-// meta) and do NOT insert the name — lookups never grow the registry or
-// change its exported JSON.
+// Read semantics: counter(), gauge(), meta() and roofline() on a name that
+// was never recorded return a zero value (empty string for meta) and do NOT
+// insert the name — lookups never grow the registry or its snapshot.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
-
-#include "common/histogram.hpp"
 
 namespace fcma::trace {
-
-/// Aggregate of every duration recorded under one span label.
-struct SpanStats {
-  std::uint64_t count = 0;
-  double total_s = 0.0;
-  double min_s = 0.0;
-  double max_s = 0.0;
-
-  void record(double seconds) {
-    if (count == 0 || seconds < min_s) min_s = seconds;
-    if (count == 0 || seconds > max_s) max_s = seconds;
-    total_s += seconds;
-    ++count;
-  }
-
-  /// Folds another aggregate into this one.
-  void merge(const SpanStats& other) {
-    if (other.count == 0) return;
-    if (count == 0 || other.min_s < min_s) min_s = other.min_s;
-    if (count == 0 || other.max_s > max_s) max_s = other.max_s;
-    total_s += other.total_s;
-    count += other.count;
-  }
-};
 
 /// Roofline attribution of one kernel/stage (archsim::roofline_point()).
 struct RooflineStats {
@@ -70,17 +41,17 @@ struct RooflineStats {
   std::string bound;               ///< "compute" or "memory"
 };
 
-/// Label-keyed holder of span aggregates, counters, gauges, and rooflines.
+/// Every non-span value of one run, by name.
+struct Metrics {
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, std::string> meta;
+  std::map<std::string, RooflineStats> roofline;
+};
+
+/// Name-keyed holder of counters, gauges, metadata and rooflines.
 class Registry {
  public:
-  /// Folds one duration into the aggregate (and histogram) for `label`.
-  void record_span(const std::string& label, double seconds);
-
-  /// Merges a pre-aggregated shard (stats + histogram) into `label` — the
-  /// export path of the per-thread timeline sinks.
-  void merge_span(const std::string& label, const SpanStats& stats,
-                  const LatencyHistogram& hist);
-
   /// Adjusts the counter `name` by `delta` (creating it at zero).
   void count(const std::string& name, std::int64_t delta = 1);
 
@@ -98,56 +69,23 @@ class Registry {
 
   // Reads return zero values for unknown names and never insert (see the
   // header comment).
-  [[nodiscard]] SpanStats span(const std::string& label) const;
-  /// Latency quantile estimate for `label`, clamped to the recorded
-  /// [min_s, max_s]; 0 when the label has no samples.
-  [[nodiscard]] double span_quantile(const std::string& label,
-                                     double p) const;
   [[nodiscard]] std::int64_t counter(const std::string& name) const;
   [[nodiscard]] double gauge(const std::string& name) const;
   [[nodiscard]] std::string meta(const std::string& name) const;
   [[nodiscard]] RooflineStats roofline(const std::string& label) const;
-  [[nodiscard]] std::vector<std::string> span_labels() const;
 
-  /// Serializes everything as one JSON object — schema `fcma.trace.v2`.
-  /// Every v1 field is preserved; v2 adds the per-span p50_s/p95_s/p99_s
-  /// quantiles and the "roofline" section:
-  ///   {"schema": "fcma.trace.v2",
-  ///    "meta": {"<name>": "<value>", ...},
-  ///    "spans": {"<label>": {"count": C, "total_s": T, "min_s": m,
-  ///              "max_s": M, "p50_s": q50, "p95_s": q95, "p99_s": q99},
-  ///              ...},
-  ///    "counters": {"<name>": N, ...},
-  ///    "gauges": {"<name>": V, ...},
-  ///    "roofline": {"<label>": {"modeled_s": S, "gflops": G,
-  ///                 "ai_flops_per_byte": I, "pct_roofline": P,
-  ///                 "bound": "compute|memory"}, ...}}
-  [[nodiscard]] std::string to_json() const;
+  /// A copy of every recorded value.
+  [[nodiscard]] Metrics snapshot() const;
 
-  /// Writes to_json() to `path` (throws fcma::Error on I/O failure).
-  void write_json(const std::string& path) const;
-
-  /// Drops every recorded value (labels included).
+  /// Drops every recorded value (names included).
   void reset();
 
  private:
-  struct SpanEntry {
-    SpanStats stats;
-    LatencyHistogram hist;
-  };
-
-  [[nodiscard]] static double clamped_quantile(const SpanEntry& entry,
-                                               double p);
-
   mutable std::mutex mutex_;
-  std::map<std::string, SpanEntry> spans_;
-  std::map<std::string, std::int64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, std::string> meta_;
-  std::map<std::string, RooflineStats> roofline_;
+  Metrics data_;
 };
 
-/// The process-wide registry every production span/counter reports to.
+/// The process-wide registry every production counter/gauge reports to.
 [[nodiscard]] Registry& global();
 
 }  // namespace fcma::trace

@@ -30,18 +30,11 @@ thread_local LocalInterns t_interns;
 }  // namespace
 
 void ThreadSink::record(std::uint32_t label, std::uint64_t start_ns,
-                        std::uint64_t end_ns, bool event, std::uint64_t span,
+                        std::uint64_t end_ns, std::uint64_t span,
                         std::uint64_t parent) {
-  // One uncontended per-thread lock covers the aggregate fold and the ring
-  // append; flush_into() and finalize_stream() take it from other threads.
+  // Uncontended per-thread lock: only finalize_stream() takes it from other
+  // threads.
   const std::lock_guard<std::mutex> lock(mutex_);
-  {
-    LabelAggregate& agg = aggs_[label];
-    const std::uint64_t dur_ns = end_ns - start_ns;
-    agg.stats.record(static_cast<double>(dur_ns) * 1e-9);
-    agg.hist.record_ns(dur_ns);
-  }
-  if (!event) return;
   if (ring_.size() >= ring_capacity_) spill_locked();
   if (ring_.size() >= ring_capacity_) {
     // The stream was finalized or disarmed under a full ring: nowhere to
@@ -72,9 +65,7 @@ void ThreadSink::spill_locked(bool force) {
     rec.end_ns = ev.end_ns;
     rec.span = ev.span;
     rec.parent = ev.parent;
-    if (writer_->append(rec)) {
-      spilled_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    if (!writer_->append(rec)) {
       // Disk budget exhausted (or I/O failure): the event is gone, and the
       // dropped counter says so — never a silent truncation.
       dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -83,7 +74,13 @@ void ThreadSink::spill_locked(bool force) {
   // Batch flush: concurrent --follow readers see whole lines, once per
   // spill rather than per event.
   writer_->flush();
+  sync_counts_locked();
   ring_.clear();
+}
+
+void ThreadSink::sync_counts_locked() {
+  spilled_.store(writer_->events_written(), std::memory_order_relaxed);
+  lost_.store(writer_->events_lost(), std::memory_order_relaxed);
 }
 
 Timeline& Timeline::global() {
@@ -149,13 +146,15 @@ void Timeline::finalize_stream() {
     sink->spill_locked(/*force=*/true);
     if (sink->writer_ != nullptr) {
       sink->writer_->finalize();
+      sink->sync_counts_locked();
       ++lanes;
     }
     events += sink->spilled_.load(std::memory_order_relaxed);
-    dropped += sink->dropped_.load(std::memory_order_relaxed);
+    dropped += sink->dropped_.load(std::memory_order_relaxed) +
+               sink->lost_.load(std::memory_order_relaxed);
   }
   tlstream::write_done_manifest(stream->config.dir, run_id(), events, dropped,
-                                lanes);
+                                lanes, trace::global().snapshot());
 }
 
 ThreadSink& Timeline::local() {
@@ -197,29 +196,6 @@ void Timeline::name_thread(std::string_view name) {
   sink.name_ = std::string(name);
 }
 
-void Timeline::flush_into(Registry& registry) {
-  std::vector<std::shared_ptr<ThreadSink>> sinks;
-  {
-    const std::lock_guard<std::mutex> lock(sinks_mutex_);
-    sinks = sinks_;
-  }
-  for (const auto& sink : sinks) {
-    std::unordered_map<std::uint32_t, LabelAggregate> drained;
-    {
-      const std::lock_guard<std::mutex> lock(sink->mutex_);
-      drained.swap(sink->aggs_);
-    }
-    for (const auto& [id, agg] : drained) {
-      std::string label;
-      {
-        const std::lock_guard<std::mutex> lock(intern_mutex_);
-        label = id < names_.size() ? names_[id] : "<unknown>";
-      }
-      registry.merge_span(label, agg.stats, agg.hist);
-    }
-  }
-}
-
 std::uint64_t Timeline::events_streamed() const {
   const std::lock_guard<std::mutex> lock(sinks_mutex_);
   std::uint64_t total = 0;
@@ -233,7 +209,8 @@ std::uint64_t Timeline::events_dropped() const {
   const std::lock_guard<std::mutex> lock(sinks_mutex_);
   std::uint64_t total = 0;
   for (const auto& sink : sinks_) {
-    total += sink->dropped_.load(std::memory_order_relaxed);
+    total += sink->dropped_.load(std::memory_order_relaxed) +
+             sink->lost_.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -1,35 +1,30 @@
-// Timeline collector: sharded per-thread span sinks + event write buffers.
+// Timeline collector: per-thread event rings spilling to the stream.
 //
 // PR 1's trace layer funnels every span through one registry mutex — fine at
 // stage granularity, hostile once the work-stealing scheduler (PR 3) records
-// a busy span per task across every worker.  This layer removes the global
-// mutex from the span hot path and adds the two things an aggregate registry
-// cannot answer: *when* did each span run (a timeline), and *how are span
-// latencies distributed* (percentiles).
+// a busy span per task across every worker.  This layer keeps the global
+// mutex off the span hot path and records *when* each span ran, so every
+// view — the Chrome timeline, the fcma.trace.v2 per-label summary with its
+// percentiles, the merged cross-rank report — derives from one store.
 //
 // Sharding.  Each recording thread owns one ThreadSink, registered with the
 // process-wide Timeline on first use and kept alive past thread exit (a
-// cluster worker's spans survive the worker).  A sink holds
-//
-//   * a label-keyed aggregate map (SpanStats + LatencyHistogram) guarded by
-//     the sink's own mutex — only the owner writes, so the lock is
-//     uncontended until trace::flush() drains every shard into the global
-//     Registry at export;
-//   * a bounded event ring: a private write buffer that only this lane's
-//     fcma.tlstream.v1 SegmentWriter drains (tlstream.hpp).
+// cluster worker's spans survive the worker).  A sink holds a bounded event
+// ring: a private write buffer, guarded by the sink's own (uncontended)
+// mutex, that only this lane's fcma.tlstream.v1 SegmentWriter drains
+// (tlstream.hpp).
 //
 // Span labels are interned to 32-bit ids through a per-thread cache, so the
 // steady-state record path touches no process-wide lock at all.
 //
-// One event store.  Events are recorded only while a stream is armed
-// (set_stream(), `--trace-stream DIR`); aggregates collect whenever tracing
-// is enabled.  A full ring spills to the lane's segment files and keeps
-// recording, so `dropped` stays 0 for as long as the disk budget holds.
-// finalize_stream() flushes every ring tail to disk and publishes the
-// stream.done manifest — it runs from the crash-safe exit dump too, so a
-// fault-killed rank's spans still reach the merged report.  Every view of
-// the events (the Chrome timeline, `fcma report --stream-in`) is read back
-// from the stream directory.
+// One store.  Events are recorded only while a stream is armed (set_stream(),
+// `--trace-stream DIR`).  A full ring spills to the lane's segment files and
+// keeps recording, so `dropped` stays 0 for as long as the disk budget and
+// the disk hold.  finalize_stream() flushes every ring tail to disk and
+// publishes the stream.done manifest with the registry's counters, gauges,
+// metadata and rooflines — it runs from the crash-safe exit dump too, so a
+// fault-killed rank's spans still reach the merged report.  Every view is
+// read back from the stream directory.
 #pragma once
 
 #include <atomic>
@@ -42,8 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/histogram.hpp"
-#include "common/metrics.hpp"
 #include "common/tlstream.hpp"
 
 namespace fcma::trace {
@@ -60,12 +53,6 @@ struct TimelineEvent {
   std::uint32_t label = 0;
 };
 
-/// Per-label aggregate carried by each sink shard.
-struct LabelAggregate {
-  SpanStats stats;
-  LatencyHistogram hist;
-};
-
 class Timeline;
 
 /// One thread's shard: written only by the owning thread.
@@ -77,32 +64,35 @@ class ThreadSink {
   ThreadSink(std::size_t ring_capacity, Timeline* owner, std::size_t lane)
       : owner_(owner), lane_(lane), ring_capacity_(ring_capacity) {}
 
-  /// Records one span occurrence: always folds the duration into the
-  /// aggregate shard; appends a timeline event only when `event` is set.
-  /// A full ring spills to the stream; once the stream is finalized or
-  /// disarmed, events that find the ring full are dropped, counted.
+  /// Appends one span occurrence to the ring.  A full ring spills to the
+  /// stream; once the stream is finalized or disarmed, events that find the
+  /// ring full are dropped, counted.
   void record(std::uint32_t label, std::uint64_t start_ns,
-              std::uint64_t end_ns, bool event, std::uint64_t span = 0,
+              std::uint64_t end_ns, std::uint64_t span = 0,
               std::uint64_t parent = 0);
 
  private:
   friend class Timeline;
 
   /// Appends every ring event to this lane's segment files (events the
-  /// disk budget refuses count as dropped) and empties the ring.  Caller
-  /// holds mutex_.  Leaves the ring untouched when the stream is disarmed
-  /// or, unless `force`, already finalized.
+  /// disk budget refuses, or a failed write loses, count as dropped) and
+  /// empties the ring.  Caller holds mutex_.  Leaves the ring untouched
+  /// when the stream is disarmed or, unless `force`, already finalized.
   void spill_locked(bool force = false);
+
+  /// Mirrors the writer's written/lost totals into the atomics.  Caller
+  /// holds mutex_.
+  void sync_counts_locked();
 
   Timeline* owner_ = nullptr;
   std::size_t lane_ = 0;
   std::size_t ring_capacity_ = 0;
-  std::atomic<std::uint64_t> spilled_{0};  // events moved to segment files
-  std::atomic<std::uint64_t> dropped_{0};  // events lost
+  std::atomic<std::uint64_t> spilled_{0};  // events in segment files
+  std::atomic<std::uint64_t> dropped_{0};  // events never written
+  std::atomic<std::uint64_t> lost_{0};     // events a failed write lost
 
   std::mutex mutex_;  // guards everything below
   std::vector<TimelineEvent> ring_;
-  std::unordered_map<std::uint32_t, LabelAggregate> aggs_;
   std::string name_;
   std::unique_ptr<tlstream::SegmentWriter> writer_;
 };
@@ -128,9 +118,10 @@ class Timeline {
   [[nodiscard]] std::string stream_dir() const;
 
   /// Flushes every sink's remaining ring events to its segment files,
-  /// finalizes the active segments, and publishes the stream.done manifest.
-  /// Idempotent per run; no-op when streaming is not armed.  Runs from the
-  /// crash-safe exit dump, so a killed worker's partial lane still lands.
+  /// finalizes the active segments, and publishes the stream.done manifest
+  /// with a snapshot of trace::global().  Idempotent per run; no-op when
+  /// streaming is not armed.  Runs from the crash-safe exit dump, so a
+  /// killed worker's partial lane still lands.
   void finalize_stream();
 
   /// The calling thread's sink (registered on first use, re-registered
@@ -154,10 +145,6 @@ class Timeline {
   [[nodiscard]] std::uint64_t now_ns() const {
     return since_epoch_ns(std::chrono::steady_clock::now());
   }
-
-  /// Drains every sink's aggregate shard into `registry` (the shards are
-  /// emptied; re-flushing adds nothing).  Events stay in their rings.
-  void flush_into(Registry& registry);
 
   /// Total events written to the stream / dropped, across every sink.
   [[nodiscard]] std::uint64_t events_streamed() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -43,17 +44,66 @@ std::string u64(std::uint64_t v) {
   return std::to_string(static_cast<unsigned long long>(v));
 }
 
+std::string json_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
 /// Writes `body` to `path` through a same-directory `.part` + rename, so a
-/// reader sees the complete file or none.
+/// reader sees the complete file or none.  The close is checked too: it
+/// flushes the buffered tail, and a full disk reports only there.
 void publish_file(const std::string& path, const std::string& body) {
   const std::string tmp = path + ".part";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   FCMA_CHECK(f != nullptr, "cannot write " + tmp);
   const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  FCMA_CHECK(written == body.size(), "short write to " + tmp);
+  const bool closed = std::fclose(f) == 0;
+  FCMA_CHECK(written == body.size() && closed, "short write to " + tmp);
   FCMA_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
              "cannot publish " + path);
+}
+
+/// Appends `  "<name>": {` with one `"<key>": <value>` line per entry, in
+/// the 2-space one-entry-per-line layout that line tools can pick apart.
+template <class Map, class Render>
+void append_section(std::string& out, const char* name, const Map& entries,
+                    Render render) {
+  out += std::string("  \"") + name + "\": {";
+  bool first = true;
+  for (const auto& [key, value] : entries) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    \"" + json_escape(key) + "\": " + render(value);
+  }
+  out += first ? "}" : "\n  }";
+}
+
+/// The counters, gauges and roofline sections, comma-separated, without a
+/// trailing comma (meta goes first, on its own: see append_meta()).
+void append_metrics(std::string& out, const Metrics& m) {
+  append_section(out, "counters", m.counters,
+                 [](std::int64_t v) { return std::to_string(v); });
+  out += ",\n";
+  append_section(out, "gauges", m.gauges,
+                 [](double v) { return json_double(v); });
+  out += ",\n";
+  append_section(out, "roofline", m.roofline, [](const RooflineStats& r) {
+    return "{\"modeled_s\": " + json_double(r.modeled_s) +
+           ", \"gflops\": " + json_double(r.gflops) +
+           ", \"ai_flops_per_byte\": " + json_double(r.ai_flops_per_byte) +
+           ", \"pct_roofline\": " + json_double(r.pct_roofline) +
+           ", \"bound\": \"" + json_escape(r.bound) + "\"}";
+  });
+}
+
+void append_meta(std::string& out, const Metrics& m) {
+  append_section(out, "meta", m.meta, [](const std::string& v) {
+    std::string quoted = json_escape(v);
+    quoted.insert(quoted.begin(), '"');
+    quoted += '"';
+    return quoted;
+  });
 }
 
 }  // namespace
@@ -107,12 +157,23 @@ bool SegmentWriter::write_line(const std::string& line) {
     return false;
   }
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
+    // A short write may have torn the buffered lines before it as well.
     used_bytes_->fetch_sub(line.size(), std::memory_order_relaxed);
-    failed_ = true;
+    fail_io();
     return false;
   }
   segment_bytes_ += line.size();
   return true;
+}
+
+void SegmentWriter::fail_io() {
+  failed_ = true;
+  lost_ += unflushed_;
+  unflushed_ = 0;
+  if (file_ != nullptr) {
+    (void)std::fclose(file_);  // already failed: nothing more to learn
+    file_ = nullptr;
+  }
 }
 
 bool SegmentWriter::append(const EventRecord& ev) {
@@ -135,19 +196,31 @@ bool SegmentWriter::append(const EventRecord& ev) {
   line += "\"}\n";
   if (!write_line(line)) return false;
   ++events_;
+  ++unflushed_;
   if (segment_bytes_ >= config_.rotate_bytes) finalize();
   return true;
 }
 
 void SegmentWriter::flush() {
-  if (file_ != nullptr) std::fflush(file_);
+  if (file_ == nullptr) return;
+  if (std::fflush(file_) != 0) {
+    fail_io();
+    return;
+  }
+  unflushed_ = 0;
 }
 
 void SegmentWriter::finalize() {
   if (file_ == nullptr) return;
-  std::fflush(file_);
-  std::fclose(file_);
+  // fclose() flushes too; either failing means the buffered lines are gone.
+  const bool flushed = std::fflush(file_) == 0;
+  const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
+  if (!flushed || !closed) {
+    fail_io();
+    return;
+  }
+  unflushed_ = 0;
   // Same-directory rename: the segment appears under its final name with
   // every line intact or not at all — readers never see a renamed torn file.
   // On failure the .part stays readable in place; rotation just didn't
@@ -158,13 +231,18 @@ void SegmentWriter::finalize() {
 
 void write_done_manifest(const std::string& dir, std::uint64_t trace_id,
                          std::uint64_t events, std::uint64_t dropped,
-                         std::size_t lanes) {
-  publish_file(dir + "/" + std::string(kDoneFile),
-               std::string("{\"schema\": \"") + std::string(kSchema) +
-                   "\", \"done\": true, \"trace\": \"" + trace_hex(trace_id) +
-                   "\", \"events\": " + u64(events) +
-                   ", \"dropped\": " + u64(dropped) +
-                   ", \"lanes\": " + std::to_string(lanes) + "}\n");
+                         std::size_t lanes, const Metrics& metrics) {
+  std::string body = std::string("{\n  \"schema\": \"") +
+                     std::string(kSchema) + "\",\n  \"done\": true,\n" +
+                     "  \"trace\": \"" + trace_hex(trace_id) + "\",\n" +
+                     "  \"events\": " + u64(events) + ",\n" +
+                     "  \"dropped\": " + u64(dropped) + ",\n" +
+                     "  \"lanes\": " + std::to_string(lanes) + ",\n";
+  append_meta(body, metrics);
+  body += ",\n";
+  append_metrics(body, metrics);
+  body += "\n}\n";
+  publish_file(dir + "/" + std::string(kDoneFile), body);
 }
 
 namespace {
@@ -180,6 +258,52 @@ std::uint64_t parse_trace_id(const json::Value& v) {
                   });
   FCMA_CHECK(ok, "trace id \"" + s + "\" is not 16 hex digits");
   return std::strtoull(s.c_str(), nullptr, 16);
+}
+
+/// The manifest section `name`, which must be an object.
+const json::Value& section(const json::Value& doc, const std::string& name) {
+  const json::Value& v = doc.at(name);
+  FCMA_CHECK(v.is_object(), name + " section is not an object");
+  return v;
+}
+
+double number(const json::Value& v, const std::string& what) {
+  FCMA_CHECK(v.is_number(), what + " is not a number");
+  return v.as_number();
+}
+
+/// Strict read of the manifest's registry sections (write_done_manifest()).
+Metrics parse_metrics(const json::Value& doc) {
+  Metrics m;
+  for (const auto& [name, v] : section(doc, "meta").members()) {
+    FCMA_CHECK(v.is_string(), "meta " + name + " is not a string");
+    m.meta[name] = v.as_string();
+  }
+  for (const auto& [name, v] : section(doc, "counters").members()) {
+    // Signed 64-bit integers; 2^63 is the first double past INT64_MAX.
+    const double n = number(v, "counter " + name);
+    FCMA_CHECK(std::floor(n) == n && n >= -0x1p63 && n < 0x1p63,
+               "counter " + name + " is not a 64-bit integer");
+    m.counters[name] = static_cast<std::int64_t>(n);
+  }
+  for (const auto& [name, v] : section(doc, "gauges").members()) {
+    m.gauges[name] = number(v, "gauge " + name);
+  }
+  for (const auto& [label, v] : section(doc, "roofline").members()) {
+    const std::string what = "roofline " + label;
+    FCMA_CHECK(v.is_object(), what + " is not an object");
+    RooflineStats r;
+    r.modeled_s = number(v.at("modeled_s"), what + " modeled_s");
+    r.gflops = number(v.at("gflops"), what + " gflops");
+    r.ai_flops_per_byte =
+        number(v.at("ai_flops_per_byte"), what + " ai_flops_per_byte");
+    r.pct_roofline = number(v.at("pct_roofline"), what + " pct_roofline");
+    r.bound = v.at("bound").as_string();
+    FCMA_CHECK(r.bound == "compute" || r.bound == "memory",
+               what + " bound is not compute or memory");
+    m.roofline[label] = std::move(r);
+  }
+  return m;
 }
 
 struct SegmentFile {
@@ -310,9 +434,11 @@ StreamRead read_stream_dir(const std::string& dir) {
       const std::uint64_t dropped =
           v.at("dropped").as_uint(kMaxU64, "dropped");
       const std::uint64_t trace_id = parse_trace_id(v.at("trace"));
+      Metrics metrics = parse_metrics(v);
       out.done = true;
       out.done_events = events;
       out.done_dropped = dropped;
+      out.metrics = std::move(metrics);
       if (out.trace_id == 0) out.trace_id = trace_id;
     } catch (const Error& e) {
       out.warnings.push_back(std::string("unreadable stream.done manifest: ") +
@@ -360,9 +486,61 @@ std::string timeline_view_json(const StreamRead& read) {
   return out;
 }
 
-void write_timeline_view(const std::string& dir) {
+void SpanStats::record_ns(std::uint64_t dur_ns) {
+  const double s = static_cast<double>(dur_ns) * 1e-9;
+  if (count == 0 || s < min_s) min_s = s;
+  if (count == 0 || s > max_s) max_s = s;
+  total_s += s;
+  ++count;
+  hist.record_ns(dur_ns);
+}
+
+void SpanStats::merge(const SpanStats& other) {
+  if (other.count == 0) return;
+  if (count == 0 || other.min_s < min_s) min_s = other.min_s;
+  if (count == 0 || other.max_s > max_s) max_s = other.max_s;
+  total_s += other.total_s;
+  count += other.count;
+  hist.merge(other.hist);
+}
+
+double SpanStats::quantile(double p) const {
+  if (count == 0) return 0.0;
+  return std::clamp(hist.quantile(p), min_s, max_s);
+}
+
+std::map<std::string, SpanStats> fold_spans(const StreamRead& read) {
+  std::map<std::string, SpanStats> spans;
+  for (const StreamEvent& ev : read.events) {
+    spans[ev.label].record_ns(ev.end_ns - ev.start_ns);  // reader: end >= start
+  }
+  return spans;
+}
+
+std::string trace_view_json(const StreamRead& read) {
+  std::string out = "{\n  \"schema\": \"fcma.trace.v2\",\n";
+  append_meta(out, read.metrics);
+  out += ",\n";
+  append_section(out, "spans", fold_spans(read), [](const SpanStats& s) {
+    return "{\"count\": " + u64(s.count) +
+           ", \"total_s\": " + json_double(s.total_s) +
+           ", \"min_s\": " + json_double(s.min_s) +
+           ", \"max_s\": " + json_double(s.max_s) +
+           ", \"p50_s\": " + json_double(s.quantile(0.50)) +
+           ", \"p95_s\": " + json_double(s.quantile(0.95)) +
+           ", \"p99_s\": " + json_double(s.quantile(0.99)) + "}";
+  });
+  out += ",\n";
+  append_metrics(out, read.metrics);
+  out += ",\n  \"dropped_events\": " + u64(read.done_dropped) + "\n}\n";
+  return out;
+}
+
+void write_views(const std::string& dir) {
+  const StreamRead read = read_stream_dir(dir);
   publish_file(dir + "/" + std::string(kTimelineFile),
-               timeline_view_json(read_stream_dir(dir)));
+               timeline_view_json(read));
+  publish_file(dir + "/" + std::string(kTraceFile), trace_view_json(read));
 }
 
 std::string span_class_of(std::string_view label) {
@@ -426,7 +604,8 @@ std::vector<SloRule> parse_slo_rules(std::string_view spec) {
     const std::string limit(rest.substr(lt + 1));
     char* end = nullptr;
     const double value = std::strtod(limit.c_str(), &end);
-    FCMA_CHECK(end != limit.c_str() && value >= 0.0,
+    // An infinite limit (inf, 1e999) could never be violated.
+    FCMA_CHECK(end != limit.c_str() && value >= 0.0 && std::isfinite(value),
                "bad SLO limit: " + std::string(raw));
     const std::string unit(end);
     double scale = 0.0;

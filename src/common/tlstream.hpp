@@ -1,17 +1,20 @@
 // Timeline stream segments: continuous-profiling spill format + reader.
 //
-// The stream is the one store of timeline events: each recording thread
-// spills its bounded ring to per-lane segment files under one stream
-// directory, and every view — the Chrome timeline (timeline.json), the
-// merged `fcma report --stream-in` tables and the live `--follow` tail —
-// reads the segments back into one cross-rank timeline.
+// The stream is the one store of trace data: each recording thread spills
+// its bounded ring of span events to per-lane segment files under one
+// stream directory, the run's counters, gauges, metadata and rooflines
+// travel in its end-of-run manifest, and every view — the Chrome timeline
+// (timeline.json), the fcma.trace.v2 span/counter summary (trace.json),
+// the merged `fcma report --stream-in` tables and the live `--follow` tail
+// — reads the directory back into one cross-rank timeline.
 //
 // Format (`fcma.tlstream.v1`).  A stream directory holds
 //
 //   lane<id>-<seq>.tls       finalized segments (rotated atomically)
 //   lane<id>-<seq>.tls.part  the segment currently being appended
 //   stream.done              end-of-run manifest (written via rename)
-//   timeline.json            Chrome view rendered from the segments at exit
+//   timeline.json            Chrome view rendered from the stream at exit
+//   trace.json               fcma.trace.v2 view rendered from the stream
 //
 // Every segment is JSON-lines: one header object (schema, lane name,
 // lane id, segment seq, run trace id) followed by one object per event
@@ -22,8 +25,11 @@
 // or a mid-write tail) as absent rather than as corruption — so a killed
 // rank's partial `.part` segment still yields every complete line it ever
 // flushed, and a reader polling mid-run can never observe a half-written
-// event.  stream.done exists only after a clean finalize; its event count
-// lets validators (tools/trace_check.py) prove the merge lost nothing.
+// event.  A flush or close that fails marks the segment failed and counts
+// every event it held as dropped, so the totals never claim lost data.
+// stream.done exists only after a clean finalize; its event count lets
+// validators (tools/trace_check.py) prove the merge lost nothing, and its
+// meta/counters/gauges/roofline sections carry the registry (metrics.hpp).
 //
 // The writer half runs under the owning ThreadSink's mutex (timeline.cpp).
 // The reader validates every field it reads (this is the only input to
@@ -39,11 +45,15 @@
 #include <string_view>
 #include <vector>
 
+#include "common/histogram.hpp"
+#include "common/metrics.hpp"
+
 namespace fcma::trace::tlstream {
 
 inline constexpr std::string_view kSchema = "fcma.tlstream.v1";
 inline constexpr std::string_view kDoneFile = "stream.done";
 inline constexpr std::string_view kTimelineFile = "timeline.json";
+inline constexpr std::string_view kTraceFile = "trace.json";
 
 /// Stream-wide configuration, shared by every lane's writer.
 struct StreamConfig {
@@ -82,18 +92,28 @@ class SegmentWriter {
   [[nodiscard]] bool append(const EventRecord& ev);
 
   /// Flushes the active segment so concurrent readers see every appended
-  /// line.  Called once per spill batch, not per event.
+  /// line.  Called once per spill batch, not per event.  A failed flush
+  /// fails the writer (see events_lost()).
   void flush();
 
-  /// Flushes and atomically promotes the active `.part` segment to its
-  /// final name.  The next append opens a fresh segment.
+  /// Flushes, closes and atomically promotes the active `.part` segment to
+  /// its final name.  The next append opens a fresh segment.  A failed
+  /// flush or close fails the writer instead (see events_lost()).
   void finalize();
 
-  [[nodiscard]] std::uint64_t events_written() const { return events_; }
+  /// Events appended and not known lost.
+  [[nodiscard]] std::uint64_t events_written() const {
+    return events_ - lost_;
+  }
+  /// Appended events that a failed write, flush or close lost: every event
+  /// since the last successful flush.  The writer refuses appends after.
+  [[nodiscard]] std::uint64_t events_lost() const { return lost_; }
 
  private:
   bool open_segment();
   bool write_line(const std::string& line);
+  /// Marks the writer failed and the unflushed events lost; closes the file.
+  void fail_io();
 
   StreamConfig config_;
   std::shared_ptr<std::atomic<std::uint64_t>> used_bytes_;
@@ -105,15 +125,19 @@ class SegmentWriter {
   std::string final_path_;
   std::uint64_t seq_ = 0;
   std::uint64_t segment_bytes_ = 0;
-  std::uint64_t events_ = 0;
+  std::uint64_t events_ = 0;     // appends accepted
+  std::uint64_t unflushed_ = 0;  // accepted since the last successful flush
+  std::uint64_t lost_ = 0;
   bool failed_ = false;  // budget exhausted or I/O error; appends refused
 };
 
-/// Writes the stream.done manifest (event totals per the writers) through a
-/// temp-file + rename so a reader either sees a complete manifest or none.
+/// Writes the stream.done manifest (event totals per the writers, plus the
+/// run's registry values) through a temp-file + rename so a reader either
+/// sees a complete manifest or none.  Throws fcma::Error when the manifest
+/// cannot be written in full.
 void write_done_manifest(const std::string& dir, std::uint64_t trace_id,
                          std::uint64_t events, std::uint64_t dropped,
-                         std::size_t lanes);
+                         std::size_t lanes, const Metrics& metrics);
 
 /// One event read back from a segment.
 struct StreamEvent {
@@ -139,6 +163,7 @@ struct StreamRead {
   bool done = false;                ///< stream.done manifest present
   std::uint64_t done_events = 0;    ///< manifest totals (when done)
   std::uint64_t done_dropped = 0;
+  Metrics metrics;                  ///< manifest registry values (when done)
   std::uint64_t trace_id = 0;  ///< from the first header seen
   std::size_t segments = 0;
   std::vector<std::string> warnings;
@@ -155,9 +180,44 @@ struct StreamRead {
 /// the stream.done manifest.
 [[nodiscard]] std::string timeline_view_json(const StreamRead& read);
 
-/// Reads `dir` and writes timeline_view_json() to `dir`/timeline.json
-/// (throws fcma::Error on I/O failure).
-void write_timeline_view(const std::string& dir);
+/// Duration statistics of one span label (or class): exact count, total,
+/// min and max, plus a histogram for the percentiles.
+struct SpanStats {
+  std::uint64_t count = 0;
+  double total_s = 0.0;
+  double min_s = 0.0;
+  double max_s = 0.0;
+  LatencyHistogram hist;
+
+  void record_ns(std::uint64_t dur_ns);
+  void merge(const SpanStats& other);
+  /// Histogram quantile clamped to the exact [min_s, max_s]; 0 when empty.
+  [[nodiscard]] double quantile(double p) const;
+};
+
+/// Folds a read's events by exact label.
+[[nodiscard]] std::map<std::string, SpanStats> fold_spans(
+    const StreamRead& read);
+
+/// The span/counter summary of a stream read, schema `fcma.trace.v2`:
+///   {"schema": "fcma.trace.v2",
+///    "meta": {"<name>": "<value>", ...},
+///    "spans": {"<label>": {"count": C, "total_s": T, "min_s": m,
+///              "max_s": M, "p50_s": q50, "p95_s": q95, "p99_s": q99},
+///              ...},
+///    "counters": {"<name>": N, ...},
+///    "gauges": {"<name>": V, ...},
+///    "roofline": {"<label>": {"modeled_s": S, "gflops": G,
+///                 "ai_flops_per_byte": I, "pct_roofline": P,
+///                 "bound": "compute|memory"}, ...},
+///    "dropped_events": D}
+/// Spans fold the events by label (fold_spans()); the other sections and
+/// dropped_events come from the stream.done manifest.  One entry per line.
+[[nodiscard]] std::string trace_view_json(const StreamRead& read);
+
+/// Reads `dir` once and writes both views from that read: `dir`/timeline.json
+/// and `dir`/trace.json (throws fcma::Error on I/O failure).
+void write_views(const std::string& dir);
 
 /// 16-digit lowercase hex of a trace id (the on-disk spelling).
 [[nodiscard]] std::string trace_hex(std::uint64_t trace_id);
@@ -177,7 +237,8 @@ struct SloRule {
   std::string raw;  ///< original spelling, for reporting
 };
 
-/// Parses a comma-separated rule list; throws fcma::Error on bad syntax.
+/// Parses a comma-separated rule list; throws fcma::Error on bad syntax or
+/// a limit that is negative or not finite.
 [[nodiscard]] std::vector<SloRule> parse_slo_rules(std::string_view spec);
 
 /// True when `rule` governs `span_class` (exact match or path suffix).

@@ -56,22 +56,26 @@ namespace {
 
 // Exit-dump state: armed by set_exit_dump(), fired at most once.
 std::mutex g_dump_mutex;
-std::string g_dump_trace_path;
 bool g_dump_done = false;
 bool g_atexit_registered = false;
 
 void record_to_sink(const std::string& label, std::uint64_t start_ns,
-                    std::uint64_t end_ns, bool want_event,
-                    std::uint64_t span = 0, std::uint64_t parent = 0) {
+                    std::uint64_t end_ns, std::uint64_t span,
+                    std::uint64_t parent) {
   Timeline& tl = Timeline::global();
-  const std::uint32_t id = tl.intern(label);
-  tl.local().record(id, start_ns, end_ns, want_event && tl.streaming(), span,
-                    parent);
+  if (!tl.streaming()) return;  // disarmed: nowhere to record
+  tl.local().record(tl.intern(label), start_ns, end_ns, span, parent);
 }
 
 }  // namespace
 
 }  // namespace detail
+
+void set_enabled(bool on) {
+  FCMA_CHECK(!on || streaming(),
+             "tracing needs an armed stream: call set_stream_dir() first");
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 std::uint64_t run_id() {
   std::uint64_t id = detail::g_run_id.load(std::memory_order_acquire);
@@ -133,21 +137,7 @@ Span::~Span() {
   detail::t_current_span = saved_parent_;
   Timeline& tl = Timeline::global();
   detail::record_to_sink(label_, tl.since_epoch_ns(start_),
-                         tl.since_epoch_ns(end), /*want_event=*/true, id_,
-                         saved_parent_);
-}
-
-void record_span(std::string_view label, double seconds) {
-  if (!enabled()) return;
-  // No true start time: aggregate only, anchored at "now - duration" so the
-  // sink sees a consistent [start, end) pair.
-  Timeline& tl = Timeline::global();
-  const std::uint64_t end_ns = tl.now_ns();
-  const auto dur_ns =
-      static_cast<std::uint64_t>(seconds > 0.0 ? seconds * 1e9 : 0.0);
-  detail::record_to_sink(detail::qualified(label),
-                         end_ns > dur_ns ? end_ns - dur_ns : 0, end_ns,
-                         /*want_event=*/false);
+                         tl.since_epoch_ns(end), id_, saved_parent_);
 }
 
 void record_interval(std::string_view label,
@@ -158,7 +148,7 @@ void record_interval(std::string_view label,
   Timeline& tl = Timeline::global();
   detail::record_to_sink(
       detail::qualified(label), tl.since_epoch_ns(start),
-      tl.since_epoch_ns(end), /*want_event=*/true,
+      tl.since_epoch_ns(end),
       detail::g_next_span.fetch_add(1, std::memory_order_relaxed),
       detail::t_current_span);
 }
@@ -168,7 +158,7 @@ void record_interval_ns(std::string_view label, std::uint64_t start_ns,
   if (!enabled()) return;
   if (end_ns < start_ns) end_ns = start_ns;
   detail::record_to_sink(
-      detail::qualified(label), start_ns, end_ns, /*want_event=*/true,
+      detail::qualified(label), start_ns, end_ns,
       detail::g_next_span.fetch_add(1, std::memory_order_relaxed),
       detail::t_current_span);
 }
@@ -178,11 +168,8 @@ void set_thread_name(std::string_view name) {
   Timeline::global().name_thread(name);
 }
 
-void flush() { Timeline::global().flush_into(global()); }
-
-void set_exit_dump(std::string trace_path) {
+void set_exit_dump() {
   const std::lock_guard<std::mutex> lock(detail::g_dump_mutex);
-  detail::g_dump_trace_path = std::move(trace_path);
   detail::g_dump_done = false;
   if (!detail::g_atexit_registered) {
     detail::g_atexit_registered = true;
@@ -191,27 +178,21 @@ void set_exit_dump(std::string trace_path) {
 }
 
 void dump_now() {
-  std::string trace_path;
   {
     const std::lock_guard<std::mutex> lock(detail::g_dump_mutex);
     if (detail::g_dump_done) return;
     detail::g_dump_done = true;
-    trace_path = detail::g_dump_trace_path;
   }
   const std::string stream_dir = Timeline::global().stream_dir();
-  if (trace_path.empty() && stream_dir.empty()) return;
+  if (stream_dir.empty()) return;
   // May run from atexit, where an escaping exception aborts the process:
   // report write failures instead of throwing.
   try {
-    flush();
-    if (!trace_path.empty()) global().write_json(trace_path);
-    if (!stream_dir.empty()) {
-      // A killed rank's ring tail must still land on disk: finalize the
-      // stream so the merged report accounts its spans, then render the
-      // Chrome view from what the stream holds.
-      Timeline::global().finalize_stream();
-      tlstream::write_timeline_view(stream_dir);
-    }
+    // A killed rank's ring tail must still land on disk: finalize the
+    // stream so the views account its spans, then render them from what
+    // the stream holds.
+    Timeline::global().finalize_stream();
+    tlstream::write_views(stream_dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fcma: trace exit dump failed: %s\n", e.what());
   }

@@ -3,35 +3,34 @@
 // Tracing answers the question the whole paper is built on (§3.3, Tables
 // 1/5-8): *where* do the time and events of an analysis go, per stage?
 // Every pipeline stage, thread-pool task, cluster message and blocked
-// kernel reports here when tracing is on; `fcma analyze --trace out.json`
-// and the bench MetricsSidecar export the aggregate.
+// kernel reports here when tracing is on.
 //
 // Label hierarchy.  A Span opened while another Span is active *on the same
-// thread* records under "<parent>/<label>", so one analyze run aggregates
-// e.g. "task", "task/correlation", "task/correlation/gemm_nt",
-// "task/svm", ... — a static call-tree profile.  Threads root their own
-// hierarchy (a pool worker's spans are not children of the submitter's).
+// thread* records under "<parent>/<label>", so one analyze run yields e.g.
+// "task", "task/correlation", "task/correlation/gemm_nt", "task/svm", ...
+// — a static call-tree profile.  Threads root their own hierarchy (a pool
+// worker's spans are not children of the submitter's).
 //
-// Recording path.  Spans do NOT take the registry mutex: they record into
-// the calling thread's timeline shard (common/timeline.hpp) and the shards
-// merge into the global registry at flush() — which every exporter (CLI
-// --trace dump, bench MetricsSidecar) calls before serializing.  Readers
-// of trace::global() mid-run must flush() first or they will not see span
-// aggregates recorded since the last flush.
+// One store.  Every span occurrence is an event in the fcma.tlstream.v1
+// stream (tlstream.hpp): set_stream_dir() arms it (`fcma analyze
+// --trace-stream DIR`, the bench MetricsSidecar), and tracing can only be
+// enabled while a stream is armed.  Spans do NOT take a global mutex: they
+// append to the calling thread's timeline ring (common/timeline.hpp),
+// which spills to the stream.  Counters, gauges, metadata and rooflines
+// live in the in-memory registry (metrics.hpp, trace::global()) and travel
+// in the stream's stream.done manifest.  Every view is rendered from the
+// stream directory: the Chrome timeline DIR/timeline.json and the
+// fcma.trace.v2 span/counter summary DIR/trace.json.
 //
-// Timelines.  The fcma.tlstream.v1 stream is the one store of timestamped
-// events: set_stream_dir() arms it, and only then does each span occurrence
-// also become an event (`fcma analyze --trace-stream DIR`).  The Chrome
-// view DIR/timeline.json is rendered from the stream by dump_now().
-//
-// Crash safety.  set_exit_dump() arms an idempotent dump (flush + write of
-// the --trace output, then stream finalize + DIR/timeline.json) that the
-// CLI fires from its fcma::Error handler and an atexit backstop, so a run
-// that dies mid-pipeline still leaves its trace on disk.
+// Crash safety.  set_exit_dump() arms an idempotent dump (stream finalize,
+// then both views) that the CLI fires from its fcma::Error handler and an
+// atexit backstop, so a run that dies mid-pipeline still leaves its trace
+// on disk.
 //
 // Kill switch.  Tracing is *off* by default; when off, every helper is one
 // relaxed atomic load + branch, so instrumented hot paths (the blocked
 // kernels run millions of times in benches) pay nothing measurable.
+// set_enabled(false) pauses recording inside an armed stream.
 //
 // Distributed correlation (PR 9).  Every process run carries one trace id
 // (run_id()) and every Span an id unique within the process; the span
@@ -61,10 +60,10 @@ extern std::atomic<bool> g_enabled;
 [[nodiscard]] std::string qualified(std::string_view label);
 }  // namespace detail
 
-/// Turns the runtime switch on/off (off at process start).
-inline void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
+/// Turns the runtime switch on/off (off at process start).  Turning it on
+/// throws fcma::Error unless a stream is armed (set_stream_dir()): spans
+/// are recorded only into the stream.
+void set_enabled(bool on);
 
 /// True when tracing is recording.
 [[nodiscard]] inline bool enabled() {
@@ -105,18 +104,18 @@ class ScopedParent {
 };
 
 /// Arms the event stream: span occurrences are recorded as events and
-/// spill to fcma.tlstream.v1 segment files under `dir` (empty disarms).
-/// 0 keeps a default budget / rotation threshold.
+/// spill to fcma.tlstream.v1 segment files under `dir` (empty disarms;
+/// spans recorded while disarmed are discarded).  0 keeps a default
+/// budget / rotation threshold.
 void set_stream_dir(const std::string& dir, std::uint64_t budget_bytes = 0,
                     std::uint64_t rotate_bytes = 0);
 [[nodiscard]] bool streaming();
 
-/// RAII span: times its scope and folds the duration into the registry
-/// under the nesting-qualified label.  No-op while tracing is disabled.
+/// RAII span: times its scope and records it as one stream event under
+/// the nesting-qualified label.  No-op while tracing is disabled.
 class Span {
  public:
-  /// Opens a span; it records into the calling thread's timeline shard,
-  /// which merges into the global registry at flush().
+  /// Opens a span; it records into the calling thread's timeline ring.
   explicit Span(std::string_view label);
   ~Span();
 
@@ -137,23 +136,17 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Records one duration under the nesting-qualified `label` without the
-/// RAII scope — for callers that time disjoint pieces themselves (e.g. the
-/// fused correlate+normalize stage separating its two halves).  Aggregates
-/// only: with no true start time there is no timeline event.
-void record_span(std::string_view label, double seconds);
-
-/// Records one span occurrence with its true wall-clock interval — the
-/// timestamped cousin of record_span() for callers that already hold both
-/// endpoints (scheduler worker busy periods).  Emits a timeline event when
-/// the stream is armed.
+/// Records one span occurrence under the nesting-qualified `label` with
+/// its true wall-clock interval, for callers that already hold both
+/// endpoints (scheduler worker busy periods).
 void record_interval(std::string_view label,
                      std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point end);
 
 /// record_interval() with timeline-epoch endpoints the caller already holds
 /// in ns — e.g. a comm flight time [ctx.sent_ns, recv now_ns()], whose
-/// start was stamped on another rank.
+/// start was stamped on another rank, or the two halves of the fused
+/// correlate+normalize stage laid back to back.
 void record_interval_ns(std::string_view label, std::uint64_t start_ns,
                         std::uint64_t end_ns);
 
@@ -161,17 +154,13 @@ void record_interval_ns(std::string_view label, std::uint64_t start_ns,
 /// while tracing is disabled.
 void set_thread_name(std::string_view name);
 
-/// Drains every per-thread shard into the global registry.  Call before
-/// reading span aggregates from trace::global() or exporting its JSON.
-void flush();
-
 /// Arms the idempotent exit dump: dump_now() — and an atexit backstop —
-/// will flush() and write the global registry JSON to `trace_path` (empty
-/// = skip), then finalize an armed stream and render its Chrome view.
-void set_exit_dump(std::string trace_path);
+/// will finalize the armed stream and write its views
+/// (tlstream::write_views()).
+void set_exit_dump();
 
 /// Fires the armed exit dump once; later calls (and the atexit backstop)
-/// are no-ops.  Safe to call with nothing armed.
+/// are no-ops.  Safe to call with no stream armed.
 void dump_now();
 
 /// Counter/gauge helpers against the global registry; no-ops when disabled.
@@ -182,7 +171,8 @@ void gauge_set(std::string_view name, double value);
 void gauge_max(std::string_view name, double value);
 
 /// Attaches a run-metadata string (e.g. "simd/isa" -> "avx512") to the
-/// global registry's exported JSON.  No-op while tracing is disabled.
+/// global registry, and so to the trace view.  No-op while tracing is
+/// disabled.
 void meta_set(std::string_view name, std::string_view value);
 
 }  // namespace fcma::trace

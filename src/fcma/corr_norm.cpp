@@ -136,7 +136,7 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   // split by timing the normalization slices of every panel and
   // attributing the rest of the fused wall time to correlation.
   const bool tracing = trace::enabled();
-  const WallTimer fused_timer;
+  const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
   const std::size_t n = out.cols;
   const auto runs = subject_runs(epochs.meta());
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
@@ -187,13 +187,18 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     // Pool workers' seconds add up to more than the fused wall; keep
     // normalization's share of the busy thread time so neither span can
     // exceed the wall or go negative.  A serial sweep's busy time never
-    // exceeds its wall, so it records the measured seconds unscaled.
-    const double wall = fused_timer.seconds();
+    // exceeds its wall, so it records the measured seconds unscaled.  The
+    // two spans are laid back to back across the fused interval:
+    // correlation first, then normalization.
+    const std::uint64_t t1 = trace::now_ns();
+    const double wall = static_cast<double>(t1 - t0) * 1e-9;
     const double busy = std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
     double norm = std::accumulate(norm_s.begin(), norm_s.end(), 0.0);
-    if (busy > wall) norm = std::min(wall, norm * (wall / busy));
-    trace::record_span("normalization", norm);
-    trace::record_span("correlation", wall - norm);
+    if (busy > wall) norm *= wall / busy;
+    const auto norm_ns =
+        std::min(t1 - t0, static_cast<std::uint64_t>(norm * 1e9));
+    trace::record_interval_ns("correlation", t0, t1 - norm_ns);
+    trace::record_interval_ns("normalization", t1 - norm_ns, t1);
   }
 }
 

@@ -13,8 +13,8 @@ namespace {
 
 // Places each instrumented stage on the modeled machine's roofline and
 // attaches the result to the span labels the stage records under.  Last
-// writer wins per label, which matches the one-calibration-run-per-export
-// usage of `fcma analyze --trace`.
+// writer wins per label, which matches the one-calibration-run-per-stream
+// usage of `fcma analyze --trace-stream`.
 void attach_roofline(const memsim::Instrument& ins,
                      const InstrumentedTaskResult& out) {
   if (!trace::enabled()) return;

@@ -648,8 +648,8 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
   trace::Timeline::global().reset();
   trace::Timeline::global().set_ring_capacity(64);  // force mid-run spills
   trace::new_run_id();
-  trace::set_enabled(true);
   trace::set_stream_dir(dir);
+  trace::set_enabled(true);
 
   const Workload w = tiny_workload(64);
   DriverOptions opts;

@@ -7,11 +7,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/timeline.hpp"
-#include "common/timer.hpp"
+#include "common/tlstream.hpp"
 #include "common/trace.hpp"
 #include "fcma/corr_norm.hpp"
 #include "fcma/memory_model.hpp"
@@ -143,8 +146,9 @@ TEST(CorrStage, MergedAndSeparatedAgree) {
 TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   // The pooled sweep still records task/correlation and task/normalization
   // on the calling thread.  Worker seconds add up past the wall, so the
-  // normalization share is scaled to it: neither span goes negative and
-  // together they never exceed the fused call's wall time.
+  // normalization share is scaled to it: the two spans are laid back to
+  // back inside the fused call, correlation first, so neither goes
+  // negative and together they never exceed the fused call's wall time.
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 1100;
   const fmri::Dataset d = fmri::generate_synthetic(spec);
@@ -155,28 +159,45 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   ResidentEpochs source(ne);
   threading::ThreadPool pool(3);
 
+  const std::string dir = ::testing::TempDir() + "fcma_corr_stage_spans";
+  std::filesystem::remove_all(dir);
   trace::global().reset();
   trace::Timeline::global().reset();
+  trace::set_stream_dir(dir);
   trace::set_enabled(true);
-  const WallTimer wall;
+  const std::uint64_t start = trace::now_ns();
   {
     const trace::Span task_span("task");
     optimized_correlate_normalize(source, task, buf.view(), NormMode::kMerged,
                                   &pool);
   }
-  const double elapsed = wall.seconds();
+  const std::uint64_t end = trace::now_ns();
   trace::set_enabled(false);
-  trace::flush();
-  const trace::SpanStats corr = trace::global().span("task/correlation");
-  const trace::SpanStats norm = trace::global().span("task/normalization");
+  trace::Timeline::global().finalize_stream();
+  const trace::tlstream::StreamRead read =
+      trace::tlstream::read_stream_dir(dir);
+  trace::set_stream_dir("");
   trace::global().reset();
   trace::Timeline::global().reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 
-  EXPECT_EQ(corr.count, 1u);
-  EXPECT_EQ(norm.count, 1u);
-  EXPECT_GE(corr.total_s, 0.0);
-  EXPECT_GE(norm.total_s, 0.0);
-  EXPECT_LE(corr.total_s + norm.total_s, elapsed);
+  std::vector<trace::tlstream::StreamEvent> corr;
+  std::vector<trace::tlstream::StreamEvent> norm;
+  for (const auto& ev : read.events) {
+    if (ev.label == "task/correlation") corr.push_back(ev);
+    if (ev.label == "task/normalization") norm.push_back(ev);
+  }
+  ASSERT_EQ(corr.size(), 1u);
+  ASSERT_EQ(norm.size(), 1u);
+  EXPECT_GE(corr[0].start_ns, start);
+  EXPECT_LE(corr[0].start_ns, corr[0].end_ns);
+  EXPECT_EQ(corr[0].end_ns, norm[0].start_ns);  // back to back
+  EXPECT_LE(norm[0].start_ns, norm[0].end_ns);
+  EXPECT_LE(norm[0].end_ns, end);
+  EXPECT_LE((corr[0].end_ns - corr[0].start_ns) +
+                (norm[0].end_ns - norm[0].start_ns),
+            end - start);
 }
 
 TEST(CorrStage, InstrumentedTwinsMatchFastPaths) {

@@ -1,15 +1,16 @@
 // Unit + stress tests for the timeline profiler substrate: the log-bucketed
-// latency histogram (common/histogram.hpp), the per-thread sink shards
-// (common/timeline.hpp), the Chrome view rendered from the event stream
-// (DIR/timeline.json), and the trace-layer plumbing that routes spans
-// through them (flush, record_interval, exit dump).  The concurrent-stress
-// cases here also run under TSan via ci_tsan.sh.
+// latency histogram (common/histogram.hpp), the per-thread sinks
+// (common/timeline.hpp), the views rendered from the event stream
+// (DIR/timeline.json, DIR/trace.json), and the trace-layer plumbing that
+// routes spans through them (record_interval, exit dump).  The
+// concurrent-stress cases here also run under TSan via ci_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,35 +24,41 @@
 namespace fcma::trace {
 namespace {
 
+/// Arms a fresh per-test stream directory and enables tracing; removes
+/// both after.
 class TimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     global().reset();
     Timeline::global().reset();
+    dir_ = ::testing::TempDir() + "fcma_timeline_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    set_stream_dir(dir_);
     set_enabled(true);
   }
   void TearDown() override {
-    set_stream_dir("");
     set_enabled(false);
+    set_stream_dir("");
     global().reset();
     Timeline::global().reset();
-  }
-};
-
-/// Fresh per-test stream directory, removed on scope exit.
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path(::testing::TempDir() + name) {
-    std::filesystem::remove_all(path);
-  }
-  ~ScratchDir() {
     std::error_code ec;
-    std::filesystem::remove_all(path, ec);
+    std::filesystem::remove_all(dir_, ec);
   }
+
   [[nodiscard]] std::string view_path() const {
-    return path + "/" + std::string(tlstream::kTimelineFile);
+    return dir_ + "/" + std::string(tlstream::kTimelineFile);
   }
+  [[nodiscard]] std::string trace_path() const {
+    return dir_ + "/" + std::string(tlstream::kTraceFile);
+  }
+  /// The finalized stream's spans, folded by label.
+  std::map<std::string, tlstream::SpanStats> spans() {
+    Timeline::global().finalize_stream();
+    return tlstream::fold_spans(tlstream::read_stream_dir(dir_));
+  }
+
+  std::string dir_;
 };
 
 /// Whole-file read ("" when the file is missing).
@@ -117,19 +124,25 @@ TEST(LatencyHistogram, EmptyQuantileIsZeroAndNegativeClampsToZero) {
   EXPECT_EQ(h.bucket(0), 1u);  // negative duration lands in the 0ns bucket
 }
 
-// --- registry quantiles -------------------------------------------------
+// --- span quantiles -----------------------------------------------------
 
 TEST_F(TimelineTest, RegistryQuantilesClampToRecordedRange) {
-  Registry reg;
-  reg.record_span("s", 0.010);
-  reg.record_span("s", 0.020);
-  reg.record_span("s", 0.030);
-  for (const double p : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    const double q = reg.span_quantile("s", p);
-    EXPECT_GE(q, 0.010);
-    EXPECT_LE(q, 0.030);
+  const std::uint64_t t0 = now_ns();
+  for (const std::uint64_t ms : {10, 20, 30}) {
+    record_interval_ns("s", t0, t0 + ms * 1'000'000);
   }
-  EXPECT_DOUBLE_EQ(reg.span_quantile("missing", 0.5), 0.0);
+  const auto folded = spans();
+  ASSERT_EQ(folded.count("s"), 1u);
+  const tlstream::SpanStats& s = folded.at("s");
+  EXPECT_DOUBLE_EQ(s.min_s, 0.010);
+  EXPECT_DOUBLE_EQ(s.max_s, 0.030);
+  for (const double p : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    const double q = s.quantile(p);
+    EXPECT_GE(q, s.min_s);
+    EXPECT_LE(q, s.max_s);
+  }
+  EXPECT_EQ(folded.count("missing"), 0u);
+  EXPECT_DOUBLE_EQ(tlstream::SpanStats{}.quantile(0.5), 0.0);
 }
 
 // --- interning and sinks ------------------------------------------------
@@ -143,15 +156,6 @@ TEST_F(TimelineTest, InterningIsStablePerLabel) {
   EXPECT_EQ(tl.intern("beta"), b);
 }
 
-TEST_F(TimelineTest, FlushMergesShardAggregatesExactlyOnce) {
-  { const Span s("flush/span"); }
-  { const Span s("flush/span"); }
-  flush();
-  EXPECT_EQ(global().span("flush/span").count, 2u);
-  flush();  // shards were drained: re-flushing must not double-count
-  EXPECT_EQ(global().span("flush/span").count, 2u);
-}
-
 // --- concurrent stress (runs under TSan via ci_tsan.sh) -----------------
 
 TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
@@ -159,26 +163,30 @@ TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
   {
     threading::ThreadPool pool(4);
     threading::parallel_for_each(pool, 0, kIterations, [](std::size_t i) {
-      // Recorded before the Span opens: record_span() qualifies its label
-      // with the thread's current span path.
-      record_span("stress/manual", 1e-6 * static_cast<double>(i + 1));
+      // Recorded before the Span opens: record_interval_ns() qualifies its
+      // label with the thread's current span path.
+      const std::uint64_t t0 = now_ns();
+      record_interval_ns("stress/manual", t0, t0 + 1000 * (i + 1));
       const Span span("stress/span");
     });
   }
-  flush();
-  const SpanStats spans = global().span("stress/span");
-  const SpanStats manual = global().span("stress/manual");
-  EXPECT_EQ(spans.count, kIterations);
+  const auto folded = spans();
+  ASSERT_EQ(folded.count("stress/span"), 1u);
+  ASSERT_EQ(folded.count("stress/manual"), 1u);
+  const tlstream::SpanStats& manual = folded.at("stress/manual");
+  EXPECT_EQ(folded.at("stress/span").count, kIterations);
   EXPECT_EQ(manual.count, kIterations);
-  // The histogram shards merged with the stats: quantiles see all samples
-  // and stay inside the exact [min, max].
-  const double p95 = global().span_quantile("stress/manual", 0.95);
+  // The histogram folded with the stats: quantiles see all samples and
+  // stay inside the exact [min, max].
+  const double p95 = manual.quantile(0.95);
   EXPECT_GE(p95, manual.min_s);
   EXPECT_LE(p95, manual.max_s);
+  EXPECT_DOUBLE_EQ(manual.min_s, 1e-6);
+  EXPECT_DOUBLE_EQ(manual.max_s, 1e-6 * kIterations);
   // Worker busy intervals cover every task the scheduler executed.
   std::uint64_t busy = 0;
-  for (const auto& label : global().span_labels()) {
-    if (label.rfind("sched/worker", 0) == 0) busy += global().span(label).count;
+  for (const auto& [label, s] : folded) {
+    if (label.rfind("sched/worker", 0) == 0) busy += s.count;
   }
   EXPECT_GT(busy, 0u);
 }
@@ -199,8 +207,6 @@ std::vector<double> extract_numbers(const std::string& json,
 }
 
 TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
-  const ScratchDir dir("fcma_timeline_lanes");
-  set_stream_dir(dir.path);
   {
     threading::ThreadPool pool(2);
     // Lanes exist for threads that recorded events: two tasks that wait for
@@ -220,8 +226,8 @@ TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
     });
   }
   Timeline::global().finalize_stream();
-  tlstream::write_timeline_view(dir.path);
-  const std::string json = slurp(dir.view_path());
+  tlstream::write_views(dir_);
+  const std::string json = slurp(view_path());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"fcma.timeline.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
@@ -232,62 +238,55 @@ TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
   // exactly the events the stream holds.
   const std::vector<double> ts = extract_numbers(json, "ts");
   ASSERT_GE(ts.size(), 64u);
-  EXPECT_EQ(ts.size(), tlstream::read_stream_dir(dir.path).done_events);
+  EXPECT_EQ(ts.size(), tlstream::read_stream_dir(dir_).done_events);
   for (std::size_t i = 1; i < ts.size(); ++i) EXPECT_LE(ts[i - 1], ts[i]);
   for (const double d : extract_numbers(json, "dur")) EXPECT_GE(d, 0.0);
 }
 
 TEST_F(TimelineTest, WriteChromeJsonCreatesTheFile) {
-  const ScratchDir dir("fcma_timeline_file");
-  set_stream_dir(dir.path);
   { const Span s("file/span"); }
   Timeline::global().finalize_stream();
-  tlstream::write_timeline_view(dir.path);
-  const std::string json = slurp(dir.view_path());
+  tlstream::write_views(dir_);
+  const std::string json = slurp(view_path());
   EXPECT_EQ(json.rfind("{\n\"displayTimeUnit\"", 0), 0u);
   EXPECT_NE(json.find("\"file/span\""), std::string::npos);
+  // The trace view comes from the same read.
+  EXPECT_NE(slurp(trace_path()).find("\"file/span\": {\"count\": 1"),
+            std::string::npos);
   // Published through a rename: no temp file is left behind.
-  EXPECT_FALSE(std::filesystem::exists(dir.view_path() + ".part"));
+  EXPECT_FALSE(std::filesystem::exists(view_path() + ".part"));
+  EXPECT_FALSE(std::filesystem::exists(trace_path() + ".part"));
 }
 
 // --- exit dump ----------------------------------------------------------
 
 TEST_F(TimelineTest, ExitDumpWritesOnceAndIsIdempotent) {
-  const std::string trace_path = ::testing::TempDir() + "fcma_dump_test.json";
   { const Span s("dump/span"); }
-  set_exit_dump(trace_path);
+  set_exit_dump();
   dump_now();
-  std::remove(trace_path.c_str());
+  ASSERT_TRUE(std::filesystem::exists(trace_path()));
+  std::filesystem::remove(trace_path());
   dump_now();  // already fired: must not recreate the file
-  std::FILE* f = std::fopen(trace_path.c_str(), "r");
-  EXPECT_EQ(f, nullptr);
-  if (f != nullptr) std::fclose(f);
+  EXPECT_FALSE(std::filesystem::exists(trace_path()));
   // Re-arming makes the next dump fire again.
-  set_exit_dump(trace_path);
+  set_exit_dump();
   dump_now();
-  f = std::fopen(trace_path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(trace_path.c_str());
-  // Disarm so the atexit backstop does not resurrect the temp file after
-  // gtest finishes.
-  set_exit_dump("");
-  dump_now();
+  EXPECT_TRUE(std::filesystem::exists(trace_path()));
 }
 
 TEST_F(TimelineTest, ExitDumpFinalizesTheStreamAndRendersItsView) {
-  const ScratchDir dir("fcma_dump_stream");
-  set_stream_dir(dir.path);
   { const Span s("dump/streamed"); }
-  set_exit_dump("");  // no --trace file: the armed stream alone fires it
+  count("dump/counter", 3);
+  set_exit_dump();
   dump_now();
-  EXPECT_TRUE(std::filesystem::exists(dir.path + "/stream.done"));
-  const std::string json = slurp(dir.view_path());
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/stream.done"));
+  const std::string json = slurp(view_path());
   EXPECT_NE(json.find("\"dump/streamed\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  set_stream_dir("");
-  set_exit_dump("");
-  dump_now();
+  const std::string trace = slurp(trace_path());
+  EXPECT_NE(trace.find("\"dump/streamed\": {\"count\": 1"),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"dump/counter\": 3"), std::string::npos);
 }
 
 }  // namespace

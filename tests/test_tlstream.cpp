@@ -1,7 +1,8 @@
 // Tests for the continuous-profiling stream (common/tlstream.hpp) and the
 // PR 9 trace-correlation layer built on it: segment round-trips, rotation,
-// the torn-tail crash-safety contract, the disk budget, the reader's
-// rejection of malformed fields, the Chrome view rendered from a read, the
+// the torn-tail crash-safety contract, the disk budget, writes that fail
+// on a full disk, the reader's rejection of malformed fields and manifest
+// sections, the Chrome view rendered from a read, the
 // SLO rule grammar, ring-overflow spill exactness (dropped_events stays 0
 // while streaming), cross-rank span-context stitching through the cluster
 // comm, and the follow-reader-vs-writers race (runs under TSan via
@@ -178,14 +179,58 @@ TEST(SegmentWriter, DiskBudgetRefusesAppendsOnceExhausted) {
   EXPECT_LE(used->load(), 600u);
 }
 
+// A flush that the disk refuses loses every event since the last good
+// flush: the writer must say so instead of counting them as written.
+TEST(SegmentWriter, FailedFlushCountsTheUnflushedEventsAsLost) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const StreamDir dir("tls_full_segment");
+  std::filesystem::create_symlink("/dev/full", dir.path + "/lane0-0.tls.part");
+  const auto used = std::make_shared<std::atomic<std::uint64_t>>(0);
+  tls::SegmentWriter w(test_config(dir.path), used, 0, "main", 1);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(w.append({"full/span", i, i + 1, i + 1, 0}));  // buffered
+  }
+  EXPECT_EQ(w.events_written(), 10u);
+  w.flush();  // ENOSPC
+  EXPECT_EQ(w.events_written(), 0u);
+  EXPECT_EQ(w.events_lost(), 10u);
+  EXPECT_FALSE(w.append({"full/span", 20, 21, 21, 0}));  // failed for good
+  w.finalize();
+  EXPECT_EQ(w.events_lost(), 10u);
+}
+
 TEST(StreamManifest, DoneManifestRoundTripsTotals) {
   const StreamDir dir("tls_done");
-  tls::write_done_manifest(dir.path, 0x42, 1234, 5, 3);
+  Metrics metrics;
+  metrics.counters["io/bytes_mapped"] = 1ll << 40;
+  metrics.counters["delta"] = -7;
+  metrics.gauges["io/stall_s"] = 0.25;
+  metrics.meta["simd/isa"] = "avx2";
+  metrics.roofline["task"] = RooflineStats{1.0, 2.0, 0.5, 12.5, "compute"};
+  tls::write_done_manifest(dir.path, 0x42, 1234, 5, 3, metrics);
   const tls::StreamRead read = tls::read_stream_dir(dir.path);
   EXPECT_TRUE(read.done);
+  EXPECT_TRUE(read.warnings.empty());
   EXPECT_EQ(read.done_events, 1234u);
   EXPECT_EQ(read.done_dropped, 5u);
   EXPECT_EQ(read.trace_id, 0x42u);
+  EXPECT_EQ(read.metrics.counters, metrics.counters);
+  EXPECT_EQ(read.metrics.gauges, metrics.gauges);
+  EXPECT_EQ(read.metrics.meta, metrics.meta);
+  ASSERT_EQ(read.metrics.roofline.count("task"), 1u);
+  EXPECT_EQ(read.metrics.roofline.at("task").pct_roofline, 12.5);
+  EXPECT_EQ(read.metrics.roofline.at("task").bound, "compute");
+}
+
+// The manifest's close is where a full disk reports: publishing must throw
+// rather than rename a file that never got its bytes.
+TEST(StreamManifest, PublishToAFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const StreamDir dir("tls_full_manifest");
+  std::filesystem::create_symlink("/dev/full", dir.path + "/stream.done.part");
+  EXPECT_THROW(tls::write_done_manifest(dir.path, 0x42, 1, 0, 1, Metrics{}),
+               Error);
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/stream.done"));
 }
 
 TEST(StreamReader, EmptyDirIsEmptyReadAndMissingDirThrows) {
@@ -270,10 +315,26 @@ TEST(StreamReader, RejectsOutOfRangeFieldsAndBadTraceIds) {
 
 TEST(StreamReader, MalformedManifestIsAWarningNotADoneStream) {
   const StreamDir dir("tls_reader_manifest");
-  for (const std::string body :
-       {"\"events\": -1, \"dropped\": 0, \"trace\": \"00000000000000aa\"",
-        "\"events\": 1, \"dropped\": 1e300, \"trace\": \"00000000000000aa\"",
-        "\"events\": 1, \"dropped\": 0, \"trace\": \"zz\""}) {
+  const std::string ok =
+      "\"events\": 1, \"dropped\": 0, \"trace\": \"00000000000000aa\"";
+  const std::string sections =
+      ", \"meta\": {}, \"gauges\": {}, \"roofline\": {}";
+  for (const std::string& body : std::vector<std::string>{
+           "\"events\": -1, \"dropped\": 0, \"trace\": \"00000000000000aa\"",
+           "\"events\": 1, \"dropped\": 1e300, \"trace\": \"00000000000000aa\"",
+           "\"events\": 1, \"dropped\": 0, \"trace\": \"zz\"",
+           // Malformed registry sections.
+           ok + sections,                                 // no counters
+           ok + sections + ", \"counters\": []",          // not an object
+           ok + sections + ", \"counters\": {\"c\": 1.5}",  // fractional
+           ok + sections + ", \"counters\": {\"c\": 1e19}",  // > INT64_MAX
+           ok + sections + ", \"counters\": {\"c\": \"7\"}",  // a string
+           ok + ", \"meta\": {\"m\": 1}, \"gauges\": {}, \"roofline\": {}, "
+                "\"counters\": {}",
+           ok + ", \"meta\": {}, \"gauges\": {\"g\": null}, \"roofline\": {}, "
+                "\"counters\": {}",
+           ok + ", \"meta\": {}, \"gauges\": {}, \"counters\": {}, "
+                "\"roofline\": {\"r\": {\"modeled_s\": 1}}"}) {
     std::FILE* f = std::fopen((dir.path + "/stream.done").c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs(("{\"schema\": \"fcma.tlstream.v1\", " + body + "}\n").c_str(),
@@ -300,7 +361,7 @@ TEST(TimelineView, RendersLanesEventsAndDropsFromTheStream) {
     EXPECT_TRUE(a.append({"late", 5000, 6000, 1, 0}));
     EXPECT_TRUE(b.append({"early", 1000, 2500, 2, 1}));
   }
-  tls::write_done_manifest(dir.path, 7, 2, 4, 2);
+  tls::write_done_manifest(dir.path, 7, 2, 4, 2, Metrics{});
   const std::string json =
       tls::timeline_view_json(tls::read_stream_dir(dir.path));
   EXPECT_NE(json.find("\"schema\": \"fcma.timeline.v1\", "
@@ -362,6 +423,10 @@ TEST(SloRules, RejectBadSyntaxWithClearErrors) {
   EXPECT_THROW((void)tls::parse_slo_rules("a:p99=1ms"), Error);  // no '<'
   EXPECT_THROW((void)tls::parse_slo_rules("a:p99<1min"), Error);  // bad unit
   EXPECT_THROW((void)tls::parse_slo_rules("a:p99<fastms"), Error);
+  // A limit no latency can reach could never be violated.
+  EXPECT_THROW((void)tls::parse_slo_rules("task:p99<infs"), Error);
+  EXPECT_THROW((void)tls::parse_slo_rules("task:p99<1e999ms"), Error);
+  EXPECT_THROW((void)tls::parse_slo_rules("task:p99<nans"), Error);
 }
 
 TEST(SloRules, MatchExactlyOrAsPathSuffix) {
@@ -378,6 +443,8 @@ TEST(SloRules, MatchExactlyOrAsPathSuffix) {
 
 // --- Timeline spill integration -----------------------------------------
 
+/// Arms a fresh per-test stream (tests may shrink the ring first: sinks
+/// are created at their thread's first record) and enables tracing.
 class StreamingTimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -385,23 +452,29 @@ class StreamingTimelineTest : public ::testing::Test {
     Timeline::global().reset();
     Timeline::global().set_ring_capacity(1u << 16);
     new_run_id();
+    dir_ = ::testing::TempDir() + "tls_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    set_stream_dir(dir_);
     set_enabled(true);
   }
   void TearDown() override {
-    set_stream_dir("");
     set_enabled(false);
+    set_stream_dir("");
     global().reset();
     Timeline::global().reset();
     Timeline::global().set_ring_capacity(1u << 16);
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
+
+  std::string dir_;
 };
 
 // The satellite-1 exactness claim: a ring 20x smaller than the event count
 // spills instead of dropping, and the merged stream holds every event.
 TEST_F(StreamingTimelineTest, OverflowSpillsAndMergeIsCountExact) {
-  const StreamDir dir("tls_spill_exact");
   Timeline::global().set_ring_capacity(16);
-  set_stream_dir(dir.path);
   ASSERT_TRUE(streaming());
   constexpr std::size_t kSpans = 300;
   for (std::size_t i = 0; i < kSpans; ++i) {
@@ -410,7 +483,7 @@ TEST_F(StreamingTimelineTest, OverflowSpillsAndMergeIsCountExact) {
   Timeline::global().finalize_stream();
   EXPECT_EQ(Timeline::global().events_dropped(), 0u);
   EXPECT_EQ(Timeline::global().events_streamed(), kSpans);
-  const tls::StreamRead read = tls::read_stream_dir(dir.path);
+  const tls::StreamRead read = tls::read_stream_dir(dir_);
   EXPECT_TRUE(read.done);
   EXPECT_EQ(read.done_events, kSpans);
   EXPECT_EQ(read.done_dropped, 0u);
@@ -422,28 +495,37 @@ TEST_F(StreamingTimelineTest, OverflowSpillsAndMergeIsCountExact) {
   }
 }
 
-// Without a stream no events are recorded at all: aggregates still count
-// every span, but the rings stay empty and nothing is dropped.
-TEST_F(StreamingTimelineTest, NoStreamRecordsAggregatesButNoEvents) {
-  ASSERT_FALSE(streaming());
-  for (int i = 0; i < 100; ++i) {
-    const Span s("quiet/span");
+// A lane whose segment the disk refuses: every span it recorded is
+// dropped, counted, and the manifest reports none of them as written.
+TEST_F(StreamingTimelineTest, FailedSegmentWritesCountAsDropped) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Timeline::global().set_ring_capacity(16);
+  // The test thread records first, so it owns lane 0.
+  std::filesystem::create_symlink("/dev/full", dir_ + "/lane0-0.tls.part");
+  for (int i = 0; i < 40; ++i) {
+    const Span s("full/span");
   }
+  Timeline::global().finalize_stream();
   EXPECT_EQ(Timeline::global().events_streamed(), 0u);
-  EXPECT_EQ(Timeline::global().events_dropped(), 0u);
-  flush();
-  EXPECT_EQ(global().span("quiet/span").count, 100u);
+  EXPECT_EQ(Timeline::global().events_dropped(), 40u);
+  // /dev/full reads as endless zeros: take the lane out (under either
+  // name, should a regression have promoted it) before reading.
+  std::error_code ec;
+  std::filesystem::remove(dir_ + "/lane0-0.tls.part", ec);
+  std::filesystem::remove(dir_ + "/lane0-0.tls", ec);
+  const tls::StreamRead read = tls::read_stream_dir(dir_);
+  EXPECT_TRUE(read.done);
+  EXPECT_EQ(read.done_events, 0u);
+  EXPECT_EQ(read.done_dropped, 40u);
 }
 
 TEST_F(StreamingTimelineTest, FinalizeIsIdempotentAndLaterSpillsDrop) {
-  const StreamDir dir("tls_finalize");
   Timeline::global().set_ring_capacity(16);
-  set_stream_dir(dir.path);
   for (int i = 0; i < 40; ++i) {
     const Span s("fin/span");
   }
   Timeline::global().finalize_stream();
-  const tls::StreamRead first = tls::read_stream_dir(dir.path);
+  const tls::StreamRead first = tls::read_stream_dir(dir_);
   EXPECT_TRUE(first.done);
   EXPECT_EQ(first.done_events, 40u);
   // Post-finalize records can fill the emptied ring but never spill: the
@@ -453,7 +535,7 @@ TEST_F(StreamingTimelineTest, FinalizeIsIdempotentAndLaterSpillsDrop) {
   }
   EXPECT_EQ(Timeline::global().events_dropped(), 4u);  // 16 re-ring, 4 drop
   Timeline::global().finalize_stream();  // idempotent: no second manifest
-  const tls::StreamRead second = tls::read_stream_dir(dir.path);
+  const tls::StreamRead second = tls::read_stream_dir(dir_);
   EXPECT_EQ(second.done_events, first.done_events);
   EXPECT_EQ(second.events.size(), first.events.size());
 }
@@ -548,9 +630,7 @@ void expect_lane_monotonic(const std::vector<tls::StreamEvent>& events) {
 }
 
 TEST_F(StreamingTimelineTest, ClusterRunStitchesOneCrossRankTimeline) {
-  const StreamDir dir("tls_cluster");
   Timeline::global().set_ring_capacity(256);  // small: forces mid-run spills
-  set_stream_dir(dir.path);
 
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 64;
@@ -564,7 +644,7 @@ TEST_F(StreamingTimelineTest, ClusterRunStitchesOneCrossRankTimeline) {
   EXPECT_TRUE(board.complete());
   Timeline::global().finalize_stream();
 
-  const tls::StreamRead read = tls::read_stream_dir(dir.path);
+  const tls::StreamRead read = tls::read_stream_dir(dir_);
   EXPECT_TRUE(read.done);
   EXPECT_EQ(read.done_dropped, 0u);  // streaming: nothing may drop
   EXPECT_EQ(read.events.size(), read.done_events);
@@ -602,9 +682,7 @@ TEST_F(StreamingTimelineTest, ClusterRunStitchesOneCrossRankTimeline) {
 // --- follow readers racing writers (TSan gate) --------------------------
 
 TEST_F(StreamingTimelineTest, FollowReaderRacesWritersWithoutTornReads) {
-  const StreamDir dir("tls_race");
   Timeline::global().set_ring_capacity(64);
-  set_stream_dir(dir.path);
   std::atomic<bool> stop{false};
   // The follow reader: polls the stream dir exactly like `fcma report
   // --follow`, asserting every snapshot is a clean prefix — well-formed
@@ -612,7 +690,7 @@ TEST_F(StreamingTimelineTest, FollowReaderRacesWritersWithoutTornReads) {
   // warnings are expected; torn events are not.
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const tls::StreamRead snap = tls::read_stream_dir(dir.path);
+      const tls::StreamRead snap = tls::read_stream_dir(dir_);
       expect_lane_monotonic(snap.events);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -627,7 +705,7 @@ TEST_F(StreamingTimelineTest, FollowReaderRacesWritersWithoutTornReads) {
   stop.store(true, std::memory_order_release);
   reader.join();
   Timeline::global().finalize_stream();
-  const tls::StreamRead read = tls::read_stream_dir(dir.path);
+  const tls::StreamRead read = tls::read_stream_dir(dir_);
   EXPECT_TRUE(read.done);
   EXPECT_EQ(read.done_dropped, 0u);
   std::size_t race_spans = 0;

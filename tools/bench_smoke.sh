@@ -218,11 +218,19 @@ OOC_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/reports_identical")
 test "$OOC_WITHIN" = "1"
 test "$OOC_IDENTICAL" = "1"
 
-# Every sidecar this sweep consumed must pass the schema check (skipped
-# where python3 is unavailable).
+# Every sidecar this sweep consumed must pass the schema check, and the
+# streams two of them were rendered from must validate against their
+# views (skipped where python3 is unavailable).  No sidecar may have
+# dropped a span event.
+for sidecar in "$FIG9_METRICS" "$CLUSTER_METRICS" "$FAULTED_METRICS" \
+    "$FAILOVER_METRICS" "$OOCORE_METRICS"; do
+  grep -q '"dropped_events": 0$' "$sidecar"
+done
 if command -v python3 >/dev/null 2>&1; then
   python3 "$TOOLS_DIR/trace_check.py" "$FIG9_METRICS" "$CLUSTER_METRICS" \
-    "$FAULTED_METRICS" "$FAILOVER_METRICS"
+    "$FAULTED_METRICS" "$FAILOVER_METRICS" "$OOCORE_METRICS" \
+    "$BENCH_DIR/bench_fig9_single_node_speedup.stream" \
+    "$BENCH_DIR/bench_cluster_smoke.stream"
 else
   echo "bench smoke: python3 not found, skipping trace_check.py" >&2
 fi

@@ -2,7 +2,8 @@
 # Address+UB sanitizer gate for the memory-sensitive layers: configures a
 # separate build tree with -DFCMA_SANITIZE=$SANITIZE (below), builds the
 # data-plane test binaries (shard store mmap lifecycle, streamed epoch
-# cache, fmri io, pipeline stages, timeline stream reader), and runs them
+# cache, fmri io, pipeline stages, timeline stream reader and writer, the
+# trace views rendered from the stream), and runs them
 # instrumented.  float-cast-overflow is listed on its own because GCC's
 # `undefined` group leaves it out.  Any heap error, leak, or UB report
 # fails the script (halt_on_error); environments where ASan cannot compile
@@ -46,7 +47,7 @@ cmake -S "$SRC" -B "$BUILD" \
 JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_shard_store test_epoch_source test_fmri test_fcma_stages \
-          test_tlstream \
+          test_tlstream test_trace \
   -j "$JOBS" > /dev/null
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -65,4 +66,8 @@ echo "ci_asan: running test_fcma_stages under ASan+UBSan"
 # malformed-input tests drive its casts under float-cast-overflow.
 echo "ci_asan: running test_tlstream under ASan+UBSan"
 "$BUILD/tests/test_tlstream"
+# The trace layer: spans recorded into an armed stream, the manifest's
+# registry sections, and the fcma.trace.v2 view folded from a read.
+echo "ci_asan: running test_trace under ASan+UBSan"
+"$BUILD/tests/test_trace"
 echo "ci_asan: clean"

@@ -26,8 +26,6 @@
 #include "cluster/checkpoint.hpp"
 #include "cluster/driver.hpp"
 #include "common/cli.hpp"
-#include "common/histogram.hpp"
-#include "common/json.hpp"
 #include "common/timeline.hpp"
 #include "common/timer.hpp"
 #include "common/tlstream.hpp"
@@ -66,38 +64,28 @@ void usage() {
       "  cluster     run the fault-tolerant master-worker farm (in-process\n"
       "              ranks; --fault-* injection, --checkpoint/--resume)\n"
       "  offline     run the nested leave-one-subject-out study\n"
-      "  report      summarize a --trace JSON file (spans, percentiles,\n"
-      "              roofline, cluster balance)\n"
+      "  report      summarize a --trace-stream directory (spans,\n"
+      "              percentiles, roofline, cluster balance, SLOs)\n"
       "\n"
       "run `fcma <command> --help` for that command's flags.");
 }
 
-// Tracing knobs shared by the analysis commands (analyze/cluster/offline).
-void add_trace_flags(Cli& cli) {
-  cli.add_flag("trace", "",
-               "write a JSON span/counter trace of the run to this path");
+// Tracing knob shared by the analysis commands (analyze/cluster/offline).
+void add_trace_flag(Cli& cli) {
   cli.add_flag("trace-stream", "",
-               "continuously stream the timeline to fcma.tlstream.v1 "
-               "segment files in this directory, plus a Chrome-trace view "
-               "<dir>/timeline.json at exit (open in chrome://tracing or "
-               "ui.perfetto.dev; tail live with `fcma report --stream-in "
-               "<dir> --follow`)");
+               "continuously stream the run's spans to fcma.tlstream.v1 "
+               "segment files in this directory; at exit it also holds the "
+               "Chrome-trace view <dir>/timeline.json (chrome://tracing, "
+               "ui.perfetto.dev) and the span/counter summary "
+               "<dir>/trace.json (fcma.trace.v2).  Summarize with `fcma "
+               "report --stream-in <dir>`, live with --follow");
 }
 
-/// What setup_tracing() armed, for the end-of-run prints and exit dump.
-struct TraceSetup {
-  std::string trace_path;
-  std::string stream_dir;
-  bool tracing = false;
-};
-
-TraceSetup setup_tracing(const Cli& cli) {
-  TraceSetup t;
-  t.trace_path = cli.get("trace");
-  t.stream_dir = cli.get("trace-stream");
-  t.tracing = !t.trace_path.empty() || !t.stream_dir.empty();
-  if (!t.tracing) return t;
-  trace::set_enabled(true);
+/// Arms the stream named by --trace-stream (if any) and turns tracing on;
+/// returns the stream directory ("" = untraced run).
+std::string setup_tracing(const Cli& cli) {
+  const std::string dir = cli.get("trace-stream");
+  if (dir.empty()) return dir;
   // FCMA_TL_RING shrinks the per-thread event rings (tests force tiny
   // rings to exercise the spill path mid-run).
   const char* ring = std::getenv("FCMA_TL_RING");
@@ -106,30 +94,25 @@ TraceSetup setup_tracing(const Cli& cli) {
     FCMA_CHECK(n > 0, "FCMA_TL_RING must be positive");
     trace::Timeline::global().set_ring_capacity(static_cast<std::size_t>(n));
   }
-  if (!t.stream_dir.empty()) trace::set_stream_dir(t.stream_dir);
+  trace::set_stream_dir(dir);
+  trace::set_enabled(true);
   trace::set_thread_name("main");
-  trace::set_exit_dump(t.trace_path);
+  trace::set_exit_dump();
   trace::meta_set("simd/isa",
                   linalg::simd::isa_name(linalg::simd::active_isa()));
   trace::meta_set("trace/run_id",
                   trace::tlstream::trace_hex(trace::run_id()));
-  return t;
+  return dir;
 }
 
-void finish_tracing(const TraceSetup& t) {
-  if (!t.tracing) return;
+void finish_tracing(const std::string& dir) {
+  if (dir.empty()) return;
   trace::dump_now();
-  if (!t.trace_path.empty()) {
-    std::printf("trace written to %s\n", t.trace_path.c_str());
-  }
-  if (!t.stream_dir.empty()) {
-    std::printf("timeline stream written to %s (trace %s), Chrome view "
-                "%s/%s\n",
-                t.stream_dir.c_str(),
-                trace::tlstream::trace_hex(trace::run_id()).c_str(),
-                t.stream_dir.c_str(),
-                std::string(trace::tlstream::kTimelineFile).c_str());
-  }
+  std::printf("timeline stream written to %s (trace %s), views %s/%s and "
+              "%s/%s\n",
+              dir.c_str(), trace::tlstream::trace_hex(trace::run_id()).c_str(),
+              dir.c_str(), std::string(trace::tlstream::kTimelineFile).c_str(),
+              dir.c_str(), std::string(trace::tlstream::kTraceFile).c_str());
 }
 
 // Out-of-core knob shared by the analysis commands.
@@ -339,7 +322,7 @@ int cmd_analyze(int argc, const char* const* argv) {
                "worker threads for every stage (0 = hardware concurrency)");
   cli.add_flag("sched", "steal",
                "task scheduler: steal (work-stealing pool) or serial");
-  add_trace_flags(cli);
+  add_trace_flag(cli);
   add_budget_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
   const std::string sched = cli.get("sched");
@@ -349,8 +332,7 @@ int cmd_analyze(int argc, const char* const* argv) {
   const long long grouped = cli.get_int("grouped");
   FCMA_CHECK(grouped >= 1, "--grouped must be at least 1");
 
-  const TraceSetup tracing_setup = setup_tracing(cli);
-  const bool tracing = tracing_setup.tracing;
+  const std::string trace_dir = setup_tracing(cli);
 
   const auto view = fmri::open_dataset_view(cli.get("in"), cli.get("in"));
   const std::size_t budget = parse_bytes(cli.get("memory-budget"));
@@ -390,7 +372,7 @@ int cmd_analyze(int argc, const char* const* argv) {
   std::printf("scored %zu voxels in %.1f s\n", view->voxels(),
               timer.seconds());
 
-  if (tracing && epochs.has_value()) {
+  if (!trace_dir.empty() && epochs.has_value()) {
     // Roofline calibration: a small serial instrumented run whose memsim
     // event counts attach modeled-time / arithmetic-intensity / %-roofline
     // attribution to the gemm/syrk/svm span labels in the exported trace.
@@ -424,7 +406,7 @@ int cmd_analyze(int argc, const char* const* argv) {
   }
   core::write_report(cli.get("report"), report);
   std::printf("report written to %s\n", cli.get("report").c_str());
-  finish_tracing(tracing_setup);
+  finish_tracing(trace_dir);
   return 0;
 }
 
@@ -463,11 +445,11 @@ int cmd_cluster(int argc, const char* const* argv) {
                "task results between periodic checkpoints (0 = final only)");
   cli.add_flag("resume", "",
                "resume from a checkpoint, skipping scored voxel ranges");
-  add_trace_flags(cli);
+  add_trace_flag(cli);
   add_budget_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  const TraceSetup tracing_setup = setup_tracing(cli);
+  const std::string trace_dir = setup_tracing(cli);
 
   const auto view = fmri::open_dataset_view(cli.get("in"), cli.get("in"));
   const std::size_t budget = parse_bytes(cli.get("memory-budget"));
@@ -559,7 +541,7 @@ int cmd_cluster(int argc, const char* const* argv) {
   }
   core::write_report(cli.get("report"), report);
   std::printf("report written to %s\n", cli.get("report").c_str());
-  finish_tracing(tracing_setup);
+  finish_tracing(trace_dir);
   return 0;
 }
 
@@ -575,7 +557,7 @@ int cmd_offline(int argc, const char* const* argv) {
                "voxels per pipeline task (0 = the whole brain in one task)");
   cli.add_flag("sched", "steal",
                "task scheduler: steal (work-stealing pool) or serial");
-  add_trace_flags(cli);
+  add_trace_flag(cli);
   add_budget_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
   const std::string sched = cli.get("sched");
@@ -583,7 +565,7 @@ int cmd_offline(int argc, const char* const* argv) {
              "--sched expects 'steal' or 'serial'");
   const std::size_t threads = threads_flag(cli);
 
-  const TraceSetup tracing_setup = setup_tracing(cli);
+  const std::string trace_dir = setup_tracing(cli);
 
   const auto view = fmri::open_dataset_view(cli.get("in"), cli.get("in"));
   core::OfflineOptions opts;
@@ -612,75 +594,37 @@ int cmd_offline(int argc, const char* const* argv) {
   }
   core::write_report(cli.get("report"), report);
   std::printf("report written to %s\n", cli.get("report").c_str());
-  finish_tracing(tracing_setup);
+  finish_tracing(trace_dir);
   return 0;
 }
 
-/// Per-span-class rollup of one stream read: counts, total time, and a
-/// log-bucketed histogram for the percentile columns and the SLO rules.
-struct ClassStats {
-  std::uint64_t count = 0;
-  double total_s = 0.0;
-  trace::LatencyHistogram hist;
-};
-
-std::map<std::string, ClassStats> fold_classes(
+/// Per-span-class rollup of one stream read: the label folds merged by
+/// span class (worker ranks folded), for the table and the SLO rules.
+std::map<std::string, trace::tlstream::SpanStats> fold_classes(
     const trace::tlstream::StreamRead& read) {
-  std::map<std::string, ClassStats> classes;
-  for (const auto& ev : read.events) {
-    ClassStats& c = classes[trace::tlstream::span_class_of(ev.label)];
-    const std::uint64_t dur_ns =
-        ev.end_ns >= ev.start_ns ? ev.end_ns - ev.start_ns : 0;
-    ++c.count;
-    c.total_s += static_cast<double>(dur_ns) * 1e-9;
-    c.hist.record_ns(dur_ns);
+  std::map<std::string, trace::tlstream::SpanStats> classes;
+  for (const auto& [label, stats] : trace::tlstream::fold_spans(read)) {
+    classes[trace::tlstream::span_class_of(label)].merge(stats);
   }
   return classes;
-}
-
-/// One row of the span table: a v2 trace span or a folded stream class.
-struct SpanRow {
-  std::string name;
-  double count = 0.0;
-  double total_s = 0.0;
-  double p50_s = 0.0;
-  double p95_s = 0.0;
-  double p99_s = 0.0;
-};
-
-/// Prints the count/total/percentile table shared by --trace-in and
-/// --stream-in; rows past `limit` are summarized in one line.
-void print_span_table(const char* heading, const std::vector<SpanRow>& rows,
-                      std::size_t limit) {
-  std::printf("\n%-36s %10s %12s %12s %12s %12s\n", heading, "count",
-              "total_s", "p50_s", "p95_s", "p99_s");
-  for (std::size_t i = 0; i < rows.size() && i < limit; ++i) {
-    const SpanRow& r = rows[i];
-    std::printf("%-36s %10.0f %12.4g %12.4g %12.4g %12.4g\n", r.name.c_str(),
-                r.count, r.total_s, r.p50_s, r.p95_s, r.p99_s);
-  }
-  if (rows.size() > limit) {
-    std::printf("  ... %zu more span label(s)\n", rows.size() - limit);
-  }
 }
 
 /// Evaluates `rules` against the class rollup; prints one row per rule and
 /// returns the violation count.  A rule matching no class is a violation
 /// too — a silently-absent span class must not read as "SLO met".
-std::size_t evaluate_slo(const std::vector<trace::tlstream::SloRule>& rules,
-                         const std::map<std::string, ClassStats>& classes) {
+std::size_t evaluate_slo(
+    const std::vector<trace::tlstream::SloRule>& rules,
+    const std::map<std::string, trace::tlstream::SpanStats>& classes) {
   if (rules.empty()) return 0;
   std::size_t violations = 0;
   std::printf("\n%-44s %10s %12s %12s  %s\n", "slo rule", "count",
               "observed_s", "limit_s", "verdict");
   for (const auto& rule : rules) {
-    trace::LatencyHistogram merged;
-    std::uint64_t count = 0;
+    trace::tlstream::SpanStats merged;
     for (const auto& [name, c] : classes) {
-      if (!trace::tlstream::rule_matches(rule, name)) continue;
-      merged.merge(c.hist);
-      count += c.count;
+      if (trace::tlstream::rule_matches(rule, name)) merged.merge(c);
     }
+    const std::uint64_t count = merged.count;
     double observed = 0.0;
     bool violated = false;
     if (count == 0) {
@@ -701,7 +645,8 @@ std::size_t evaluate_slo(const std::vector<trace::tlstream::SloRule>& rules,
 
 /// Critical-path attribution: where each dispatched task's wall time went,
 /// bucketed by span class family across the whole merged timeline.
-void print_attribution(const std::map<std::string, ClassStats>& classes) {
+void print_attribution(
+    const std::map<std::string, trace::tlstream::SpanStats>& classes) {
   struct Bucket {
     const char* name;
     const char* suffix_a;
@@ -744,10 +689,29 @@ void print_attribution(const std::map<std::string, ClassStats>& classes) {
   }
 }
 
-/// Stream-mode report: merge (and optionally tail) an fcma.tlstream.v1
-/// directory, render per-class percentiles + critical-path attribution, and
-/// evaluate SLO rules.  Returns 2 when any rule is violated.
-int report_stream(const Cli& cli) {
+/// Merges (and optionally tails) an fcma.tlstream.v1 directory, renders
+/// per-class percentiles, critical-path attribution, roofline and cluster
+/// balance, and evaluates SLO rules.  Returns 2 when any rule is violated.
+int cmd_report(int argc, const char* const* argv) {
+  Cli cli("fcma report",
+          "summarize an fcma.tlstream.v1 stream (a --trace-stream directory)");
+  cli.add_flag("stream-in", "",
+               "fcma.tlstream.v1 stream directory to merge and summarize "
+               "(per-class percentiles, critical-path attribution, "
+               "roofline, cluster balance)");
+  cli.add_flag("follow", "false",
+               "tail a live stream: poll until its stream.done manifest "
+               "appears (or --follow-timeout elapses), then report");
+  cli.add_flag("follow-timeout", "30",
+               "seconds --follow waits for the run to finalize");
+  cli.add_flag("poll", "0.2", "seconds between --follow polls");
+  cli.add_flag("slo", "",
+               "comma-separated SLO rules, e.g. "
+               "'cluster/worker/task:p99<250ms,cluster/queue:p95<50ms'; any "
+               "violation makes the exit code 2");
+  if (!cli.parse(argc, argv)) return 0;
+  FCMA_CHECK(!cli.get("stream-in").empty(),
+             "report requires --stream-in <dir>");
   const std::string dir = cli.get("stream-in");
   const bool follow = cli.get_bool("follow");
   const double follow_timeout = cli.get_double("follow-timeout");
@@ -777,7 +741,7 @@ int report_stream(const Cli& cli) {
     double worst_p99 = 0.0;
     std::string worst;
     for (const auto& [name, c] : classes) {
-      const double p99 = c.hist.quantile(0.99);
+      const double p99 = c.quantile(0.99);
       if (p99 > worst_p99) {
         worst_p99 = p99;
         worst = name;
@@ -812,92 +776,47 @@ int report_stream(const Cli& cli) {
     std::printf("  warning: %s\n", w.c_str());
   }
 
-  const auto classes = fold_classes(read);
-  std::vector<SpanRow> rows;
-  for (const auto& [name, c] : classes) {
-    rows.push_back({name, static_cast<double>(c.count), c.total_s,
-                    c.hist.quantile(0.50), c.hist.quantile(0.95),
-                    c.hist.quantile(0.99)});
+  for (const auto& [name, v] : read.metrics.meta) {
+    std::printf("  meta %-24s %s\n", name.c_str(), v.c_str());
   }
-  print_span_table("span class", rows, rows.size());
+
+  const auto classes = fold_classes(read);
+  std::printf("\n%-36s %10s %12s %12s %12s %12s\n", "span class", "count",
+              "total_s", "p50_s", "p95_s", "p99_s");
+  for (const auto& [name, c] : classes) {
+    std::printf("%-36s %10llu %12.4g %12.4g %12.4g %12.4g\n", name.c_str(),
+                static_cast<unsigned long long>(c.count), c.total_s,
+                c.quantile(0.50), c.quantile(0.95), c.quantile(0.99));
+  }
   print_attribution(classes);
+
+  const trace::Metrics& metrics = read.metrics;
+  if (!metrics.roofline.empty()) {
+    std::printf("\n%-36s %12s %10s %10s %8s  %s\n", "roofline", "modeled_s",
+                "gflops", "ai_f/B", "%roof", "bound");
+    for (const auto& [label, r] : metrics.roofline) {
+      std::printf("%-36s %12.4g %10.3g %10.3g %8.1f  %s\n", label.c_str(),
+                  r.modeled_s, r.gflops, r.ai_flops_per_byte, r.pct_roofline,
+                  r.bound.c_str());
+    }
+  }
+  // Cluster balance, when the stream came from a driver run.
+  const auto gauge = [&metrics](const char* name) {
+    const auto it = metrics.gauges.find(name);
+    return it == metrics.gauges.end() ? 0.0 : it->second;
+  };
+  if (metrics.gauges.count("cluster/imbalance_ratio") != 0) {
+    std::printf("\ncluster balance: max %.4g s / mean %.4g s busy "
+                "(imbalance %.3f)\n",
+                gauge("cluster/max_worker_busy_s"),
+                gauge("cluster/mean_worker_busy_s"),
+                gauge("cluster/imbalance_ratio"));
+  }
+  std::printf("\n%zu counter(s), %zu gauge(s)\n", metrics.counters.size(),
+              metrics.gauges.size());
 
   const std::size_t violations = evaluate_slo(rules, classes);
   return violations > 0 ? 2 : 0;
-}
-
-int cmd_report(int argc, const char* const* argv) {
-  Cli cli("fcma report",
-          "summarize a --trace JSON file or an fcma.tlstream.v1 stream");
-  cli.add_flag("trace-in", "", "fcma.trace.v1/v2 JSON file to summarize");
-  cli.add_flag("top", "12", "span rows shown (by total time)");
-  cli.add_flag("stream-in", "",
-               "fcma.tlstream.v1 stream directory to merge and summarize "
-               "(per-class percentiles, critical-path attribution)");
-  cli.add_flag("follow", "false",
-               "tail a live stream: poll until its stream.done manifest "
-               "appears (or --follow-timeout elapses), then report");
-  cli.add_flag("follow-timeout", "30",
-               "seconds --follow waits for the run to finalize");
-  cli.add_flag("poll", "0.2", "seconds between --follow polls");
-  cli.add_flag("slo", "",
-               "comma-separated SLO rules, e.g. "
-               "'cluster/worker/task:p99<250ms,cluster/queue:p95<50ms'; any "
-               "violation makes the exit code 2");
-  if (!cli.parse(argc, argv)) return 0;
-  if (!cli.get("stream-in").empty()) return report_stream(cli);
-  const std::string path = cli.get("trace-in");
-  FCMA_CHECK(!path.empty(),
-             "report requires --trace-in <trace.json> or --stream-in <dir>");
-  const json::Value doc = json::parse_file(path);
-  FCMA_CHECK(doc.is_object(), "trace file is not a JSON object");
-  std::printf("trace %s (%s)\n", path.c_str(),
-              doc.at("schema").as_string().empty()
-                  ? "unversioned"
-                  : doc.at("schema").as_string().c_str());
-  for (const auto& [name, v] : doc.at("meta").members()) {
-    std::printf("  meta %-24s %s\n", name.c_str(), v.as_string().c_str());
-  }
-
-  // Spans, widest first.  v1 files have no percentile fields; at() then
-  // yields 0 and the columns print as zeros rather than failing.
-  std::vector<SpanRow> spans;
-  for (const auto& [label, v] : doc.at("spans").members()) {
-    spans.push_back({label, v.at("count").as_number(),
-                     v.at("total_s").as_number(), v.at("p50_s").as_number(),
-                     v.at("p95_s").as_number(), v.at("p99_s").as_number()});
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const SpanRow& a, const SpanRow& b) {
-              return a.total_s > b.total_s;
-            });
-  print_span_table("span", spans,
-                   static_cast<std::size_t>(cli.get_int("top")));
-
-  if (doc.at("roofline").size() > 0) {
-    std::printf("\n%-36s %12s %10s %10s %8s  %s\n", "roofline", "modeled_s",
-                "gflops", "ai_f/B", "%roof", "bound");
-    for (const auto& [label, r] : doc.at("roofline").members()) {
-      std::printf("%-36s %12.4g %10.3g %10.3g %8.1f  %s\n", label.c_str(),
-                  r.at("modeled_s").as_number(), r.at("gflops").as_number(),
-                  r.at("ai_flops_per_byte").as_number(),
-                  r.at("pct_roofline").as_number(),
-                  r.at("bound").as_string().c_str());
-    }
-  }
-
-  // Cluster balance, when the trace came from a driver/sim run.
-  const json::Value& gauges = doc.at("gauges");
-  if (gauges.has("cluster/imbalance_ratio")) {
-    std::printf("\ncluster balance: max %.4g s / mean %.4g s busy "
-                "(imbalance %.3f)\n",
-                gauges.at("cluster/max_worker_busy_s").as_number(),
-                gauges.at("cluster/mean_worker_busy_s").as_number(),
-                gauges.at("cluster/imbalance_ratio").as_number());
-  }
-  std::printf("\n%zu counter(s), %zu gauge(s)\n", doc.at("counters").size(),
-              gauges.size());
-  return 0;
 }
 
 }  // namespace
@@ -926,8 +845,8 @@ int main(int argc, char** argv) {
     return 1;
   } catch (const fcma::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    // A failed run still leaves its --trace/--trace-stream files behind
-    // (no-op unless a command armed the dump).
+    // A failed run still leaves its --trace-stream directory and views
+    // behind (no-op unless a command armed the dump).
     fcma::trace::dump_now();
     return 1;
   }

@@ -35,51 +35,69 @@ test -f clean.fcmb && test -f clean.fcmm
 grep -q "top voxels" analysis.txt
 grep -q "ROI clusters" analysis.txt
 
-# Tracing: the run's span/counter breakdown lands in a JSON file with all
-# three pipeline stages, latency percentiles, roofline attribution, and the
-# work-stealing scheduler's activity; --trace-stream adds the event stream
-# and its Chrome-trace view (one named lane per scheduler worker).
-"$FCMA" analyze --in clean --report traced.txt --top-k 6 --trace trace.json \
+# Tracing: --trace-stream writes the event stream plus two views rendered
+# from it at exit — the span/counter summary trace.json, with all three
+# pipeline stages, latency percentiles, roofline attribution, and the
+# work-stealing scheduler's activity, and the Chrome-trace view (one named
+# lane per scheduler worker).
+"$FCMA" analyze --in clean --report traced.txt --top-k 6 \
     --trace-stream tl_stream
-test -f trace.json && test -f tl_stream/timeline.json
-grep -q '"fcma.trace.v2"' trace.json
-grep -q '"task/correlation"' trace.json
-grep -q '"task/normalization"' trace.json
-grep -q 'svm' trace.json
-grep -q 'sched/' trace.json
-grep -q 'sched/steals' trace.json
-grep -q 'sched/local_hits' trace.json
-grep -q '"p95_s"' trace.json
-grep -q '"roofline"' trace.json
-grep -q 'task/correlation/gemm_nt' trace.json
+test -f tl_stream/trace.json && test -f tl_stream/timeline.json
+grep -q '"fcma.trace.v2"' tl_stream/trace.json
+grep -q '"task/correlation"' tl_stream/trace.json
+grep -q '"task/normalization"' tl_stream/trace.json
+grep -q 'svm' tl_stream/trace.json
+grep -q 'sched/' tl_stream/trace.json
+grep -q 'sched/steals' tl_stream/trace.json
+grep -q 'sched/local_hits' tl_stream/trace.json
+grep -q '"p95_s"' tl_stream/trace.json
+grep -q '"roofline"' tl_stream/trace.json
+grep -q 'task/correlation/gemm_nt' tl_stream/trace.json
 grep -q '"fcma.timeline.v1"' tl_stream/timeline.json
 grep -q 'sched/worker0' tl_stream/timeline.json
-trace_check trace.json tl_stream
-# The Chrome view comes only from the stream: the old flag is gone.
-if "$FCMA" analyze --in clean --report gone.txt --trace-timeline x \
-    2>/dev/null; then
-  echo "expected --trace-timeline to be rejected as an unknown flag" >&2
-  exit 1
-fi
+trace_check tl_stream
+# Every view comes only from the stream: the old flags are gone.
+for gone in --trace-timeline --trace; do
+  if "$FCMA" analyze --in clean --report gone.txt "$gone" x 2>/dev/null; then
+    echo "expected $gone to be rejected as an unknown flag" >&2
+    exit 1
+  fi
+done
 
-# The report subcommand renders the JSON back into tables.
-"$FCMA" report --trace-in trace.json > report.txt
-grep -q 'fcma.trace.v2' report.txt
+# The report subcommand renders the stream into tables.
+"$FCMA" report --stream-in tl_stream > report.txt
+grep -q 'fcma.tlstream.v1' report.txt
 grep -q 'task/correlation' report.txt
 grep -q 'p95' report.txt
 grep -q 'roofline' report.txt
+grep -q 'meta simd/isa' report.txt
+if "$FCMA" report --trace-in tl_stream/trace.json 2>/dev/null; then
+  echo "expected report --trace-in to be rejected as an unknown flag" >&2
+  exit 1
+fi
+
+# A trace view that disagrees with its stream fails validation.
+if command -v python3 >/dev/null 2>&1; then
+  cp -r tl_stream tl_mutated
+  awk '!done && sub(/"count": /, "\"count\": 1") { done = 1 } { print }' \
+      tl_stream/trace.json > tl_mutated/trace.json
+  if trace_check tl_mutated 2>/dev/null; then
+    echo "expected trace_check to reject an edited trace.json count" >&2
+    exit 1
+  fi
+fi
 
 # Abnormal exit still flushes the trace: a failing run must exit non-zero
 # yet leave valid (if sparse) trace artifacts behind.
-if "$FCMA" analyze --in /nonexistent --trace err.json \
-    --trace-stream err_stream 2>/dev/null; then
+if "$FCMA" analyze --in /nonexistent --trace-stream err_stream \
+    2>/dev/null; then
   echo "expected failure for a missing analyze input" >&2
   exit 1
 fi
-test -f err.json && test -f err_stream/stream.done
+test -f err_stream/trace.json && test -f err_stream/stream.done
 test -f err_stream/timeline.json
-grep -q '"fcma.trace.v2"' err.json
-trace_check err.json err_stream/timeline.json
+grep -q '"fcma.trace.v2"' err_stream/trace.json
+trace_check err_stream/trace.json err_stream/timeline.json
 
 # --sched serial runs the same analysis without a pool and must produce an
 # identical report (the scheduler only moves tasks between threads).
@@ -118,8 +136,8 @@ expect_exit_1 analyze --memory-budget 1e30G
 # changes answers — produces an identical report.
 for isa in scalar avx2 avx512; do
   FCMA_FORCE_ISA=$isa "$FCMA" analyze --in clean --report "isa_$isa.txt" \
-      --top-k 6 --trace "isa_$isa.json"
-  grep -q "\"simd/isa\": \"$isa\"" "isa_$isa.json"
+      --top-k 6 --trace-stream "isa_$isa"
+  grep -q "\"simd/isa\": \"$isa\"" "isa_$isa/trace.json"
 done
 cmp isa_scalar.txt isa_avx2.txt
 cmp isa_scalar.txt isa_avx512.txt
@@ -148,13 +166,13 @@ cmp traced.txt sharded_resident.txt
     --memory-budget 16M
 cmp traced.txt budgeted.txt
 "$FCMA" analyze --in sharded --report streamed.txt --top-k 6 \
-    --memory-budget 16M --trace streamed.json
+    --memory-budget 16M --trace-stream streamed
 cmp traced.txt streamed.txt
-grep -q 'io/shard_loads' streamed.json
-grep -q 'io/bytes_mapped' streamed.json
-grep -q 'io/prefetch_hits' streamed.json
-grep -q 'io/stall_s' streamed.json
-trace_check streamed.json
+grep -q 'io/shard_loads' streamed/trace.json
+grep -q 'io/bytes_mapped' streamed/trace.json
+grep -q 'io/prefetch_hits' streamed/trace.json
+grep -q 'io/stall_s' streamed/trace.json
+trace_check streamed
 "$FCMA" offline --in sharded --report offline_streamed.txt --top-k 12 \
     --threads 2 --voxels-per-task 100 --memory-budget 16M
 cmp offline.txt offline_streamed.txt
@@ -183,14 +201,14 @@ fi
 # byte-identical; recovery counters land in the trace and are
 # schema-checked (including the zero-valued ones on the clean run).
 "$FCMA" cluster --in clean --report cluster_clean.txt --workers 3 \
-    --voxels-per-task 40 --top-k 6 --trace cluster_clean.json \
+    --voxels-per-task 40 --top-k 6 --trace-stream cluster_clean \
     > cluster_clean.log
 grep -q "top voxels" cluster_clean.txt
 grep -q 'deaths=0' cluster_clean.log
-grep -q 'cluster/tasks_dispatched' cluster_clean.json
-grep -q 'cluster/retries' cluster_clean.json
-grep -q 'cluster/reassignments' cluster_clean.json
-trace_check cluster_clean.json
+grep -q 'cluster/tasks_dispatched' cluster_clean/trace.json
+grep -q 'cluster/retries' cluster_clean/trace.json
+grep -q 'cluster/reassignments' cluster_clean/trace.json
+trace_check cluster_clean
 
 # Streamed farm: all worker ranks lease panels from one budgeted shard-
 # backed source; any worker count must render the resident report verbatim.
@@ -204,23 +222,23 @@ cmp cluster_clean.txt cluster_streamed2.txt
 "$FCMA" cluster --in clean --report cluster_faulted.txt --workers 3 \
     --voxels-per-task 40 --top-k 6 --lease-timeout 0.5 \
     --fault-kill-rank 2 --fault-kill-after 1 \
-    --trace cluster_faulted.json > cluster_faulted.log
+    --trace-stream cluster_faulted > cluster_faulted.log
 grep -q 'deaths=1' cluster_faulted.log
 cmp cluster_clean.txt cluster_faulted.txt
-trace_check cluster_faulted.json
+trace_check cluster_faulted
 
 # Replicated control plane: kill the primary master mid-fold; the standby
 # detects the silence, announces the takeover, re-primes the workers from
 # its replicated scoreboard, and the report stays byte-identical.
 "$FCMA" cluster --in clean --report cluster_failover.txt --workers 2 \
     --voxels-per-task 40 --top-k 6 --lease-timeout 0.4 \
-    --fault-kill-master-after 2 --trace cluster_failover.json \
+    --fault-kill-master-after 2 --trace-stream cluster_failover \
     > cluster_failover.log
 grep -q 'failovers=1' cluster_failover.log
 cmp cluster_clean.txt cluster_failover.txt
-grep -q 'cluster/failovers' cluster_failover.json
-grep -q 'cluster/resurrections' cluster_failover.json
-trace_check cluster_failover.json
+grep -q 'cluster/failovers' cluster_failover/trace.json
+grep -q 'cluster/resurrections' cluster_failover/trace.json
+trace_check cluster_failover
 
 # Speculative re-dispatch is not part of the farm: the flag is unknown.
 if "$FCMA" cluster --in clean --speculate 1 2>/dev/null; then
@@ -288,6 +306,7 @@ grep -q 'cluster/worker/task' stream_report.txt
 grep -q 'cluster/comm/assign' stream_report.txt
 grep -q 'critical-path attribution' stream_report.txt
 grep -q 'recovery' stream_report.txt
+grep -q 'cluster balance' stream_report.txt
 
 # Declarative SLOs: an impossible rule must be reported VIOLATED and turn
 # the exit code non-zero; a generous rule passes the same stream.
@@ -301,6 +320,14 @@ grep -q 'slo/violations 1' slo_report.txt
 "$FCMA" report --stream-in stream_dir \
     --slo 'cluster/worker/task:p99<100s' > slo_ok.txt
 grep -q 'slo/violations 0' slo_ok.txt
+# An infinite limit could never be violated: it is a bad rule, exit 1.
+status=0
+"$FCMA" report --stream-in stream_dir --slo 'task:p99<infs' \
+    > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "expected exit 1 for an infinite SLO limit, got $status" >&2
+  exit 1
+fi
 # A zero poll interval would re-read the stream in a busy loop.
 if "$FCMA" report --stream-in stream_dir --follow --poll 0 \
     2>/dev/null >/dev/null; then

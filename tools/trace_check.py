@@ -3,12 +3,13 @@
 
 Accepts any artifact the CLI / benches emit and sniffs which one it got:
 
-* a metrics dump (``fcma.trace.v2``): the aggregate span/counter/gauge
-  registry written by ``--trace`` and the bench sidecars.  Checks the schema
-  string, that every span's quantiles are ordered (p50 <= p95 <= p99) and
-  clamped inside the exact [min_s, max_s] range, that counters/gauges are
-  numeric, and that any roofline attribution carries the full field set
-  with sane values.
+* a metrics view (``fcma.trace.v2``): the span/counter/gauge summary
+  ``DIR/trace.json`` rendered from a ``--trace-stream DIR`` stream, which
+  the bench sidecars copy.  Checks the schema string, that every span's
+  quantiles are ordered (p50 <= p95 <= p99) and clamped inside the exact
+  [min_s, max_s] range, that counters/gauges are numeric, that
+  ``dropped_events`` is a non-negative integer, and that any roofline
+  attribution carries the full field set with sane values.
 * a Chrome-trace timeline (``fcma.timeline.v1``): the per-thread event
   view ``DIR/timeline.json`` rendered from a ``--trace-stream DIR`` stream.
   Checks that complete events are globally time-sorted with non-negative
@@ -23,8 +24,13 @@ Accepts any artifact the CLI / benches emit and sniffs which one it got:
   manifest is present — that the manifest's event total equals the merged
   parse (nothing was lost), that no torn tail survived the finalize, and
   that every non-zero parent span id resolves somewhere in the merge (no
-  orphan cross-rank references), and that ``timeline.json`` validates as a
-  timeline holding exactly the stream's events, lanes and dropped count.
+  orphan cross-rank references), that ``timeline.json`` validates as a
+  timeline holding exactly the stream's events, lanes and dropped count,
+  and that ``trace.json`` validates as a metrics view whose per-label span
+  counts equal the stream's event counts, whose totals agree with the
+  events' durations within 1 ns per event (plus the rounding of the
+  printed 9-digit value), and whose dropped_events, meta, counters, gauges
+  and roofline equal the manifest's.
 
 Exit status 0 means the artifact validated; 1 means a check failed (each
 failure is printed); 2 means it could not be read or parsed.
@@ -44,6 +50,10 @@ REQUIRED_ROOFLINE_FIELDS = (
 # Quantiles interpolate inside power-of-two buckets, so allow a hair of
 # floating-point slack around the exact recorded range.
 EPS = 1e-9
+# The views print seconds with 9 significant digits.
+PRINT_REL = 1e-8
+# Registry sections a stream.done manifest carries into trace.json.
+METRIC_SECTIONS = ("meta", "counters", "gauges", "roofline")
 
 
 class Checker:
@@ -81,6 +91,10 @@ def check_metrics(c, doc):
             c.check(lo - EPS <= p50 and p99 <= hi + EPS,
                     "span %r: quantiles escape [min_s, max_s] "
                     "([%g, %g] vs p50=%g p99=%g)" % (label, lo, hi, p50, p99))
+    dropped = doc.get("dropped_events")
+    c.check(isinstance(dropped, int) and not isinstance(dropped, bool)
+            and dropped >= 0,
+            "dropped_events missing or not a non-negative integer")
     for section in ("counters", "gauges"):
         values = doc.get(section, {})
         c.check(isinstance(values, dict), "%r is not an object" % section)
@@ -123,8 +137,9 @@ def check_metrics(c, doc):
             c.check(c.is_number(roof["ai_flops_per_byte"])
                     and roof["ai_flops_per_byte"] >= 0.0,
                     "roofline %r: arithmetic intensity negative" % label)
-    return "fcma.trace.v2 metrics: %d spans, %d roofline points" % (
-        len(spans), len(doc.get("roofline", {})))
+    return "fcma.trace.v2 metrics: %d spans, %d roofline points, %r " \
+        "dropped events" % (len(spans), len(doc.get("roofline", {})),
+                            dropped)
 
 
 def check_timeline(c, doc):
@@ -258,6 +273,8 @@ def parse_stream_segment(c, path, lane_id, seq, state):
         if ev.get("parent"):
             state["parent_refs"].append((ev["label"], ev["parent"]))
         state["events"] += 1
+        count, total_ns = state["labels"].get(ev["label"], (0, 0))
+        state["labels"][ev["label"]] = (count + 1, total_ns + ev["dur"])
 
 
 def check_stream_dir(c, dirpath):
@@ -269,7 +286,7 @@ def check_stream_dir(c, dirpath):
                              m.group(3) is not None, name))
     c.check(segments, "no stream segments under %s" % dirpath)
     state = {"trace": None, "events": 0, "spans": set(), "parent_refs": [],
-             "lanes": set(), "last_end": {}, "torn": []}
+             "lanes": set(), "last_end": {}, "torn": [], "labels": {}}
     for lane_id, seq, _partial, name in sorted(segments):
         parse_stream_segment(c, os.path.join(dirpath, name), lane_id, seq,
                              state)
@@ -334,9 +351,54 @@ def check_stream_dir(c, dirpath):
             c.check(dropped == manifest.get("dropped"),
                     "timeline.json dropped_events %r != stream.done %r"
                     % (dropped, manifest.get("dropped")))
+        for section in METRIC_SECTIONS:
+            c.check(isinstance(manifest.get(section), dict),
+                    "stream.done %r section missing or not an object"
+                    % section)
+        check_trace_view(c, dirpath, state, manifest)
     return "fcma.tlstream.v1: %d events, %d lanes, %d segments%s" % (
         state["events"], len(state["lanes"]), len(segments),
         ", finalized" if done else " (live)")
+
+
+def check_trace_view(c, dirpath, state, manifest):
+    """trace.json must be a valid metrics view of exactly this stream."""
+    try:
+        with open(os.path.join(dirpath, "trace.json"), "r",
+                  encoding="utf-8") as f:
+            view = json.load(f)
+    except (OSError, ValueError) as err:
+        c.check(False, "unreadable trace.json: %s" % err)
+        return
+    vc = Checker(dirpath)
+    check_metrics(vc, view)
+    c.failures += ["trace.json: " + f for f in vc.failures]
+    spans = view.get("spans", {})
+    if not isinstance(spans, dict):
+        return
+    c.check(set(spans) == set(state["labels"]),
+            "trace.json span labels differ from the stream's: only in "
+            "trace.json %s, only in the stream %s"
+            % (sorted(set(spans) - set(state["labels"]))[:5],
+               sorted(set(state["labels"]) - set(spans))[:5]))
+    for label in sorted(set(spans) & set(state["labels"])):
+        count, total_ns = state["labels"][label]
+        span = spans[label]
+        c.check(span.get("count") == count,
+                "trace.json span %r count %r != %d stream events"
+                % (label, span.get("count"), count))
+        total_s = span.get("total_s")
+        if c.is_number(total_s):
+            slack = count * 1e-9 + PRINT_REL * abs(total_s)
+            c.check(abs(total_s - total_ns * 1e-9) <= slack,
+                    "trace.json span %r total_s %r != %d ns of stream events"
+                    % (label, total_s, total_ns))
+    c.check(view.get("dropped_events") == manifest.get("dropped"),
+            "trace.json dropped_events %r != stream.done %r"
+            % (view.get("dropped_events"), manifest.get("dropped")))
+    for section in METRIC_SECTIONS:
+        c.check(view.get(section) == manifest.get(section),
+                "trace.json %s differ from stream.done's" % section)
 
 
 def check_file(path):
