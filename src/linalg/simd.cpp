@@ -1,7 +1,11 @@
 #include "linalg/simd.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/platform.hpp"
@@ -287,12 +291,171 @@ void zscore_finish_t(float* FCMA_RESTRICT row, const float* FCMA_RESTRICT mean,
   zscore_finish_tail(row, mean, inv_sd, width, j);
 }
 
+// ---------------------------------------------------------------------------
+// SMO sweeps (paper §4.4, PhiSVM).  Each lane keeps its own extremum and the
+// last index reaching it; the lanes then reduce to the global extremum with
+// ties going to the largest index, which is exactly the last index a
+// sequential `>=` / `<=` scan would keep.  Every element's float arithmetic
+// is the scalar expression, so the result does not depend on W.
+// ---------------------------------------------------------------------------
+template <int W>
+struct IVecOf {
+  typedef std::int32_t type
+      __attribute__((vector_size(W * sizeof(std::int32_t)), aligned(4)));
+};
+
+template <typename Vec, typename T>
+FCMA_FORCE_INLINE Vec splat(T x) {
+  Vec v;
+  for (std::size_t l = 0; l < sizeof(Vec) / sizeof(T); ++l) v[l] = x;
+  return v;
+}
+
+template <int W, int... L>
+FCMA_FORCE_INLINE typename IVecOf<W>::type lane_ids(
+    std::integer_sequence<int, L...>) {
+  return typename IVecOf<W>::type{L...};
+}
+
+template <int W>
+FCMA_FORCE_INLINE typename IVecOf<W>::type lane_ids() {
+  return lane_ids<W>(std::make_integer_sequence<int, W>());
+}
+
+// Butterfly reduction: after log2(W) exchange steps every lane holds the
+// pick of all lanes.  `pick(a, b)` must be commutative and associative.
+template <int Step, typename Vec, int... L>
+FCMA_FORCE_INLINE Vec swap_lanes(Vec v, std::integer_sequence<int, L...>) {
+  return __builtin_shufflevector(v, v, (L ^ Step)...);
+}
+
+template <int W, int Step = W / 2, typename Vec, typename Pick>
+FCMA_FORCE_INLINE Vec all_lanes(Vec v, Pick pick) {
+  if constexpr (Step == 0) {
+    return v;
+  } else {
+    v = pick(v, swap_lanes<Step>(v, std::make_integer_sequence<int, W>()));
+    return all_lanes<W, Step / 2>(v, pick);
+  }
+}
+
+// Reduces per-lane (extremum, last index reaching it) pairs to the global
+// extremum's largest index; -1 when no lane took an element.  kMax picks
+// the largest value, otherwise the smallest.  Lanes that took nothing still
+// hold their ±inf start value and index -1, so they never win a tie.  No
+// lane holds a NaN.
+template <bool kMax, int W>
+int reduce_last_extremum(typename VecOf<W>::type best,
+                         typename IVecOf<W>::type idx) {
+  using V = typename VecOf<W>::type;
+  using I = typename IVecOf<W>::type;
+  const V m = all_lanes<W>(best, [](V a, V b) {
+    return kMax ? (a > b ? a : b) : (a < b ? a : b);
+  });
+  const I at_m = best == m ? idx : splat<I>(-1);
+  return all_lanes<W>(at_m, [](I a, I b) { return a > b ? a : b; })[0];
+}
+
+// One chunk's candidates: v = -y*G where the element is in the up (low)
+// set, NaN elsewhere, so a single ordered compare both applies the set and
+// tracks the extremum.  With ya = y*alpha (exact for y in {-1, 0, 1}):
+//   up:  y = +1: alpha < c  <=>  ya < c;   y = -1: alpha > 0  <=>  ya < 0
+//   low: y = +1: alpha > 0  <=>  ya > 0;   y = -1: alpha < c  <=>  ya > -c
+// i.e. ya < max(c*y, 0) and ya > min(c*y, 0); a padding lane (y = 0) fails
+// both.
+template <int W>
+struct SmoCandidates {
+  typename VecOf<W>::type up;
+  typename VecOf<W>::type low;
+};
+
+template <int W>
+FCMA_FORCE_INLINE SmoCandidates<W> smo_candidates(const SmoSweep& s,
+                                                  std::size_t t) {
+  using V = typename VecOf<W>::type;
+  const V zero = {};
+  const V nan = splat<V>(std::numeric_limits<float>::quiet_NaN());
+  const V y = vload<W>(s.y + t);
+  const V v = -y * vload<W>(s.grad + t);
+  const V ya = y * vload<W>(s.alpha + t);
+  const V cy = s.c * y;
+  return {ya < (cy > zero ? cy : zero) ? v : nan,
+          ya > (cy < zero ? cy : zero) ? v : nan};
+}
+
+template <int W>
+void smo_select_t(const SmoSweep& s, int* i_up, int* j_low) {
+  using V = typename VecOf<W>::type;
+  using I = typename IVecOf<W>::type;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  V up_best = splat<V>(-kInf);
+  V low_best = splat<V>(kInf);
+  I up_idx = splat<I>(-1);
+  I low_idx = splat<I>(-1);
+  I idx = lane_ids<W>();
+  for (std::size_t t = 0; t < s.n; t += W) {
+    const SmoCandidates<W> v = smo_candidates<W>(s, t);
+    const I take_up = v.up >= up_best;
+    const I take_low = v.low <= low_best;
+    up_best = take_up ? v.up : up_best;
+    up_idx = take_up ? idx : up_idx;
+    low_best = take_low ? v.low : low_best;
+    low_idx = take_low ? idx : low_idx;
+    idx += W;
+  }
+  *i_up = reduce_last_extremum<true, W>(up_best, up_idx);
+  *j_low = reduce_last_extremum<false, W>(low_best, low_idx);
+}
+
+template <int W>
+int smo_gain_t(const SmoSweep& s, const float* FCMA_RESTRICT diag,
+               const float* FCMA_RESTRICT ki, float kii, float g_max) {
+  using V = typename VecOf<W>::type;
+  using I = typename IVecOf<W>::type;
+  const V zero = {};
+  const V tau = splat<V>(kSmoTau);
+  V best = splat<V>(std::numeric_limits<float>::infinity());
+  I best_idx = splat<I>(-1);
+  I idx = lane_ids<W>();
+  for (std::size_t t = 0; t < s.n; t += W) {
+    // v is NaN outside the low set, and so then are diff and gain.
+    const V diff = g_max - smo_candidates<W>(s, t).low;
+    // Subproblem curvature ||phi(x_i) - phi(x_t)||^2; std::max(q, tau).
+    const V q = kii + vload<W>(diag + t) - 2.0f * vload<W>(ki + t);
+    const V quad = q < tau ? tau : q;
+    const V gain = -(diff * diff) / quad;
+    // The scan skips diff <= 0; a NaN gain never passes `<=`.
+    const I take = (diff > zero) & (gain <= best);
+    best = take ? gain : best;
+    best_idx = take ? idx : best_idx;
+    idx += W;
+  }
+  return reduce_last_extremum<false, W>(best, best_idx);
+}
+
+template <int W>
+void smo_update_t(float* FCMA_RESTRICT grad, const float* FCMA_RESTRICT y,
+                  const float* FCMA_RESTRICT ki,
+                  const float* FCMA_RESTRICT kj, float ci, float cj,
+                  std::size_t n) {
+  for (std::size_t t = 0; t < n; t += W) {
+    vstore<W>(grad + t,
+              vload<W>(grad + t) +
+                  vload<W>(y + t) * (ci * vload<W>(ki + t) +
+                                     cj * vload<W>(kj + t)));
+  }
+}
+
 template <int W>
 constexpr KernelTable make_table() {
+  static_assert(kSmoPad % W == 0, "SMO buffers must hold whole vectors");
   return KernelTable{&gemm_row_panel_t<W>,
                      &syrk_panel_t<W, opt::kSyrkMicroRows>,
                      &accumulate_moments_t<W>,
-                     &zscore_finish_t<W>};
+                     &zscore_finish_t<W>,
+                     &smo_select_t<W>,
+                     &smo_gain_t<W>,
+                     &smo_update_t<W>};
 }
 
 // kScalar = 4-lane portable vectors: GCC lowers them to SSE where present

@@ -16,7 +16,9 @@
 //
 // Numerics: each output element accumulates its products in the same
 // (ascending-k) order in every variant, so the three tables produce
-// bit-identical results — dispatch changes speed, never answers.
+// bit-identical results — dispatch changes speed, never answers.  The SMO
+// kernels are elementwise (plus an index reduction whose tie rule is fixed),
+// so they bit-match across variants too.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,27 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// value throws fcma::Error), else detect_isa().  Cached; later environment
 /// changes have no effect.
 [[nodiscard]] Isa active_isa();
+
+/// Lane multiple of the SMO sweep buffers.  The SMO kernels read whole
+/// vectors of every lane width, so their buffers hold a multiple of
+/// kSmoPad elements; a padding lane has y = 0, which puts it in neither
+/// working set, so no ragged tail is needed at any width.
+inline constexpr std::size_t kSmoPad = 16;
+
+/// LibSVM's curvature floor TAU: a working pair's quadratic coefficient is
+/// max(K_ii + K_tt - 2 K_it, kSmoTau) (NaN stays NaN, as std::max does).
+inline constexpr float kSmoTau = 1e-12f;
+
+/// The SMO state the selection kernels read.  Element t is in the "up" set
+/// when (y = +1 and alpha < c) or (y = -1 and alpha > 0), and in the "low"
+/// set when (y = +1 and alpha > 0) or (y = -1 and alpha < c).
+struct SmoSweep {
+  const float* y;      ///< labels +1/-1; 0 marks a padding lane
+  const float* alpha;  ///< dual variables, clamped to [0, c]
+  const float* grad;   ///< gradient G of the dual objective
+  std::size_t n;       ///< element count, a multiple of kSmoPad
+  float c;             ///< the box bound alpha is clamped to (>= 0)
+};
 
 /// The micro-kernels every optimized hot path calls through.  One table per
 /// ISA; all entries of a table are non-null.
@@ -69,6 +92,25 @@ struct KernelTable {
   /// Normalization pass 2 for one row: row[j] = (row[j]-mean[j])*inv_sd[j].
   void (*zscore_finish)(float* row, const float* mean, const float* inv_sd,
                         std::size_t width);
+
+  /// SMO working-set sweep (paper §4.4, Keerthi et al.): with
+  /// v[t] = -y[t] * grad[t], one pass writes the arg-max of v over the up
+  /// set to *i_up and the arg-min of v over the low set to *j_low.  Ties go
+  /// to the last index; an empty set (or one holding only NaN) gives -1.
+  void (*smo_select)(const SmoSweep& s, int* i_up, int* j_low);
+
+  /// Second-order gain scan (Fan, Chen, Lin 2005) for working index i:
+  /// the last arg-min, over t in the low set with diff = g_max - v[t] > 0,
+  /// of -(diff * diff) / max(kii + diag[t] - 2 * ki[t], kSmoTau); -1 if
+  /// none.  ki is row i of the kernel and diag its contiguous diagonal,
+  /// both s.n long.
+  int (*smo_gain)(const SmoSweep& s, const float* diag, const float* ki,
+                  float kii, float g_max);
+
+  /// Fused PhiSVM gradient update over n (a multiple of kSmoPad) elements:
+  /// grad[t] += y[t] * (ci * ki[t] + cj * kj[t]).
+  void (*smo_update)(float* grad, const float* y, const float* ki,
+                     const float* kj, float ci, float cj, std::size_t n);
 };
 
 /// The table for an explicit variant (all variants are safe on all hosts).

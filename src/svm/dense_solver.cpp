@@ -7,12 +7,13 @@
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
+#include "linalg/simd.hpp"
 
 namespace fcma::svm {
 
 namespace {
 
-constexpr float kTau = 1e-12f;
+using linalg::simd::kSmoTau;
 
 // Adaptive-heuristic schedule: probe each heuristic for kProbe iterations,
 // then run the winner for kExploit iterations before re-probing.  This is
@@ -21,6 +22,17 @@ constexpr float kTau = 1e-12f;
 constexpr long kProbe = 64;
 constexpr long kExploit = 512;
 
+std::size_t pad_to_sweep(std::size_t n) {
+  constexpr std::size_t p = linalg::simd::kSmoPad;
+  return (n + p - 1) / p * p;
+}
+
+AlignedBuffer<float> zeros(std::size_t n) {
+  AlignedBuffer<float> buf(n);
+  std::fill_n(buf.data(), n, 0.0f);
+  return buf;
+}
+
 class DenseSmo {
  public:
   DenseSmo(linalg::ConstMatrixView kernel, std::span<const std::int8_t> labels,
@@ -28,30 +40,38 @@ class DenseSmo {
            const TrainOptions& options, Heuristic heuristic,
            memsim::Instrument* ins, unsigned lanes, bool materialize_q)
       : options_(options),
+        c_(static_cast<float>(options.c)),
         heuristic_(heuristic),
         ins_(ins),
         lanes_(lanes),
         materialize_q_(materialize_q),
+        simd_(linalg::simd::kernels()),
         n_(train_idx.size()),
-        k_(n_ * n_),
+        np_(pad_to_sweep(n_)),
+        k_(zeros(n_ * np_)),
+        diag_(zeros(np_)),
         y_(n_),
-        yf_(n_),
-        alpha_(n_, 0.0f),
-        gradient_(n_, -1.0f) {
+        yf_(zeros(np_)),
+        alpha_(zeros(np_)),
+        gradient_(zeros(np_)) {
+    FCMA_CHECK(n_ >= 2, "need at least two training samples");
     if (materialize_q_) {
       q_buf_i_.resize(n_);
       q_buf_j_.resize(n_);
     }
-    FCMA_CHECK(n_ >= 2, "need at least two training samples");
+    std::fill_n(gradient_.data(), n_, -1.0f);
     // Dense float packing of the training submatrix: contiguous rows, no
     // index metadata — this is optimization idea #3 applied to the SVM.
+    // Rows are np_ long (zero padded) and the diagonal is kept contiguous
+    // for the gain scan.
     for (std::size_t i = 0; i < n_; ++i) {
       y_[i] = labels[train_idx[i]];
       FCMA_CHECK(y_[i] == 1 || y_[i] == -1, "labels must be +1/-1");
       yf_[i] = static_cast<float>(y_[i]);
       const float* src = kernel.row(train_idx[i]);
-      float* dst = k_.data() + i * n_;
+      float* dst = k_.data() + i * np_;
       for (std::size_t j = 0; j < n_; ++j) dst[j] = src[train_idx[j]];
+      diag_[i] = dst[i];
     }
   }
 
@@ -121,7 +141,11 @@ class DenseSmo {
 
  private:
   [[nodiscard]] const float* k_row(std::size_t i) const {
-    return k_.data() + i * n_;
+    return k_.data() + i * np_;
+  }
+
+  [[nodiscard]] linalg::simd::SmoSweep sweep() const {
+    return {yf_.data(), alpha_.data(), gradient_.data(), np_, c_};
   }
 
   [[nodiscard]] double objective() const {
@@ -132,33 +156,22 @@ class DenseSmo {
     return obj / 2.0;
   }
 
-  [[nodiscard]] bool in_up(std::size_t t) const {
-    return y_[t] == 1 ? alpha_[t] < options_.c : alpha_[t] > 0.0f;
-  }
-  [[nodiscard]] bool in_low(std::size_t t) const {
-    return y_[t] == 1 ? alpha_[t] > 0.0f : alpha_[t] < options_.c;
+  [[nodiscard]] float minus_yg(int t) const {
+    const auto u = static_cast<std::size_t>(t);
+    return -yf_[u] * gradient_[u];
   }
 
   bool select(Heuristic heuristic, int& out_i, int& out_j) {
-    float g_max = -std::numeric_limits<float>::infinity();
-    float g_min = std::numeric_limits<float>::infinity();
+    // One vector sweep computes -y*G and tracks both extrema.
     int i_max = -1;
     int j_min = -1;
-    // One vectorizable sweep computes -y*G and tracks both extrema.
-    for (std::size_t t = 0; t < n_; ++t) {
-      const float v = -yf_[t] * gradient_[t];
-      if (in_up(t) && v >= g_max) {
-        g_max = v;
-        i_max = static_cast<int>(t);
-      }
-      if (in_low(t) && v <= g_min) {
-        g_min = v;
-        j_min = static_cast<int>(t);
-      }
-    }
+    simd_.smo_select(sweep(), &i_max, &j_min);
     narrate_sweep(3);  // load G, multiply, compare per chunk
     if (i_max < 0 || j_min < 0) return false;
-    if (g_max - g_min < static_cast<float>(options_.tolerance)) return false;
+    const float g_max = minus_yg(i_max);
+    if (g_max - minus_yg(j_min) < static_cast<float>(options_.tolerance)) {
+      return false;
+    }
 
     if (heuristic == Heuristic::kFirstOrder) {
       out_i = i_max;
@@ -168,24 +181,8 @@ class DenseSmo {
 
     // Second order: keep i, rescan for the j maximizing the gain.
     const auto i = static_cast<std::size_t>(i_max);
-    const float* ki = k_row(i);
-    const float kii = ki[i];
-    int j_best = -1;
-    float best = std::numeric_limits<float>::infinity();
-    for (std::size_t t = 0; t < n_; ++t) {
-      if (!in_low(t)) continue;
-      const float v = -yf_[t] * gradient_[t];
-      const float diff = g_max - v;
-      if (diff <= 0.0f) continue;
-      // Subproblem curvature ||phi(x_i) - phi(x_t)||^2, label-independent
-      // in raw-kernel terms.
-      const float quad = std::max(kii + k_row(t)[t] - 2.0f * ki[t], kTau);
-      const float gain = -(diff * diff) / quad;
-      if (gain <= best) {
-        best = gain;
-        j_best = static_cast<int>(t);
-      }
-    }
+    const int j_best =
+        simd_.smo_gain(sweep(), diag_.data(), k_row(i), diag_[i], g_max);
     narrate_sweep(6);  // the gain scan touches K row + G per element
     if (j_best < 0) return false;
     out_i = i_max;
@@ -196,11 +193,11 @@ class DenseSmo {
   void update_pair(std::size_t i, std::size_t j) {
     const float* ki = k_row(i);
     const float* kj = k_row(j);
-    const auto c = static_cast<float>(options_.c);
+    const float c = c_;
     const float old_ai = alpha_[i];
     const float old_aj = alpha_[j];
 
-    const float quad = std::max(ki[i] + kj[j] - 2.0f * ki[j], kTau);
+    const float quad = std::max(diag_[i] + diag_[j] - 2.0f * ki[j], kSmoTau);
     if (y_[i] != y_[j]) {
       const float delta = (-gradient_[i] - gradient_[j]) / quad;
       const float diff = alpha_[i] - alpha_[j];
@@ -289,11 +286,7 @@ class DenseSmo {
     } else {
       // PhiSVM: labels folded into the update constants, one fused pass
       // directly over the kernel rows.
-      const float ci = dai * yf_[i];
-      const float cj = daj * yf_[j];
-      for (std::size_t t = 0; t < n_; ++t) {
-        g[t] += yv[t] * (ci * ki[t] + cj * kj[t]);
-      }
+      simd_.smo_update(g, yv, ki, kj, dai * yf_[i], daj * yf_[j], np_);
       if (ins_ != nullptr) {
         // Per chunk: load Ki, Kj, y, G; 3 FMAs; store G.
         const std::uint64_t chunks = (n_ + lanes_ - 1) / lanes_;
@@ -332,7 +325,7 @@ class DenseSmo {
     std::size_t n_free = 0;
     for (std::size_t t = 0; t < n_; ++t) {
       const double yg = y_[t] * static_cast<double>(gradient_[t]);
-      if (alpha_[t] >= options_.c) {
+      if (alpha_[t] >= c_) {
         if (y_[t] == -1) {
           upper = std::min(upper, yg);
         } else {
@@ -354,16 +347,21 @@ class DenseSmo {
   }
 
   TrainOptions options_;
+  float c_;  // the clamp bound float(C); every set test compares against it
   Heuristic heuristic_;
   memsim::Instrument* ins_;
   unsigned lanes_;
   bool materialize_q_;
+  const linalg::simd::KernelTable& simd_;
   std::size_t n_;
-  AlignedBuffer<float> k_;        // dense [n x n] training kernel
+  std::size_t np_;                // n_ rounded up to simd::kSmoPad
+  AlignedBuffer<float> k_;        // dense [n x np] training kernel
+  AlignedBuffer<float> diag_;     // its diagonal, contiguous
   std::vector<std::int8_t> y_;
-  std::vector<float> yf_;
-  std::vector<float> alpha_;
-  std::vector<float> gradient_;
+  // Sweep buffers, np_ long; lanes past n_ have y = 0 (alpha, G start 0).
+  AlignedBuffer<float> yf_;
+  AlignedBuffer<float> alpha_;
+  AlignedBuffer<float> gradient_;
   std::vector<float> q_buf_i_;  // materialized Q rows (LibSVM-structure mode)
   std::vector<float> q_buf_j_;
 };

@@ -17,6 +17,24 @@
 //
 // Both operate directly on the precomputed kernel matrix — no row cache is
 // needed because FCMA's kernels are only a few hundred rows.
+//
+// Sweep layout.  Each SMO iteration makes up to three O(n) passes — the
+// working-set selection, the second-order gain scan and (PhiSVM) the fused
+// gradient update — and all three run as linalg::simd kernels
+// (smo_select, smo_gain, smo_update) of the active table.  The solver packs
+// the training kernel with its rows padded to a multiple of simd::kSmoPad,
+// keeps the kernel diagonal as its own contiguous array (the gain scan used
+// to read it with a stride of n), and pads y, alpha and G to the same
+// length.  Padding lanes have y = 0, so they are in neither working set and
+// no pass needs a ragged tail at any vector width.  Every element sees the
+// same float operations as the scalar loops the kernels replaced, so models
+// are bit-identical on every forced ISA.
+//
+// Box bound.  Alphas are clamped to float(C), and the working-set tests and
+// the rho computation compare against that same float(C).  When C is not a
+// float and rounds down (C = 0.7), comparing against the double C would
+// leave a clamped alpha selectable forever; when float(C) == C or C rounds
+// up, the two comparisons agree and results do not change.
 #pragma once
 
 #include <span>

@@ -323,7 +323,10 @@ TEST(DriverRecovery, KilledWorkerTasksCompleteOnSurvivorsBitIdentically) {
   const Workload w = tiny_workload(64);
   DriverOptions opts;
   opts.workers = 3;
-  opts.voxels_per_task = 8;  // 8 tasks
+  // 32 tasks in two-task batches: the killed rank dies holding the second
+  // task of its primed batch, so its lease expires however fast the
+  // survivors drain the queue.
+  opts.voxels_per_task = 2;
   opts.lease_timeout_s = 0.5;
   opts.faults.kill_rank = 2;
   opts.faults.kill_after_tasks = 1;  // dies after its first task
@@ -335,7 +338,7 @@ TEST(DriverRecovery, KilledWorkerTasksCompleteOnSurvivorsBitIdentically) {
   EXPECT_GE(stats.heartbeat_misses, 1u);
   EXPECT_GE(stats.tasks_requeued, 1u);
   EXPECT_GT(stats.recovery_wall_s, 0.0);
-  expect_bit_identical(single_node_reference(w, 8), board);
+  expect_bit_identical(single_node_reference(w, 2), board);
 }
 
 TEST(DriverRecovery, DuplicatedDeliveryIsDedupedBitIdentically) {
@@ -654,7 +657,7 @@ TEST(DeadRankStreaming, KilledWorkerLaneReachesTheMergedStream) {
   const Workload w = tiny_workload(64);
   DriverOptions opts;
   opts.workers = 3;
-  opts.voxels_per_task = 8;
+  opts.voxels_per_task = 2;  // two-task batches: dies holding a lease
   opts.lease_timeout_s = 0.5;
   opts.faults.kill_rank = 2;
   opts.faults.kill_after_tasks = 1;  // dies with exactly one task recorded

@@ -8,7 +8,10 @@
 // which is what makes this suite meaningful on every machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -61,6 +64,9 @@ TEST(SimdDispatch, DetectedIsaIsValid) {
   EXPECT_NE(kernels(isa).syrk_panel, nullptr);
   EXPECT_NE(kernels(isa).accumulate_moments, nullptr);
   EXPECT_NE(kernels(isa).zscore_finish, nullptr);
+  EXPECT_NE(kernels(isa).smo_select, nullptr);
+  EXPECT_NE(kernels(isa).smo_gain, nullptr);
+  EXPECT_NE(kernels(isa).smo_update, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,6 +205,220 @@ TEST(SimdDispatch, ZscoreFinishMatchesScalarOnEveryIsa) {
     std::vector<float> row = row0;
     kernels(isa).zscore_finish(row.data(), mean.data(), inv_sd.data(), width);
     EXPECT_EQ(row, want) << "isa " << isa_name(isa);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SMO sweeps: each kernel against the scalar loops it replaced, on every
+// table.  Buffers are padded to kSmoPad with y = 0 lanes; n covers a single
+// element, a short vector, exactly one, one plus a ragged lane, and an FCMA
+// LOSO fold.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSmoSizes[] = {1, 15, 16, 17, 342};
+
+struct SmoCase {
+  std::size_t n = 0;  // real elements; the buffers hold a kSmoPad multiple
+  float c = 0.7f;
+  std::vector<float> y, alpha, grad, diag, ki, kj;
+
+  [[nodiscard]] SmoSweep sweep() const {
+    return {y.data(), alpha.data(), grad.data(), y.size(), c};
+  }
+  [[nodiscard]] bool in_up(std::size_t t) const {
+    return y[t] == 1.0f ? alpha[t] < c : alpha[t] > 0.0f;
+  }
+  [[nodiscard]] bool in_low(std::size_t t) const {
+    return y[t] == 1.0f ? alpha[t] > 0.0f : alpha[t] < c;
+  }
+  [[nodiscard]] float v(std::size_t t) const { return -y[t] * grad[t]; }
+};
+
+// Random labels, alphas on {0, c/2, c} so both sets vary, and gradients
+// drawn from `values` (a short list gives many ties).  Padding lanes get
+// y = 0 and values that would win both extrema if they were not masked.
+SmoCase make_smo_case(std::size_t n, std::uint64_t seed,
+                      const std::vector<float>& values) {
+  SmoCase s;
+  s.n = n;
+  const std::size_t padded = (n + kSmoPad - 1) / kSmoPad * kSmoPad;
+  Rng rng(seed);
+  for (std::size_t t = 0; t < padded; ++t) {
+    const bool pad = t >= n;
+    s.y.push_back(pad ? 0.0f : (rng.uniform() < 0.5 ? 1.0f : -1.0f));
+    const float a[] = {0.0f, 0.5f * s.c, s.c};
+    s.alpha.push_back(a[rng.uniform_index(3)]);
+    s.grad.push_back(pad ? 0.0f : values[rng.uniform_index(values.size())]);
+    s.diag.push_back(pad ? 0.0f : rng.uniform(0.5f, 2.0f));
+    s.ki.push_back(pad ? 0.0f : rng.uniform(-1.0f, 1.0f));
+    s.kj.push_back(pad ? 0.0f : rng.uniform(-1.0f, 1.0f));
+  }
+  return s;
+}
+
+void ref_select(const SmoCase& s, int* i_up, int* j_low) {
+  float g_max = -std::numeric_limits<float>::infinity();
+  float g_min = std::numeric_limits<float>::infinity();
+  *i_up = -1;
+  *j_low = -1;
+  for (std::size_t t = 0; t < s.n; ++t) {
+    if (s.in_up(t) && s.v(t) >= g_max) {
+      g_max = s.v(t);
+      *i_up = static_cast<int>(t);
+    }
+    if (s.in_low(t) && s.v(t) <= g_min) {
+      g_min = s.v(t);
+      *j_low = static_cast<int>(t);
+    }
+  }
+}
+
+int ref_gain(const SmoCase& s, float kii, float g_max) {
+  int j_best = -1;
+  float best = std::numeric_limits<float>::infinity();
+  for (std::size_t t = 0; t < s.n; ++t) {
+    if (!s.in_low(t)) continue;
+    const float diff = g_max - s.v(t);
+    if (diff <= 0.0f) continue;
+    const float quad = std::max(kii + s.diag[t] - 2.0f * s.ki[t], kSmoTau);
+    const float gain = -(diff * diff) / quad;
+    if (gain <= best) {
+      best = gain;
+      j_best = static_cast<int>(t);
+    }
+  }
+  return j_best;
+}
+
+void expect_select_matches(const SmoCase& s) {
+  int want_i = 0;
+  int want_j = 0;
+  ref_select(s, &want_i, &want_j);
+  for (const Isa isa : kAllIsas) {
+    int i = 0;
+    int j = 0;
+    kernels(isa).smo_select(s.sweep(), &i, &j);
+    EXPECT_EQ(i, want_i) << "isa " << isa_name(isa) << " n " << s.n;
+    EXPECT_EQ(j, want_j) << "isa " << isa_name(isa) << " n " << s.n;
+  }
+}
+
+void expect_gain_matches(const SmoCase& s, float kii, float g_max) {
+  const int want = ref_gain(s, kii, g_max);
+  for (const Isa isa : kAllIsas) {
+    EXPECT_EQ(kernels(isa).smo_gain(s.sweep(), s.diag.data(), s.ki.data(),
+                                    kii, g_max),
+              want)
+        << "isa " << isa_name(isa) << " n " << s.n << " g_max " << g_max;
+  }
+}
+
+TEST(SimdDispatch, SmoSelectMatchesScalarOnEveryIsa) {
+  for (const std::size_t n : kSmoSizes) {
+    // Continuous values, then three values (ties everywhere: the last index
+    // must win), then infinities in both directions.
+    std::vector<float> values;
+    for (int k = 0; k < 64; ++k) values.push_back(std::ldexp(k - 32.0f, -4));
+    expect_select_matches(make_smo_case(n, 11 + n, values));
+    expect_select_matches(make_smo_case(n, 13 + n, {-1.0f, 0.0f, 1.0f}));
+    const float inf = std::numeric_limits<float>::infinity();
+    expect_select_matches(make_smo_case(n, 17 + n, {-inf, -1.0f, 1.0f, inf}));
+    expect_select_matches(make_smo_case(n, 19 + n, {-inf}));
+  }
+}
+
+TEST(SimdDispatch, SmoSelectTiesGoToTheLastIndex) {
+  for (const std::size_t n : kSmoSizes) {
+    SmoCase s = make_smo_case(n, 23, {0.25f});
+    for (std::size_t t = 0; t < n; ++t) s.alpha[t] = 0.5f * s.c;  // both sets
+    for (const Isa isa : kAllIsas) {
+      int i = 0;
+      int j = 0;
+      kernels(isa).smo_select(s.sweep(), &i, &j);
+      // v = -y * 0.25 takes two values; each extremum's last holder wins.
+      int want_i = -1;
+      int want_j = -1;
+      for (std::size_t t = 0; t < n; ++t) {
+        if (s.y[t] == -1.0f) want_i = static_cast<int>(t);
+        if (s.y[t] == 1.0f) want_j = static_cast<int>(t);
+      }
+      if (want_i < 0) want_i = static_cast<int>(n) - 1;  // all y = +1
+      if (want_j < 0) want_j = static_cast<int>(n) - 1;  // all y = -1
+      EXPECT_EQ(i, want_i) << "isa " << isa_name(isa) << " n " << n;
+      EXPECT_EQ(j, want_j) << "isa " << isa_name(isa) << " n " << n;
+    }
+  }
+}
+
+TEST(SimdDispatch, SmoSelectEmptySetGivesMinusOne) {
+  for (const std::size_t n : kSmoSizes) {
+    SmoCase s = make_smo_case(n, 29, {-0.5f, 0.5f});
+    // Up empty: y = +1 at c, y = -1 at 0.  Then low empty: the reverse.
+    for (std::size_t t = 0; t < n; ++t) s.alpha[t] = s.y[t] > 0 ? s.c : 0.0f;
+    for (const Isa isa : kAllIsas) {
+      int i = 0;
+      int j = 0;
+      kernels(isa).smo_select(s.sweep(), &i, &j);
+      EXPECT_EQ(i, -1) << "isa " << isa_name(isa) << " n " << n;
+      EXPECT_GE(j, 0) << "isa " << isa_name(isa) << " n " << n;
+    }
+    expect_select_matches(s);
+    for (std::size_t t = 0; t < n; ++t) s.alpha[t] = s.y[t] > 0 ? 0.0f : s.c;
+    for (const Isa isa : kAllIsas) {
+      int i = 0;
+      int j = 0;
+      kernels(isa).smo_select(s.sweep(), &i, &j);
+      EXPECT_GE(i, 0) << "isa " << isa_name(isa) << " n " << n;
+      EXPECT_EQ(j, -1) << "isa " << isa_name(isa) << " n " << n;
+    }
+    expect_select_matches(s);
+  }
+}
+
+TEST(SimdDispatch, SmoGainMatchesScalarOnEveryIsa) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t n : kSmoSizes) {
+    std::vector<float> values;
+    for (int k = 0; k < 64; ++k) values.push_back(std::ldexp(k - 32.0f, -4));
+    const SmoCase cont = make_smo_case(n, 31 + n, values);
+    // g_max above, inside and below the range of v: below, every diff <= 0
+    // is skipped and the scan finds nothing.
+    for (const float g_max : {3.0f, 0.0f, -0.25f, -3.0f}) {
+      expect_gain_matches(cont, 1.0f, g_max);
+    }
+    // Curvature clamped to kSmoTau (quad <= 0) for every element.
+    expect_gain_matches(cont, -10.0f, 1.0f);
+    // Ties: constant kernel row and diagonal, three gradient values.
+    SmoCase ties = make_smo_case(n, 37 + n, {-1.0f, 0.0f, 1.0f});
+    for (std::size_t t = 0; t < n; ++t) {
+      ties.diag[t] = 1.0f;
+      ties.ki[t] = 0.25f;
+    }
+    expect_gain_matches(ties, 1.0f, 2.0f);
+    // Infinite gradients: diff = +-inf or NaN, gains -inf or NaN.
+    const SmoCase infs = make_smo_case(n, 41 + n, {-inf, -1.0f, 1.0f, inf});
+    expect_gain_matches(infs, 1.0f, 0.5f);
+    expect_gain_matches(infs, 1.0f, inf);
+  }
+}
+
+TEST(SimdDispatch, SmoUpdateMatchesScalarOnEveryIsa) {
+  for (const std::size_t n : kSmoSizes) {
+    std::vector<float> values;
+    for (int k = 0; k < 64; ++k) values.push_back(std::ldexp(k - 32.0f, -4));
+    const SmoCase s = make_smo_case(n, 43 + n, values);
+    const float ci = 0.375f;
+    const float cj = -1.3f;
+    std::vector<float> want = s.grad;
+    for (std::size_t t = 0; t < n; ++t) {
+      want[t] += s.y[t] * (ci * s.ki[t] + cj * s.kj[t]);
+    }
+    for (const Isa isa : kAllIsas) {
+      std::vector<float> g = s.grad;
+      kernels(isa).smo_update(g.data(), s.y.data(), s.ki.data(), s.kj.data(),
+                              ci, cj, g.size());
+      EXPECT_EQ(g, want) << "isa " << isa_name(isa) << " n " << n;
+    }
   }
 }
 
