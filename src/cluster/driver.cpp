@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -34,6 +36,63 @@ constexpr std::uint8_t kRequestIdleRetry = 1;
 // A promoted standby opens a disjoint batch-id space so its fresh leases can
 // never collide with ids still riding in stale worker queues.
 constexpr std::uint64_t kFailoverBatchBase = std::uint64_t{1} << 32;
+
+/// The rendezvous behind FaultPlan::stall_rank.  The straggler parks after
+/// its lease-renewing heartbeat; when the master declares it dead, it is
+/// released, and the master waits until the zombie's wake-up heartbeat is
+/// in its inbox before it requeues and re-dispatches anything.  That
+/// heartbeat therefore reaches the master ahead of every result for the
+/// requeued tasks, so the resurrection happens however fast the survivors
+/// are — no wall-clock race.
+class StallGate {
+ public:
+  /// Straggler side: parks until released, then calls `wake` (the zombie's
+  /// first message) before the releasing master goes on.  False when the
+  /// farm was torn down instead.
+  template <typename Wake>
+  bool park(Wake wake) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    parked_ = true;
+    cv_.wait(lock, [this] { return released_ || closed_; });
+    parked_ = false;
+    if (!released_) return false;
+    lock.unlock();
+    wake();
+    lock.lock();
+    released_ = false;
+    ++wakes_;
+    cv_.notify_all();
+    return true;
+  }
+
+  /// Master side, on declaring the straggler dead: releases it if parked
+  /// and waits for its wake-up message.  Counting wake-ups (not reading a
+  /// state) keeps a straggler that parks again at once from hiding this
+  /// wake-up from the master.
+  void release() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!parked_) return;
+    released_ = true;
+    const std::uint64_t target = wakes_ + 1;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return wakes_ >= target || closed_; });
+  }
+
+  /// Teardown: frees a parked straggler (and a waiting master) for good.
+  void close() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+  std::uint64_t wakes_ = 0;
+  bool closed_ = false;
+};
 
 std::vector<std::uint8_t> assign_payload(
     std::uint64_t batch_id, const std::vector<core::VoxelTask>& batch) {
@@ -81,7 +140,8 @@ std::optional<PackedResult> decode_result(
 /// last assigned work or announced a takeover, so a standby promotion
 /// redirects the farm without restarting it.
 void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
-                 const DriverOptions& options, double& busy_s) {
+                 const DriverOptions& options, StallGate& stall_gate,
+                 double& busy_s) {
   // Per-worker span family: count/total/min/max of this rank's task
   // latencies, the cluster-level analogue of Table 3's load-balance data.
   const std::string task_label =
@@ -173,11 +233,12 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
     const trace::ScopedParent dispatch_parent(entry.parent_span);
     comm.send(rank, master, Tag::kHeartbeat, {});  // renews our lease
     if (options.faults.stalls(rank)) {
-      // Scheduled straggler: the lease ages while we sleep.  A stall longer
-      // than the lease gets us declared dead mid-task, and the late result
-      // below exercises the master's resurrection path.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(options.faults.stall_s));
+      // Scheduled straggler: the lease ages while we are parked, until the
+      // master declares us dead.  Our wake-up heartbeat then drives its
+      // resurrection path, and the task's result below arrives late.
+      const bool released = stall_gate.park(
+          [&] { comm.send(rank, master, Tag::kHeartbeat, {}); });
+      if (!released) return;  // the farm was torn down meanwhile
     }
     if (trace::enabled() && entry.recv_ns != 0) {
       // Queue wait: assignment arrival to compute start.
@@ -210,10 +271,12 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
 /// fix), then joins.
 struct FarmGuard {
   Comm& comm;
+  StallGate& stall_gate;
   std::vector<std::thread>& threads;
   std::thread* standby = nullptr;
   ~FarmGuard() {
     comm.close();
+    stall_gate.close();
     for (auto& t : threads) {
       if (t.joinable()) t.join();
     }
@@ -245,6 +308,7 @@ struct ControlContext {
   const std::vector<core::VoxelTask>& tasks;
   std::size_t batch_size;
   std::size_t standby_rank;  ///< 0 = control plane not replicated
+  StallGate& stall_gate;     ///< FaultPlan::stall_rank's rendezvous
 };
 
 enum class MasterExit {
@@ -385,6 +449,9 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
         any_death = true;
         first_death = now;
       }
+      // A parked straggler sends its wake-up heartbeat before anything it
+      // held is requeued (see StallGate).
+      if (options.faults.stalls(w)) ctx.stall_gate.release();
       reassigned_death += requeue_worker(w);
       // Recovery window for this death: last sign of life to requeue done.
       trace::record_interval("cluster/recovery", last_activity[w], now);
@@ -705,15 +772,17 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
           : std::make_unique<Comm>(ranks);
   Comm& comm = *comm_owner;
 
-  const ControlContext ctx{comm, options, tasks, batch_size, standby_rank};
+  StallGate stall_gate;
+  const ControlContext ctx{comm, options, tasks, batch_size, standby_rank,
+                           stall_gate};
 
   std::vector<std::thread> workers;
   workers.reserve(options.workers);
   std::thread standby_thread;
-  const FarmGuard guard{comm, workers, &standby_thread};
+  const FarmGuard guard{comm, stall_gate, workers, &standby_thread};
   for (std::size_t w = 1; w <= options.workers; ++w) {
     workers.emplace_back(worker_main, std::ref(comm), w, std::ref(epochs),
-                         std::cref(options),
+                         std::cref(options), std::ref(stall_gate),
                          std::ref(totals.worker_busy_s[w - 1]));
   }
   StandbyOutcome standby_out;
@@ -749,6 +818,7 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
   // per-rank busy slots are final afterwards, but we still need them below,
   // so close and join explicitly first (the guard's second pass is a no-op).
   comm.close();
+  stall_gate.close();
   for (auto& t : workers) {
     if (t.joinable()) t.join();
   }

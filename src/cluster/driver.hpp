@@ -71,8 +71,8 @@ struct DriverOptions {
   /// Fault injection (inactive by default).  Message faults wrap the
   /// communicator in a FaultyComm; kill_rank/kill_after_tasks crash a
   /// worker thread mid-run; kill_master_after_batches crashes the primary
-  /// master (standby takeover); stall_rank/stall_s plants a straggler that
-  /// outlives its lease (the resurrection path).
+  /// master (standby takeover); stall_rank plants a straggler that
+  /// stalls until declared dead (the resurrection path).
   FaultPlan faults;
 
   // --- replicated control plane -------------------------------------------

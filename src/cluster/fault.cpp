@@ -51,7 +51,6 @@ void FaultPlan::validate(std::size_t ranks) const {
   if (stall_rank != 0) {
     FCMA_CHECK(stall_rank < ranks, "stall rank out of range");
   }
-  FCMA_CHECK(stall_s >= 0.0, "stall seconds must be non-negative");
 }
 
 FaultyComm::FaultyComm(std::size_t ranks, FaultPlan plan)

@@ -57,13 +57,13 @@ struct FaultPlan {
   /// the driver refuses the plan otherwise.
   std::size_t kill_master_after_batches = 0;
 
-  /// Deterministic straggler: rank `stall_rank` (0 = disabled) sleeps
-  /// `stall_s` wall-clock seconds before each task's compute, after its
-  /// lease-renewing heartbeat.  A stall longer than the lease gets the rank
-  /// declared dead mid-task; its late result then drives the resurrection
-  /// path (stale-lease purge on readmission).
+  /// Deterministic straggler: rank `stall_rank` (0 = disabled) stalls
+  /// before each task's compute, after its lease-renewing heartbeat, until
+  /// the master declares it dead.  Its wake-up heartbeat then reaches the
+  /// master before any result for its requeued tasks, so every stall
+  /// drives the resurrection path (stale-lease purge on readmission) at
+  /// any task speed.
   std::size_t stall_rank = 0;
-  double stall_s = 0.0;
 
   /// Fate of one message, drawn deterministically.
   struct Decision {
@@ -92,7 +92,7 @@ struct FaultPlan {
 
   /// True when `rank` is the scheduled straggler.
   [[nodiscard]] bool stalls(std::size_t rank) const {
-    return stall_rank != 0 && rank == stall_rank && stall_s > 0.0;
+    return stall_rank != 0 && rank == stall_rank;
   }
 
   /// True when any message-level fault can fire (drives FaultyComm use).

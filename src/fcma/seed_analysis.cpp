@@ -23,8 +23,9 @@ SeedContrast seed_contrast_map(const fmri::NormalizedEpochs& epochs,
       const float* row = act.row(v);
       float r = 0.0f;
       for (std::size_t t = 0; t < act.cols(); ++t) r += sv[t] * row[t];
-      z[e][v] = stats::fisher_z(r);
+      z[e][v] = r;
     }
+    stats::fisher_z(z[e]);
   }
 
   // Pair label-1 and label-0 epochs within subject in temporal order; the

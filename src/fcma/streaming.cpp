@@ -126,10 +126,8 @@ void StreamingAnalyzer::train() {
   feature_inv_sd_.assign(dim, 0.0f);
   for (std::size_t e = 0; e < m; ++e) {
     float* row = train_features_.row(e);
-    for (std::size_t d = 0; d < dim; ++d) {
-      row[d] = stats::fisher_z(row[d]);
-      feature_mean_[d] += row[d];
-    }
+    stats::fisher_z({row, dim});
+    for (std::size_t d = 0; d < dim; ++d) feature_mean_[d] += row[d];
   }
   for (std::size_t d = 0; d < dim; ++d) {
     feature_mean_[d] /= static_cast<float>(m);
@@ -221,10 +219,12 @@ Feedback StreamingAnalyzer::classify_pending() const {
     for (std::size_t j = i + 1; j < k; ++j) {
       float r = 0.0f;
       for (std::size_t t = 0; t < len; ++t) r += act(i, t) * act(j, t);
-      feature[d] = (stats::fisher_z(r) - feature_mean_[d]) *
-                   feature_inv_sd_[d];
-      ++d;
+      feature[d++] = r;
     }
+  }
+  stats::fisher_z(feature);
+  for (d = 0; d < feature.size(); ++d) {
+    feature[d] = (feature[d] - feature_mean_[d]) * feature_inv_sd_[d];
   }
 
   // Decision value against the trained model.

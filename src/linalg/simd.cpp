@@ -28,6 +28,19 @@ struct VecOf {
 };
 
 template <int W>
+struct IVecOf {
+  typedef std::int32_t type
+      __attribute__((vector_size(W * sizeof(std::int32_t)), aligned(4)));
+};
+
+template <typename Vec, typename T>
+FCMA_FORCE_INLINE Vec splat(T x) {
+  Vec v;
+  for (std::size_t l = 0; l < sizeof(Vec) / sizeof(T); ++l) v[l] = x;
+  return v;
+}
+
+template <int W>
 FCMA_FORCE_INLINE typename VecOf<W>::type vload(const float* p) {
   return *reinterpret_cast<const typename VecOf<W>::type*>(p);
 }
@@ -210,31 +223,81 @@ void syrk_panel_t(const float* FCMA_RESTRICT a_local,
 // Normalization inner loops (paper §4.3 / Fig 6).  Column-parallel, so lane
 // width never reorders a column's accumulation: all variants bit-match.
 // ---------------------------------------------------------------------------
-// Columns [j0, width) for the moments pass, shared by all lane widths.
-void accumulate_moments_tail(const float* FCMA_RESTRICT row,
-                             float* FCMA_RESTRICT sum,
-                             float* FCMA_RESTRICT sumsq, std::size_t width,
-                             std::size_t j0) {
+
+// Fisher's z = 0.5 * log(q), q = (1 + r) / (1 - r), with a repo-owned log
+// (the Cephes logf form) so no answer depends on the host libm:
+//   q = m * 2^e, m in [0.5, 1) from the float's bits; m < sqrt(1/2) is
+//   doubled (and e decremented) so x = m - 1 lies in [-0.293, 0.414);
+//   log q = x - x^2/2 + x^3 P(x) + e * ln 2, P of degree 8, ln 2 split
+//   into 0.693359375 (exact in float) - 2.12194440e-4.
+// After the clamp q lies in [~5e-6, ~2e5]: always a normal float, so no
+// zero, infinity or denormal branch is needed.  A NaN r gives a NaN q,
+// whose bits would decode to a finite m; the final select passes it on.
+template <int W>
+FCMA_FORCE_INLINE typename VecOf<W>::type fisher_z_vec(
+    typename VecOf<W>::type r) {
+  using V = typename VecOf<W>::type;
+  using I = typename IVecOf<W>::type;
+  constexpr float kHi = 1.0f - kFisherREps;
+  r = r > kHi ? splat<V>(kHi) : r;
+  r = r < -kHi ? splat<V>(-kHi) : r;
+  const V q = (1.0f + r) / (1.0f - r);
+  const I bits = reinterpret_cast<I>(q);
+  I e = ((bits >> 23) & 0xff) - 126;
+  const V m = reinterpret_cast<V>((bits & 0x007fffff) | 0x3f000000);
+  const I small = m < 0.707106781186547524f;  // -1 where true
+  e += small;
+  const V x = (m + (small ? m : V{})) - 1.0f;
+  const V x2 = x * x;
+  V p = splat<V>(7.0376836292e-2f);
+  p = p * x - 1.1514610310e-1f;
+  p = p * x + 1.1676998740e-1f;
+  p = p * x - 1.2420140846e-1f;
+  p = p * x + 1.4249322787e-1f;
+  p = p * x - 1.6668057665e-1f;
+  p = p * x + 2.0000714765e-1f;
+  p = p * x - 2.4999993993e-1f;
+  p = p * x + 3.3333331174e-1f;
+  const V fe = __builtin_convertvector(e, V);
+  V y = p * x * x2;
+  y += -2.12194440e-4f * fe;
+  y += -0.5f * x2;
+  V log_q = x + y;
+  log_q += 0.693359375f * fe;
+  return q == q ? 0.5f * log_q : q;
+}
+
+// The 4-lane transform, compiled once: the tail below and the one-value
+// fisher_z() both call it, so they share its exact instructions.
+__attribute__((noinline)) V4 fisher_z4(V4 r) { return fisher_z_vec<4>(r); }
+
+// Columns [j0, width) for the Fisher + moments pass, shared by all lane
+// widths.
+void fisher_moments_tail(float* FCMA_RESTRICT row, float* FCMA_RESTRICT sum,
+                         float* FCMA_RESTRICT sumsq, std::size_t width,
+                         std::size_t j0) {
   std::size_t j = j0;
   for (; j + 4 <= width; j += 4) {
-    const V4 z = vload<4>(row + j);
+    const V4 z = fisher_z4(vload<4>(row + j));
+    vstore<4>(row + j, z);
     vstore<4>(sum + j, vload<4>(sum + j) + z);
     vstore<4>(sumsq + j, vload<4>(sumsq + j) + z * z);
   }
   if (j < width) {
     const std::size_t rem = width - j;
-    alignas(16) float zt[4] = {};
+    alignas(16) float rt[4] = {};
     alignas(16) float st[4] = {};
     alignas(16) float qt[4] = {};
     for (std::size_t l = 0; l < rem; ++l) {
-      zt[l] = row[j + l];
+      rt[l] = row[j + l];
       st[l] = sum[j + l];
       qt[l] = sumsq[j + l];
     }
-    const V4 z = vload<4>(zt);
+    const V4 z = fisher_z4(vload<4>(rt));
     const V4 s = vload<4>(st) + z;
     const V4 q = vload<4>(qt) + z * z;
     for (std::size_t l = 0; l < rem; ++l) {
+      row[j + l] = z[l];
       sum[j + l] = s[l];
       sumsq[j + l] = q[l];
     }
@@ -242,17 +305,17 @@ void accumulate_moments_tail(const float* FCMA_RESTRICT row,
 }
 
 template <int W>
-void accumulate_moments_t(const float* FCMA_RESTRICT row,
-                          float* FCMA_RESTRICT sum,
-                          float* FCMA_RESTRICT sumsq, std::size_t width) {
+void fisher_moments_t(float* FCMA_RESTRICT row, float* FCMA_RESTRICT sum,
+                      float* FCMA_RESTRICT sumsq, std::size_t width) {
   using V = typename VecOf<W>::type;
   std::size_t j = 0;
   for (; j + W <= width; j += W) {
-    const V z = vload<W>(row + j);
+    const V z = fisher_z_vec<W>(vload<W>(row + j));
+    vstore<W>(row + j, z);
     vstore<W>(sum + j, vload<W>(sum + j) + z);
     vstore<W>(sumsq + j, vload<W>(sumsq + j) + z * z);
   }
-  accumulate_moments_tail(row, sum, sumsq, width, j);
+  fisher_moments_tail(row, sum, sumsq, width, j);
 }
 
 // Columns [j0, width) for the z-score pass, shared by all lane widths.
@@ -298,19 +361,6 @@ void zscore_finish_t(float* FCMA_RESTRICT row, const float* FCMA_RESTRICT mean,
 // sequential `>=` / `<=` scan would keep.  Every element's float arithmetic
 // is the scalar expression, so the result does not depend on W.
 // ---------------------------------------------------------------------------
-template <int W>
-struct IVecOf {
-  typedef std::int32_t type
-      __attribute__((vector_size(W * sizeof(std::int32_t)), aligned(4)));
-};
-
-template <typename Vec, typename T>
-FCMA_FORCE_INLINE Vec splat(T x) {
-  Vec v;
-  for (std::size_t l = 0; l < sizeof(Vec) / sizeof(T); ++l) v[l] = x;
-  return v;
-}
-
 template <int W, int... L>
 FCMA_FORCE_INLINE typename IVecOf<W>::type lane_ids(
     std::integer_sequence<int, L...>) {
@@ -451,7 +501,7 @@ constexpr KernelTable make_table() {
   static_assert(kSmoPad % W == 0, "SMO buffers must hold whole vectors");
   return KernelTable{&gemm_row_panel_t<W>,
                      &syrk_panel_t<W, opt::kSyrkMicroRows>,
-                     &accumulate_moments_t<W>,
+                     &fisher_moments_t<W>,
                      &zscore_finish_t<W>,
                      &smo_select_t<W>,
                      &smo_gain_t<W>,
@@ -523,5 +573,7 @@ const KernelTable& kernels(Isa isa) {
 }
 
 const KernelTable& kernels() { return kernels(active_isa()); }
+
+float fisher_z(float r) { return fisher_z4(V4{r, 0.0f, 0.0f, 0.0f})[0]; }
 
 }  // namespace fcma::linalg::simd

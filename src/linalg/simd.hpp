@@ -16,9 +16,9 @@
 //
 // Numerics: each output element accumulates its products in the same
 // (ascending-k) order in every variant, so the three tables produce
-// bit-identical results — dispatch changes speed, never answers.  The SMO
-// kernels are elementwise (plus an index reduction whose tie rule is fixed),
-// so they bit-match across variants too.
+// bit-identical results — dispatch changes speed, never answers.  The Fisher
+// transform and the SMO kernels are elementwise (plus, for SMO, an index
+// reduction whose tie rule is fixed), so they bit-match across variants too.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +43,22 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// value throws fcma::Error), else detect_isa().  Cached; later environment
 /// changes have no effect.
 [[nodiscard]] Isa active_isa();
+
+/// Fisher's r is clamped to +-(1 - kFisherREps) before the log, bounding
+/// |z| at ~6.1.  The margin is deliberately wider than float round-off:
+/// self-correlations computed by different kernels land at 1 +/- O(1e-7)
+/// and must all saturate to the *same* z, otherwise the later
+/// within-subject z-scoring amplifies kernel-dependent noise into O(1)
+/// differences.
+inline constexpr float kFisherREps = 1e-5f;
+
+/// Fisher r-to-z transform of one value, z = 0.5 * log((1 + r) / (1 - r))
+/// with r clamped as above and NaN mapped to NaN.  It runs the 4-lane code
+/// every table's fisher_moments uses for its last columns, so it returns
+/// the kernel's bits.  The log is the repo's own (Cephes logf form), not
+/// the host libm's; on every float in [-1, 1] the result is within 1 ulp
+/// of the same formula evaluated with std::log.
+[[nodiscard]] float fisher_z(float r);
 
 /// Lane multiple of the SMO sweep buffers.  The SMO kernels read whole
 /// vectors of every lane width, so their buffers hold a multiple of
@@ -82,12 +98,10 @@ struct KernelTable {
   void (*syrk_panel)(const float* a_local, const float* at_local,
                      std::size_t m, std::size_t kb, float* c, std::size_t ldc);
 
-  /// Normalization pass 1 for one (already Fisher-transformed) row of a
-  /// column chunk: sum[j] += row[j], sumsq[j] += row[j]*row[j].  The scalar
-  /// fisher_z transcendental stays in stats/ (it is elementwise and
-  /// identical for every ISA); the moment accumulation is what vectorizes.
-  void (*accumulate_moments)(const float* row, float* sum, float* sumsq,
-                             std::size_t width);
+  /// Normalization pass 1 for one row of a column chunk (paper Fig 6):
+  /// row[j] = z = fisher_z(row[j]), then sum[j] += z, sumsq[j] += z*z.
+  void (*fisher_moments)(float* row, float* sum, float* sumsq,
+                         std::size_t width);
 
   /// Normalization pass 2 for one row: row[j] = (row[j]-mean[j])*inv_sd[j].
   void (*zscore_finish)(float* row, const float* mean, const float* inv_sd,

@@ -4,7 +4,6 @@
 
 #include "linalg/simd.hpp"
 #include "stats/normalization.hpp"
-#include "stats/stats.hpp"
 
 namespace fcma::stats {
 
@@ -12,10 +11,9 @@ void fisher_zscore_block(float* data, std::size_t epochs, std::size_t width,
                          std::size_t ld) {
   if (epochs == 0 || width == 0) return;
   const float inv_e = 1.0f / static_cast<float>(epochs);
-  // Column-chunked two-pass sweep.  The moment accumulation and the final
-  // (x - mean) * inv_sd pass run through the runtime-dispatched SIMD
-  // micro-kernels; the logf inside fisher_z stays scalar (no portable
-  // vector equivalent, and it is elementwise — identical on every ISA).
+  // Column-chunked two-pass sweep, both passes through the runtime-
+  // dispatched SIMD micro-kernels: Fisher + moments, then
+  // (x - mean) * inv_sd.
   const auto& kernels = linalg::simd::kernels();
   constexpr std::size_t kChunk = 64;
   alignas(64) float sum[kChunk];
@@ -25,9 +23,7 @@ void fisher_zscore_block(float* data, std::size_t epochs, std::size_t width,
     std::fill(sum, sum + w, 0.0f);
     std::fill(sumsq, sumsq + w, 0.0f);
     for (std::size_t e = 0; e < epochs; ++e) {
-      float* row = data + e * ld + j0;
-      for (std::size_t j = 0; j < w; ++j) row[j] = fisher_z(row[j]);
-      kernels.accumulate_moments(row, sum, sumsq, w);
+      kernels.fisher_moments(data + e * ld + j0, sum, sumsq, w);
     }
     for (std::size_t j = 0; j < w; ++j) {
       const float m = sum[j] * inv_e;
@@ -48,6 +44,7 @@ void fisher_zscore_block_instrumented(float* data, std::size_t epochs,
                                       unsigned model_lanes) {
   if (epochs == 0 || width == 0) return;
   const float inv_e = 1.0f / static_cast<float>(epochs);
+  const auto& kernels = linalg::simd::kernels();
   const std::size_t chunk = model_lanes;
   std::vector<float> sum(chunk);
   std::vector<float> sumsq(chunk);
@@ -64,12 +61,7 @@ void fisher_zscore_block_instrumented(float* data, std::size_t epochs,
       // and count the division + log + scale as 4 FLOPs per element.
       ins.arith(w, 4, 4ull * w);
       ins.arith(w, 2, 3ull * w);  // sum += z; sumsq += z*z (fma)
-      for (unsigned j = 0; j < w; ++j) {
-        const float z = fisher_z(row[j]);
-        row[j] = z;
-        sum[j] += z;
-        sumsq[j] += z * z;
-      }
+      kernels.fisher_moments(row, sum.data(), sumsq.data(), w);
       ins.store(row, w);
     }
     ins.arith(w, 6, 6ull * w);  // mean, variance, rsqrt per column chunk

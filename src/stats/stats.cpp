@@ -4,17 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "linalg/simd.hpp"
 
 namespace fcma::stats {
-
-namespace {
-// r is clamped to +/- (1 - kREps) before the log, bounding |z| at ~6.1.
-// The margin is deliberately wider than float round-off: self-correlations
-// computed by different kernels land at 1 +/- O(1e-7) and must all saturate
-// to the *same* z, otherwise the later within-subject z-scoring amplifies
-// kernel-dependent noise into O(1) differences.
-constexpr float kREps = 1e-5f;
-}  // namespace
 
 double mean(std::span<const float> x) {
   if (x.empty()) return 0.0;
@@ -70,9 +62,18 @@ void normalize_epoch(std::span<float> x) {
   for (float& v : x) v = (v - static_cast<float>(m)) * inv;
 }
 
-float fisher_z(float r) {
-  r = std::clamp(r, -(1.0f - kREps), 1.0f - kREps);
-  return 0.5f * std::log((1.0f + r) / (1.0f - r));
+float fisher_z(float r) { return linalg::simd::fisher_z(r); }
+
+void fisher_z(std::span<float> x) {
+  // The block kernel's first pass over one row; its moments go unused.
+  const auto& kernels = linalg::simd::kernels();
+  constexpr std::size_t kChunk = 64;
+  alignas(64) float sum[kChunk] = {};
+  alignas(64) float sumsq[kChunk] = {};
+  for (std::size_t j0 = 0; j0 < x.size(); j0 += kChunk) {
+    kernels.fisher_moments(x.data() + j0, sum, sumsq,
+                           std::min(kChunk, x.size() - j0));
+  }
 }
 
 float fisher_z_max() { return fisher_z(1.0f); }

@@ -31,8 +31,13 @@ void normalize_epoch(std::span<float> x);
 
 /// Fisher r-to-z transformation (eq. 4), clamped so |r| = 1 maps to a large
 /// finite value instead of infinity (matches how FCMA tooling guards the
-/// log singularity).
+/// log singularity).  The one Fisher transform of the repo: the SIMD
+/// kernel's bits (linalg::simd::fisher_z), so every caller agrees with the
+/// normalization hot path.
 [[nodiscard]] float fisher_z(float r);
+
+/// fisher_z of every element of `x`, in place, through the vector kernel.
+void fisher_z(std::span<float> x);
 
 /// Largest |z| fisher_z can return (the clamp bound).
 [[nodiscard]] float fisher_z_max();

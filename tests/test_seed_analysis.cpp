@@ -85,7 +85,8 @@ TEST(StudentT, DegenerateInputsHandled) {
   EXPECT_DOUBLE_EQ(same.pvalue, 1.0);
   const auto off = stats::one_sample_t_test(constant, 1.0);
   EXPECT_DOUBLE_EQ(off.pvalue, 0.0);
-  EXPECT_THROW(stats::one_sample_t_test(std::vector<double>{1.0}), Error);
+  EXPECT_THROW((void)stats::one_sample_t_test(std::vector<double>{1.0}),
+               Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +137,9 @@ TEST(SeedAnalysis, InformativeSeedLightsUpItsPartners) {
   // And the contrast is positive: coupled under label 0, so delta
   // (label1 - label0) is negative for partners.
   for (const auto v : hits) {
-    if (fx.truth.count(v)) EXPECT_LT(contrast.delta_z[v], 0.0);
+    if (fx.truth.count(v)) {
+      EXPECT_LT(contrast.delta_z[v], 0.0);
+    }
   }
 }
 

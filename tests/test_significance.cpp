@@ -23,7 +23,7 @@ TEST(Binomial, LogChooseKnownValues) {
 }
 
 TEST(Binomial, LogChooseRejectsBadArgs) {
-  EXPECT_THROW(stats::log_choose(3, 4), Error);
+  EXPECT_THROW((void)stats::log_choose(3, 4), Error);
 }
 
 TEST(Binomial, SurvivalFunctionKnownValues) {
@@ -81,7 +81,9 @@ TEST(MultipleComparisons, BhNeverLessPowerfulThanBonferroni) {
   const auto bh = stats::benjamini_hochberg(p, 0.05);
   const auto bf = stats::bonferroni(p, 0.05);
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (bf[i]) EXPECT_TRUE(bh[i]) << i;
+    if (bf[i]) {
+      EXPECT_TRUE(bh[i]) << i;
+    }
   }
 }
 

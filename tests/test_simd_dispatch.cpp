@@ -62,7 +62,7 @@ TEST(SimdDispatch, DetectedIsaIsValid) {
   // Whatever was detected must have a working kernel table.
   EXPECT_NE(kernels(isa).gemm_row_panel, nullptr);
   EXPECT_NE(kernels(isa).syrk_panel, nullptr);
-  EXPECT_NE(kernels(isa).accumulate_moments, nullptr);
+  EXPECT_NE(kernels(isa).fisher_moments, nullptr);
   EXPECT_NE(kernels(isa).zscore_finish, nullptr);
   EXPECT_NE(kernels(isa).smo_select, nullptr);
   EXPECT_NE(kernels(isa).smo_gain, nullptr);
@@ -163,30 +163,79 @@ TEST(SimdDispatch, SyrkPanelRaggedDepthMatchesReferenceOnEveryIsa) {
 // the identical per-column accumulation.
 // ---------------------------------------------------------------------------
 
-TEST(SimdDispatch, AccumulateMomentsMatchesScalarOnEveryIsa) {
+// The kernel's z is the one-value fisher_z() (the same 4-lane code); the
+// moments are then the scalar running sums of those z.
+TEST(SimdDispatch, FisherMomentsMatchesScalarOnEveryIsa) {
   const std::size_t width = 100;
   const std::size_t rows = 3;
   const auto data = random_vec(rows * width, 4);
 
+  std::vector<float> want_z(rows * width);
   std::vector<float> want_sum(width, 0.0f);
   std::vector<float> want_sumsq(width, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < width; ++j) {
-      const float z = data[r * width + j];
+      const float z = fisher_z(data[r * width + j]);
+      want_z[r * width + j] = z;
       want_sum[j] += z;
       want_sumsq[j] += z * z;
     }
   }
 
   for (const Isa isa : kAllIsas) {
+    std::vector<float> z = data;
     std::vector<float> sum(width, 0.0f);
     std::vector<float> sumsq(width, 0.0f);
     for (std::size_t r = 0; r < rows; ++r) {
-      kernels(isa).accumulate_moments(data.data() + r * width, sum.data(),
-                                      sumsq.data(), width);
+      kernels(isa).fisher_moments(z.data() + r * width, sum.data(),
+                                  sumsq.data(), width);
     }
+    EXPECT_EQ(z, want_z) << "isa " << isa_name(isa);
     EXPECT_EQ(sum, want_sum) << "isa " << isa_name(isa);
     EXPECT_EQ(sumsq, want_sumsq) << "isa " << isa_name(isa);
+  }
+}
+
+// Every width from a lone padded tail to several wide vectors plus a ragged
+// tail: the three tables split the columns differently, yet agree bit for
+// bit on z and on both moments.  Inputs span the clamp (|r| > 1) too.
+TEST(SimdDispatch, FisherMomentsBitIdenticalOnRaggedWidths) {
+  for (std::size_t width = 1; width <= 70; ++width) {
+    std::vector<float> data(2 * width);
+    Rng rng(100 + width);
+    for (float& x : data) x = rng.uniform(-1.05f, 1.05f);
+    std::vector<std::vector<float>> got;
+    for (const Isa isa : kAllIsas) {
+      std::vector<float> out = data;
+      out.resize(4 * width, 0.5f);  // sum and sumsq start from nonzero
+      float* sum = out.data() + 2 * width;
+      float* sumsq = sum + width;
+      kernels(isa).fisher_moments(out.data(), sum, sumsq, width);
+      kernels(isa).fisher_moments(out.data() + width, sum, sumsq, width);
+      got.push_back(std::move(out));
+    }
+    EXPECT_EQ(got[0], got[1]) << "width " << width;
+    EXPECT_EQ(got[0], got[2]) << "width " << width;
+  }
+}
+
+TEST(SimdDispatch, FisherMomentsPropagatesNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Isa isa : kAllIsas) {
+    // NaN in a wide-vector column and in the padded tail.
+    std::vector<float> row(37, 0.25f);
+    row[3] = nan;
+    row[36] = nan;
+    std::vector<float> sum(row.size(), 0.0f);
+    std::vector<float> sumsq(row.size(), 0.0f);
+    kernels(isa).fisher_moments(row.data(), sum.data(), sumsq.data(),
+                                row.size());
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      const bool poisoned = j == 3 || j == 36;
+      EXPECT_EQ(std::isnan(row[j]), poisoned) << isa_name(isa) << " " << j;
+      EXPECT_EQ(std::isnan(sum[j]), poisoned) << isa_name(isa) << " " << j;
+      EXPECT_EQ(std::isnan(sumsq[j]), poisoned) << isa_name(isa) << " " << j;
+    }
   }
 }
 

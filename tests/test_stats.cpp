@@ -3,10 +3,17 @@
 // kernel against a naive reimplementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "linalg/simd.hpp"
 #include "memsim/instrument.hpp"
 #include "stats/normalization.hpp"
 #include "stats/stats.hpp"
@@ -139,6 +146,83 @@ TEST(Stats, FisherZClampsAtUnity) {
   EXPECT_TRUE(std::isfinite(fisher_z(1.5f)));  // out-of-range input clamps
 }
 
+// The formula the repo's own log replaced, evaluated with the host libm.
+float libm_fisher_z(float r) {
+  const float hi = 1.0f - linalg::simd::kFisherREps;
+  r = std::clamp(r, -hi, hi);
+  return 0.5f * std::log((1.0f + r) / (1.0f - r));
+}
+
+// Distance in units in the last place between two finite floats.
+std::int64_t ulp_distance(float a, float b) {
+  const auto ordered = [](float x) {
+    std::int32_t i = 0;
+    std::memcpy(&i, &x, sizeof(i));
+    return i < 0 ? std::int64_t{INT32_MIN} - i : std::int64_t{i};
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+TEST(Stats, FisherZWithinTwoUlpOfLibmLog) {
+  // Every 4099th float of [-1, 1] by bit pattern (even coverage of every
+  // exponent), then a uniform grid of 2^21 + 1 values (dense near |r| = 1,
+  // where the clamp and the largest q live).
+  std::vector<float> rs;
+  for (std::uint32_t bits = 0; bits <= 0x3f800000u; bits += 4099) {
+    float r = 0.0f;
+    std::memcpy(&r, &bits, sizeof(r));
+    rs.push_back(r);
+    rs.push_back(-r);
+  }
+  for (int k = -(1 << 20); k <= (1 << 20); ++k) {
+    rs.push_back(std::ldexp(static_cast<float>(k), -20));
+  }
+  std::int64_t worst = 0;
+  float worst_r = 0.0f;
+  for (const float r : rs) {
+    const std::int64_t d = ulp_distance(fisher_z(r), libm_fisher_z(r));
+    if (d > worst) {
+      worst = d;
+      worst_r = r;
+    }
+  }
+  EXPECT_LE(worst, 2) << "at r = " << worst_r;
+}
+
+TEST(Stats, FisherZMapsNanToNan) {
+  EXPECT_TRUE(std::isnan(fisher_z(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(fisher_z(-std::numeric_limits<float>::quiet_NaN())));
+  // Infinities are out of range like any |r| > 1: they clamp.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(fisher_z(inf), fisher_z_max());
+  EXPECT_EQ(fisher_z(-inf), -fisher_z_max());
+}
+
+// stats::fisher_z is the kernel, one value at a time: every table's
+// fisher_moments (and the in-place span form, over several 64-column
+// chunks) writes exactly its bits, in the wide-vector columns and in the
+// ragged tail alike.
+TEST(Stats, FisherZEqualsTheKernelBits) {
+  const auto data = random_vec(203, 12);  // [-2, 2]: clamped values too
+  std::vector<float> bulk = data;
+  fisher_z(bulk);
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    EXPECT_EQ(bulk[j], fisher_z(data[j])) << "r = " << data[j];
+  }
+  for (const auto isa : {linalg::simd::Isa::kScalar, linalg::simd::Isa::kAvx2,
+                         linalg::simd::Isa::kAvx512}) {
+    std::vector<float> row = data;
+    std::vector<float> sum(row.size(), 0.0f);
+    std::vector<float> sumsq(row.size(), 0.0f);
+    linalg::simd::kernels(isa).fisher_moments(row.data(), sum.data(),
+                                              sumsq.data(), row.size());
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      EXPECT_EQ(row[j], fisher_z(data[j]))
+          << linalg::simd::isa_name(isa) << " r = " << data[j];
+    }
+  }
+}
+
 TEST(Stats, ZscoreNormalizesMoments) {
   auto x = random_vec(500, 7);
   zscore(x);
@@ -251,9 +335,8 @@ TEST(BlockNormalization, InstrumentedMatchesFast) {
   fisher_zscore_block(a.data(), epochs, width, width);
   memsim::Instrument ins;
   fisher_zscore_block_instrumented(b.data(), epochs, width, width, ins);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 2e-4);
-  }
+  // Both run the same Fisher kernel: bit-identical, not merely close.
+  EXPECT_EQ(a, b);
   // Fig 6's layout: the kernel's intensity should sit clearly above scalar
   // but (transcendental sequences) below the pure-FMA kernels.
   EXPECT_GT(ins.events().vector_intensity(), 6.0);

@@ -32,8 +32,8 @@ TEST(VolumeGeometry, ContainsBounds) {
   EXPECT_TRUE(g.contains(Coord{3, 3, 3}));
   EXPECT_FALSE(g.contains(Coord{4, 0, 0}));
   EXPECT_FALSE(g.contains(Coord{0, -1, 0}));
-  EXPECT_THROW(g.index_of(Coord{4, 0, 0}), Error);
-  EXPECT_THROW(g.coord_of(64), Error);
+  EXPECT_THROW((void)g.index_of(Coord{4, 0, 0}), Error);
+  EXPECT_THROW((void)g.coord_of(64), Error);
 }
 
 TEST(BrainMask, EllipsoidIsCenteredAndNonTrivial) {

@@ -125,12 +125,16 @@ TEST(WorkspaceNuma, NodeProbesAreConsistent) {
   EXPECT_GE(nodes, 1);
   const int here = numa::current_node();
   EXPECT_GE(here, -1);
-  if (here >= 0) EXPECT_LT(here, nodes);
+  if (here >= 0) {
+    EXPECT_LT(here, nodes);
+  }
   std::vector<float> buf(4096);
   numa::first_touch(buf.data(), buf.size() * sizeof(float));
   const int node = numa::node_of(buf.data());
   EXPECT_GE(node, -1);
-  if (node >= 0) EXPECT_LT(node, nodes);
+  if (node >= 0) {
+    EXPECT_LT(node, nodes);
+  }
 }
 
 TEST(WorkspaceNuma, RemoteHitsStayZeroWithinOneThread) {

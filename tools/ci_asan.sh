@@ -3,8 +3,8 @@
 # separate build tree with -DFCMA_SANITIZE=$SANITIZE (below), builds the
 # data-plane test binaries (shard store mmap lifecycle, streamed epoch
 # cache, fmri io, pipeline stages, timeline stream reader and writer, the
-# trace views rendered from the stream, the SIMD kernels and the padded
-# SVM sweep buffers they read), and runs them
+# trace views rendered from the stream, the SIMD kernels, the padded
+# SVM sweep buffers they read, and the Fisher transform), and runs them
 # instrumented.  float-cast-overflow is listed on its own because GCC's
 # `undefined` group leaves it out.  Any heap error, leak, or UB report
 # fails the script (halt_on_error); environments where ASan cannot compile
@@ -48,7 +48,7 @@ cmake -S "$SRC" -B "$BUILD" \
 JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_shard_store test_epoch_source test_fmri test_fcma_stages \
-          test_tlstream test_trace test_simd_dispatch test_svm \
+          test_tlstream test_trace test_simd_dispatch test_svm test_stats \
   -j "$JOBS" > /dev/null
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -77,4 +77,9 @@ echo "ci_asan: running test_simd_dispatch under ASan+UBSan"
 "$BUILD/tests/test_simd_dispatch"
 echo "ci_asan: running test_svm under ASan+UBSan"
 "$BUILD/tests/test_svm"
+# The Fisher kernel's repo-owned log splits each float's bits into exponent
+# and mantissa and converts the exponent back to float; the ulp sweep drives
+# those conversions (and the NaN and clamp paths) under float-cast-overflow.
+echo "ci_asan: running test_stats under ASan+UBSan"
+"$BUILD/tests/test_stats"
 echo "ci_asan: clean"
