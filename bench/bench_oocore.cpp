@@ -1,10 +1,15 @@
-// Out-of-core data-plane proof (PR 8): runs the same analysis twice over a
-// shard store larger than the memory budget — once fully resident, once
-// streamed through StreamedEpochs under plan_residency — and checks two
-// claims machine-verifiably:
+// Out-of-core data-plane proof: runs the same analysis twice over a shard
+// store larger than the memory budget — once fully resident, once streamed
+// through StreamedEpochs under plan_residency — and checks two claims
+// machine-verifiably:
 //
 //   1. the streamed run's peak RSS (VmHWM) stays under --memory-budget,
 //   2. the streamed per-voxel accuracies are byte-identical to resident.
+//
+// It also records the most shard loads any streamed task made, with the
+// task's subject and column-block counts, so bench_smoke.sh can check that
+// the column sweep reads the data once per task: at most
+// subjects x (blocks + 1) shard mappings.
 //
 // VmHWM is a per-process high-water mark, so each phase re-execs this
 // binary (--phase generate|resident|streamed); the parent orchestrates,
@@ -13,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +33,7 @@
 #include "common/trace.hpp"
 #include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
+#include "fcma/pipeline.hpp"
 #include "fmri/dataset_view.hpp"
 #include "fmri/shard_store.hpp"
 
@@ -154,25 +161,36 @@ int phase_streamed(const PhaseArgs& a) {
   core::StreamedEpochs source(*view,
                               {plan.panel_cache_bytes, &pool});
   std::vector<double> accuracy(a.task_voxels, 0.0);
-  // Tasks run serially (the pool only drives prefetch + stage 3), so one
-  // plan-sized correlation buffer is live at a time — the accounting the
-  // residency plan assumes.
+  // Tasks run serially (the pool runs each task's column panels and stage
+  // 3), so one plan-sized correlation buffer is live at a time — the
+  // accounting the residency plan assumes.
   config.pool = &pool;
+  const auto& reg = trace::global();
+  std::int64_t max_task_loads = 0;
+  std::size_t max_task_blocks = 0;
   std::size_t first = 0;
   while (first < a.task_voxels) {
     const std::size_t count =
         std::min(plan.voxels_per_task, a.task_voxels - first);
     const core::VoxelTask task{static_cast<std::uint32_t>(first),
                                static_cast<std::uint32_t>(count)};
+    const core::ColumnSweep sweep =
+        core::column_sweep(count, view->voxels(), plan.group_voxels);
+    const std::size_t groups = (count + sweep.group - 1) / sweep.group;
+    const std::size_t blocks =
+        groups * ((view->voxels() + sweep.block - 1) / sweep.block);
+    const std::int64_t loads_before = reg.counter("io/shard_loads");
     const core::TaskResult part =
         core::run_task_grouped(source, task, config, plan.group_voxels);
+    max_task_loads = std::max(max_task_loads,
+                              reg.counter("io/shard_loads") - loads_before);
+    max_task_blocks = std::max(max_task_blocks, blocks);
     std::memcpy(accuracy.data() + first, part.accuracy.data(),
                 count * sizeof(double));
     first += count;
   }
   write_accuracies(a.dir + "/streamed.acc", accuracy);
 
-  const auto& reg = trace::global();
   const std::size_t peak = peak_rss_bytes();
   std::ofstream stats(a.dir + "/streamed.stats");
   write_stat(stats, "wall_s", timer.seconds());
@@ -185,6 +203,9 @@ int phase_streamed(const PhaseArgs& a) {
   write_stat(stats, "prefetch_hits",
              static_cast<double>(reg.counter("io/prefetch_hits")));
   write_stat(stats, "stall_s", reg.gauge("io/stall_s"));
+  write_stat(stats, "task_shard_loads", static_cast<double>(max_task_loads));
+  write_stat(stats, "task_blocks", static_cast<double>(max_task_blocks));
+  write_stat(stats, "subjects", static_cast<double>(view->subjects()));
   if (peak > a.budget) {
     std::fprintf(stderr,
                  "FAIL: streamed peak RSS %.1f MB exceeds budget %.1f MB\n",
@@ -288,6 +309,12 @@ int main(int argc, char** argv) {
                                                    "prefetch_hits"), 0)});
   io.row({"io/stall_s", Table::num(read_stat(a.dir + "/streamed.stats",
                                              "stall_s"), 3)});
+  const double task_loads =
+      read_stat(a.dir + "/streamed.stats", "task_shard_loads");
+  const double task_blocks = read_stat(a.dir + "/streamed.stats", "task_blocks");
+  const double subjects = read_stat(a.dir + "/streamed.stats", "subjects");
+  io.row({"most shard loads in one task", Table::num(task_loads, 0)});
+  io.row({"its column blocks (all groups)", Table::num(task_blocks, 0)});
   io.print();
 
   trace::gauge_set("oocore/budget_mb", budget_mb);
@@ -298,6 +325,9 @@ int main(int argc, char** argv) {
   trace::gauge_set("oocore/streamed_slowdown", slowdown);
   trace::gauge_set("oocore/within_budget", str_rss <= budget_mb ? 1.0 : 0.0);
   trace::gauge_set("oocore/reports_identical", identical ? 1.0 : 0.0);
+  trace::gauge_set("oocore/task_shard_loads", task_loads);
+  trace::gauge_set("oocore/task_blocks", task_blocks);
+  trace::gauge_set("oocore/subjects", subjects);
 
   if (own_dir) std::filesystem::remove_all(a.dir);
   FCMA_CHECK(identical, "streamed report differs from resident");

@@ -121,23 +121,35 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     return;
   }
 
+  const auto rows =
+      epochs.acquire_rows(0, m_total, task.first, task.first + task.count);
+  correlate_normalize_block(epochs, rows, task, 0, out.cols, out, pool);
+}
+
+void correlate_normalize_block(EpochSource& epochs,
+                               const EpochSource::RowLease& task_lease,
+                               const VoxelTask& task, std::size_t n0,
+                               std::size_t n1, linalg::MatrixView out,
+                               threading::ThreadPool* pool) {
+  const std::size_t m_total = epochs.meta().size();
+  FCMA_CHECK(n0 <= n1 && n1 <= epochs.voxels() &&
+                 out.rows == task.count * m_total && out.cols == n1 - n0,
+             "bad corr block shape");
   // Merged (idea #2): per subject and per column panel, compute that
   // subject's E epoch rows for each voxel and normalize them immediately,
   // while the freshly-written panel is still cache resident.  The fused
-  // sweep needs one subject's panels live at a time — that run is the
-  // streaming granularity, and the next subject's panels prefetch while
-  // this one computes (requested once this run is pinned, so the prefetch
-  // never competes with its loads for the budget).  Within a run the
-  // column panels are independent: each packs its own B^T slice from its
-  // thread's workspace and writes only its own columns, so they spread
-  // across the pool when one is given.
+  // sweep needs one subject run's rows [n0, n1) at a time — that run is the
+  // streaming granularity, and its lease is the only one held.  Within a
+  // run the column panels are independent: each packs its own B^T slice
+  // from its thread's workspace and writes only its own columns, so they
+  // spread across the pool when one is given.
   //
   // The two logical stages interleave per panel, so their trace spans are
   // split by timing the normalization slices of every panel and
   // attributing the rest of the fused wall time to correlation.
   const bool tracing = trace::enabled();
   const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
-  const std::size_t n = out.cols;
+  const std::size_t n = n1 - n0;
   const auto runs = subject_runs(epochs.meta());
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
   constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
@@ -146,12 +158,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   // pool's join, so each slot has one writer at a time.
   std::vector<double> busy_s(tracing ? panels : 0, 0.0);
   std::vector<double> norm_s(tracing ? panels : 0, 0.0);
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const SubjectRun& run = runs[r];
-    const auto lease = epochs.acquire(run.first, run.last);
-    if (r + 1 < runs.size()) {
-      epochs.prefetch(runs[r + 1].first, runs[r + 1].last);
-    }
+  for (const SubjectRun& run : runs) {
+    const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1);
     const std::size_t e_count = run.last - run.first;
     threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
       const WallTimer panel_timer;
@@ -159,14 +167,13 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
       const std::size_t width = std::min(n, j0 + kPanelCols) - j0;
       auto bt = Workspace::local().acquire(e_count * t_len * width);
       for (std::size_t e = 0; e < e_count; ++e) {
-        linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0,
-                                   j0 + width, bt.data() + e * t_len * width);
+        linalg::opt::pack_bt_panel(lease.epoch(run.first + e), j0, j0 + width,
+                                   bt.data() + e * t_len * width);
       }
       for (std::size_t v = 0; v < task.count; ++v) {
         for (std::size_t e = 0; e < e_count; ++e) {
-          const linalg::Matrix& act = lease.epoch(run.first + e);
           linalg::opt::gemm_row_panel(
-              act.row(task.first + v), act.cols(),
+              task_lease.epoch(run.first + e).row(v), t_len,
               bt.data() + e * t_len * width, width,
               out.row(v * m_total + run.first + e) + j0);
         }

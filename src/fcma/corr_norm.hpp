@@ -37,26 +37,43 @@ enum class NormMode { kSeparated, kMerged };
                                               std::size_t brain_voxels);
 
 /// Baseline stages 1+2 (always separated — the baseline has no fusion).
-/// The EpochSource form is primary: panels are leased one epoch (baseline /
-/// separated) or one subject run (merged) at a time with the next range
-/// prefetched, so a streamed source never needs the full panel stack
-/// resident.  The NormalizedEpochs overloads wrap ResidentEpochs and stay
-/// bit-identical.
+/// The EpochSource form is primary: whole panels are leased one epoch at a
+/// time with the next one prefetched (baseline / separated), and the
+/// merged sweep leases rows, so a streamed source never needs the full
+/// panel stack resident.  The NormalizedEpochs overloads wrap
+/// ResidentEpochs and stay bit-identical.
 void baseline_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
                                   linalg::MatrixView out);
 void baseline_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                   const VoxelTask& task, linalg::MatrixView out);
 
-/// Optimized stages 1+2.  With a `pool`, the merged sweep spreads each
-/// subject run's column panels across it; every output column is still
-/// written by the serial arithmetic, so the result is bit-identical to the
-/// pool-less call.  The separated mode ignores the pool.
+/// Optimized stages 1+2.  The merged mode is correlate_normalize_block
+/// over the whole brain [0, out.cols), with the task's rows leased once.
+/// The separated mode ignores the pool.
 void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
                                    linalg::MatrixView out, NormMode mode,
                                    threading::ThreadPool* pool = nullptr);
 void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                    const VoxelTask& task,
                                    linalg::MatrixView out, NormMode mode);
+
+/// The merged stages 1+2 over brain columns [n0, n1): the block kernel of
+/// the column sweep (pipeline.hpp) and the only merged body.  `task_lease`
+/// holds the task's voxel rows of every epoch
+/// (epochs.acquire_rows(0, M, task.first, task.first + task.count)); each
+/// subject run's rows [n0, n1) are leased once per call, one run at a
+/// time.  `out` is task.count * M rows by n1 - n0 columns: row v * M + m
+/// holds voxel (task.first + v)'s normalized correlations in epoch m with
+/// voxels [n0, n1).  Every column is computed and normalized on its own,
+/// within 512-column gemm panels counted from n0, so a block starting on a
+/// panel edge reproduces the whole-brain columns bit for bit.  With a
+/// `pool`, each subject run's panels spread across it; the result is
+/// bit-identical to the pool-less call.
+void correlate_normalize_block(EpochSource& epochs,
+                               const EpochSource::RowLease& task_lease,
+                               const VoxelTask& task, std::size_t n0,
+                               std::size_t n1, linalg::MatrixView out,
+                               threading::ThreadPool* pool = nullptr);
 
 /// Instrumented twins; `model_lanes` selects the modeled VPU width.
 void baseline_correlate_normalize_instrumented(

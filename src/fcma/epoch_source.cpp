@@ -16,6 +16,24 @@ std::size_t panel_bytes(const linalg::Matrix& panel) {
 
 }  // namespace
 
+EpochSource::RowLease EpochSource::acquire_rows(std::size_t first,
+                                                std::size_t last,
+                                                std::size_t r0,
+                                                std::size_t r1) {
+  FCMA_CHECK(r0 <= r1 && r1 <= voxels(), "voxel row range out of bounds");
+  auto panels = std::make_shared<Lease>(acquire(first, last));
+  RowLease lease;
+  lease.first_ = first;
+  lease.rows_.reserve(last - first);
+  for (std::size_t m = first; m < last; ++m) {
+    const linalg::Matrix& panel = panels->epoch(m);
+    lease.rows_.push_back(linalg::ConstMatrixView{
+        panel.data() + r0 * panel.ld(), r1 - r0, panel.cols(), panel.ld()});
+  }
+  lease.pin_ = std::move(panels);
+  return lease;
+}
+
 EpochSource::Lease ResidentEpochs::acquire(std::size_t first,
                                            std::size_t last) {
   FCMA_CHECK(first <= last && last <= epochs_->per_epoch.size(),
@@ -112,8 +130,14 @@ void StreamedEpochs::evict_locked() {
   if (options_.budget_bytes == 0) return;
   while (bytes_ > options_.budget_bytes) {
     const std::size_t victim = lru_unpinned_locked();
-    if (victim == slots_.size()) return;  // everything left is pinned
-    bytes_ -= panel_bytes(take_panel_locked(victim));
+    if (victim != slots_.size()) {
+      bytes_ -= panel_bytes(take_panel_locked(victim));
+    } else if (!spare_rows_.empty()) {
+      bytes_ -= spare_rows_.back().size() * sizeof(float);
+      spare_rows_.pop_back();
+    } else {
+      return;  // everything left is pinned or leased
+    }
   }
 }
 
@@ -137,12 +161,14 @@ bool StreamedEpochs::fits_locked(std::size_t m) const {
          bytes_ + estimated_panel_bytes(m) <= options_.budget_bytes;
 }
 
-void StreamedEpochs::fill_slot(std::size_t m, linalg::Matrix panel) {
+void StreamedEpochs::fill_slot(std::size_t m, linalg::Matrix panel,
+                               fmri::DatasetView::Panel& held) {
   const fmri::Epoch& e = meta_[m];
   if (panel.cols() != e.length) panel = linalg::Matrix(voxels_, e.length);
-  // The backing shard (if any) stays mapped only for this call: the
-  // Panel's keepalive drops when epoch_panel's result goes out of scope.
-  fmri::normalize_epoch_panel(view_->epoch_panel(indices_[m]), panel.view());
+  // The new panel is fetched while `held` still pins the previous one, so
+  // a backing shard stays mapped across its subject's epochs.
+  held = view_->epoch_panel(indices_[m]);
+  fmri::normalize_epoch_panel(held, panel.view());
   std::lock_guard<std::mutex> lock(mu_);
   Slot& s = slots_[m];
   s.panel = std::move(panel);
@@ -191,7 +217,8 @@ EpochSource::Lease StreamedEpochs::acquire(std::size_t first,
       }
     }
   }
-  for (auto& [m, panel] : to_load) fill_slot(m, std::move(panel));
+  fmri::DatasetView::Panel held;
+  for (auto& [m, panel] : to_load) fill_slot(m, std::move(panel), held);
   if (!to_wait.empty()) {
     const auto t0 = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lock(mu_);
@@ -215,6 +242,71 @@ EpochSource::Lease StreamedEpochs::acquire(std::size_t first,
     }
   }
   lease.release_ = [this, first, last] { release_range(first, last); };
+  return lease;
+}
+
+struct StreamedEpochs::Rows {
+  Rows(StreamedEpochs& owner, std::size_t floats) : owner(owner) {
+    {
+      // Best fit among the spares, so a small task-row lease does not
+      // take a block's buffer.
+      std::lock_guard<std::mutex> lock(owner.mu_);
+      auto& spares = owner.spare_rows_;
+      auto best = spares.end();
+      for (auto it = spares.begin(); it != spares.end(); ++it) {
+        if (it->size() >= floats &&
+            (best == spares.end() || it->size() < best->size())) {
+          best = it;
+        }
+      }
+      if (best != spares.end()) {
+        data = std::move(*best);
+        spares.erase(best);
+        return;
+      }
+    }
+    data.reset(floats);
+    std::lock_guard<std::mutex> lock(owner.mu_);
+    owner.bytes_ += data.size() * sizeof(float);
+    owner.evict_locked();
+  }
+  Rows(const Rows&) = delete;
+  Rows& operator=(const Rows&) = delete;
+  ~Rows() {
+    std::lock_guard<std::mutex> lock(owner.mu_);
+    owner.spare_rows_.push_back(std::move(data));
+    owner.evict_locked();
+  }
+
+  StreamedEpochs& owner;
+  AlignedBuffer<float> data;
+};
+
+EpochSource::RowLease StreamedEpochs::acquire_rows(std::size_t first,
+                                                   std::size_t last,
+                                                   std::size_t r0,
+                                                   std::size_t r1) {
+  FCMA_CHECK(first <= last && last <= meta_.size(),
+             "epoch range out of bounds");
+  FCMA_CHECK(r0 <= r1 && r1 <= voxels_, "voxel row range out of bounds");
+  const std::size_t rows = r1 - r0;
+  std::size_t floats = 0;
+  for (std::size_t m = first; m < last; ++m) floats += rows * meta_[m].length;
+  auto buffer = std::make_shared<Rows>(*this, floats);
+  RowLease lease;
+  lease.first_ = first;
+  lease.rows_.reserve(last - first);
+  float* dst = buffer->data.data();
+  fmri::DatasetView::Panel held;
+  for (std::size_t m = first; m < last; ++m) {
+    const std::size_t length = meta_[m].length;
+    held = view_->epoch_panel(indices_[m]);
+    fmri::normalize_epoch_panel(
+        held, linalg::MatrixView{dst, rows, length, length}, r0);
+    lease.rows_.push_back(linalg::ConstMatrixView{dst, rows, length, length});
+    dst += rows * length;
+  }
+  lease.pin_ = std::move(buffer);
   return lease;
 }
 
@@ -260,7 +352,10 @@ void StreamedEpochs::prefetch_task(std::size_t m) {
     s.prefetched = true;
     panel = claim_buffer_locked(m);
   }
-  fill_slot(m, std::move(panel));
+  {
+    fmri::DatasetView::Panel held;
+    fill_slot(m, std::move(panel), held);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (--inflight_ == 0) cv_.notify_all();
 }

@@ -1,26 +1,38 @@
 // Normalized-epoch access for the pipeline stages, resident or streamed.
 //
 // Stage 1 consumes eq.2-normalized [voxels x epoch_length] panels.  An
-// EpochSource hands them out one epoch range at a time behind an RAII
-// lease, so the pipeline no longer dictates that every panel is live at
-// once.  Two backends:
+// EpochSource hands them out behind RAII leases, so the pipeline never
+// needs every panel live at once.  Two lease shapes:
+//
+//   * acquire(first, last) pins the whole panels of an epoch range (the
+//     baseline and separated stages, which sweep every column at once);
+//   * acquire_rows(first, last, r0, r1) pins voxel rows [r0, r1) of those
+//     panels — the column sweep of the merged stages 1+2 (pipeline.hpp)
+//     leases each brain block's rows once per subject run, and the task's
+//     own rows once per task.  The default form pins whole panels and
+//     views their rows, so wrappers that only forward acquire() keep
+//     working.
+//
+// Two backends:
 //
 //   * ResidentEpochs — zero-cost adapter over fmri::NormalizedEpochs (the
-//     classic fully-resident path; leases are pointer bundles).
-//   * StreamedEpochs — loads panels on demand from any fmri::DatasetView
-//     (in-memory or mmap'd shard store), normalizes them with the shared
-//     normalize_epoch_panel kernel, caches them under a byte budget with
-//     LRU eviction of unpinned panels, and overlaps loads with compute by
-//     prefetching upcoming epochs on the scheduler.  A load that would
-//     overflow the budget takes over the evicted panel's buffer instead of
-//     freeing one and allocating another, so a streamed run allocates the
-//     panels that fit at once, never one per load, and no panel memory
-//     changes hands between threads' allocator arenas.
+//     classic fully-resident path; both lease shapes are pointer bundles).
+//   * StreamedEpochs — loads from any fmri::DatasetView (in-memory or
+//     mmap'd shard store) and normalizes with the shared
+//     normalize_epoch_panel kernel.  A row lease loads only its rows into
+//     a buffer of its own, mapping each subject's shard once for the
+//     lease.  Whole panels go to a cache under a byte budget with LRU
+//     eviction of unpinned panels, and prefetch() overlaps their loads
+//     with compute on the scheduler; a load that would overflow the budget
+//     takes over the evicted panel's buffer instead of freeing one and
+//     allocating another.  Row-lease buffers count against the same
+//     budget and are recycled the same way: a released one is kept as a
+//     spare for the next lease while it fits.
 //
-// Both backends produce bit-identical panels; the repo's standing
+// Both backends produce bit-identical panels and rows; the repo's standing
 // EXPECT_EQ contract (streamed == resident == serial == pooled) holds
-// because normalization runs through one shared kernel and gemm consumes
-// the same float bits either way.
+// because normalization runs row by row through one shared kernel and gemm
+// consumes the same float bits either way.
 //
 // Observability: StreamedEpochs maintains the io/* trace metrics —
 // io/shard_loads and io/bytes_mapped counters (fed by ShardStoreView),
@@ -32,10 +44,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "fmri/dataset.hpp"
 #include "fmri/dataset_view.hpp"
 #include "linalg/matrix.hpp"
@@ -82,6 +96,25 @@ class EpochSource {
     std::function<void()> release_;
   };
 
+  /// RAII pin on voxel rows [r0, r1) of the panels of one epoch range.
+  /// `epoch(m)` takes the absolute epoch index and views those rows of
+  /// epoch m: (r1 - r0) x length, bit-identical to the same rows of the
+  /// whole panel.
+  class RowLease {
+   public:
+    [[nodiscard]] linalg::ConstMatrixView epoch(std::size_t m) const {
+      return rows_[m - first_];
+    }
+
+   private:
+    friend class EpochSource;
+    friend class StreamedEpochs;
+    std::size_t first_ = 0;
+    std::vector<linalg::ConstMatrixView> rows_;
+    /// What the rows view: pinned whole panels, or rows loaded for it.
+    std::shared_ptr<const void> pin_;
+  };
+
   virtual ~EpochSource() = default;
 
   /// Epoch metadata, subject-major (always resident).
@@ -92,6 +125,14 @@ class EpochSource {
   /// Pins (loading if needed) the normalized panels of [first, last).
   /// Blocks until every panel in the range is resident.  Thread-safe.
   [[nodiscard]] virtual Lease acquire(std::size_t first, std::size_t last) = 0;
+
+  /// Pins voxel rows [r0, r1) of the normalized panels of [first, last).
+  /// The default pins the whole panels with acquire() and views their
+  /// rows; backends may load only the rows.  Throws fcma::Error when a
+  /// range is out of bounds.  Thread-safe.
+  [[nodiscard]] virtual RowLease acquire_rows(std::size_t first,
+                                              std::size_t last,
+                                              std::size_t r0, std::size_t r1);
 
   /// Hints that [first, last) is needed soon; backends may start loads in
   /// the background (never blocks).  The default is a no-op.
@@ -142,12 +183,18 @@ class StreamedEpochs final : public EpochSource {
   }
   [[nodiscard]] std::size_t voxels() const override { return voxels_; }
   [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override;
+  /// Loads only rows [r0, r1) of each epoch, holding one mapping of each
+  /// subject's shard for the whole range.
+  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
+                                      std::size_t r0,
+                                      std::size_t r1) override;
   void prefetch(std::size_t first, std::size_t last) override;
 
   /// Cache introspection for tests and the oocore bench.  resident_bytes()
-  /// counts every panel buffer the cache holds, loaded or loading; it stays
-  /// within the budget unless pinned panels alone exceed it.
-  /// panel_allocations() counts the panel buffers ever allocated.
+  /// counts every panel buffer the cache holds, loaded or loading, and
+  /// every row buffer, leased or spare; it stays within the budget unless
+  /// pinned panels and leased rows alone exceed it.  panel_allocations() counts
+  /// the panel buffers ever allocated.
   [[nodiscard]] std::size_t resident_panels() const;
   [[nodiscard]] std::size_t resident_bytes() const;
   [[nodiscard]] std::size_t panel_allocations() const;
@@ -166,10 +213,19 @@ class StreamedEpochs final : public EpochSource {
     linalg::Matrix panel;
   };
 
+  /// A row lease's buffer: the smallest spare that fits, or a new one
+  /// counted against the budget, kept as a spare again when the lease
+  /// drops it.  Row buffers are recycled like panel buffers, so a sweep
+  /// allocates a few, not one per lease.
+  struct Rows;
+
   /// Loads slot `m` (caller already transitioned it to kLoading and
   /// claimed `panel` for it), then publishes it ready.  Runs without the
-  /// mutex during allocation, I/O and normalize.
-  void fill_slot(std::size_t m, linalg::Matrix panel);
+  /// mutex during allocation, I/O and normalize.  `held` keeps the raw
+  /// panel alive afterwards, so loading the next epoch of the same subject
+  /// reuses its shard mapping.
+  void fill_slot(std::size_t m, linalg::Matrix panel,
+                 fmri::DatasetView::Panel& held);
   void prefetch_task(std::size_t m);
   void release_range(std::size_t first, std::size_t last);
   /// The following helpers run with mu_ held.
@@ -179,8 +235,8 @@ class StreamedEpochs final : public EpochSource {
   [[nodiscard]] linalg::Matrix take_panel_locked(std::size_t victim);
   /// True when a fresh panel for slot `m` fits the budget.
   [[nodiscard]] bool fits_locked(std::size_t m) const;
-  /// Frees LRU unpinned panels until within budget (after pinned panels
-  /// pushed the cache past it).
+  /// Frees LRU unpinned panels, then spare row buffers, until within
+  /// budget (after pinned panels or leased rows pushed the cache past it).
   void evict_locked();
   /// Reserves slot `m`'s buffer in the budget.  While a fresh panel would
   /// overflow it, evicts the LRU unpinned panel and returns its buffer when
@@ -198,7 +254,9 @@ class StreamedEpochs final : public EpochSource {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Slot> slots_;
-  std::size_t bytes_ = 0;         ///< every panel buffer held, incl. loading
+  std::size_t bytes_ = 0;  ///< every panel buffer held (incl. loading) and
+                           ///< every row buffer, leased or spare
+  std::vector<AlignedBuffer<float>> spare_rows_;  ///< released row buffers
   std::size_t allocations_ = 0;   ///< panel buffers ever allocated
   std::uint64_t tick_ = 0;
   std::size_t inflight_ = 0;  ///< submitted prefetch tasks not yet done

@@ -1,10 +1,23 @@
 #include "fcma/memory_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 
 namespace fcma::core {
+
+namespace {
+
+std::size_t sat_add(std::size_t a, std::size_t b) {
+  return a > SIZE_MAX - b ? SIZE_MAX : a + b;
+}
+
+std::size_t sat_mul(std::size_t a, std::size_t b) {
+  return b != 0 && a > SIZE_MAX / b ? SIZE_MAX : a * b;
+}
+
+}  // namespace
 
 std::size_t corr_bytes_per_voxel(std::size_t epochs,
                                  std::size_t brain_voxels) {
@@ -31,6 +44,20 @@ std::size_t optimized_max_voxels(std::size_t epochs, std::size_t brain_voxels,
   return per_voxel == 0 ? 0 : (available_bytes - in_flight) / per_voxel;
 }
 
+ColumnSweep column_sweep(std::size_t task_voxels, std::size_t brain_voxels,
+                         std::size_t group_voxels) {
+  FCMA_CHECK(group_voxels > 0, "group size must be positive");
+  FCMA_CHECK(brain_voxels > 0, "column sweep needs brain voxels");
+  if (task_voxels <= group_voxels) return {task_voxels, brain_voxels};
+  // Columns of one epoch row the in-flight correlation may hold.
+  const std::size_t cap = sat_mul(group_voxels, brain_voxels);
+  const std::size_t widest = cap / task_voxels / kSweepBlockCols *
+                             kSweepBlockCols;
+  if (widest > 0) return {task_voxels, std::min(widest, brain_voxels)};
+  const std::size_t block = std::min(brain_voxels, kSweepBlockCols);
+  return {cap / block, block};
+}
+
 BudgetPlan plan_residency(std::size_t total_epochs,
                           std::size_t epochs_per_subject,
                           std::size_t brain_voxels, std::size_t epoch_length,
@@ -40,34 +67,35 @@ BudgetPlan plan_residency(std::size_t total_epochs,
              "residency plan needs a non-empty dataset shape");
   FCMA_CHECK(budget_bytes > 0, "memory budget must be positive");
 
-  const std::size_t panel_bytes = brain_voxels * epoch_length * sizeof(float);
-  const std::size_t all_panels = total_epochs * panel_bytes;
-  // Merged stage 1/2 pins one whole subject run; +1 panel of lookahead.
-  const std::size_t min_cache = (epochs_per_subject + 1) * panel_bytes;
-  const std::size_t corr_voxel = corr_bytes_per_voxel(total_epochs,
-                                                      brain_voxels);
-  const std::size_t kernel_voxel = kernel_bytes_per_voxel(total_epochs);
+  const std::size_t panel_bytes =
+      sat_mul(sat_mul(brain_voxels, epoch_length), sizeof(float));
+  // A whole-panel lease of one subject run, +1 panel of lookahead.
+  const std::size_t min_cache = sat_mul(epochs_per_subject + 1, panel_bytes);
+  const std::size_t corr_voxel =
+      sat_mul(sat_mul(total_epochs, brain_voxels), sizeof(float));
+  const std::size_t kernel_voxel =
+      sat_mul(sat_mul(total_epochs, total_epochs), sizeof(float));
 
-  // Plan against 5/8 of the budget; see the header for what the remaining
-  // 3/8 of headroom absorbs.
-  const std::size_t usable = budget_bytes * 5 / 8;
-  FCMA_CHECK(min_cache + corr_voxel + kernel_voxel <= usable,
+  // Plan against 5/8 of the budget (split so no budget wraps); see the
+  // header for what the remaining 3/8 of headroom absorbs.
+  const std::size_t usable = budget_bytes / 8 * 5 + budget_bytes % 8 * 5 / 8;
+  FCMA_CHECK(sat_add(sat_add(min_cache, corr_voxel), kernel_voxel) <= usable,
              "memory budget too small for one subject's panels plus a "
              "one-voxel working set");
 
   BudgetPlan plan;
   plan.budget_bytes = budget_bytes;
-  // Half the usable budget for panels (never more than the whole dataset's
-  // panels, never less than the merged sweep's floor) ...
-  plan.panel_cache_bytes =
-      std::clamp(usable / 2, min_cache, std::max(min_cache, all_panels));
-  // ... and the remainder split evenly between in-flight correlation
-  // blocks (group size) and per-task kernel accumulation (task grain).
-  const std::size_t rest = usable - plan.panel_cache_bytes;
+  plan.panel_cache_bytes = min_cache;
+  // The rest is split evenly between in-flight correlation (group size)
+  // and per-task kernel accumulation (task grain), the grain capped at
+  // what one pass of kSweepBlockCols-wide blocks holds.
+  const std::size_t rest = usable - min_cache;
   plan.group_voxels = std::max<std::size_t>(1, rest / 2 / corr_voxel);
-  plan.voxels_per_task =
-      std::max(plan.group_voxels,
-               std::max<std::size_t>(1, rest / 2 / kernel_voxel));
+  const std::size_t one_pass = sat_mul(plan.group_voxels, brain_voxels) /
+                               std::min(brain_voxels, kSweepBlockCols);
+  plan.voxels_per_task = std::max(
+      plan.group_voxels,
+      std::min(one_pass, std::max<std::size_t>(1, rest / 2 / kernel_voxel)));
   return plan;
 }
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "archsim/roofline.hpp"
 #include "common/trace.hpp"
 #include "common/workspace.hpp"
+#include "fcma/memory_model.hpp"
+#include "linalg/opt.hpp"
 
 namespace fcma::core {
 
@@ -86,38 +89,62 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
                                             const PipelineConfig& config,
                                             std::size_t group_voxels) {
   FCMA_CHECK(!epochs.meta().empty(), "no epochs to process");
-  FCMA_CHECK(group_voxels > 0, "group size must be positive");
   const std::size_t m = epochs.meta().size();
   const std::size_t n = epochs.voxels();
 
-  // Per group, correlate+normalize into a reusable buffer and reduce each
-  // voxel to its kernel matrix, both across the pool: the optimized stage
-  // 1+2 spreads column panels, and each voxel's kernel is one serial syrk
-  // on one thread, so results are pool-independent.  One group-sized
-  // workspace lease covers every group (the last, possibly shorter group
-  // just views a prefix).  Iterating in size_t keeps a group larger than
-  // 2^32 - 1 voxels from wrapping the loop.
+  // The merged optimized stages sweep the brain in column blocks; the
+  // baseline and separated stages correlate whole rows, one block of N.
+  const bool sweep = config.impl == Impl::kOptimized &&
+                     config.norm_mode == NormMode::kMerged;
+  ColumnSweep shape = column_sweep(task.count, n, group_voxels);
+  if (!sweep) shape = {std::min<std::size_t>(group_voxels, task.count), n};
+
+  // Per voxel group and block, correlate+normalize into one reusable
+  // workspace lease, then add the block to every group voxel's kernel,
+  // both across the pool: the merged stage 1+2 spreads column panels, and
+  // each voxel's kernel is one serial syrk on one thread, so results are
+  // pool-independent.  Blocks start on syrk panel edges and accumulate in
+  // ascending order, so the kernels carry the whole-brain syrk's bits.
+  // Iterating in size_t keeps a group larger than 2^32 - 1 voxels from
+  // wrapping the loop.
   std::vector<linalg::Matrix> kernels;
   kernels.reserve(task.count);
-  const std::size_t max_group =
-      std::min<std::size_t>(group_voxels, task.count);
-  auto corr_lease = Workspace::local().acquire(max_group * m * n);
-  for (std::size_t g0 = 0; g0 < task.count; g0 += max_group) {
+  for (std::uint32_t v = 0; v < task.count; ++v) kernels.emplace_back(m, m);
+  auto corr_lease = Workspace::local().acquire(shape.group * m * shape.block);
+  for (std::size_t g0 = 0; g0 < task.count; g0 += shape.group) {
     const VoxelTask group{
         task.first + static_cast<std::uint32_t>(g0),
-        static_cast<std::uint32_t>(std::min(max_group, task.count - g0))};
-    const linalg::MatrixView corr{
-        corr_lease.data(), static_cast<std::size_t>(group.count) * m, n, n};
-    if (config.impl == Impl::kBaseline) {
-      baseline_correlate_normalize(epochs, group, corr);
-    } else {
-      optimized_correlate_normalize(epochs, group, corr, config.norm_mode,
-                                    config.pool);
+        static_cast<std::uint32_t>(std::min(shape.group, task.count - g0))};
+    EpochSource::RowLease rows;
+    if (sweep) {
+      rows = epochs.acquire_rows(0, m, group.first, group.first + group.count);
     }
-    for (std::uint32_t v = 0; v < group.count; ++v) kernels.emplace_back(m, m);
-    threading::for_each_index(config.pool, 0, group.count, [&](std::size_t v) {
-      compute_voxel_kernel(corr, m, v, config.impl, kernels[g0 + v].view());
-    });
+    for (std::size_t n0 = 0; n0 < n; n0 += shape.block) {
+      const std::size_t n1 = std::min(n, n0 + shape.block);
+      const linalg::MatrixView corr{corr_lease.data(), group.count * m,
+                                    n1 - n0, shape.block};
+      if (sweep) {
+        correlate_normalize_block(epochs, rows, group, n0, n1, corr,
+                                  config.pool);
+      } else if (config.impl == Impl::kBaseline) {
+        baseline_correlate_normalize(epochs, group, corr);
+      } else {
+        optimized_correlate_normalize(epochs, group, corr, config.norm_mode);
+      }
+      threading::for_each_index(
+          config.pool, 0, group.count, [&](std::size_t v) {
+            linalg::Matrix& kernel = kernels[g0 + v];
+            if (config.impl == Impl::kBaseline) {
+              compute_voxel_kernel(corr, m, v, config.impl, kernel.view());
+              return;
+            }
+            if (n0 == 0) std::memset(kernel.data(), 0, m * m * sizeof(float));
+            linalg::opt::syrk_accumulate(
+                linalg::ConstMatrixView{corr.row(v * m), m, corr.cols,
+                                        corr.ld},
+                kernel.view(), /*mirror=*/n1 == n);
+          });
+    }
   }
   return kernels;
 }

@@ -26,8 +26,8 @@ struct PipelineConfig {
   svm::TrainOptions svm_options;
   /// Optional pool, used at exactly one level.  run_task and
   /// run_task_grouped run every stage on it: column panels of the optimized
-  /// merged stage 1+2, one serial syrk per voxel, and one SVM
-  /// cross-validation per voxel.  run_tasks with more than one task spreads
+  /// merged stage 1+2, one serial syrk (accumulation) per voxel, and one
+  /// SVM cross-validation per voxel.  run_tasks with more than one task spreads
   /// whole tasks over it instead, and their stages run pool-less on their
   /// worker.  Results never depend on it.
   threading::ThreadPool* pool = nullptr;
@@ -57,14 +57,14 @@ struct TaskResult {
 };
 
 /// Runs the three-stage pipeline for `task`:
-/// run_task_grouped(epochs, task, config, task.count).
+/// run_task_grouped(epochs, task, config, task.count), one block of N.
 ///
-/// The EpochSource form is primary: stages lease epoch panels in the
-/// granularity they need (per epoch, or per subject run when stage 1/2 are
-/// merged), so a streamed source bounds panel residency instead of holding
-/// the whole dataset.  The NormalizedEpochs overloads wrap ResidentEpochs
-/// and are bit-identical.  Sources must be thread-safe when a pool is
-/// configured (both backends are).
+/// The EpochSource form is primary: stages lease what they need (whole
+/// panels per epoch for the baseline and separated stages, a subject run's
+/// voxel rows for the merged ones), so a streamed source bounds residency
+/// instead of holding the whole dataset.  The NormalizedEpochs overloads
+/// wrap ResidentEpochs and are bit-identical.  Sources must be thread-safe
+/// when a pool is configured (both backends are).
 [[nodiscard]] TaskResult run_task(EpochSource& epochs, const VoxelTask& task,
                                   const PipelineConfig& config);
 [[nodiscard]] TaskResult run_task(const fmri::NormalizedEpochs& epochs,
@@ -112,19 +112,27 @@ struct InstrumentedTaskResult {
 ///
 /// Holding the whole task's correlation buffer (task.count x M x N floats)
 /// at once caps a coprocessor task at ~120 voxels at the paper's
-/// dimensions.  run_task_grouped instead processes the task in groups of
-/// `group_voxels`: stages 1+2 run for one group, each group voxel's M x N
-/// block is immediately reduced to its M x M kernel matrix, and the
-/// correlation buffer is reused for the next group.  Only the small kernel
-/// matrices accumulate, so a task of 240+ voxels fits the modeled 6GB — the
-/// enabler for full thread occupancy during SVM cross-validation.  Peak
-/// correlation memory: group_voxels * M * N floats.
+/// dimensions.  run_task_grouped instead sweeps the brain in column blocks
+/// (memory_model.hpp, column_sweep): for each block [n0, n1) of B columns,
+/// stages 1+2 correlate and normalize every task voxel against the block
+/// into one task.count x M x B buffer, and each voxel's M x M kernel
+/// matrix gets that block's syrk panels added to it.  `group_voxels` caps
+/// the in-flight correlation at group_voxels x M x N floats: B = N when the
+/// whole task fits, else the widest multiple of kSweepBlockCols (1536) that
+/// holds the whole task, else the task splits into the fewest voxel groups
+/// that fit 1536-column blocks.  Only the small kernel matrices
+/// accumulate, so a task of 240+ voxels fits the modeled 6GB — the enabler
+/// for full thread occupancy during SVM cross-validation.  A task swept in
+/// one voxel group reads each of its subject runs' voxel rows once per
+/// task; a streamed source loads only those rows.
 ///
-/// With config.pool set, stages 1-2 of each group use the pool as well:
-/// the optimized merged sweep spreads column panels across it and the
-/// kernel matrices are computed voxel-parallel, one serial syrk per voxel,
-/// so accuracies are bit-identical to the pool-less run.  A group size of
-/// task.count or more processes the task as one group.
+/// Blocks start on gemm and syrk panel edges and add to the kernels in
+/// ascending order, so kernels and accuracies are bit-identical for any
+/// group size and any config.pool: the pool runs each subject run's column
+/// panels of stages 1-2 and one serial syrk accumulation per voxel.  The
+/// baseline and separated stages have no block form; they run B = N, in
+/// groups of group_voxels.  A group size of task.count or more processes
+/// the task as one block.
 [[nodiscard]] TaskResult run_task_grouped(EpochSource& epochs,
                                           const VoxelTask& task,
                                           const PipelineConfig& config,
@@ -135,9 +143,9 @@ struct InstrumentedTaskResult {
                                           std::size_t group_voxels);
 
 /// Stages 1-2 and the kernel reduction of run_task_grouped: the M x M
-/// kernel matrix of every task voxel, in voxel order, computed group by
-/// group.  Bit-identical for any config.pool; run_task_grouped
-/// cross-validates exactly these matrices.
+/// kernel matrix of every task voxel, in voxel order, computed block by
+/// block.  Bit-identical for any group size and config.pool;
+/// run_task_grouped cross-validates exactly these matrices.
 [[nodiscard]] std::vector<linalg::Matrix> grouped_kernels(
     EpochSource& epochs, const VoxelTask& task, const PipelineConfig& config,
     std::size_t group_voxels);

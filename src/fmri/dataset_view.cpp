@@ -27,11 +27,13 @@ DatasetView::Panel InMemoryView::epoch_panel(std::size_t idx) const {
 }
 
 void normalize_epoch_panel(const DatasetView::Panel& panel,
-                           linalg::MatrixView out) {
-  FCMA_CHECK(out.rows == panel.view.rows && out.cols == panel.view.cols,
+                           linalg::MatrixView out, std::size_t first_row) {
+  FCMA_CHECK(first_row <= panel.view.rows &&
+                 out.rows <= panel.view.rows - first_row &&
+                 out.cols == panel.view.cols,
              "panel/output shape mismatch");
   for (std::size_t row = 0; row < out.rows; ++row) {
-    const float* src = panel.view.row(row);
+    const float* src = panel.view.row(first_row + row);
     float* dst = out.row(row);
     for (std::size_t t = 0; t < out.cols; ++t) dst[t] = src[t];
     stats::normalize_epoch({dst, out.cols});

@@ -94,10 +94,12 @@ class InMemoryView final : public DatasetView {
 [[nodiscard]] NormalizedEpochs normalize_epochs(
     const DatasetView& view, const std::vector<std::size_t>& epoch_indices);
 
-/// Normalizes a single epoch panel into `out` ([voxels x length], already
-/// sized).  The shared kernel behind normalize_epochs and the streamed
-/// loaders — one implementation keeps all paths bit-identical.
+/// Normalizes rows [first_row, first_row + out.rows) of one epoch panel
+/// into `out` ([rows x length], already sized; the whole panel by default).
+/// The shared kernel behind normalize_epochs and the streamed loaders — one
+/// implementation keeps all paths bit-identical.  Each row is normalized on
+/// its own, so any row range equals the same rows of the whole panel.
 void normalize_epoch_panel(const DatasetView::Panel& panel,
-                           linalg::MatrixView out);
+                           linalg::MatrixView out, std::size_t first_row = 0);
 
 }  // namespace fcma::fmri

@@ -62,6 +62,14 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 /// C[MxM] = A[MxN] * A^T (both triangles written).
 void syrk(ConstMatrixView a, MatrixView c);
 
+/// Accumulate form of syrk: adds A's 96-column panel contributions to C's
+/// lower triangle in ascending order, without zeroing C first; with
+/// `mirror`, then copies the lower triangle into the upper one.  Summing
+/// the column blocks [0, n1), [n1, n2), ... of a matrix this way into a
+/// zeroed C, each block starting on a kSyrkPanelK edge and only the last
+/// one mirrored, gives syrk's bits for the whole matrix.
+void syrk_accumulate(ConstMatrixView a, MatrixView c, bool mirror);
+
 /// Instrumented twins (see baseline.hpp for the model_lanes convention).
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                           memsim::Instrument& ins, unsigned model_lanes = 16);

@@ -49,12 +49,17 @@ void mirror_upper(MatrixView c) {
 
 void syrk(ConstMatrixView a, MatrixView c) {
   FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
+  for (std::size_t i = 0; i < c.rows; ++i) {
+    std::memset(c.row(i), 0, c.cols * sizeof(float));
+  }
+  syrk_accumulate(a, c, /*mirror=*/true);
+}
+
+void syrk_accumulate(ConstMatrixView a, MatrixView c, bool mirror) {
+  FCMA_CHECK(c.rows == a.rows && c.cols == a.rows, "syrk: bad C shape");
   const trace::Span span("syrk");
   const std::size_t m = a.rows;
   const std::size_t n = a.cols;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::memset(c.row(i), 0, m * sizeof(float));
-  }
   auto& workspace = core::Workspace::local();
   auto a_local = workspace.acquire(m * kSyrkPanelK);
   auto at_local = workspace.acquire(kSyrkPanelK * m);
@@ -63,7 +68,7 @@ void syrk(ConstMatrixView a, MatrixView c) {
     panel_contribution(a, k0, k1, a_local.data(), at_local.data(), c.data,
                        c.ld);
   }
-  mirror_upper(c);
+  if (mirror) mirror_upper(c);
 }
 
 void syrk_instrumented(ConstMatrixView a, MatrixView c,

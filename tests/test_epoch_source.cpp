@@ -1,18 +1,25 @@
-// Tests for the EpochSource data plane: streamed panels must be bit-
-// identical to the resident path — serial or pooled, in-memory or shard-
-// backed, whole-brain or partitioned — and the cache must respect its
-// byte budget.  Also covers the plan_residency budget split and run_tasks'
-// single level of pool work.
+// Tests for the EpochSource data plane: streamed panels and row leases
+// must be bit-identical to the resident path — serial or pooled, in-memory
+// or shard-backed, whole-brain, column-swept or partitioned — the cache
+// must respect its byte budget, and the column sweep must read each panel
+// row once per task.  Also covers the plan_residency budget split and
+// run_tasks' single level of pool work.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/timeline.hpp"
+#include "common/trace.hpp"
 #include "fcma/corr_norm.hpp"
 #include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
@@ -38,6 +45,31 @@ std::size_t panel_bytes(const fmri::Dataset& d) {
   return d.voxels() * static_cast<std::size_t>(d.epochs().front().length) *
          sizeof(float);
 }
+
+// A shard store of `d` in a fresh temporary directory, removed with it.
+class TempShardStore {
+ public:
+  TempShardStore(const fmri::Dataset& d, const std::string& tag)
+      : dir_(std::filesystem::temp_directory_path() /
+             (tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    fmri::write_shard_store((dir_ / "store").string(), d);
+    view_ = fmri::open_shard_store((dir_ / "store").string(), "store");
+  }
+  TempShardStore(const TempShardStore&) = delete;
+  TempShardStore& operator=(const TempShardStore&) = delete;
+  ~TempShardStore() {
+    view_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  [[nodiscard]] const fmri::ShardStoreView& view() const { return *view_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::unique_ptr<fmri::ShardStoreView> view_;
+};
 
 void expect_panels_equal(EpochSource& a, EpochSource& b) {
   ASSERT_EQ(a.meta().size(), b.meta().size());
@@ -68,20 +100,66 @@ TEST(StreamedEpochs, PanelsMatchResidentBitForBit) {
 
 TEST(StreamedEpochs, ShardBackedPanelsMatchResident) {
   const fmri::Dataset d = small_dataset();
-  const auto stem = (std::filesystem::temp_directory_path() /
-                     ("fcma_src_test_" + std::to_string(::getpid())))
-                        .string();
-  fmri::write_shard_store(stem, d);
-  const auto view = fmri::open_shard_store(stem, "store");
+  const TempShardStore store(d, "fcma_src_test");
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   ResidentEpochs resident(norm);
-  StreamedEpochs streamed(*view, {2 * panel_bytes(d), nullptr});
+  StreamedEpochs streamed(store.view(), {2 * panel_bytes(d), nullptr});
   expect_panels_equal(resident, streamed);
-  for (const auto& shard : view->shards()) {
-    std::filesystem::remove(shard.path);
+}
+
+TEST(StreamedEpochs, RowLeasesMatchResidentRows) {
+  // Every row range of every epoch range equals the same rows of the
+  // resident panels bit for bit: whole, single, unaligned, ragged at the
+  // end and empty rows; one epoch, a subject run, a range across subjects
+  // and all epochs.  Streamed from memory and from shards, and through the
+  // default whole-panel form (ResidentEpochs).
+  const fmri::Dataset d = small_dataset();
+  const TempShardStore store(d, "fcma_row_lease_test");
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView memory(d);
+  const std::size_t budget = 2 * panel_bytes(d);
+  ResidentEpochs resident(norm);
+  StreamedEpochs from_memory(memory, {budget, nullptr});
+  StreamedEpochs from_shards(store.view(), {budget, nullptr});
+  const std::size_t n = d.voxels();
+  const std::size_t m_total = norm.meta.size();
+  const std::size_t per = d.epochs_per_subject();
+  const std::pair<std::size_t, std::size_t> row_ranges[] = {
+      {0, n}, {0, 1}, {13, 29}, {n - 7, n}, {5, 5}};
+  const std::pair<std::size_t, std::size_t> epoch_ranges[] = {
+      {3, 4}, {per, 2 * per}, {per - 2, per + 3}, {0, m_total}};
+  for (EpochSource* source : {static_cast<EpochSource*>(&resident),
+                              static_cast<EpochSource*>(&from_memory),
+                              static_cast<EpochSource*>(&from_shards)}) {
+    for (const auto& [first, last] : epoch_ranges) {
+      for (const auto& [r0, r1] : row_ranges) {
+        SCOPED_TRACE("epochs [" + std::to_string(first) + ", " +
+                     std::to_string(last) + ") rows [" + std::to_string(r0) +
+                     ", " + std::to_string(r1) + ")");
+        const EpochSource::RowLease lease =
+            source->acquire_rows(first, last, r0, r1);
+        for (std::size_t m = first; m < last; ++m) {
+          const linalg::ConstMatrixView rows = lease.epoch(m);
+          const linalg::Matrix& panel = norm.per_epoch[m];
+          ASSERT_EQ(rows.rows, r1 - r0);
+          ASSERT_EQ(rows.cols, panel.cols());
+          for (std::size_t r = 0; r < rows.rows; ++r) {
+            EXPECT_EQ(std::memcmp(rows.row(r), panel.row(r0 + r),
+                                  rows.cols * sizeof(float)),
+                      0)
+                << "epoch " << m << " row " << r0 + r;
+          }
+        }
+      }
+    }
+    EXPECT_THROW((void)source->acquire_rows(0, 1, 0, n + 1), Error);
+    EXPECT_THROW((void)source->acquire_rows(0, 1, 9, 8), Error);
+    EXPECT_THROW((void)source->acquire_rows(0, m_total + 1, 0, 1), Error);
+    EXPECT_THROW((void)source->acquire_rows(2, 1, 0, 1), Error);
   }
-  std::filesystem::remove(stem + ".shards");
-  std::filesystem::remove(stem + ".epochs");
+  // Released row buffers stay spares within the budget.
+  EXPECT_LE(from_memory.resident_bytes(), budget);
+  EXPECT_LE(from_shards.resident_bytes(), budget);
 }
 
 TEST(StreamedEpochs, CacheStaysWithinBudget) {
@@ -178,26 +256,34 @@ TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
   }
 }
 
-// The grouped pipeline's pooled stages 1-2 (column panels across the pool,
-// one serial syrk per voxel) against the pool-less run, over the whole
-// configuration space: N = 1100 gives three column panels, the last a
-// ragged 76 wide; pools of 1-4 threads; groups of 1, 7 and the whole task;
-// resident panels and streamed ones under a budget that forces evictions.
+// The grouped pipeline's pooled column sweep (column panels across the
+// pool, one serial syrk accumulation per voxel and block) against the
+// pool-less whole-brain run, over the whole configuration space: N = 3500
+// sweeps in blocks of 1536, 1536 and a ragged 428 (whose last gemm panel is
+// a ragged 428 and last syrk panel a ragged 44); pools of 1-4 threads;
+// groups that split the task into voxel groups (1, 7), sweep it whole in
+// 1536- or 3072-column blocks (9, 18) or in one block (20); resident panels
+// and streamed ones under a budget that forces evictions.
 class PooledGroupedPipeline : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
   fmri::DatasetSpec spec = fmri::tiny_spec();
-  spec.voxels = 1100;
+  spec.voxels = 3500;
   spec.informative = 32;
   const fmri::Dataset d = fmri::generate_synthetic(spec);
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   const fmri::InMemoryView view(d);
   const VoxelTask task{500, 20};
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 1).group, 2u);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 7).group, 15u);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 7).block, 1536u);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 9).group, task.count);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 9).block, 1536u);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 18).block, 3072u);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 20).block, d.voxels());
   const PipelineConfig serial = PipelineConfig::optimized();
   const TaskResult want = run_task_grouped(norm, task, serial, task.count);
   ResidentEpochs resident(norm);
-  const std::vector<linalg::Matrix> want_kernels =
-      grouped_kernels(resident, task, serial, task.count);
 
   threading::ThreadPool pool(GetParam());
   PipelineConfig pooled = serial;
@@ -214,10 +300,18 @@ TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
   EXPECT_EQ(std::memcmp(corr_serial.data(), corr_pooled.data(),
                         corr_serial.rows() * corr_serial.ld() * sizeof(float)),
             0);
+  // The reference kernels: one whole-brain syrk per voxel.
+  std::vector<linalg::Matrix> want_kernels;
+  for (std::size_t v = 0; v < task.count; ++v) {
+    want_kernels.emplace_back(m, m);
+    compute_voxel_kernel(corr_serial.view(), m, v, Impl::kOptimized,
+                         want_kernels.back().view());
+  }
 
   const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
-  for (const std::size_t group : {std::size_t{1}, std::size_t{7},
-                                  static_cast<std::size_t>(task.count)}) {
+  for (const std::size_t group :
+       {std::size_t{1}, std::size_t{7}, std::size_t{9}, std::size_t{18},
+        static_cast<std::size_t>(task.count)}) {
     SCOPED_TRACE("group " + std::to_string(group));
     StreamedEpochs streamed(view, {budget, &pool});
     // Kernel matrices byte for byte: SVM accuracies alone would hide a
@@ -365,11 +459,12 @@ class FootprintCheckingSource final : public EpochSource {
 };
 
 TEST(StreamedEpochs, EvictedPanelBuffersAreRecycled) {
-  // A pooled grouped run sweeps every subject run once per group, so it
-  // loads far more panels than the budget holds.  Each load past the budget
-  // takes over the evicted panel's buffer: the cache allocates the panels
-  // that fit at once and never holds more than the budget plus what the
-  // pipeline has pinned.
+  // The baseline's whole-row stages lease whole panels, one epoch at a
+  // time with the next prefetched, and a grouped run sweeps every epoch
+  // once per group, so it loads far more panels than the budget holds.
+  // Each load past the budget takes over the evicted panel's buffer: the
+  // cache allocates the panels that fit at once and never holds more than
+  // the budget plus what the pipeline has pinned.
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   const fmri::InMemoryView inner(d);
@@ -377,7 +472,7 @@ TEST(StreamedEpochs, EvictedPanelBuffersAreRecycled) {
   const std::size_t panel = panel_bytes(d);
   const std::size_t budget = (d.epochs_per_subject() + 1) * panel;
   threading::ThreadPool pool(3);
-  PipelineConfig config = PipelineConfig::optimized();
+  PipelineConfig config = PipelineConfig::baseline();
   config.pool = &pool;
   const VoxelTask task{0, static_cast<std::uint32_t>(d.voxels())};
 
@@ -389,6 +484,112 @@ TEST(StreamedEpochs, EvictedPanelBuffersAreRecycled) {
   EXPECT_GT(view.loads(), 2 * streamed.panel_allocations());
   EXPECT_LE(streamed.resident_bytes(), budget);
   const TaskResult want = run_task_grouped(norm, task, config, 5);
+  for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
+    EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
+  }
+}
+
+// Counts the reads of every (epoch, voxel row) through a source's leases.
+class RowCountingSource final : public EpochSource {
+ public:
+  explicit RowCountingSource(EpochSource& inner)
+      : inner_(inner),
+        voxels_(inner.voxels()),
+        reads_(inner.meta().size() * voxels_, 0) {}
+  [[nodiscard]] const std::vector<fmri::Epoch>& meta() const override {
+    return inner_.meta();
+  }
+  [[nodiscard]] std::size_t voxels() const override { return voxels_; }
+  [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override {
+    count(first, last, 0, voxels_);
+    return inner_.acquire(first, last);
+  }
+  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
+                                      std::size_t r0,
+                                      std::size_t r1) override {
+    count(first, last, r0, r1);
+    return inner_.acquire_rows(first, last, r0, r1);
+  }
+  [[nodiscard]] std::size_t reads(std::size_t m, std::size_t row) const {
+    return reads_[m * voxels_ + row];
+  }
+
+ private:
+  void count(std::size_t first, std::size_t last, std::size_t r0,
+             std::size_t r1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t m = first; m < last; ++m) {
+      for (std::size_t r = r0; r < r1; ++r) ++reads_[m * voxels_ + r];
+    }
+  }
+
+  EpochSource& inner_;
+  std::size_t voxels_;
+  std::mutex mu_;
+  std::vector<std::size_t> reads_;
+};
+
+TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
+  // A streamed multi-block task reads the brain once: each block's rows
+  // of each subject run once, and the task's own rows once more for the
+  // task-row lease.  Each lease maps a subject's shard once, so the task
+  // maps at most subjects x (blocks + 1) shards — a whole-panel sweep per
+  // voxel group maps one per panel load.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const TempShardStore store(d, "fcma_sweep_count_test");
+  const CountingView view(store.view());
+  const VoxelTask task{100, 20};
+  const std::size_t group_voxels = 9;
+  const ColumnSweep sweep = column_sweep(task.count, d.voxels(), group_voxels);
+  ASSERT_EQ(sweep.group, task.count);
+  const std::size_t blocks = (d.voxels() + sweep.block - 1) / sweep.block;
+  ASSERT_EQ(blocks, 3u);
+  threading::ThreadPool pool(3);
+  PipelineConfig config = PipelineConfig::optimized();
+  config.pool = &pool;
+
+  const std::string dir = ::testing::TempDir() + "fcma_sweep_count_stream";
+  std::filesystem::remove_all(dir);
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  trace::set_stream_dir(dir);
+  trace::set_enabled(true);
+  TaskResult got;
+  std::unique_ptr<RowCountingSource> counted;
+  {
+    StreamedEpochs streamed(
+        view, {(d.epochs_per_subject() + 1) * panel_bytes(d), &pool});
+    counted = std::make_unique<RowCountingSource>(streamed);
+    got = run_task_grouped(*counted, task, config, group_voxels);
+  }
+  const std::int64_t shard_loads = trace::global().counter("io/shard_loads");
+  trace::set_enabled(false);
+  trace::Timeline::global().finalize_stream();
+  trace::set_stream_dir("");
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  const std::size_t m_total = d.epochs().size();
+  std::size_t wrong = 0;
+  for (std::size_t m = 0; m < m_total; ++m) {
+    for (std::size_t r = 0; r < d.voxels(); ++r) {
+      const bool own = r >= task.first && r < task.first + task.count;
+      if (counted->reads(m, r) != (own ? 2u : 1u)) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(view.loads(), m_total * (blocks + 1));
+  EXPECT_GT(shard_loads, 0);
+  EXPECT_LE(static_cast<std::size_t>(shard_loads),
+            static_cast<std::size_t>(d.subjects()) * (blocks + 1));
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const TaskResult want = run_task_grouped(norm, task, config, task.count);
+  ASSERT_EQ(got.accuracy.size(), want.accuracy.size());
   for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
     EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
   }
@@ -414,6 +615,39 @@ TEST(BudgetPlan, IsDeterministicAndWithinBudget) {
   const std::size_t corr = plan.group_voxels *
                            corr_bytes_per_voxel(96, 4096);
   EXPECT_LE(plan.panel_cache_bytes + corr, (64u << 20) * 5 / 8);
+}
+
+TEST(BudgetPlan, TaskRunsInOnePass) {
+  // The panel cache takes its floor, and a task of the planned grain is
+  // swept whole (one voxel group) in kSweepBlockCols-multiple blocks: at
+  // the face-scene bench shape with a 64 MiB budget, 8 voxels are one
+  // task in one pass.
+  const std::size_t panel = 8192 * 12 * sizeof(float);
+  const BudgetPlan plan = plan_residency(216, 12, 8192, 12, 64u << 20);
+  EXPECT_EQ(plan.panel_cache_bytes, 13 * panel);
+  EXPECT_GE(plan.voxels_per_task, 8u);
+  const ColumnSweep sweep =
+      column_sweep(plan.voxels_per_task, 8192, plan.group_voxels);
+  EXPECT_EQ(sweep.group, plan.voxels_per_task);
+  EXPECT_EQ(sweep.block % kSweepBlockCols, 0u);
+}
+
+TEST(BudgetPlan, HugeBudgetDoesNotWrap) {
+  // 3435973837 GiB (3.2 EiB) is past 2^64 / 5 bytes, where budget * 5
+  // wrapped to 1 GiB and planned like a 128 MiB budget.  It must plan at
+  // least as generously as 1 GiB: the whole brain's correlation fits.
+  const std::size_t huge = std::size_t{3435973837} << 30;
+  const BudgetPlan plan = plan_residency(216, 12, 8192, 12, huge);
+  const BudgetPlan gib = plan_residency(216, 12, 8192, 12, std::size_t{1} << 30);
+  EXPECT_EQ(plan.budget_bytes, huge);
+  EXPECT_GE(plan.group_voxels, gib.group_voxels);
+  EXPECT_GE(plan.voxels_per_task, gib.voxels_per_task);
+  EXPECT_GE(plan.group_voxels, 8192u);
+  EXPECT_GE(plan.voxels_per_task, 8192u);
+  EXPECT_NO_THROW((void)plan_residency(216, 12, 8192, 12, SIZE_MAX));
+  // A shape whose working set overflows size_t saturates and throws.
+  EXPECT_THROW((void)plan_residency(SIZE_MAX / 2, 12, 8192, 12, SIZE_MAX),
+               Error);
 }
 
 TEST(BudgetPlan, ImpossibleBudgetThrows) {

@@ -215,8 +215,22 @@ OOC_RSS_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/streamed_peak_rss_mb")
 OOC_SLOWDOWN=$(cluster_num "$OOCORE_METRICS" "oocore\\/streamed_slowdown")
 OOC_WITHIN=$(cluster_num "$OOCORE_METRICS" "oocore\\/within_budget")
 OOC_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/reports_identical")
+OOC_TASK_LOADS=$(cluster_num "$OOCORE_METRICS" "oocore\\/task_shard_loads")
+OOC_TASK_BLOCKS=$(cluster_num "$OOCORE_METRICS" "oocore\\/task_blocks")
+OOC_SUBJECTS=$(cluster_num "$OOCORE_METRICS" "oocore\\/subjects")
 test "$OOC_WITHIN" = "1"
 test "$OOC_IDENTICAL" = "1"
+# The column sweep maps each subject's shard once per block and once for
+# the task's own rows: no streamed task may make more shard loads than
+# subjects x (blocks + 1).
+awk -v loads="$OOC_TASK_LOADS" -v blocks="$OOC_TASK_BLOCKS" \
+    -v subjects="$OOC_SUBJECTS" 'BEGIN {
+  bound = subjects * (blocks + 1)
+  if (loads > 0 && loads <= bound) exit 0
+  printf "bench smoke: a streamed task made %d shard loads (bound %d)\n", \
+    loads, bound > "/dev/stderr"
+  exit 1
+}'
 
 # Every sidecar this sweep consumed must pass the schema check, and the
 # streams two of them were rendered from must validate against their
@@ -284,7 +298,10 @@ cat > "$OUT" <<EOF
       "streamed_peak_rss_mb": $OOC_RSS_MB,
       "streamed_slowdown": $OOC_SLOWDOWN,
       "within_budget": $OOC_WITHIN,
-      "reports_identical": $OOC_IDENTICAL
+      "reports_identical": $OOC_IDENTICAL,
+      "task_shard_loads": $OOC_TASK_LOADS,
+      "task_blocks": $OOC_TASK_BLOCKS,
+      "subjects": $OOC_SUBJECTS
     },
     "tracing_overhead": {
       "baseline_wall_s": $OVH_OFF_S,
