@@ -158,8 +158,7 @@ int phase_streamed(const PhaseArgs& a) {
       static_cast<std::size_t>(view->epochs().front().length), a.budget);
   threading::ThreadPool pool(a.threads);
   core::PipelineConfig config = core::PipelineConfig::optimized();
-  core::StreamedEpochs source(*view,
-                              {plan.panel_cache_bytes, &pool});
+  core::StreamedEpochs source(*view, {plan.panel_cache_bytes});
   std::vector<double> accuracy(a.task_voxels, 0.0);
   // Tasks run serially (the pool runs each task's column panels and stage
   // 3), so one plan-sized correlation buffer is live at a time — the
@@ -200,9 +199,6 @@ int phase_streamed(const PhaseArgs& a) {
              static_cast<double>(reg.counter("io/shard_loads")));
   write_stat(stats, "bytes_mapped",
              static_cast<double>(reg.counter("io/bytes_mapped")));
-  write_stat(stats, "prefetch_hits",
-             static_cast<double>(reg.counter("io/prefetch_hits")));
-  write_stat(stats, "stall_s", reg.gauge("io/stall_s"));
   write_stat(stats, "task_shard_loads", static_cast<double>(max_task_loads));
   write_stat(stats, "task_blocks", static_cast<double>(max_task_blocks));
   write_stat(stats, "subjects", static_cast<double>(view->subjects()));
@@ -228,7 +224,7 @@ int main(int argc, char** argv) {
   cli.add_flag("subjects", "10", "subject count");
   cli.add_flag("task", "96", "voxels to score");
   cli.add_flag("memory-budget-mb", "80", "streamed-phase budget (MB)");
-  cli.add_flag("threads", "2", "pool threads (prefetch + stage 3)");
+  cli.add_flag("threads", "2", "pool threads (column panels + stage 3)");
   if (!cli.parse(argc, argv)) return 0;
 
   PhaseArgs a;
@@ -305,10 +301,6 @@ int main(int argc, char** argv) {
                                                  "shard_loads"), 0)});
   io.row({"io/bytes_mapped", Table::num(read_stat(a.dir + "/streamed.stats",
                                                   "bytes_mapped"), 0)});
-  io.row({"io/prefetch_hits", Table::num(read_stat(a.dir + "/streamed.stats",
-                                                   "prefetch_hits"), 0)});
-  io.row({"io/stall_s", Table::num(read_stat(a.dir + "/streamed.stats",
-                                             "stall_s"), 3)});
   const double task_loads =
       read_stat(a.dir + "/streamed.stats", "task_shard_loads");
   const double task_blocks = read_stat(a.dir + "/streamed.stats", "task_blocks");

@@ -49,10 +49,10 @@ linalg::MatrixView epoch_slice(linalg::MatrixView out, const VoxelTask& task,
 }
 
 // View of the task's rows of epoch e's normalized activity.
-linalg::ConstMatrixView task_rows(const linalg::Matrix& epoch,
+linalg::ConstMatrixView task_rows(linalg::ConstMatrixView epoch,
                                   const VoxelTask& task) {
   return linalg::ConstMatrixView{epoch.row(task.first), task.count,
-                                 epoch.cols(), epoch.ld()};
+                                 epoch.cols, epoch.ld};
 }
 
 }  // namespace
@@ -84,10 +84,9 @@ void baseline_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   {
     const trace::Span span("correlation");
     for (std::size_t m = 0; m < m_total; ++m) {
-      epochs.prefetch(m + 1, m + 2);
       const auto lease = epochs.acquire(m, m + 1);
-      const linalg::Matrix& act = lease.epoch(m);
-      linalg::baseline::gemm_nt(task_rows(act, task), act.view(),
+      const linalg::ConstMatrixView act = lease.epoch(m);
+      linalg::baseline::gemm_nt(task_rows(act, task), act,
                                 epoch_slice(out, task, m_total, m));
     }
   }
@@ -110,10 +109,9 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     {
       const trace::Span span("correlation");
       for (std::size_t m = 0; m < m_total; ++m) {
-        epochs.prefetch(m + 1, m + 2);
         const auto lease = epochs.acquire(m, m + 1);
-        const linalg::Matrix& act = lease.epoch(m);
-        linalg::opt::gemm_nt(task_rows(act, task), act.view(),
+        const linalg::ConstMatrixView act = lease.epoch(m);
+        linalg::opt::gemm_nt(task_rows(act, task), act,
                              epoch_slice(out, task, m_total, m));
       }
     }
@@ -225,9 +223,10 @@ void baseline_correlate_normalize_instrumented(
   // simulator, so use the sidecar for call counts and relative shares.
   const trace::Span span("corr_norm");
   for (std::size_t m = 0; m < m_total; ++m) {
+    const linalg::ConstMatrixView act = epochs.per_epoch[m].view();
     linalg::baseline::gemm_nt_instrumented(
-        task_rows(epochs.per_epoch[m], task), epochs.per_epoch[m].view(),
-        epoch_slice(out, task, m_total, m), ins, model_lanes);
+        task_rows(act, task), act, epoch_slice(out, task, m_total, m), ins,
+        model_lanes);
   }
   const auto runs = subject_runs(epochs.meta);
   for (std::size_t v = 0; v < task.count; ++v) {
@@ -248,9 +247,10 @@ void optimized_correlate_normalize_instrumented(
   const trace::Span span("corr_norm");
   if (mode == NormMode::kSeparated) {
     for (std::size_t m = 0; m < m_total; ++m) {
+      const linalg::ConstMatrixView act = epochs.per_epoch[m].view();
       linalg::opt::gemm_nt_instrumented(
-          task_rows(epochs.per_epoch[m], task), epochs.per_epoch[m].view(),
-          epoch_slice(out, task, m_total, m), ins, model_lanes);
+          task_rows(act, task), act, epoch_slice(out, task, m_total, m), ins,
+          model_lanes);
     }
     const auto runs = subject_runs(epochs.meta);
     for (std::size_t v = 0; v < task.count; ++v) {

@@ -37,9 +37,9 @@ enum class NormMode { kSeparated, kMerged };
                                               std::size_t brain_voxels);
 
 /// Baseline stages 1+2 (always separated — the baseline has no fusion).
-/// The EpochSource form is primary: whole panels are leased one epoch at a
-/// time with the next one prefetched (baseline / separated), and the
-/// merged sweep leases rows, so a streamed source never needs the full
+/// The EpochSource form is primary: the baseline and separated stages
+/// lease every row of one epoch at a time, and the merged sweep leases one
+/// subject run's rows at a time, so a streamed source never needs the full
 /// panel stack resident.  The NormalizedEpochs overloads wrap
 /// ResidentEpochs and stay bit-identical.
 void baseline_correlate_normalize(EpochSource& epochs, const VoxelTask& task,

@@ -69,7 +69,7 @@ BudgetPlan plan_residency(std::size_t total_epochs,
 
   const std::size_t panel_bytes =
       sat_mul(sat_mul(brain_voxels, epoch_length), sizeof(float));
-  // A whole-panel lease of one subject run, +1 panel of lookahead.
+  // Row-lease buffers: every row of one subject run, +1 panel.
   const std::size_t min_cache = sat_mul(epochs_per_subject + 1, panel_bytes);
   const std::size_t corr_voxel =
       sat_mul(sat_mul(total_epochs, brain_voxels), sizeof(float));

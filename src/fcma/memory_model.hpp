@@ -71,15 +71,15 @@ struct ColumnSweep {
 ///
 /// Splits the budget deterministically between the three big consumers of
 /// a streamed run:
-///   * panel cache — StreamedEpochs' budget: the floor a whole-panel lease
-///     of one subject run needs (its panels plus one prefetched panel).
-///     The column sweep leases rows, not panels, so the plan gives the
-///     cache no more; its row-lease buffers (one block of one subject run
-///     at a time, and the task's own rows) come out of this budget;
+///   * row leases — StreamedEpochs' budget for row-lease buffers: one
+///     subject run's whole panels plus one panel, which holds the widest
+///     lease the stages take (every row of one subject run).  The column
+///     sweep's buffers (one block of one subject run at a time, and the
+///     task's own rows) and offline's selected-voxel rows come out of it;
 ///   * correlation — in-flight count x M x B blocks, capped at
 ///     group_voxels x M x N floats (column_sweep);
 ///   * kernels — the per-task accumulated M x M kernel matrices.
-/// The cache takes its floor and the rest is split evenly between
+/// The row leases take their floor and the rest is split evenly between
 /// correlation and kernels.  voxels_per_task is capped so one task fits a
 /// single pass of kSweepBlockCols-wide blocks: the sweep then reads each
 /// panel row once per task.
@@ -89,7 +89,7 @@ struct ColumnSweep {
 /// Sizes saturate instead of wrapping, so any budget plans sanely.
 struct BudgetPlan {
   std::size_t budget_bytes = 0;       ///< the user's total budget
-  std::size_t panel_cache_bytes = 0;  ///< StreamedEpochs cache budget
+  std::size_t panel_cache_bytes = 0;  ///< StreamedEpochs row-lease budget
   std::size_t group_voxels = 0;       ///< whole voxels of correlation in flight
   std::size_t voxels_per_task = 0;    ///< task grain (caps kernel buildup)
 };

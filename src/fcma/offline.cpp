@@ -55,35 +55,45 @@ linalg::Matrix selected_correlation_features(
     EpochSource& epochs, std::span<const std::uint32_t> selected) {
   const std::size_t k = selected.size();
   FCMA_CHECK(k >= 2, "need at least two selected voxels");
-  const std::size_t m = epochs.meta().size();
+  const std::vector<fmri::Epoch>& meta = epochs.meta();
+  const std::size_t m = meta.size();
   const std::size_t dim = k * (k - 1) / 2;
   linalg::Matrix features(m, dim);
-  // Per epoch: gather the k selected rows into a packed k x T panel and let
-  // the blocked syrk produce the k x k Gram matrix; its strict upper
-  // triangle, read row-major, is exactly the (i, j>i) pair ordering of the
-  // feature vector.  Entries are already Pearson r's (eq. 2/3
-  // normalization).
-  const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
+  // Per subject run: lease the rows [lo, hi) spanning the selected voxels
+  // once (the lease rejects a voxel past the brain).  Per epoch: gather the
+  // k selected rows into a packed k x T panel and let the blocked syrk
+  // produce the k x k Gram matrix; its strict upper triangle, read
+  // row-major, is exactly the (i, j>i) pair ordering of the feature vector.
+  // Entries are already Pearson r's (eq. 2/3 normalization).
+  const auto [min_it, max_it] =
+      std::minmax_element(selected.begin(), selected.end());
+  const std::size_t lo = *min_it;
+  const std::size_t hi = std::size_t{*max_it} + 1;
+  const auto t_len = static_cast<std::size_t>(meta.front().length);
   auto& workspace = Workspace::local();
   auto packed = workspace.acquire(k * t_len);
   auto gram = workspace.acquire(k * k);
-  for (std::size_t e = 0; e < m; ++e) {
-    epochs.prefetch(e + 1, e + 2);
-    const auto lease = epochs.acquire(e, e + 1);
-    const linalg::Matrix& act = lease.epoch(e);
-    for (std::size_t i = 0; i < k; ++i) {
-      std::memcpy(packed.data() + i * t_len, act.row(selected[i]),
-                  t_len * sizeof(float));
+  std::size_t first = 0;
+  for (std::size_t last = 1; last <= m; ++last) {
+    if (last < m && meta[last].subject == meta[first].subject) continue;
+    const auto lease = epochs.acquire_rows(first, last, lo, hi);
+    for (std::size_t e = first; e < last; ++e) {
+      const linalg::ConstMatrixView act = lease.epoch(e);
+      for (std::size_t i = 0; i < k; ++i) {
+        std::memcpy(packed.data() + i * t_len, act.row(selected[i] - lo),
+                    t_len * sizeof(float));
+      }
+      linalg::opt::syrk(
+          linalg::ConstMatrixView{packed.data(), k, t_len, t_len},
+          linalg::MatrixView{gram.data(), k, k, k});
+      float* row = features.row(e);
+      std::size_t f = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const float* gram_row = gram.data() + i * k;
+        for (std::size_t j = i + 1; j < k; ++j) row[f++] = gram_row[j];
+      }
     }
-    linalg::opt::syrk(
-        linalg::ConstMatrixView{packed.data(), k, t_len, t_len},
-        linalg::MatrixView{gram.data(), k, k, k});
-    float* row = features.row(e);
-    std::size_t f = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const float* gram_row = gram.data() + i * k;
-      for (std::size_t j = i + 1; j < k; ++j) row[f++] = gram_row[j];
-    }
+    first = last;
   }
   return features;
 }
@@ -148,14 +158,13 @@ OfflineResult run_offline_analysis(const fmri::DatasetView& dataset,
   const std::vector<VoxelTask> tasks = partition_voxels(v_total, per_task);
 
   // All-epoch panels feed the final per-fold classifier but do not depend
-  // on the fold, so one source (materialized epochs, or a bounded streamed
-  // cache) serves every fold.
+  // on the fold, so one source (materialized epochs, or a budget-counted
+  // streamed source) serves every fold.
   std::optional<fmri::NormalizedEpochs> all;
   std::optional<StreamedEpochs> all_streamed;
   if (streamed) {
     all_streamed.emplace(dataset,
-                         StreamedEpochs::Options{plan->panel_cache_bytes,
-                                                 pool});
+                         StreamedEpochs::Options{plan->panel_cache_bytes});
   } else {
     all = fmri::normalize_epochs(dataset);
   }
@@ -179,7 +188,7 @@ OfflineResult run_offline_analysis(const fmri::DatasetView& dataset,
     if (streamed) {
       StreamedEpochs training(
           dataset, train_epochs,
-          StreamedEpochs::Options{plan->panel_cache_bytes, pool});
+          StreamedEpochs::Options{plan->panel_cache_bytes});
       fold_results = run_tasks(training, tasks, options.pipeline);
     } else {
       const fmri::NormalizedEpochs training =

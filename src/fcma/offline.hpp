@@ -26,9 +26,9 @@ struct OfflineOptions {
   std::size_t voxels_per_task = 0; ///< 0 = one task for all voxels
   /// Peak-memory budget in bytes.  0 = resident: every fold's normalized
   /// epochs are materialized up front.  Non-zero = streamed: panels are
-  /// leased from the DatasetView through a budget-bounded StreamedEpochs
-  /// cache and tasks are sized by plan_residency, so the run never needs
-  /// the full dataset in memory.  Results are bit-identical either way.
+  /// rows are leased from the DatasetView through a budget-counted
+  /// StreamedEpochs and tasks are sized by plan_residency, so the run never
+  /// needs the full dataset in memory.  Results are bit-identical either way.
   std::size_t memory_budget_bytes = 0;
   PipelineConfig pipeline;
 };
@@ -53,8 +53,8 @@ struct OfflineResult {
 };
 
 /// Runs the full nested LOSO analysis.  The DatasetView form is primary:
-/// with a memory budget set, epoch panels stream through a bounded cache
-/// instead of being materialized per fold.  The Dataset overload wraps a
+/// with a memory budget set, epoch rows stream through budget-counted row
+/// leases instead of being materialized per fold.  The Dataset overload wraps a
 /// borrowing InMemoryView.
 [[nodiscard]] OfflineResult run_offline_analysis(
     const fmri::DatasetView& dataset, const OfflineOptions& options);
@@ -65,8 +65,10 @@ struct OfflineResult {
 /// voxels: row e = upper triangle (i<j) of the selected-voxel correlation
 /// matrix in epoch e, Fisher-transformed and z-scored within subject.
 /// Shared by the offline final classifier and the online protocol.  The
-/// EpochSource form leases one panel at a time (next one prefetched); the
-/// NormalizedEpochs overload wraps ResidentEpochs and is bit-identical.
+/// EpochSource form leases the rows spanning the selected voxels once per
+/// subject run, and throws fcma::Error when a selected voxel is not in the
+/// brain; the NormalizedEpochs overload wraps ResidentEpochs and is
+/// bit-identical.
 [[nodiscard]] linalg::Matrix selected_correlation_features(
     EpochSource& epochs, std::span<const std::uint32_t> selected);
 [[nodiscard]] linalg::Matrix selected_correlation_features(

@@ -47,8 +47,7 @@ OnlineResult run_online_selection(const fmri::DatasetView& dataset,
         options.memory_budget_bytes);
     source_streamed.emplace(
         dataset, subject_epochs,
-        StreamedEpochs::Options{plan->panel_cache_bytes,
-                                options.pipeline.pool});
+        StreamedEpochs::Options{plan->panel_cache_bytes});
     source = &*source_streamed;
   } else {
     resident = fmri::normalize_epochs(dataset, subject_epochs);

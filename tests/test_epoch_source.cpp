@@ -1,9 +1,10 @@
-// Tests for the EpochSource data plane: streamed panels and row leases
-// must be bit-identical to the resident path — serial or pooled, in-memory
-// or shard-backed, whole-brain, column-swept or partitioned — the cache
-// must respect its byte budget, and the column sweep must read each panel
-// row once per task.  Also covers the plan_residency budget split and
-// run_tasks' single level of pool work.
+// Tests for the EpochSource data plane: streamed row leases must be
+// bit-identical to the resident path — serial or pooled, in-memory or
+// shard-backed, whole-brain, column-swept or partitioned — the row buffers
+// must respect their byte budget, and the column sweep must read each
+// panel row once per task.  Also covers the plan_residency budget split,
+// run_tasks' single level of pool work and the leases of offline's
+// selected-voxel features.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include "fcma/corr_norm.hpp"
 #include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
+#include "fcma/offline.hpp"
 #include "fcma/pipeline.hpp"
 #include "fmri/dataset_view.hpp"
 #include "fmri/presets.hpp"
@@ -71,19 +73,24 @@ class TempShardStore {
   std::unique_ptr<fmri::ShardStoreView> view_;
 };
 
+// Row by row: the two views may differ in leading dimension.
+void expect_views_equal(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                        std::size_t m) {
+  ASSERT_EQ(a.rows, b.rows);
+  ASSERT_EQ(a.cols, b.cols);
+  for (std::size_t r = 0; r < a.rows; ++r) {
+    EXPECT_EQ(std::memcmp(a.row(r), b.row(r), a.cols * sizeof(float)), 0)
+        << "epoch " << m << " row " << r;
+  }
+}
+
 void expect_panels_equal(EpochSource& a, EpochSource& b) {
   ASSERT_EQ(a.meta().size(), b.meta().size());
   for (std::size_t m = 0; m < a.meta().size(); ++m) {
     const auto la = a.acquire(m, m + 1);
     const auto lb = b.acquire(m, m + 1);
-    const linalg::Matrix& pa = la.epoch(m);
-    const linalg::Matrix& pb = lb.epoch(m);
-    ASSERT_EQ(pa.rows(), pb.rows());
-    ASSERT_EQ(pa.cols(), pb.cols());
-    EXPECT_EQ(std::memcmp(pa.row(0), pb.row(0),
-                          pa.rows() * pa.ld() * sizeof(float)),
-              0)
-        << "epoch " << m;
+    ASSERT_EQ(la.epoch(m).rows, a.voxels());
+    expect_views_equal(la.epoch(m), lb.epoch(m), m);
   }
 }
 
@@ -92,9 +99,9 @@ TEST(StreamedEpochs, PanelsMatchResidentBitForBit) {
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   ResidentEpochs resident(norm);
   const fmri::InMemoryView view(d);
-  // Budget of one subject run + 1 — the floor — forces constant eviction.
+  // Budget of one subject run + 1 — the plan's floor.
   StreamedEpochs streamed(
-      view, {(d.epochs_per_subject() + 1) * panel_bytes(d), nullptr});
+      view, {(d.epochs_per_subject() + 1) * panel_bytes(d)});
   expect_panels_equal(resident, streamed);
 }
 
@@ -103,7 +110,7 @@ TEST(StreamedEpochs, ShardBackedPanelsMatchResident) {
   const TempShardStore store(d, "fcma_src_test");
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   ResidentEpochs resident(norm);
-  StreamedEpochs streamed(store.view(), {2 * panel_bytes(d), nullptr});
+  StreamedEpochs streamed(store.view(), {2 * panel_bytes(d)});
   expect_panels_equal(resident, streamed);
 }
 
@@ -112,15 +119,15 @@ TEST(StreamedEpochs, RowLeasesMatchResidentRows) {
   // resident panels bit for bit: whole, single, unaligned, ragged at the
   // end and empty rows; one epoch, a subject run, a range across subjects
   // and all epochs.  Streamed from memory and from shards, and through the
-  // default whole-panel form (ResidentEpochs).
+  // default form that narrows acquire() (ResidentEpochs).
   const fmri::Dataset d = small_dataset();
   const TempShardStore store(d, "fcma_row_lease_test");
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   const fmri::InMemoryView memory(d);
   const std::size_t budget = 2 * panel_bytes(d);
   ResidentEpochs resident(norm);
-  StreamedEpochs from_memory(memory, {budget, nullptr});
-  StreamedEpochs from_shards(store.view(), {budget, nullptr});
+  StreamedEpochs from_memory(memory, {budget});
+  StreamedEpochs from_shards(store.view(), {budget});
   const std::size_t n = d.voxels();
   const std::size_t m_total = norm.meta.size();
   const std::size_t per = d.epochs_per_subject();
@@ -166,50 +173,26 @@ TEST(StreamedEpochs, CacheStaysWithinBudget) {
   const fmri::Dataset d = small_dataset();
   const fmri::InMemoryView view(d);
   const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
-  StreamedEpochs streamed(view, {budget, nullptr});
+  StreamedEpochs streamed(view, {budget});
   for (std::size_t m = 0; m < streamed.meta().size(); ++m) {
     const auto lease = streamed.acquire(m, m + 1);
     EXPECT_LE(streamed.resident_bytes(), budget);
   }
-  // After the sweep nothing is pinned, so the cache must still be within
-  // budget and strictly smaller than the dataset.
+  // After the sweep nothing is leased: the spares stay within budget.
   EXPECT_LE(streamed.resident_bytes(), budget);
-  EXPECT_LT(streamed.resident_panels(), streamed.meta().size());
 }
 
 TEST(StreamedEpochs, SubsetSelectsAndReordersEpochs) {
   const fmri::Dataset d = small_dataset();
   const fmri::InMemoryView view(d);
   const std::vector<std::size_t> subset{4, 5, 6, 7, 0, 1, 2, 3};
-  StreamedEpochs streamed(view, subset, {0, nullptr});
+  StreamedEpochs streamed(view, subset, {0});
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d, subset);
   ASSERT_EQ(streamed.meta().size(), subset.size());
   for (std::size_t m = 0; m < subset.size(); ++m) {
     EXPECT_EQ(streamed.meta()[m].start, norm.meta[m].start);
     const auto lease = streamed.acquire(m, m + 1);
-    const linalg::Matrix& panel = lease.epoch(m);
-    EXPECT_EQ(std::memcmp(panel.row(0), norm.per_epoch[m].row(0),
-                          panel.rows() * panel.ld() * sizeof(float)),
-              0);
-  }
-}
-
-TEST(StreamedEpochs, PooledPrefetchIsBitIdentical) {
-  const fmri::Dataset d = small_dataset();
-  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
-  const fmri::InMemoryView view(d);
-  threading::ThreadPool pool(2);
-  const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
-  StreamedEpochs streamed(view, {budget, &pool});
-  ResidentEpochs resident(norm);
-  for (std::size_t m = 0; m < streamed.meta().size(); ++m) {
-    streamed.prefetch(m + 1, m + 3);
-    const auto ls = streamed.acquire(m, m + 1);
-    const auto lr = resident.acquire(m, m + 1);
-    EXPECT_EQ(std::memcmp(ls.epoch(m).row(0), lr.epoch(m).row(0),
-                          ls.epoch(m).rows() * ls.epoch(m).ld() *
-                              sizeof(float)),
-              0);
+    expect_views_equal(lease.epoch(m), norm.per_epoch[m].view(), m);
   }
 }
 
@@ -222,7 +205,7 @@ TEST(StreamedEpochs, RunTaskMatchesResidentExactly) {
 
   const TaskResult want = run_task(norm, task, config);
   StreamedEpochs streamed(
-      view, {(d.epochs_per_subject() + 1) * panel_bytes(d), nullptr});
+      view, {(d.epochs_per_subject() + 1) * panel_bytes(d)});
   const TaskResult got = run_task(streamed, task, config);
   ASSERT_EQ(got.accuracy.size(), want.accuracy.size());
   for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
@@ -233,26 +216,39 @@ TEST(StreamedEpochs, RunTaskMatchesResidentExactly) {
 TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
   // Grain invariance: per-voxel accuracies do not depend on how the brain
   // is partitioned into tasks or groups — the invariant the budgeted CLI
-  // paths rely on for byte-identical reports.
+  // paths rely on for byte-identical reports.  For the merged stages, the
+  // separated ones and the baseline, whose stages lease every row of one
+  // epoch at a time, with the SVMs on a pool; the row buffers stay within
+  // the budget throughout.
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   const fmri::InMemoryView view(d);
-  const PipelineConfig config = PipelineConfig::optimized();
+  const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
+  threading::ThreadPool pool(3);
+  PipelineConfig separated = PipelineConfig::optimized();
+  separated.norm_mode = NormMode::kSeparated;
+  for (PipelineConfig config :
+       {PipelineConfig::optimized(), separated, PipelineConfig::baseline()}) {
+    SCOPED_TRACE(config.impl == Impl::kBaseline ? "baseline"
+                 : config.norm_mode == NormMode::kMerged ? "merged"
+                                                         : "separated");
+    const TaskResult whole = run_task_grouped(
+        norm, VoxelTask{0, static_cast<std::uint32_t>(d.voxels())}, config,
+        16);
 
-  const TaskResult whole = run_task_grouped(
-      norm, VoxelTask{0, static_cast<std::uint32_t>(d.voxels())}, config, 16);
-
-  StreamedEpochs streamed(
-      view, {(d.epochs_per_subject() + 1) * panel_bytes(d), nullptr});
-  std::vector<double> accuracy(d.voxels(), 0.0);
-  for (const VoxelTask& task : partition_voxels(d.voxels(), 13)) {
-    const TaskResult part = run_task_grouped(streamed, task, config, 5);
-    for (std::size_t v = 0; v < part.accuracy.size(); ++v) {
-      accuracy[task.first + v] = part.accuracy[v];
+    config.pool = &pool;
+    StreamedEpochs streamed(view, {budget});
+    std::vector<double> accuracy(d.voxels(), 0.0);
+    for (const VoxelTask& task : partition_voxels(d.voxels(), 13)) {
+      const TaskResult part = run_task_grouped(streamed, task, config, 5);
+      for (std::size_t v = 0; v < part.accuracy.size(); ++v) {
+        accuracy[task.first + v] = part.accuracy[v];
+      }
+      EXPECT_LE(streamed.resident_bytes(), budget);
     }
-  }
-  for (std::size_t v = 0; v < d.voxels(); ++v) {
-    EXPECT_EQ(accuracy[v], whole.accuracy[v]) << "voxel " << v;
+    for (std::size_t v = 0; v < d.voxels(); ++v) {
+      EXPECT_EQ(accuracy[v], whole.accuracy[v]) << "voxel " << v;
+    }
   }
 }
 
@@ -263,7 +259,7 @@ TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
 // a ragged 428 and last syrk panel a ragged 44); pools of 1-4 threads;
 // groups that split the task into voxel groups (1, 7), sweep it whole in
 // 1536- or 3072-column blocks (9, 18) or in one block (20); resident panels
-// and streamed ones under a budget that forces evictions.
+// and streamed ones under the plan's row-lease budget.
 class PooledGroupedPipeline : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
@@ -313,7 +309,7 @@ TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
        {std::size_t{1}, std::size_t{7}, std::size_t{9}, std::size_t{18},
         static_cast<std::size_t>(task.count)}) {
     SCOPED_TRACE("group " + std::to_string(group));
-    StreamedEpochs streamed(view, {budget, &pool});
+    StreamedEpochs streamed(view, {budget});
     // Kernel matrices byte for byte: SVM accuracies alone would hide a
     // last-bit change in them.
     for (EpochSource* source : {static_cast<EpochSource*>(&resident),
@@ -331,7 +327,7 @@ TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
         run_task_grouped(resident, task, pooled, group);
     const TaskResult from_streamed =
         run_task_grouped(streamed, task, pooled, group);
-    EXPECT_LT(streamed.resident_panels(), streamed.meta().size());
+    EXPECT_LE(streamed.resident_bytes(), budget);
     ASSERT_EQ(from_resident.accuracy.size(), want.accuracy.size());
     ASSERT_EQ(from_streamed.accuracy.size(), want.accuracy.size());
     for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
@@ -348,26 +344,31 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledGroupedPipeline,
 
 // run_tasks spreads whole tasks over the pool and runs each task's stages
 // inline on its worker: one scheduler task per FCMA task, nothing nested
-// below it.  Resident panels keep the count exact (a streamed source's
-// prefetch also runs on the pool).
+// below it, from resident panels or streamed rows alike.
 TEST(RunTasks, SpawnsOnePoolTaskPerTask) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView view(d);
   ResidentEpochs resident(norm);
+  StreamedEpochs streamed(
+      view, {(d.epochs_per_subject() + 1) * panel_bytes(d)});
   const std::vector<VoxelTask> tasks = partition_voxels(d.voxels(), 8);
   ASSERT_EQ(tasks.size(), 5u);
   threading::ThreadPool pool(3);
   PipelineConfig config = PipelineConfig::optimized();
   config.pool = &pool;
-  const std::uint64_t before = pool.scheduler().stats().executed;
-  const std::vector<TaskResult> results = run_tasks(resident, tasks, config);
-  EXPECT_EQ(pool.scheduler().stats().executed - before, tasks.size());
-  EXPECT_EQ(results.size(), tasks.size());
+  for (EpochSource* source : {static_cast<EpochSource*>(&resident),
+                              static_cast<EpochSource*>(&streamed)}) {
+    const std::uint64_t before = pool.scheduler().stats().executed;
+    const std::vector<TaskResult> results = run_tasks(*source, tasks, config);
+    EXPECT_EQ(pool.scheduler().stats().executed - before, tasks.size());
+    EXPECT_EQ(results.size(), tasks.size());
+  }
 }
 
 // Pooled run_tasks against the serial loop of run_task, over pools of 1-4
-// threads, on resident panels and on streamed ones under a budget that
-// forces evictions.
+// threads, on resident panels and on streamed ones under the plan's
+// row-lease budget.
 class PooledRunTasks : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PooledRunTasks, MatchesTheSerialLoop) {
@@ -385,8 +386,8 @@ TEST_P(PooledRunTasks, MatchesTheSerialLoop) {
   PipelineConfig pooled = serial;
   pooled.pool = &pool;
   ResidentEpochs resident(norm);
-  StreamedEpochs streamed(
-      view, {(d.epochs_per_subject() + 1) * panel_bytes(d), &pool});
+  const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
+  StreamedEpochs streamed(view, {budget});
   for (EpochSource* source : {static_cast<EpochSource*>(&resident),
                               static_cast<EpochSource*>(&streamed)}) {
     const std::vector<TaskResult> got = run_tasks(*source, tasks, pooled);
@@ -400,7 +401,7 @@ TEST_P(PooledRunTasks, MatchesTheSerialLoop) {
       EXPECT_EQ(got[t].svm_iterations, want[t].svm_iterations);
     }
   }
-  EXPECT_LT(streamed.resident_panels(), streamed.meta().size());
+  EXPECT_LE(streamed.resident_bytes(), budget);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledRunTasks,
@@ -434,61 +435,6 @@ class CountingView final : public fmri::DatasetView {
   mutable std::atomic<std::size_t> loads_{0};
 };
 
-// Checks the cache's footprint each time the pipeline pins a range.
-class FootprintCheckingSource final : public EpochSource {
- public:
-  FootprintCheckingSource(StreamedEpochs& inner, std::size_t panel)
-      : inner_(inner), panel_(panel) {}
-  [[nodiscard]] const std::vector<fmri::Epoch>& meta() const override {
-    return inner_.meta();
-  }
-  [[nodiscard]] std::size_t voxels() const override { return inner_.voxels(); }
-  [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override {
-    Lease lease = inner_.acquire(first, last);
-    EXPECT_LE(inner_.resident_bytes(),
-              inner_.budget_bytes() + (last - first) * panel_);
-    return lease;
-  }
-  void prefetch(std::size_t first, std::size_t last) override {
-    inner_.prefetch(first, last);
-  }
-
- private:
-  StreamedEpochs& inner_;
-  std::size_t panel_;
-};
-
-TEST(StreamedEpochs, EvictedPanelBuffersAreRecycled) {
-  // The baseline's whole-row stages lease whole panels, one epoch at a
-  // time with the next prefetched, and a grouped run sweeps every epoch
-  // once per group, so it loads far more panels than the budget holds.
-  // Each load past the budget takes over the evicted panel's buffer: the
-  // cache allocates the panels that fit at once and never holds more than
-  // the budget plus what the pipeline has pinned.
-  const fmri::Dataset d = small_dataset();
-  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
-  const fmri::InMemoryView inner(d);
-  const CountingView view(inner);
-  const std::size_t panel = panel_bytes(d);
-  const std::size_t budget = (d.epochs_per_subject() + 1) * panel;
-  threading::ThreadPool pool(3);
-  PipelineConfig config = PipelineConfig::baseline();
-  config.pool = &pool;
-  const VoxelTask task{0, static_cast<std::uint32_t>(d.voxels())};
-
-  StreamedEpochs streamed(view, {budget, &pool});
-  FootprintCheckingSource checked(streamed, panel);
-  const TaskResult got = run_task_grouped(checked, task, config, 5);
-
-  EXPECT_EQ(streamed.panel_allocations(), budget / panel);
-  EXPECT_GT(view.loads(), 2 * streamed.panel_allocations());
-  EXPECT_LE(streamed.resident_bytes(), budget);
-  const TaskResult want = run_task_grouped(norm, task, config, 5);
-  for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
-    EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
-  }
-}
-
 // Counts the reads of every (epoch, voxel row) through a source's leases.
 class RowCountingSource final : public EpochSource {
  public:
@@ -500,7 +446,8 @@ class RowCountingSource final : public EpochSource {
     return inner_.meta();
   }
   [[nodiscard]] std::size_t voxels() const override { return voxels_; }
-  [[nodiscard]] Lease acquire(std::size_t first, std::size_t last) override {
+  [[nodiscard]] RowLease acquire(std::size_t first,
+                                 std::size_t last) override {
     count(first, last, 0, voxels_);
     return inner_.acquire(first, last);
   }
@@ -595,6 +542,69 @@ TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   }
 }
 
+TEST(SelectedFeatures, StreamedLeasesEachSubjectRunOnce) {
+  // Offline's selected-voxel features lease the rows spanning the selected
+  // voxels once per subject run: one panel load per epoch, one shard
+  // mapping per subject, and the same bits as the resident features.
+  const fmri::Dataset d = small_dataset();
+  const TempShardStore store(d, "fcma_features_count_test");
+  const CountingView view(store.view());
+  const std::vector<std::uint32_t> selected{31, 2, 17, 9, 30};
+  const std::size_t budget = (d.epochs_per_subject() + 1) * panel_bytes(d);
+
+  const std::string dir = ::testing::TempDir() + "fcma_features_stream";
+  std::filesystem::remove_all(dir);
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  trace::set_stream_dir(dir);
+  trace::set_enabled(true);
+  linalg::Matrix got;
+  std::size_t bytes = 0;
+  {
+    StreamedEpochs streamed(view, {budget});
+    got = selected_correlation_features(streamed, selected);
+    bytes = streamed.resident_bytes();
+  }
+  const std::int64_t shard_loads = trace::global().counter("io/shard_loads");
+  trace::set_enabled(false);
+  trace::Timeline::global().finalize_stream();
+  trace::set_stream_dir("");
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  EXPECT_EQ(view.loads(), d.epochs().size());
+  EXPECT_GT(shard_loads, 0);
+  EXPECT_LE(static_cast<std::size_t>(shard_loads),
+            static_cast<std::size_t>(d.subjects()));
+  EXPECT_LE(bytes, budget);
+  const linalg::Matrix want =
+      selected_correlation_features(fmri::normalize_epochs(d), selected);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t e = 0; e < want.rows(); ++e) {
+    EXPECT_EQ(std::memcmp(got.row(e), want.row(e),
+                          want.cols() * sizeof(float)),
+              0)
+        << "epoch " << e;
+  }
+}
+
+TEST(SelectedFeatures, RejectsAVoxelPastTheBrain) {
+  // A selected index equal to the brain size names no row; the row lease
+  // rejects it instead of reading past the panel.
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  const fmri::InMemoryView view(d);
+  StreamedEpochs streamed(
+      view, {(d.epochs_per_subject() + 1) * panel_bytes(d)});
+  const auto past = static_cast<std::uint32_t>(d.voxels());
+  const std::vector<std::uint32_t> selected{3, past};
+  EXPECT_THROW((void)selected_correlation_features(norm, selected), Error);
+  EXPECT_THROW((void)selected_correlation_features(streamed, selected), Error);
+}
+
 TEST(BudgetPlan, IsDeterministicAndWithinBudget) {
   const BudgetPlan plan = plan_residency(/*total_epochs=*/96,
                                          /*epochs_per_subject=*/12,
@@ -608,7 +618,7 @@ TEST(BudgetPlan, IsDeterministicAndWithinBudget) {
 
   EXPECT_GT(plan.group_voxels, 0u);
   EXPECT_GE(plan.voxels_per_task, plan.group_voxels);
-  // Panel cache floor: one subject run + one prefetched panel.
+  // Row-lease floor: every row of one subject run, plus one panel.
   const std::size_t panel = 4096 * 64 * sizeof(float);
   EXPECT_GE(plan.panel_cache_bytes, 13 * panel);
   // The planned pieces stay within the planning fraction of the budget.
@@ -618,7 +628,7 @@ TEST(BudgetPlan, IsDeterministicAndWithinBudget) {
 }
 
 TEST(BudgetPlan, TaskRunsInOnePass) {
-  // The panel cache takes its floor, and a task of the planned grain is
+  // The row leases take their floor, and a task of the planned grain is
   // swept whole (one voxel group) in kSweepBlockCols-multiple blocks: at
   // the face-scene bench shape with a 64 MiB budget, 8 voxels are one
   // task in one pass.

@@ -73,7 +73,7 @@ echo "ci_tsan: running test_cluster under TSan"
 echo "ci_tsan: running test_cluster_recovery under TSan"
 "$BUILD/tests/test_cluster_recovery"
 # The pooled grouped pipeline: workers write disjoint columns of one
-# correlation buffer while prefetch tasks fill the shared panel cache.
+# correlation buffer while row leases share the source's spare buffers.
 echo "ci_tsan: running test_epoch_source under TSan"
 "$BUILD/tests/test_epoch_source"
 echo "ci_tsan: clean"

@@ -348,15 +348,14 @@ int cmd_analyze(int argc, const char* const* argv) {
   core::Scoreboard board(view->voxels());
   std::optional<fmri::NormalizedEpochs> epochs;  // resident path only
   if (budget > 0) {
-    // Out-of-core run: panels stream through a budget-bounded cache, the
+    // Out-of-core run: rows stream through budget-counted leases, the
     // task grain caps kernel accumulation, and the group size caps the
     // in-flight correlation block — peak residency follows the plan, not
     // the dataset size.  Per-voxel results are independent of the task
     // partition, so the report is byte-identical to the resident run.
     const core::BudgetPlan plan = budget_plan_for(*view, budget);
     core::StreamedEpochs source(
-        *view,
-        core::StreamedEpochs::Options{plan.panel_cache_bytes, config.pool});
+        *view, core::StreamedEpochs::Options{plan.panel_cache_bytes});
     for (const core::VoxelTask& task :
          core::partition_voxels(view->voxels(), plan.voxels_per_task)) {
       board.add(core::run_task_grouped(source, task, config,
@@ -498,8 +497,7 @@ int cmd_cluster(int argc, const char* const* argv) {
           std::max<std::size_t>(1, plan.group_voxels / opts.workers);
     }
     streamed.emplace(
-        *view, core::StreamedEpochs::Options{plan.panel_cache_bytes,
-                                             nullptr});
+        *view, core::StreamedEpochs::Options{plan.panel_cache_bytes});
     source = &*streamed;
   } else {
     epochs = fmri::normalize_epochs(*view);

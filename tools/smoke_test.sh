@@ -170,8 +170,6 @@ cmp traced.txt budgeted.txt
 cmp traced.txt streamed.txt
 grep -q 'io/shard_loads' streamed/trace.json
 grep -q 'io/bytes_mapped' streamed/trace.json
-grep -q 'io/prefetch_hits' streamed/trace.json
-grep -q 'io/stall_s' streamed/trace.json
 trace_check streamed
 "$FCMA" offline --in sharded --report offline_streamed.txt --top-k 12 \
     --threads 2 --voxels-per-task 100 --memory-budget 16M

@@ -112,18 +112,13 @@ def check_metrics(c, doc):
             value = counters.get(name)
             c.check(c.is_number(value) and value >= 0,
                     "cluster run: counter %r missing or negative" % name)
-    # Streamed (out-of-core) runs must emit the full io counter set plus the
-    # stall gauge (zeros included): prefetch-efficiency dashboards diff
-    # io/prefetch_hits against io/shard_loads and need both present.
+    # Streamed (out-of-core) runs must emit the full io counter set (zeros
+    # included): I/O dashboards diff io/bytes_mapped against io/shard_loads
+    # and need both present.
     if isinstance(counters, dict) and "io/shard_loads" in counters:
-        for name in ("io/bytes_mapped", "io/prefetch_hits"):
-            value = counters.get(name)
-            c.check(c.is_number(value) and value >= 0,
-                    "streamed run: counter %r missing or negative" % name)
-        gauges = doc.get("gauges", {})
-        stall = gauges.get("io/stall_s") if isinstance(gauges, dict) else None
-        c.check(c.is_number(stall) and stall >= 0,
-                "streamed run: gauge 'io/stall_s' missing or negative")
+        value = counters.get("io/bytes_mapped")
+        c.check(c.is_number(value) and value >= 0,
+                "streamed run: counter 'io/bytes_mapped' missing or negative")
     for label, roof in sorted(doc.get("roofline", {}).items()):
         for field in REQUIRED_ROOFLINE_FIELDS:
             c.check(field in roof,
