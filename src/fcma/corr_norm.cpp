@@ -7,7 +7,6 @@
 #include "common/aligned.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
@@ -139,7 +138,7 @@ void correlate_normalize_block(EpochSource& epochs,
   // sweep needs one subject run's rows [n0, n1) at a time — that run is the
   // streaming granularity, and its lease is the only one held.  Within a
   // run the column panels are independent: each packs its own B^T slice
-  // from its thread's workspace and writes only its own columns, so they
+  // into a buffer of its own and writes only its own columns, so they
   // spread across the pool when one is given.
   //
   // The two logical stages interleave per panel, so their trace spans are
@@ -163,7 +162,7 @@ void correlate_normalize_block(EpochSource& epochs,
       const WallTimer panel_timer;
       const std::size_t j0 = p * kPanelCols;
       const std::size_t width = std::min(n, j0 + kPanelCols) - j0;
-      auto bt = Workspace::local().acquire(e_count * t_len * width);
+      AlignedBuffer<float> bt(e_count * t_len * width);
       for (std::size_t e = 0; e < e_count; ++e) {
         linalg::opt::pack_bt_panel(lease.epoch(run.first + e), j0, j0 + width,
                                    bt.data() + e * t_len * width);

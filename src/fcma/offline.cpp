@@ -5,8 +5,8 @@
 #include <numeric>
 #include <optional>
 
+#include "common/aligned.hpp"
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "fcma/memory_model.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
@@ -70,9 +70,8 @@ linalg::Matrix selected_correlation_features(
   const std::size_t lo = *min_it;
   const std::size_t hi = std::size_t{*max_it} + 1;
   const auto t_len = static_cast<std::size_t>(meta.front().length);
-  auto& workspace = Workspace::local();
-  auto packed = workspace.acquire(k * t_len);
-  auto gram = workspace.acquire(k * k);
+  AlignedBuffer<float> packed(k * t_len);
+  AlignedBuffer<float> gram(k * k);
   std::size_t first = 0;
   for (std::size_t last = 1; last <= m; ++last) {
     if (last < m && meta[last].subject == meta[first].subject) continue;

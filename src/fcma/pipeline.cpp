@@ -5,8 +5,8 @@
 #include <cstring>
 
 #include "archsim/roofline.hpp"
+#include "common/aligned.hpp"
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "fcma/memory_model.hpp"
 #include "linalg/opt.hpp"
 
@@ -100,7 +100,7 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   if (!sweep) shape = {std::min<std::size_t>(group_voxels, task.count), n};
 
   // Per voxel group and block, correlate+normalize into one reusable
-  // workspace lease, then add the block to every group voxel's kernel,
+  // correlation block, then add the block to every group voxel's kernel,
   // both across the pool: the merged stage 1+2 spreads column panels, and
   // each voxel's kernel is one serial syrk on one thread, so results are
   // pool-independent.  Blocks start on syrk panel edges and accumulate in
@@ -110,7 +110,15 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   std::vector<linalg::Matrix> kernels;
   kernels.reserve(task.count);
   for (std::uint32_t v = 0; v < task.count; ++v) kernels.emplace_back(m, m);
-  auto corr_lease = Workspace::local().acquire(shape.group * m * shape.block);
+  // Each thread keeps one spare block, so a task reuses the last one's
+  // memory instead of mapping a fresh block.  The block is moved out of the
+  // slot for the task's duration: a task nested on this thread (a join that
+  // runs queued work) finds the slot empty and allocates its own.  On the
+  // way out the larger of the two blocks stays.
+  thread_local AlignedBuffer<float> spare;
+  AlignedBuffer<float> block = std::move(spare);
+  const std::size_t block_floats = shape.group * m * shape.block;
+  if (block.size() < block_floats) block.reset(block_floats);
   for (std::size_t g0 = 0; g0 < task.count; g0 += shape.group) {
     const VoxelTask group{
         task.first + static_cast<std::uint32_t>(g0),
@@ -121,7 +129,7 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
     }
     for (std::size_t n0 = 0; n0 < n; n0 += shape.block) {
       const std::size_t n1 = std::min(n, n0 + shape.block);
-      const linalg::MatrixView corr{corr_lease.data(), group.count * m,
+      const linalg::MatrixView corr{block.data(), group.count * m,
                                     n1 - n0, shape.block};
       if (sweep) {
         correlate_normalize_block(epochs, rows, group, n0, n1, corr,
@@ -146,6 +154,7 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
           });
     }
   }
+  if (block.size() >= spare.size()) spare = std::move(block);
   return kernels;
 }
 

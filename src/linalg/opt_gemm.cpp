@@ -2,7 +2,6 @@
 
 #include "common/aligned.hpp"
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "linalg/opt.hpp"
 #include "linalg/simd.hpp"
 
@@ -46,7 +45,7 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
   FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
   const trace::Span span("gemm_nt");
-  auto bt = core::Workspace::local().acquire(a.cols * kGemmPanelCols);
+  AlignedBuffer<float> bt(a.cols * kGemmPanelCols);
   gemm_panels(a, b, c, 0, b.rows, bt.data());
 }
 

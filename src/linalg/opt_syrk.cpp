@@ -3,7 +3,6 @@
 
 #include "common/aligned.hpp"
 #include "common/trace.hpp"
-#include "common/workspace.hpp"
 #include "linalg/opt.hpp"
 #include "linalg/simd.hpp"
 
@@ -60,9 +59,8 @@ void syrk_accumulate(ConstMatrixView a, MatrixView c, bool mirror) {
   const trace::Span span("syrk");
   const std::size_t m = a.rows;
   const std::size_t n = a.cols;
-  auto& workspace = core::Workspace::local();
-  auto a_local = workspace.acquire(m * kSyrkPanelK);
-  auto at_local = workspace.acquire(kSyrkPanelK * m);
+  AlignedBuffer<float> a_local(m * kSyrkPanelK);
+  AlignedBuffer<float> at_local(kSyrkPanelK * m);
   for (std::size_t k0 = 0; k0 < n; k0 += kSyrkPanelK) {
     const std::size_t k1 = std::min(n, k0 + kSyrkPanelK);
     panel_contribution(a, k0, k1, a_local.data(), at_local.data(), c.data,

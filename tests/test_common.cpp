@@ -108,6 +108,7 @@ TEST(AlignedBuffer, ProvidesAlignedStorage) {
   AlignedBuffer<float> buf(1000);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
   EXPECT_EQ(buf.size(), 1000u);
+  EXPECT_TRUE(AlignedBuffer<float>(0).empty());
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {

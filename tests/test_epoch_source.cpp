@@ -3,16 +3,18 @@
 // shard-backed, whole-brain, column-swept or partitioned — the row buffers
 // must respect their byte budget, and the column sweep must read each
 // panel row once per task.  Also covers the plan_residency budget split,
-// run_tasks' single level of pool work and the leases of offline's
-// selected-voxel features.
+// run_tasks' single level of pool work, the leases of offline's
+// selected-voxel features and each thread's one spare correlation block.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -540,6 +542,125 @@ TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
     EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
   }
+}
+
+// One whole-brain syrk per voxel of `task`: the kernels every sweep must
+// reproduce bit for bit.
+std::vector<linalg::Matrix> whole_brain_kernels(EpochSource& epochs,
+                                                const VoxelTask& task) {
+  const std::size_t m = epochs.meta().size();
+  linalg::Matrix corr(task.count * m, epochs.voxels());
+  optimized_correlate_normalize(epochs, task, corr.view(), NormMode::kMerged);
+  std::vector<linalg::Matrix> kernels;
+  for (std::size_t v = 0; v < task.count; ++v) {
+    kernels.emplace_back(m, m);
+    compute_voxel_kernel(corr.view(), m, v, Impl::kOptimized,
+                         kernels.back().view());
+  }
+  return kernels;
+}
+
+void expect_kernels_equal(const std::vector<linalg::Matrix>& got,
+                          const std::vector<linalg::Matrix>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    EXPECT_EQ(std::memcmp(got[v].data(), want[v].data(),
+                          want[v].rows() * want[v].cols() * sizeof(float)),
+              0)
+        << "voxel " << v;
+  }
+}
+
+// Runs `nested` inside its third row lease.  In a swept task the first
+// lease is the task's own rows and the second subject run 0's rows of
+// block 0, so the third lands inside correlate_normalize_block after run
+// 0's correlations are written to the task's block.
+class NestingSource final : public EpochSource {
+ public:
+  NestingSource(EpochSource& inner, std::function<void()> nested)
+      : inner_(inner), nested_(std::move(nested)) {}
+  [[nodiscard]] const std::vector<fmri::Epoch>& meta() const override {
+    return inner_.meta();
+  }
+  [[nodiscard]] std::size_t voxels() const override {
+    return inner_.voxels();
+  }
+  [[nodiscard]] RowLease acquire(std::size_t first,
+                                 std::size_t last) override {
+    return inner_.acquire(first, last);
+  }
+  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
+                                      std::size_t r0,
+                                      std::size_t r1) override {
+    if (++calls_ == 3) nested_();
+    return inner_.acquire_rows(first, last, r0, r1);
+  }
+
+ private:
+  EpochSource& inner_;
+  std::function<void()> nested_;
+  std::size_t calls_ = 0;
+};
+
+TEST(CorrelationBlock, NestedTaskOnTheSameThreadGetsItsOwnBlock) {
+  // A task that runs a larger one on its own thread mid-block, as the
+  // scheduler's stall rescue may do on a thread blocked in a join: the
+  // nested task must not reuse (or regrow) the block the outer task is
+  // still writing.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  ResidentEpochs resident(norm);
+  ResidentEpochs other(norm);
+  const PipelineConfig serial = PipelineConfig::optimized();
+  const VoxelTask outer{500, 20};
+  const VoxelTask inner{1000, 40};
+  ASSERT_EQ(column_sweep(outer.count, d.voxels(), 9).block, 1536u);
+
+  std::vector<linalg::Matrix> inner_kernels;
+  NestingSource nesting(resident, [&] {
+    inner_kernels = grouped_kernels(other, inner, serial, inner.count);
+  });
+  const auto outer_kernels = grouped_kernels(nesting, outer, serial, 9);
+  ASSERT_EQ(inner_kernels.size(), inner.count);
+  expect_kernels_equal(outer_kernels, whole_brain_kernels(resident, outer));
+  expect_kernels_equal(inner_kernels, whole_brain_kernels(resident, inner));
+}
+
+TEST(CorrelationBlock, RetainedHeapIsBounded) {
+  // A thread keeps at most one spare correlation block: after the largest
+  // block, smaller tasks reuse it and the heap in use does not grow.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#elif !defined(__GLIBC__) || __GLIBC__ < 2 || \
+    (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33)
+  GTEST_SKIP() << "mallinfo2 needs glibc 2.33";
+#else
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  ResidentEpochs resident(norm);
+  const PipelineConfig serial = PipelineConfig::optimized();
+  const auto in_use = [] {
+    const struct mallinfo2 info = ::mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  // Whole-brain blocks of count x M x N floats: 34, 17, 8.5 and 4.3 MiB,
+  // each in a power-of-two size class of its own.
+  const auto run = [&](std::uint32_t count) {
+    return run_task_grouped(resident, VoxelTask{0, count}, serial, count);
+  };
+  EXPECT_EQ(run(80).accuracy.size(), 80u);
+  const std::size_t after_largest = in_use();
+  for (const std::uint32_t count : {40u, 20u, 10u}) {
+    EXPECT_EQ(run(count).accuracy.size(), count);
+  }
+  EXPECT_LT(in_use(), after_largest + (std::size_t{1} << 20));
+#endif
 }
 
 TEST(SelectedFeatures, StreamedLeasesEachSubjectRunOnce) {

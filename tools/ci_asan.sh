@@ -4,7 +4,8 @@
 # data-plane test binaries (shard store mmap lifecycle, streamed epoch
 # cache, fmri io, pipeline stages, timeline stream reader and writer, the
 # trace views rendered from the stream, the SIMD kernels, the padded
-# SVM sweep buffers they read, and the Fisher transform), and runs them
+# SVM sweep buffers they read, the Fisher transform, and the gemm/syrk
+# packing panels), and runs them
 # instrumented.  float-cast-overflow is listed on its own because GCC's
 # `undefined` group leaves it out.  Any heap error, leak, or UB report
 # fails the script (halt_on_error); environments where ASan cannot compile
@@ -49,6 +50,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_shard_store test_epoch_source test_fmri test_fcma_stages \
           test_tlstream test_trace test_simd_dispatch test_svm test_stats \
+          test_linalg \
   -j "$JOBS" > /dev/null
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -82,4 +84,8 @@ echo "ci_asan: running test_svm under ASan+UBSan"
 # those conversions (and the NaN and clamp paths) under float-cast-overflow.
 echo "ci_asan: running test_stats under ASan+UBSan"
 "$BUILD/tests/test_stats"
+# The gemm and syrk pack their panels into exact-size heap buffers, so a
+# kernel reading past a packed panel is a heap overflow here.
+echo "ci_asan: running test_linalg under ASan+UBSan"
+"$BUILD/tests/test_linalg"
 echo "ci_asan: clean"
