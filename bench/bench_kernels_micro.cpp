@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
+#include "linalg/simd.hpp"
 #include "stats/normalization.hpp"
 
 namespace {
@@ -85,6 +86,28 @@ void BM_FisherZscoreBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 12 * width);
 }
 BENCHMARK(BM_FisherZscoreBlock)->Arg(4096)->Arg(34470);
+
+// Eq. 2 epoch normalization at face-scene shape: 216 epoch panels of 8192
+// voxel rows, 12 samples each, read from a dataset's [voxels x timepoints]
+// layout (row stride 216 * 12) into packed rows, as normalize_epochs and a
+// lease fill do.  Items are rows.
+void BM_EpochZscore(benchmark::State& state) {
+  constexpr std::size_t kVoxels = 8192;
+  constexpr std::size_t kEpochs = 216;
+  constexpr std::size_t kLen = 12;
+  const linalg::Matrix data = random_matrix(kVoxels, kEpochs * kLen, 11);
+  linalg::Matrix out(kEpochs * kVoxels, kLen);
+  const auto& kernels = linalg::simd::kernels();
+  for (auto _ : state) {
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+      kernels.epoch_zscore(data.data() + e * kLen, data.ld(),
+                           out.row(e * kVoxels), out.ld(), kVoxels, kLen);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kEpochs * kVoxels);
+}
+BENCHMARK(BM_EpochZscore)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

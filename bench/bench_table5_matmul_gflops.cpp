@@ -6,6 +6,7 @@
 // Paper values: ours 170ms/126GF (corr) and 400ms/430GF (syrk);
 //               MKL  230ms/93GF  (corr) and 1600ms/108GF (syrk).
 #include "bench_common.hpp"
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
@@ -64,9 +65,10 @@ int main(int argc, char** argv) {
   const OpResult corr_opt = measure(
       [&](memsim::Instrument& ins) {
         linalg::Matrix c(120, n);
+        AlignedBuffer<float> bt(a.cols() * linalg::opt::kGemmPanelCols);
         for (std::size_t e = 0; e < epochs; ++e) {
           linalg::opt::gemm_nt_instrumented(a.view(), b.view(), c.view(),
-                                            ins);
+                                            ins, 16, bt.data());
         }
       },
       corr_paper_gflop);

@@ -5,6 +5,7 @@
 // Paper values: ours 9,974,870,500 refs / 121.8M misses / intensity 16;
 //               MKL 34,858,368,500 refs / 708.9M misses / intensity 3.6.
 #include "bench_common.hpp"
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
@@ -45,9 +46,11 @@ int main(int argc, char** argv) {
   auto run = [&](bool optimized) {
     memsim::Instrument ins;
     linalg::Matrix c(120, n);
+    AlignedBuffer<float> bt(a.cols() * linalg::opt::kGemmPanelCols);
     for (std::size_t e = 0; e < epochs; ++e) {
       if (optimized) {
-        linalg::opt::gemm_nt_instrumented(a.view(), b.view(), c.view(), ins);
+        linalg::opt::gemm_nt_instrumented(a.view(), b.view(), c.view(), ins,
+                                          16, bt.data());
       } else {
         linalg::baseline::gemm_nt_instrumented(a.view(), b.view(), c.view(),
                                                ins);

@@ -142,21 +142,23 @@ void correlate_normalize_block(EpochSource& epochs,
   // spread across the pool when one is given.
   //
   // The two logical stages interleave per panel, so their trace spans are
-  // split by timing the normalization slices of every panel and
-  // attributing the rest of the fused wall time to correlation.
+  // split per subject run by timing the normalization slices of every
+  // panel and attributing the rest of the run's compute wall to
+  // correlation.  The run's lease comes before that wall, so a streamed
+  // source's fill spans sit between the runs' pairs and overlap neither.
   const bool tracing = trace::enabled();
-  const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
   const std::size_t n = n1 - n0;
   const auto runs = subject_runs(epochs.meta());
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
   constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
   const std::size_t panels = (n + kPanelCols - 1) / kPanelCols;
-  // Per-panel busy and normalization seconds; runs are separated by the
-  // pool's join, so each slot has one writer at a time.
+  // Per-panel busy and normalization seconds of the current run; runs are
+  // separated by the pool's join, so each slot has one writer at a time.
   std::vector<double> busy_s(tracing ? panels : 0, 0.0);
   std::vector<double> norm_s(tracing ? panels : 0, 0.0);
   for (const SubjectRun& run : runs) {
     const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1);
+    const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
     const std::size_t e_count = run.last - run.first;
     threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
       const WallTimer panel_timer;
@@ -186,23 +188,25 @@ void correlate_normalize_block(EpochSource& epochs,
       }
       if (tracing) busy_s[p] += panel_timer.seconds();
     });
-  }
-  if (tracing) {
-    // Pool workers' seconds add up to more than the fused wall; keep
-    // normalization's share of the busy thread time so neither span can
-    // exceed the wall or go negative.  A serial sweep's busy time never
-    // exceeds its wall, so it records the measured seconds unscaled.  The
-    // two spans are laid back to back across the fused interval:
-    // correlation first, then normalization.
-    const std::uint64_t t1 = trace::now_ns();
-    const double wall = static_cast<double>(t1 - t0) * 1e-9;
-    const double busy = std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
-    double norm = std::accumulate(norm_s.begin(), norm_s.end(), 0.0);
-    if (busy > wall) norm *= wall / busy;
-    const auto norm_ns =
-        std::min(t1 - t0, static_cast<std::uint64_t>(norm * 1e9));
-    trace::record_interval_ns("correlation", t0, t1 - norm_ns);
-    trace::record_interval_ns("normalization", t1 - norm_ns, t1);
+    if (tracing) {
+      // Pool workers' seconds add up to more than the run's wall; keep
+      // normalization's share of the busy thread time so neither span can
+      // exceed the wall or go negative.  A serial sweep's busy time never
+      // exceeds its wall, so it records the measured seconds unscaled.
+      // The two spans are laid back to back across the run's compute
+      // wall: correlation first, then normalization.
+      const std::uint64_t t1 = trace::now_ns();
+      const double wall = static_cast<double>(t1 - t0) * 1e-9;
+      const double busy = std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
+      double norm = std::accumulate(norm_s.begin(), norm_s.end(), 0.0);
+      if (busy > wall) norm *= wall / busy;
+      const auto norm_ns =
+          std::min(t1 - t0, static_cast<std::uint64_t>(norm * 1e9));
+      trace::record_interval_ns("correlation", t0, t1 - norm_ns);
+      trace::record_interval_ns("normalization", t1 - norm_ns, t1);
+      std::fill(busy_s.begin(), busy_s.end(), 0.0);
+      std::fill(norm_s.begin(), norm_s.end(), 0.0);
+    }
   }
 }
 
@@ -245,11 +249,14 @@ void optimized_correlate_normalize_instrumented(
   FCMA_CHECK(out.rows == task.count * m_total, "bad corr buffer shape");
   const trace::Span span("corr_norm");
   if (mode == NormMode::kSeparated) {
+    // One B^T panel for every epoch's gemm (see gemm_nt_instrumented).
+    AlignedBuffer<float> bt(epochs.per_epoch.front().cols() *
+                            linalg::opt::kGemmPanelCols);
     for (std::size_t m = 0; m < m_total; ++m) {
       const linalg::ConstMatrixView act = epochs.per_epoch[m].view();
       linalg::opt::gemm_nt_instrumented(
           task_rows(act, task), act, epoch_slice(out, task, m_total, m), ins,
-          model_lanes);
+          model_lanes, bt.data());
     }
     const auto runs = subject_runs(epochs.meta);
     for (std::size_t v = 0; v < task.count; ++v) {

@@ -126,6 +126,8 @@ EpochSource::RowLease StreamedEpochs::acquire_rows(std::size_t first,
   FCMA_CHECK(first <= last && last <= meta_.size(),
              "epoch range out of bounds");
   FCMA_CHECK(r0 <= r1 && r1 <= voxels_, "voxel row range out of bounds");
+  // Shard I/O and eq. 2 normalization of the lease: one layer of its own.
+  const trace::Span span("epoch_fill");
   const std::size_t rows = r1 - r0;
   std::size_t floats = 0;
   for (std::size_t m = first; m < last; ++m) floats += rows * meta_[m].length;

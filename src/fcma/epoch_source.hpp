@@ -32,7 +32,9 @@
 // consumes the same float bits either way.
 //
 // Observability: StreamedEpochs seeds the io/shard_loads and
-// io/bytes_mapped trace counters, which ShardStoreView feeds.
+// io/bytes_mapped trace counters, which ShardStoreView feeds, and records
+// each lease's fill (shard reads plus normalization) as one `epoch_fill`
+// span.
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 #include "fcma/scoreboard.hpp"
 #include "fcma/task.hpp"
 #include "linalg/opt.hpp"
+#include "linalg/simd.hpp"
 #include "stats/stats.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -209,8 +210,9 @@ Feedback StreamingAnalyzer::classify_pending() const {
     for (std::size_t t = 0; t < len; ++t) {
       act(s, t) = pending_data_[t * options_.voxels + selected_[s]];
     }
-    stats::normalize_epoch({act.row(s), len});
   }
+  linalg::simd::kernels().epoch_zscore(act.data(), act.ld(), act.data(),
+                                       act.ld(), k, len);
 
   // Feature row: fisher(r) standardized by the frozen training stats.
   std::vector<float> feature(k * (k - 1) / 2);

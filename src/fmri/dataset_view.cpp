@@ -1,7 +1,7 @@
 #include "fmri/dataset_view.hpp"
 
 #include "common/error.hpp"
-#include "stats/stats.hpp"
+#include "linalg/simd.hpp"
 
 namespace fcma::fmri {
 
@@ -32,12 +32,9 @@ void normalize_epoch_panel(const DatasetView::Panel& panel,
                  out.rows <= panel.view.rows - first_row &&
                  out.cols == panel.view.cols,
              "panel/output shape mismatch");
-  for (std::size_t row = 0; row < out.rows; ++row) {
-    const float* src = panel.view.row(first_row + row);
-    float* dst = out.row(row);
-    for (std::size_t t = 0; t < out.cols; ++t) dst[t] = src[t];
-    stats::normalize_epoch({dst, out.cols});
-  }
+  linalg::simd::kernels().epoch_zscore(panel.view.row(first_row),
+                                       panel.view.ld, out.data, out.ld,
+                                       out.rows, out.cols);
 }
 
 NormalizedEpochs normalize_epochs(const DatasetView& view) {

@@ -89,7 +89,7 @@ class InMemoryView final : public DatasetView {
 
 /// View-based twins of normalize_epochs (dataset.hpp).  The Dataset
 /// overloads delegate here through InMemoryView, so every backend runs the
-/// same copy-then-normalize loop and stays bit-identical.
+/// same normalize_epoch_panel call and stays bit-identical.
 [[nodiscard]] NormalizedEpochs normalize_epochs(const DatasetView& view);
 [[nodiscard]] NormalizedEpochs normalize_epochs(
     const DatasetView& view, const std::vector<std::size_t>& epoch_indices);
@@ -97,8 +97,10 @@ class InMemoryView final : public DatasetView {
 /// Normalizes rows [first_row, first_row + out.rows) of one epoch panel
 /// into `out` ([rows x length], already sized; the whole panel by default).
 /// The shared kernel behind normalize_epochs and the streamed loaders — one
-/// implementation keeps all paths bit-identical.  Each row is normalized on
-/// its own, so any row range equals the same rows of the whole panel.
+/// implementation keeps all paths bit-identical.  It reads the panel's rows
+/// in place and writes each normalized row once (the SIMD epoch_zscore
+/// entry, one row per lane).  Each row is normalized on its own, so any row
+/// range equals the same rows of the whole panel.
 void normalize_epoch_panel(const DatasetView::Panel& panel,
                            linalg::MatrixView out, std::size_t first_row = 0);
 

@@ -73,6 +73,13 @@ void syrk_accumulate(ConstMatrixView a, MatrixView c, bool mirror);
 /// Instrumented twins (see baseline.hpp for the model_lanes convention).
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                           memsim::Instrument& ins, unsigned model_lanes = 16);
+/// gemm_nt_instrumented over a caller-kept B^T panel of
+/// a.cols * kGemmPanelCols floats.  A stage that calls the gemm many times
+/// passes one panel, so the simulated cache sees the same lines every call
+/// rather than whichever block the allocator hands out.
+void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                          memsim::Instrument& ins, unsigned model_lanes,
+                          float* bt);
 void syrk_instrumented(ConstMatrixView a, MatrixView c,
                        memsim::Instrument& ins, unsigned model_lanes = 16);
 

@@ -113,51 +113,21 @@ void gemm_row_panel_instrumented(const float* a, std::size_t k,
 
 void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                           memsim::Instrument& ins, unsigned model_lanes) {
+  AlignedBuffer<float> bt(a.cols * kGemmPanelCols);
+  gemm_nt_instrumented(a, b, c, ins, model_lanes, bt.data());
+}
+
+void gemm_nt_instrumented(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                          memsim::Instrument& ins, unsigned model_lanes,
+                          float* bt) {
   FCMA_CHECK(a.cols == b.cols, "gemm_nt: inner dimensions differ");
   FCMA_CHECK(c.rows == a.rows && c.cols == b.rows, "gemm_nt: bad C shape");
-  const std::size_t k = a.cols;
-  AlignedBuffer<float> bt(k * kGemmPanelCols);
-  const std::size_t micro_step = model_lanes * kGemmUnroll;
   for (std::size_t j0 = 0; j0 < b.rows; j0 += kGemmPanelCols) {
     const std::size_t j1 = std::min(b.rows, j0 + kGemmPanelCols);
-    const std::size_t width = j1 - j0;
-    pack_bt_panel_instrumented(b, j0, j1, bt.data(), ins, model_lanes);
+    pack_bt_panel_instrumented(b, j0, j1, bt, ins, model_lanes);
     for (std::size_t i = 0; i < a.rows; ++i) {
-      const float* ai = a.row(i);
-      float* ci = c.row(i) + j0;
-      for (std::size_t jj = 0; jj < width; jj += micro_step) {
-        const std::size_t block = std::min(micro_step, width - jj);
-        const auto vecs = static_cast<unsigned>(
-            (block + model_lanes - 1) / model_lanes);
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          // One broadcast of A per K element, then `vecs` panel loads and
-          // `vecs` FMAs at (mostly) full width.
-          ins.load_broadcast(ai + kk, model_lanes);
-          std::size_t remaining = block;
-          for (unsigned v = 0; v < vecs; ++v) {
-            const auto lanes = static_cast<unsigned>(
-                std::min<std::size_t>(model_lanes, remaining));
-            const float* src = &bt[kk * width + jj + v * model_lanes];
-            ins.load(src, lanes);
-            ins.arith(lanes, 1, 2ull * lanes);
-            remaining -= lanes;
-          }
-        }
-        // Scalar recomputation of the same outputs (the checked result).
-        for (std::size_t j = jj; j < jj + block; ++j) {
-          float acc = 0.0f;
-          for (std::size_t kk = 0; kk < k; ++kk)
-            acc += ai[kk] * bt[kk * width + j];
-          ci[j] = acc;
-        }
-        std::size_t remaining = block;
-        for (unsigned v = 0; v < vecs; ++v) {
-          const auto lanes = static_cast<unsigned>(
-              std::min<std::size_t>(model_lanes, remaining));
-          ins.store(ci + jj + v * model_lanes, lanes);
-          remaining -= lanes;
-        }
-      }
+      gemm_row_panel_instrumented(a.row(i), a.cols, bt, j1 - j0,
+                                  c.row(i) + j0, ins, model_lanes);
     }
   }
 }

@@ -11,6 +11,10 @@
 #include "common/platform.hpp"
 #include "linalg/opt.hpp"
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 namespace fcma::linalg::simd {
 
 namespace {
@@ -355,6 +359,216 @@ void zscore_finish_t(float* FCMA_RESTRICT row, const float* FCMA_RESTRICT mean,
 }
 
 // ---------------------------------------------------------------------------
+// Epoch normalization (eq. 2), one row per lane.  Every lane runs the scalar
+// formula's exact steps — a double sum over ascending t, mean = sum / len, a
+// double sum of squared deviations, float(1 / sqrt(ss)), then
+// (x - float(mean)) * inv — and no step mixes lanes, so a row gets the same
+// bits at every width and in the shared tail.
+//
+// A group of W rows is W/4 parts of 4 rows, and every step runs on 4-lane
+// vectors (4 doubles are one register from AVX up; a wider double vector
+// has no machine mode below AVX-512, and GCC keeps it in memory), the
+// parts interleaved for independent chains.  Each 4 x 4 block of a part (4 rows,
+// 4 samples) comes in as 4 row loads and a register transpose, so sample t
+// of a part is one vector; the first pass sums it and parks it in a stack
+// tile, tile[t * W + l], for the other two, and the outputs leave through
+// the reverse transpose.  The tile holds kEpochTileT samples: a longer row
+// is re-read chunk by chunk in each pass.  Every chunk is read before its
+// outputs are written, so dst may alias src.
+// ---------------------------------------------------------------------------
+constexpr std::size_t kEpochTileT = 32;
+
+typedef double D4 __attribute__((vector_size(4 * sizeof(double))));
+using I4 = IVecOf<4>::type;
+
+// Lane-wise float -> double.  Spelled element by element because GCC 12
+// lowers a widening __builtin_convertvector to two half-width conversions
+// and a shuffle, where this form is one vcvtps2pd.
+FCMA_FORCE_INLINE D4 widen(V4 x) { return D4{x[0], x[1], x[2], x[3]}; }
+
+// Lane-wise sqrt, correctly rounded either way.  The scalar builtin keeps
+// an errno branch per lane, so AVX builds take the vector instruction.
+FCMA_FORCE_INLINE D4 sqrt4(D4 x) {
+#if defined(__AVX__)
+  return reinterpret_cast<D4>(_mm256_sqrt_pd(reinterpret_cast<__m256d>(x)));
+#else
+  return D4{__builtin_sqrt(x[0]), __builtin_sqrt(x[1]), __builtin_sqrt(x[2]),
+            __builtin_sqrt(x[3])};
+#endif
+}
+
+FCMA_FORCE_INLINE void transpose4(V4& a, V4& b, V4& c, V4& d) {
+  const V4 ab_lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
+  const V4 ab_hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
+  const V4 cd_lo = __builtin_shufflevector(c, d, 0, 4, 1, 5);
+  const V4 cd_hi = __builtin_shufflevector(c, d, 2, 6, 3, 7);
+  a = __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5);
+  b = __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7);
+  c = __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5);
+  d = __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7);
+}
+
+// Parks samples [t0, t0 + tn) of `lanes` rows in tile[t * W + l], adding
+// each part's samples to sum[p] in ascending t when kSum.  Whole parts go
+// through 4 x 4 transposes; fewer than 4 rows (only W == 4) are read one
+// sample at a time, their missing lanes zero.
+template <int W, bool kSum>
+FCMA_FORCE_INLINE void epoch_load(const float* src, std::size_t lds,
+                                  std::size_t lanes, std::size_t t0,
+                                  std::size_t tn, float* FCMA_RESTRICT tile,
+                                  D4* sum) {
+  constexpr int P = W / 4;
+  if (lanes < 4) {
+    for (std::size_t t = 0; t < tn; ++t) {
+      V4 x = {};
+      for (std::size_t l = 0; l < lanes; ++l) x[l] = src[l * lds + t0 + t];
+      vstore<4>(tile + t * W, x);
+      if (kSum) sum[0] += widen(x);
+    }
+    return;
+  }
+  std::size_t t = 0;
+  for (; t + 4 <= tn; t += 4) {
+    for (int p = 0; p < P; ++p) {
+      const float* row = src + 4 * p * lds + t0 + t;
+      V4 a = vload<4>(row);
+      V4 b = vload<4>(row + lds);
+      V4 c = vload<4>(row + 2 * lds);
+      V4 d = vload<4>(row + 3 * lds);
+      transpose4(a, b, c, d);
+      float* at = tile + t * W + 4 * p;
+      vstore<4>(at, a);
+      vstore<4>(at + W, b);
+      vstore<4>(at + 2 * W, c);
+      vstore<4>(at + 3 * W, d);
+      if (kSum) {
+        sum[p] += widen(a);
+        sum[p] += widen(b);
+        sum[p] += widen(c);
+        sum[p] += widen(d);
+      }
+    }
+  }
+  for (; t < tn; ++t) {
+    for (int p = 0; p < P; ++p) {
+      const float* row = src + 4 * p * lds + t0 + t;
+      const V4 x = {row[0], row[lds], row[2 * lds], row[3 * lds]};
+      vstore<4>(tile + t * W + 4 * p, x);
+      if (kSum) sum[p] += widen(x);
+    }
+  }
+}
+
+// Writes the normalized samples [t0, t0 + tn) of `lanes` rows from the
+// parked ones, the reverse of epoch_load.
+template <int W>
+FCMA_FORCE_INLINE void epoch_store(const float* FCMA_RESTRICT tile,
+                                   std::size_t lanes, std::size_t t0,
+                                   std::size_t tn, const V4* mean,
+                                   const V4* inv, const I4* flat, float* dst,
+                                   std::size_t ldd) {
+  constexpr int P = W / 4;
+  const auto z = [&](int p, std::size_t t) {
+    const V4 v = (vload<4>(tile + t * W + 4 * p) - mean[p]) * inv[p];
+    return flat[p] ? V4{} : v;
+  };
+  if (lanes < 4) {
+    for (std::size_t t = 0; t < tn; ++t) {
+      const V4 y = z(0, t);
+      for (std::size_t l = 0; l < lanes; ++l) dst[l * ldd + t0 + t] = y[l];
+    }
+    return;
+  }
+  std::size_t t = 0;
+  for (; t + 4 <= tn; t += 4) {
+    for (int p = 0; p < P; ++p) {
+      V4 a = z(p, t);
+      V4 b = z(p, t + 1);
+      V4 c = z(p, t + 2);
+      V4 d = z(p, t + 3);
+      transpose4(a, b, c, d);
+      float* row = dst + 4 * p * ldd + t0 + t;
+      vstore<4>(row, a);
+      vstore<4>(row + ldd, b);
+      vstore<4>(row + 2 * ldd, c);
+      vstore<4>(row + 3 * ldd, d);
+    }
+  }
+  for (; t < tn; ++t) {
+    for (int p = 0; p < P; ++p) {
+      const V4 y = z(p, t);
+      float* row = dst + 4 * p * ldd + t0 + t;
+      for (int l = 0; l < 4; ++l) row[l * ldd] = y[l];
+    }
+  }
+}
+
+// Normalizes `lanes` rows: W of them, or 1-3 (W == 4) for the last rows of
+// the tail.
+template <int W>
+FCMA_FORCE_INLINE void epoch_zscore_group(const float* src, std::size_t lds,
+                                          float* dst, std::size_t ldd,
+                                          std::size_t lanes, std::size_t len) {
+  constexpr int P = W / 4;
+  alignas(64) float tile[kEpochTileT * W];
+  const bool reload = len > kEpochTileT;
+  D4 sum[P] = {};
+  for (std::size_t t0 = 0; t0 < len; t0 += kEpochTileT) {
+    const std::size_t tn = std::min(kEpochTileT, len - t0);
+    epoch_load<W, true>(src, lds, lanes, t0, tn, tile, sum);
+  }
+  D4 mean[P];
+  for (int p = 0; p < P; ++p) mean[p] = sum[p] / static_cast<double>(len);
+  D4 ss[P] = {};
+  for (std::size_t t0 = 0; t0 < len; t0 += kEpochTileT) {
+    const std::size_t tn = std::min(kEpochTileT, len - t0);
+    if (reload) epoch_load<W, false>(src, lds, lanes, t0, tn, tile, nullptr);
+    for (std::size_t t = 0; t < tn; ++t) {
+      for (int p = 0; p < P; ++p) {
+        const D4 d = widen(vload<4>(tile + t * W + 4 * p)) - mean[p];
+        ss[p] += d * d;
+      }
+    }
+  }
+  V4 mean_f[P];
+  V4 inv[P];
+  I4 flat[P];
+  for (int p = 0; p < P; ++p) {
+    mean_f[p] = __builtin_convertvector(mean[p], V4);
+    inv[p] = __builtin_convertvector(1.0 / sqrt4(ss[p]), V4);
+    flat[p] = __builtin_convertvector(ss[p] <= 0.0, I4);
+  }
+  for (std::size_t t0 = 0; t0 < len; t0 += kEpochTileT) {
+    const std::size_t tn = std::min(kEpochTileT, len - t0);
+    if (reload) epoch_load<W, false>(src, lds, lanes, t0, tn, tile, nullptr);
+    epoch_store<W>(tile, lanes, t0, tn, mean_f, inv, flat, dst, ldd);
+  }
+}
+
+// Rows past the last full group, shared by all lane widths: 4-row groups,
+// then the last 1-3 rows.
+__attribute__((noinline)) void epoch_zscore_tail(const float* src,
+                                                 std::size_t lds, float* dst,
+                                                 std::size_t ldd,
+                                                 std::size_t rows,
+                                                 std::size_t len) {
+  for (std::size_t r = 0; r < rows; r += 4) {
+    epoch_zscore_group<4>(src + r * lds, lds, dst + r * ldd, ldd,
+                          std::min<std::size_t>(4, rows - r), len);
+  }
+}
+
+template <int W>
+void epoch_zscore_t(const float* src, std::size_t lds, float* dst,
+                    std::size_t ldd, std::size_t rows, std::size_t len) {
+  std::size_t r = 0;
+  for (; r + W <= rows; r += W) {
+    epoch_zscore_group<W>(src + r * lds, lds, dst + r * ldd, ldd, W, len);
+  }
+  epoch_zscore_tail(src + r * lds, lds, dst + r * ldd, ldd, rows - r, len);
+}
+
+// ---------------------------------------------------------------------------
 // SMO sweeps (paper §4.4, PhiSVM).  Each lane keeps its own extremum and the
 // last index reaching it; the lanes then reduce to the global extremum with
 // ties going to the largest index, which is exactly the last index a
@@ -503,6 +717,7 @@ constexpr KernelTable make_table() {
                      &syrk_panel_t<W, opt::kSyrkMicroRows>,
                      &fisher_moments_t<W>,
                      &zscore_finish_t<W>,
+                     &epoch_zscore_t<W>,
                      &smo_select_t<W>,
                      &smo_gain_t<W>,
                      &smo_update_t<W>};

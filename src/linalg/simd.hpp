@@ -18,7 +18,8 @@
 // (ascending-k) order in every variant, so the three tables produce
 // bit-identical results — dispatch changes speed, never answers.  The Fisher
 // transform and the SMO kernels are elementwise (plus, for SMO, an index
-// reduction whose tie rule is fixed), so they bit-match across variants too.
+// reduction whose tie rule is fixed), and the epoch z-score runs one row per
+// lane with no cross-lane step, so they bit-match across variants too.
 #pragma once
 
 #include <cstddef>
@@ -106,6 +107,15 @@ struct KernelTable {
   /// Normalization pass 2 for one row: row[j] = (row[j]-mean[j])*inv_sd[j].
   void (*zscore_finish)(float* row, const float* mean, const float* inv_sd,
                         std::size_t width);
+
+  /// Eq. 2 epoch normalization of `rows` rows of `len` samples, one row per
+  /// lane: row x = src + r*lds is written to dst + r*ldd as
+  /// (x[t] - float(mean)) * float(1 / sqrt(ss)), where mean = sum / len
+  /// and ss = sum of (x[t] - mean)^2 accumulate in double over ascending t;
+  /// all zeros when ss <= 0, so a constant row becomes zeros and a row
+  /// holding NaN or Inf becomes NaN.  dst may equal src when ldd == lds.
+  void (*epoch_zscore)(const float* src, std::size_t lds, float* dst,
+                       std::size_t ldd, std::size_t rows, std::size_t len);
 
   /// SMO working-set sweep (paper §4.4, Keerthi et al.): with
   /// v[t] = -y[t] * grad[t], one pass writes the arg-max of v over the up

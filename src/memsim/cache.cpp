@@ -51,7 +51,33 @@ void CacheLevel::flush() {
 }
 
 CacheSim::CacheSim(const CacheConfig& l1, const CacheConfig& l2)
-    : l1_(l1), l2_(l2) {}
+    : l1_(l1), l2_(l2) {
+  FCMA_CHECK(l1.line_bytes == l2.line_bytes &&
+                 std::has_single_bit(l1.line_bytes) && l1.line_bytes <= 4096,
+             "both levels need one power-of-two line size of at most 4096");
+  page_shift_ = std::countr_zero(4096 / l1.line_bytes);
+}
+
+std::uint64_t CacheSim::physical_line(std::uint64_t line) {
+  // Pages are bookkeeping only: a page's line numbers are allocated
+  // together, so most lookups hit the recent-page cache.
+  constexpr std::uint64_t kUntouched = ~0ull;
+  const std::uint64_t page = line >> page_shift_;
+  // Fibonacci hashing, so streams a power-of-two stride apart spread.
+  static_assert(std::tuple_size_v<decltype(recent_)> == 64, "6-bit index");
+  RecentPage& recent = recent_[(page * 0x9E3779B97F4A7C15ull) >> 58];
+  if (recent.page != page) {
+    const auto [it, fresh] = pages_.try_emplace(page, line_ids_.size());
+    if (fresh) {
+      line_ids_.resize(line_ids_.size() + (1ull << page_shift_), kUntouched);
+    }
+    recent = RecentPage{page, it->second};
+  }
+  std::uint64_t& id =
+      line_ids_[recent.base + (line & ((1ull << page_shift_) - 1))];
+  if (id == kUntouched) id = next_line_++;
+  return id;
+}
 
 void CacheSim::access(const void* p, std::size_t bytes) {
   const auto addr = reinterpret_cast<std::uint64_t>(p);
@@ -61,9 +87,10 @@ void CacheSim::access(const void* p, std::size_t bytes) {
   ++stats_.refs;
   stats_.bytes += bytes;
   for (std::uint64_t l = first; l <= last; ++l) {
-    if (!l1_.access(l)) {
+    const std::uint64_t phys = physical_line(l);
+    if (!l1_.access(phys)) {
       ++stats_.l1_misses;
-      if (!l2_.access(l)) ++stats_.l2_misses;
+      if (!l2_.access(phys)) ++stats_.l2_misses;
     }
   }
 }

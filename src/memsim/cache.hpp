@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstddef>
+#include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/platform.hpp"
@@ -86,6 +88,16 @@ struct CacheStats {
 };
 
 /// Inclusive two-level hierarchy with per-access accounting.
+///
+/// Lines are indexed by simulated physical address: each line gets the next
+/// physical line number the first time it is touched, and keeps it, so
+/// memory is laid out in first-touch order and a buffer touched front to
+/// back keeps its contiguous set pattern.  Raw virtual addresses would make
+/// the miss counts follow ASLR (page numbers, which pick the L2 set bits
+/// above the page offset) and the heap's history (a buffer's offset within
+/// its page, which moves with every earlier allocation); first-touch
+/// numbering makes them a function of the access sequence alone, so a run
+/// reproduces them exactly.
 class CacheSim {
  public:
   CacheSim(const CacheConfig& l1, const CacheConfig& l2);
@@ -96,16 +108,30 @@ class CacheSim {
   /// retired micro-ops.
   void access(const void* p, std::size_t bytes);
 
-  /// Invalidates both levels.
+  /// Invalidates both levels.  Line numbers stay assigned.
   void flush();
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
  private:
+  /// The simulated physical line of virtual line `line`.
+  std::uint64_t physical_line(std::uint64_t line);
+
   CacheLevel l1_;
   CacheLevel l2_;
   CacheStats stats_;
+  /// Virtual page -> offset of its lines' numbers in line_ids_.
+  std::unordered_map<std::uint64_t, std::size_t> pages_;
+  std::vector<std::uint64_t> line_ids_;  ///< ~0 until first touched
+  std::uint64_t next_line_ = 0;
+  int page_shift_ = 0;  ///< log2(lines per 4 KiB page)
+  /// Direct-mapped cache of pages_, so interleaved streams skip the hash.
+  struct RecentPage {
+    std::uint64_t page = ~0ull;
+    std::size_t base = 0;
+  };
+  std::array<RecentPage, 64> recent_{};
 };
 
 }  // namespace fcma::memsim

@@ -47,19 +47,8 @@ double pearson(std::span<const float> x, std::span<const float> y) {
 }
 
 void normalize_epoch(std::span<float> x) {
-  if (x.empty()) return;
-  const double m = mean(x);
-  double ss = 0.0;
-  for (float v : x) {
-    const double d = v - m;
-    ss += d * d;
-  }
-  if (ss <= 0.0) {
-    std::fill(x.begin(), x.end(), 0.0f);
-    return;
-  }
-  const auto inv = static_cast<float>(1.0 / std::sqrt(ss));
-  for (float& v : x) v = (v - static_cast<float>(m)) * inv;
+  linalg::simd::kernels().epoch_zscore(x.data(), x.size(), x.data(), x.size(),
+                                       1, x.size());
 }
 
 float fisher_z(float r) { return linalg::simd::fisher_z(r); }

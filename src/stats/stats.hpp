@@ -26,7 +26,10 @@ namespace fcma::stats {
 /// Normalizes one epoch vector in place per eq. 2: subtract the mean, then
 /// divide by the root sum of squares of the mean-centered values, so that
 /// the dot product of two normalized vectors is their Pearson correlation.
-/// A constant (zero-variance) vector normalizes to all zeros.
+/// A constant (zero-variance) vector normalizes to all zeros.  The one
+/// normalizer of the repo: the one-row call of the SIMD kernel
+/// (linalg::simd::KernelTable::epoch_zscore) every epoch panel goes
+/// through.
 void normalize_epoch(std::span<float> x);
 
 /// Fisher r-to-z transformation (eq. 4), clamped so |r| = 1 maps to a large

@@ -19,9 +19,11 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/timeline.hpp"
+#include "common/tlstream.hpp"
 #include "common/trace.hpp"
 #include "fcma/corr_norm.hpp"
 #include "fcma/epoch_source.hpp"
@@ -462,11 +464,13 @@ class RowCountingSource final : public EpochSource {
   [[nodiscard]] std::size_t reads(std::size_t m, std::size_t row) const {
     return reads_[m * voxels_ + row];
   }
+  [[nodiscard]] std::size_t leases() const { return leases_; }
 
  private:
   void count(std::size_t first, std::size_t last, std::size_t r0,
              std::size_t r1) {
     std::lock_guard<std::mutex> lock(mu_);
+    ++leases_;
     for (std::size_t m = first; m < last; ++m) {
       for (std::size_t r = r0; r < r1; ++r) ++reads_[m * voxels_ + r];
     }
@@ -476,7 +480,124 @@ class RowCountingSource final : public EpochSource {
   std::size_t voxels_;
   std::mutex mu_;
   std::vector<std::size_t> reads_;
+  std::size_t leases_ = 0;
 };
+
+// Arms a trace stream in a fresh directory for the test's scope; stop()
+// finalizes it and returns every recorded event.
+class TracedScope {
+ public:
+  explicit TracedScope(const std::string& tag)
+      : dir_(::testing::TempDir() + tag) {
+    std::filesystem::remove_all(dir_);
+    trace::global().reset();
+    trace::Timeline::global().reset();
+    trace::set_stream_dir(dir_);
+    trace::set_enabled(true);
+  }
+  TracedScope(const TracedScope&) = delete;
+  TracedScope& operator=(const TracedScope&) = delete;
+  ~TracedScope() { (void)stop(); }
+
+  std::vector<trace::tlstream::StreamEvent> stop() {
+    if (stopped_) return {};
+    stopped_ = true;
+    trace::set_enabled(false);
+    trace::Timeline::global().finalize_stream();
+    trace::tlstream::StreamRead read = trace::tlstream::read_stream_dir(dir_);
+    trace::set_stream_dir("");
+    trace::global().reset();
+    trace::Timeline::global().reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+    return std::move(read.events);
+  }
+
+ private:
+  std::string dir_;
+  bool stopped_ = false;
+};
+
+TEST(StreamedEpochs, TracedTaskRecordsOneFillSpanPerLease) {
+  // Every streamed lease records its shard reads and normalization as one
+  // epoch_fill span under the task: the task-row lease and each block's
+  // lease of each subject run.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const TempShardStore store(d, "fcma_fill_span_test");
+  threading::ThreadPool pool(2);
+  PipelineConfig config = PipelineConfig::optimized();
+  config.pool = &pool;
+  const VoxelTask task{100, 20};
+  const std::size_t group_voxels = 9;  // three column blocks, as above
+  const ColumnSweep sweep = column_sweep(task.count, d.voxels(), group_voxels);
+  const std::size_t blocks = (d.voxels() + sweep.block - 1) / sweep.block;
+  ASSERT_EQ(blocks, 3u);
+
+  TracedScope traced("fcma_fill_span_stream");
+  StreamedEpochs streamed(store.view(), {});
+  RowCountingSource counted(streamed);
+  (void)run_task_grouped(counted, task, config, group_voxels);
+  const auto events = traced.stop();
+
+  std::size_t fills = 0;
+  for (const auto& ev : events) fills += ev.label == "task/epoch_fill";
+  EXPECT_EQ(counted.leases(),
+            1 + blocks * static_cast<std::size_t>(d.subjects()));
+  EXPECT_EQ(fills, counted.leases());
+}
+
+TEST(StreamedEpochs, CorrelationSpanLeavesOutLeaseFills) {
+  // The fused sweep's synthetic correlation + normalization spans cover
+  // its compute time only: no stage span overlaps a lease fill, and with
+  // the fills recorded inside the call, all of them add up to no more
+  // than the call's wall time.
+  const fmri::Dataset d = small_dataset();
+  const TempShardStore store(d, "fcma_fill_wall_test");
+  const VoxelTask task{4, 6};
+  const std::size_t m = d.epochs().size();
+  linalg::Matrix out(task.count * m, d.voxels());
+
+  TracedScope traced("fcma_fill_wall_stream");
+  StreamedEpochs streamed(store.view(), {});
+  const auto rows =
+      streamed.acquire_rows(0, m, task.first, task.first + task.count);
+  const std::uint64_t start = trace::now_ns();
+  correlate_normalize_block(streamed, rows, task, 0, d.voxels(), out.view(),
+                            nullptr);
+  const std::uint64_t end = trace::now_ns();
+  const auto events = traced.stop();
+
+  std::vector<trace::tlstream::StreamEvent> fills;
+  std::vector<trace::tlstream::StreamEvent> stages;
+  for (const auto& ev : events) {
+    if (ev.label == "epoch_fill" && ev.start_ns >= start) fills.push_back(ev);
+    if (ev.label == "correlation" || ev.label == "normalization") {
+      EXPECT_GE(ev.start_ns, start);
+      EXPECT_LE(ev.end_ns, end);
+      stages.push_back(ev);
+    }
+  }
+  const auto runs = static_cast<std::size_t>(d.subjects());
+  EXPECT_EQ(fills.size(), runs);
+  EXPECT_EQ(stages.size(), 2 * runs);
+  std::uint64_t total_ns = 0;
+  for (const auto& fill : fills) {
+    total_ns += fill.end_ns - fill.start_ns;
+    for (const auto& stage : stages) {
+      EXPECT_TRUE(stage.end_ns <= fill.start_ns ||
+                  stage.start_ns >= fill.end_ns)
+          << stage.label << " [" << stage.start_ns << ", " << stage.end_ns
+          << ") overlaps a fill [" << fill.start_ns << ", " << fill.end_ns
+          << ")";
+    }
+  }
+  EXPECT_GT(total_ns, 0u);
+  for (const auto& stage : stages) total_ns += stage.end_ns - stage.start_ns;
+  EXPECT_LE(total_ns, end - start);
+}
 
 TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   // A streamed multi-block task reads the brain once: each block's rows

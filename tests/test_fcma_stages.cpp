@@ -145,10 +145,11 @@ TEST(CorrStage, MergedAndSeparatedAgree) {
 
 TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   // The pooled sweep still records task/correlation and task/normalization
-  // on the calling thread.  Worker seconds add up past the wall, so the
-  // normalization share is scaled to it: the two spans are laid back to
-  // back inside the fused call, correlation first, so neither goes
-  // negative and together they never exceed the fused call's wall time.
+  // on the calling thread, one pair per subject run.  Worker seconds add
+  // up past the wall, so the normalization share is scaled to it: each
+  // pair is laid back to back inside its run, correlation first, so
+  // neither goes negative and together they never exceed the fused call's
+  // wall time.
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 1100;
   const fmri::Dataset d = fmri::generate_synthetic(spec);
@@ -188,16 +189,21 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
     if (ev.label == "task/correlation") corr.push_back(ev);
     if (ev.label == "task/normalization") norm.push_back(ev);
   }
-  ASSERT_EQ(corr.size(), 1u);
-  ASSERT_EQ(norm.size(), 1u);
-  EXPECT_GE(corr[0].start_ns, start);
-  EXPECT_LE(corr[0].start_ns, corr[0].end_ns);
-  EXPECT_EQ(corr[0].end_ns, norm[0].start_ns);  // back to back
-  EXPECT_LE(norm[0].start_ns, norm[0].end_ns);
-  EXPECT_LE(norm[0].end_ns, end);
-  EXPECT_LE((corr[0].end_ns - corr[0].start_ns) +
-                (norm[0].end_ns - norm[0].start_ns),
-            end - start);
+  const auto runs = static_cast<std::size_t>(d.subjects());
+  ASSERT_EQ(corr.size(), runs);
+  ASSERT_EQ(norm.size(), runs);
+  std::uint64_t covered = 0;
+  std::uint64_t previous_end = start;
+  for (std::size_t r = 0; r < runs; ++r) {
+    EXPECT_GE(corr[r].start_ns, previous_end);
+    EXPECT_LE(corr[r].start_ns, corr[r].end_ns);
+    EXPECT_EQ(corr[r].end_ns, norm[r].start_ns);  // back to back
+    EXPECT_LE(norm[r].start_ns, norm[r].end_ns);
+    previous_end = norm[r].end_ns;
+    covered += norm[r].end_ns - corr[r].start_ns;
+  }
+  EXPECT_LE(previous_end, end);
+  EXPECT_LE(covered, end - start);
 }
 
 TEST(CorrStage, InstrumentedTwinsMatchFastPaths) {

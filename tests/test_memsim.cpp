@@ -2,9 +2,12 @@
 // facade — the vTune replacement every event-count table relies on.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "linalg/baseline.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/instrument.hpp"
 #include "memsim/vpu.hpp"
@@ -117,6 +120,59 @@ TEST(CacheSim, ResetStatsKeepsContents) {
   sim.access(buf.data(), 4);  // still cached
   EXPECT_EQ(sim.stats().refs, 1u);
   EXPECT_EQ(sim.stats().l1_misses, 0u);
+}
+
+constexpr std::size_t kPage = 4096;
+
+// Page-aligned floats, freed with the pointer.
+struct PageBuffer {
+  explicit PageBuffer(std::size_t pages)
+      : data(static_cast<float*>(std::aligned_alloc(kPage, pages * kPage))) {}
+  PageBuffer(const PageBuffer&) = delete;
+  PageBuffer& operator=(const PageBuffer&) = delete;
+  ~PageBuffer() { std::free(data); }
+  float* data;
+};
+
+// The instrumented baseline gemm of 4 rows of A against 9 rows of B, which
+// streams B once per A row.  B's rows are a page long, start `offset`
+// floats into their pages (a multiple of 16, a line) and lie
+// `stride_pages` pages apart.
+KernelEvents gemm_events(std::size_t stride_pages, std::size_t offset) {
+  constexpr std::size_t kK = kPage / sizeof(float);
+  const std::size_t b_ld = stride_pages * kK;
+  PageBuffer a(4);
+  PageBuffer b(9 * stride_pages + 1);
+  PageBuffer c(1);
+  for (std::size_t i = 0; i < 4 * kK; ++i) a.data[i] = 1.0f;
+  float* b0 = b.data + offset;
+  for (std::size_t j = 0; j < 9; ++j) {
+    for (std::size_t k = 0; k < kK; ++k) b0[j * b_ld + k] = 0.5f;
+  }
+  Instrument ins;  // Xeon Phi: a 512 KB L2 of 1024 sets
+  linalg::baseline::gemm_nt_instrumented(
+      linalg::ConstMatrixView{a.data, 4, kK, kK},
+      linalg::ConstMatrixView{b0, 9, kK, b_ld},
+      linalg::MatrixView{c.data, 4, 9, 9}, ins);
+  return ins.events();
+}
+
+TEST(CacheSim, MissesDoNotDependOnWhereTheHeapPutTheBuffers) {
+  // By virtual address, B rows 16 pages apart all have the same L2 set bits
+  // (1024 sets of 64-byte lines span 16 pages), so nine of them overflow
+  // the 8 ways of one set range and thrash, while rows a page apart spread
+  // over every set; a row starting mid-page shifts its L1 sets.  Lines are
+  // numbered by first touch, and each placement touches its lines in the
+  // same order, so all of them miss alike.
+  const KernelEvents packed = gemm_events(1, 0);
+  for (const auto& [stride, offset] :
+       {std::pair<std::size_t, std::size_t>{16, 0}, {16, 48}, {3, 400}}) {
+    const KernelEvents moved = gemm_events(stride, offset);
+    EXPECT_EQ(moved.mem_refs, packed.mem_refs) << stride << " " << offset;
+    EXPECT_EQ(moved.l1_misses, packed.l1_misses) << stride << " " << offset;
+    EXPECT_EQ(moved.l2_misses, packed.l2_misses) << stride << " " << offset;
+  }
+  EXPECT_GT(packed.l2_misses, 0u);
 }
 
 TEST(VpuCounter, IntensityIsElementsPerInstruction) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -119,6 +120,196 @@ TEST(Stats, NormalizeConstantEpochGivesZeros) {
   std::vector<float> x(12, 4.0f);
   normalize_epoch(x);
   for (float v : x) EXPECT_EQ(v, 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// The epoch_zscore kernel against the scalar eq. 2 loop it replaced, kept
+// here verbatim as the bit reference: every table, in the wide-vector rows
+// and the shared tail alike, must write exactly its bits.
+// ---------------------------------------------------------------------------
+
+void scalar_normalize_epoch(std::span<float> x) {
+  if (x.empty()) return;
+  double s = 0.0;
+  for (float v : x) s += v;
+  const double m = s / static_cast<double>(x.size());
+  double ss = 0.0;
+  for (float v : x) {
+    const double d = v - m;
+    ss += d * d;
+  }
+  if (ss <= 0.0) {
+    std::fill(x.begin(), x.end(), 0.0f);
+    return;
+  }
+  const auto inv = static_cast<float>(1.0 / std::sqrt(ss));
+  for (float& v : x) v = (v - static_cast<float>(m)) * inv;
+}
+
+// Equal bits, or NaN on both sides (NaN payloads are not part of the
+// contract).
+bool same_float(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  std::uint32_t ua = 0;
+  std::uint32_t ub = 0;
+  std::memcpy(&ua, &a, sizeof a);
+  std::memcpy(&ub, &b, sizeof b);
+  return ua == ub;
+}
+
+constexpr linalg::simd::Isa kEveryIsa[] = {linalg::simd::Isa::kScalar,
+                                           linalg::simd::Isa::kAvx2,
+                                           linalg::simd::Isa::kAvx512};
+
+// Rows [first, first + rows) of `src` (row stride lds) normalized by the
+// scalar loop into rows of ldd floats.
+std::vector<float> scalar_rows(const std::vector<float>& src, std::size_t lds,
+                               std::size_t first, std::size_t rows,
+                               std::size_t len, std::size_t ldd) {
+  std::vector<float> out(rows == 0 ? 0 : (rows - 1) * ldd + len, -7.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<float> x(src.begin() + (first + r) * lds,
+                         src.begin() + (first + r) * lds + len);
+    scalar_normalize_epoch(x);
+    std::copy(x.begin(), x.end(), out.begin() + r * ldd);
+  }
+  return out;
+}
+
+// Runs every table over rows [first, first + rows) of `src` and compares
+// each written float, and the untouched gap floats, with the scalar loop.
+// Both buffers are exact-size: the source's last row and the output's last
+// row end where their allocations end, so ASan catches any read or write
+// past a row.
+void expect_kernel_matches_scalar(const std::vector<float>& src,
+                                  std::size_t lds, std::size_t first,
+                                  std::size_t rows, std::size_t len,
+                                  std::size_t ldd, const char* what) {
+  const std::vector<float> want = scalar_rows(src, lds, first, rows, len, ldd);
+  for (const auto isa : kEveryIsa) {
+    std::vector<float> got(want.size(), -7.0f);
+    linalg::simd::kernels(isa).epoch_zscore(src.data() + first * lds, lds,
+                                            got.data(), ldd, rows, len);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(same_float(got[i], want[i]))
+          << what << ": " << linalg::simd::isa_name(isa) << " rows " << rows
+          << " len " << len << " lds " << lds << " first " << first
+          << " at " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+// Exact-size source: `rows` rows of `len` samples at stride lds, the last
+// row ending at the end of the allocation.
+std::vector<float> exact_source(std::size_t rows, std::size_t len,
+                                std::size_t lds, std::uint64_t seed) {
+  std::vector<float> src((rows - 1) * lds + len);
+  Rng rng(seed);
+  for (float& v : src) v = rng.uniform(-3.0f, 5.0f);
+  return src;
+}
+
+TEST(EpochZscore, MatchesScalarLoopAtEveryLengthAndRowCount) {
+  // Row counts straddle every lane width (4, 8, 16) and its shared tail;
+  // lengths 1-33 cross the 32-sample staging tile, and 70 re-stages it
+  // three times.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 33; ++len) lengths.push_back(len);
+  lengths.push_back(70);
+  for (const std::size_t len : lengths) {
+    for (const std::size_t rows : {1u, 3u, 5u, 16u, 21u, 35u}) {
+      const auto packed = exact_source(rows, len, len, 10 * len + rows);
+      expect_kernel_matches_scalar(packed, len, 0, rows, len, len, "packed");
+      // A source stride wider than the row (a shard's padded rows or a
+      // dataset's timepoint axis) and an output stride wider still.
+      const auto strided = exact_source(rows, len, len + 3, 7 * len + rows);
+      expect_kernel_matches_scalar(strided, len + 3, 0, rows, len, len + 5,
+                                   "strided");
+    }
+  }
+}
+
+TEST(EpochZscore, RowOffsetsMatchTheWholePanel) {
+  // A row range starting at first_row normalizes to the same bits as the
+  // same rows of the whole panel, whatever lane those rows land in.
+  const std::size_t len = 12;
+  const std::size_t lds = 16;
+  const std::size_t total = 41;
+  const auto src = exact_source(total, len, lds, 77);
+  for (const std::size_t first : {0u, 1u, 3u, 7u, 17u}) {
+    expect_kernel_matches_scalar(src, lds, first, total - first, len, len,
+                                 "offset");
+  }
+}
+
+TEST(EpochZscore, ConstantRowsGiveZerosAndNonFiniteRowsGiveNan) {
+  const std::size_t len = 12;
+  const std::size_t rows = 19;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> src = exact_source(rows, len, len, 5);
+  for (std::size_t t = 0; t < len; ++t) {
+    src[0 * len + t] = 4.0f;    // constant
+    src[5 * len + t] = -0.0f;   // constant zero
+    src[17 * len + t] = 1e-30f; // constant, tiny
+  }
+  src[2 * len + 4] = nan;
+  src[9 * len + 0] = inf;
+  src[11 * len + 11] = -inf;
+  src[18 * len + 3] = inf;  // the last row, in the tail at every width
+  src[18 * len + 6] = -inf;
+  expect_kernel_matches_scalar(src, len, 0, rows, len, len, "special");
+
+  std::vector<float> out(src.size());
+  linalg::simd::kernels().epoch_zscore(src.data(), len, out.data(), len, rows,
+                                       len);
+  for (const std::size_t r : {0u, 5u, 17u}) {
+    for (std::size_t t = 0; t < len; ++t) {
+      EXPECT_TRUE(same_float(out[r * len + t], 0.0f)) << r << " " << t;
+    }
+  }
+  for (const std::size_t r : {2u, 9u, 11u, 18u}) {
+    for (std::size_t t = 0; t < len; ++t) {
+      EXPECT_TRUE(std::isnan(out[r * len + t])) << r << " " << t;
+    }
+  }
+}
+
+TEST(EpochZscore, InPlaceEqualsOutOfPlace) {
+  for (const std::size_t len : {12u, 40u}) {
+    const std::size_t rows = 23;
+    const auto src = exact_source(rows, len, len + 4, 9 + len);
+    const std::vector<float> want =
+        scalar_rows(src, len + 4, 0, rows, len, len + 4);
+    for (const auto isa : kEveryIsa) {
+      std::vector<float> x = src;
+      linalg::simd::kernels(isa).epoch_zscore(x.data(), len + 4, x.data(),
+                                              len + 4, rows, len);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t t = 0; t < len; ++t) {
+          const std::size_t i = r * (len + 4) + t;
+          ASSERT_TRUE(same_float(x[i], want[i]))
+              << linalg::simd::isa_name(isa) << " " << r << " " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(Stats, NormalizeEpochIsTheKernelsOneRowCall) {
+  // stats::normalize_epoch runs the active table's kernel on one row; it
+  // must equal the scalar loop on every length, constant and NaN included.
+  for (std::size_t len = 0; len <= 33; ++len) {
+    auto x = random_vec(len, 900 + len);
+    if (len == 7) std::fill(x.begin(), x.end(), 1.5f);
+    if (len == 9) x[4] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> want = x;
+    scalar_normalize_epoch(want);
+    normalize_epoch(x);
+    for (std::size_t t = 0; t < len; ++t) {
+      EXPECT_TRUE(same_float(x[t], want[t])) << "len " << len << " t " << t;
+    }
+  }
 }
 
 TEST(Stats, FisherZKnownValues) {
