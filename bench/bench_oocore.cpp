@@ -1,6 +1,6 @@
 // Out-of-core data-plane proof: runs the same analysis twice over a shard
 // store larger than the memory budget — once fully resident, once streamed
-// through StreamedEpochs under plan_residency — and checks two claims
+// as core::open_epoch_run plans it — and checks two claims
 // machine-verifiably:
 //
 //   1. the streamed run's peak RSS (VmHWM) stays under --memory-budget,
@@ -11,10 +11,16 @@
 // the column sweep reads the data once per task: at most
 // subjects x (blocks + 1) shard mappings.
 //
+// A third claim covers the offline protocol: a streamed
+// run_offline_analysis at `fcma offline`'s default grain of 64 voxels per
+// task stays under its budget and matches the resident run.  Nested LOSO
+// scores every voxel once per fold, so it runs on a smaller store of its
+// own (fixed shape, see kOffline*).
+//
 // VmHWM is a per-process high-water mark, so each phase re-execs this
-// binary (--phase generate|resident|streamed); the parent orchestrates,
-// byte-compares the reports, and publishes oocore/* gauges to the metrics
-// sidecar for bench_smoke.sh.
+// binary (--phase generate|resident|streamed|offline); the parent
+// orchestrates, byte-compares the reports, and publishes oocore/* gauges to
+// the metrics sidecar for bench_smoke.sh.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,8 +37,8 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/trace.hpp"
-#include "fcma/epoch_source.hpp"
 #include "fcma/memory_model.hpp"
+#include "fcma/offline.hpp"
 #include "fcma/pipeline.hpp"
 #include "fmri/dataset_view.hpp"
 #include "fmri/shard_store.hpp"
@@ -101,6 +107,15 @@ int run_phase(const std::string& exe, const std::string& phase,
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+// The offline phase's store and budget: 2 048 voxels, 4 subjects of 12
+// epochs.  Its streamed run takes ~3 s on two threads and peaks at ~2/3 of
+// the budget; running its 64-voxel tasks side by side instead peaks near
+// 3x the budget.
+constexpr std::size_t kOfflineVoxels = 2048;
+constexpr std::int32_t kOfflineSubjects = 4;
+constexpr std::size_t kOfflineEpochsPerSubject = 12;
+constexpr std::size_t kOfflineBudget = std::size_t{24} << 20;
+
 struct PhaseArgs {
   std::string dir;
   std::size_t voxels = 0;
@@ -117,6 +132,12 @@ int phase_generate(const PhaseArgs& a) {
                             static_cast<double>(spec.voxels));
   const fmri::Dataset d = fmri::generate_synthetic(spec);
   fmri::write_shard_store(a.dir + "/store", d);
+  fmri::DatasetSpec offline = fmri::tiny_spec();
+  offline.voxels = kOfflineVoxels;
+  offline.subjects = kOfflineSubjects;
+  offline.epochs_total = kOfflineEpochsPerSubject * kOfflineSubjects;
+  fmri::write_shard_store(a.dir + "/offline_store",
+                          fmri::generate_synthetic(offline));
   const double raw_mb =
       static_cast<double>(d.voxels() * d.epochs().size() *
                           static_cast<std::size_t>(d.epochs().front().length) *
@@ -153,12 +174,11 @@ int phase_streamed(const PhaseArgs& a) {
   trace::set_stream_dir(a.dir + "/streamed.stream");
   trace::set_enabled(true);
   const auto view = fmri::open_shard_store(a.dir + "/store", "store");
-  const core::BudgetPlan plan = core::plan_residency(
-      view->epochs().size(), view->epochs_per_subject(), view->voxels(),
-      static_cast<std::size_t>(view->epochs().front().length), a.budget);
+  // The same opener as `fcma analyze --memory-budget`: a StreamedEpochs
+  // under the plan's row-lease bytes, and the plan's task grain.
+  const core::EpochRun run = core::open_epoch_run(*view, a.budget);
   threading::ThreadPool pool(a.threads);
   core::PipelineConfig config = core::PipelineConfig::optimized();
-  core::StreamedEpochs source(*view, {plan.panel_cache_bytes});
   std::vector<double> accuracy(a.task_voxels, 0.0);
   // Tasks run serially (the pool runs each task's column panels and stage
   // 3), so one plan-sized correlation buffer is live at a time — the
@@ -170,17 +190,17 @@ int phase_streamed(const PhaseArgs& a) {
   std::size_t first = 0;
   while (first < a.task_voxels) {
     const std::size_t count =
-        std::min(plan.voxels_per_task, a.task_voxels - first);
+        std::min(run.voxels_per_task, a.task_voxels - first);
     const core::VoxelTask task{static_cast<std::uint32_t>(first),
                                static_cast<std::uint32_t>(count)};
     const core::ColumnSweep sweep =
-        core::column_sweep(count, view->voxels(), plan.group_voxels);
+        core::column_sweep(count, view->voxels(), run.group_voxels);
     const std::size_t groups = (count + sweep.group - 1) / sweep.group;
     const std::size_t blocks =
         groups * ((view->voxels() + sweep.block - 1) / sweep.block);
     const std::int64_t loads_before = reg.counter("io/shard_loads");
     const core::TaskResult part =
-        core::run_task_grouped(source, task, config, plan.group_voxels);
+        core::run_task_grouped(*run.epochs, task, config, run.group_voxels);
     max_task_loads = std::max(max_task_loads,
                               reg.counter("io/shard_loads") - loads_before);
     max_task_blocks = std::max(max_task_blocks, blocks);
@@ -212,13 +232,62 @@ int phase_streamed(const PhaseArgs& a) {
   return 0;
 }
 
+bool same_folds(const core::OfflineResult& a, const core::OfflineResult& b) {
+  if (a.folds.size() != b.folds.size()) return false;
+  for (std::size_t f = 0; f < a.folds.size(); ++f) {
+    const core::FoldResult& x = a.folds[f];
+    const core::FoldResult& y = b.folds[f];
+    if (x.left_out_subject != y.left_out_subject || x.selected != y.selected ||
+        x.mean_selected_cv_accuracy != y.mean_selected_cv_accuracy ||
+        x.test_accuracy != y.test_accuracy) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int phase_offline(const PhaseArgs& a) {
+  WallTimer timer;
+  const auto view =
+      fmri::open_shard_store(a.dir + "/offline_store", "offline_store");
+  threading::ThreadPool pool(a.threads);
+  core::OfflineOptions options;
+  options.top_k = 32;           // fcma offline's defaults
+  options.voxels_per_task = 64;
+  options.memory_budget_bytes = kOfflineBudget;
+  options.pipeline.pool = &pool;
+  const core::OfflineResult streamed =
+      core::run_offline_analysis(*view, options);
+  const std::size_t peak = peak_rss_bytes();
+  const double wall = timer.seconds();
+  // The resident reference runs after the peak is read.
+  options.memory_budget_bytes = 0;
+  const bool identical =
+      same_folds(streamed, core::run_offline_analysis(*view, options));
+
+  std::ofstream stats(a.dir + "/offline.stats");
+  write_stat(stats, "wall_s", wall);
+  write_stat(stats, "peak_rss_mb",
+             static_cast<double>(peak) / (1024.0 * 1024.0));
+  write_stat(stats, "identical", identical ? 1.0 : 0.0);
+  if (peak > kOfflineBudget) {
+    std::fprintf(stderr,
+                 "FAIL: streamed offline peak RSS %.1f MB exceeds budget "
+                 "%.1f MB\n",
+                 static_cast<double>(peak) / (1024.0 * 1024.0),
+                 static_cast<double>(kOfflineBudget) / (1024.0 * 1024.0));
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("bench_oocore",
           "out-of-core proof: streamed run under --memory-budget, "
           "byte-identical to resident");
-  cli.add_flag("phase", "", "internal: generate|resident|streamed");
+  cli.add_flag("phase", "", "internal: generate|resident|streamed|offline");
   cli.add_flag("dir", "", "working directory (default: a fresh temp dir)");
   cli.add_flag("voxels", "16384", "brain size (raw panels must exceed budget)");
   cli.add_flag("subjects", "10", "subject count");
@@ -241,6 +310,7 @@ int main(int argc, char** argv) {
     if (phase == "generate") return phase_generate(a);
     if (phase == "resident") return phase_resident(a);
     if (phase == "streamed") return phase_streamed(a);
+    if (phase == "offline") return phase_offline(a);
     std::fprintf(stderr, "unknown phase: %s\n", phase.c_str());
     return 2;
   }
@@ -273,6 +343,7 @@ int main(int argc, char** argv) {
   }
   if (rc == 0) rc = run_phase(exe, "resident", pass.str());
   if (rc == 0) rc = run_phase(exe, "streamed", pass.str());
+  if (rc == 0) rc = run_phase(exe, "offline", pass.str());
   FCMA_CHECK(rc == 0, "a bench phase failed (exit " + std::to_string(rc) +
                           ") -- see stderr above");
 
@@ -285,6 +356,13 @@ int main(int argc, char** argv) {
   const double str_rss = read_stat(a.dir + "/streamed.stats", "peak_rss_mb");
   const double budget_mb = static_cast<double>(a.budget) / (1024.0 * 1024.0);
   const double slowdown = res_wall > 0.0 ? str_wall / res_wall : 0.0;
+  const double off_wall = read_stat(a.dir + "/offline.stats", "wall_s");
+  const double off_rss = read_stat(a.dir + "/offline.stats", "peak_rss_mb");
+  const bool off_identical =
+      read_stat(a.dir + "/offline.stats", "identical") == 1.0;
+  const double off_budget_mb =
+      static_cast<double>(kOfflineBudget) / (1024.0 * 1024.0);
+  const bool off_within = off_rss > 0.0 && off_rss <= off_budget_mb;
 
   Table t("streamed vs resident");
   t.header({"metric", "resident", "streamed"});
@@ -309,6 +387,17 @@ int main(int argc, char** argv) {
   io.row({"its column blocks (all groups)", Table::num(task_blocks, 0)});
   io.print();
 
+  Table off("streamed offline protocol (" + std::to_string(kOfflineVoxels) +
+            " voxels, " + std::to_string(kOfflineSubjects) +
+            " subjects, 64 voxels per task asked)");
+  off.header({"metric", "value"});
+  off.row({"wall (s)", Table::num(off_wall, 2)});
+  off.row({"peak RSS (MB)", Table::num(off_rss, 1)});
+  off.row({"within budget (" + Table::num(off_budget_mb, 0) + " MB)",
+           off_within ? "yes" : "NO"});
+  off.row({"folds identical to resident", off_identical ? "yes" : "NO"});
+  off.print();
+
   trace::gauge_set("oocore/budget_mb", budget_mb);
   trace::gauge_set("oocore/streamed_peak_rss_mb", str_rss);
   trace::gauge_set("oocore/resident_peak_rss_mb", res_rss);
@@ -320,10 +409,17 @@ int main(int argc, char** argv) {
   trace::gauge_set("oocore/task_shard_loads", task_loads);
   trace::gauge_set("oocore/task_blocks", task_blocks);
   trace::gauge_set("oocore/subjects", subjects);
+  trace::gauge_set("oocore/offline_budget_mb", off_budget_mb);
+  trace::gauge_set("oocore/offline_peak_rss_mb", off_rss);
+  trace::gauge_set("oocore/offline_wall_s", off_wall);
+  trace::gauge_set("oocore/offline_within_budget", off_within ? 1.0 : 0.0);
+  trace::gauge_set("oocore/offline_identical", off_identical ? 1.0 : 0.0);
 
   if (own_dir) std::filesystem::remove_all(a.dir);
   FCMA_CHECK(identical, "streamed report differs from resident");
   FCMA_CHECK(str_rss <= budget_mb, "streamed run exceeded the memory budget");
+  FCMA_CHECK(off_identical, "streamed offline folds differ from resident");
+  FCMA_CHECK(off_within, "streamed offline run exceeded its memory budget");
   std::printf("streamed run stayed under %.0f MB and matched resident "
               "bit-for-bit (%.1fx wall)\n", budget_mb, slowdown);
   return 0;

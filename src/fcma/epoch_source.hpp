@@ -17,8 +17,9 @@
 //
 // Two backends:
 //
-//   * ResidentEpochs — zero-cost adapter over fmri::NormalizedEpochs (the
-//     classic fully-resident path; a lease is a bundle of pointer views).
+//   * ResidentEpochs — zero-cost adapter over fmri::NormalizedEpochs,
+//     borrowed or owned (the classic fully-resident path; a lease is a
+//     bundle of pointer views).
 //   * StreamedEpochs — loads from any fmri::DatasetView (in-memory or
 //     mmap'd shard store) and normalizes with the shared
 //     normalize_epoch_panel kernel.  A lease loads only its rows into a
@@ -40,6 +41,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -103,11 +105,16 @@ class EpochSource {
   }
 };
 
-/// Fully-resident backend over fmri::NormalizedEpochs (not owned).
+/// Fully-resident backend over fmri::NormalizedEpochs.  Borrows by
+/// default; the rvalue constructor takes ownership (as fmri::InMemoryView
+/// does for a Dataset).
 class ResidentEpochs final : public EpochSource {
  public:
   explicit ResidentEpochs(const fmri::NormalizedEpochs& epochs)
       : epochs_(&epochs) {}
+  explicit ResidentEpochs(fmri::NormalizedEpochs&& epochs)
+      : owned_(std::make_unique<fmri::NormalizedEpochs>(std::move(epochs))),
+        epochs_(owned_.get()) {}
 
   [[nodiscard]] const std::vector<fmri::Epoch>& meta() const override {
     return epochs_->meta;
@@ -117,7 +124,12 @@ class ResidentEpochs final : public EpochSource {
   }
   [[nodiscard]] RowLease acquire(std::size_t first, std::size_t last) override;
 
+  [[nodiscard]] const fmri::NormalizedEpochs& epochs() const {
+    return *epochs_;
+  }
+
  private:
+  std::unique_ptr<fmri::NormalizedEpochs> owned_;  // owning constructor only
   const fmri::NormalizedEpochs* epochs_;
 };
 

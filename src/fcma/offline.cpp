@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
-#include <optional>
 
 #include "common/aligned.hpp"
 #include "common/trace.hpp"
-#include "fcma/memory_model.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace fcma::core {
 
@@ -134,82 +135,42 @@ double train_and_test_classifier(const linalg::Matrix& features,
 OfflineResult run_offline_analysis(const fmri::DatasetView& dataset,
                                    const OfflineOptions& options) {
   OfflineResult result;
-  const std::size_t v_total = dataset.voxels();
-  const bool streamed = options.memory_budget_bytes > 0;
-  threading::ThreadPool* pool = options.pipeline.pool;
-
-  std::size_t per_task = options.voxels_per_task;
-  std::optional<BudgetPlan> plan;
-  if (streamed) {
-    plan = plan_residency(
-        dataset.epochs().size(), dataset.epochs_per_subject(), v_total,
-        static_cast<std::size_t>(dataset.epochs().front().length),
-        options.memory_budget_bytes);
-    if (per_task == 0) {
-      // Concurrent tasks each hold their own correlation buffer, so the
-      // plan's correlation allowance is split across the pool lanes.
-      const std::size_t lanes = pool != nullptr ? pool->size() : 1;
-      per_task = std::max<std::size_t>(1, plan->group_voxels / lanes);
-    }
-  } else if (per_task == 0) {
-    per_task = v_total;
-  }
-  const std::vector<VoxelTask> tasks = partition_voxels(v_total, per_task);
-
-  // All-epoch panels feed the final per-fold classifier but do not depend
-  // on the fold, so one source (materialized epochs, or a budget-counted
-  // streamed source) serves every fold.
-  std::optional<fmri::NormalizedEpochs> all;
-  std::optional<StreamedEpochs> all_streamed;
-  if (streamed) {
-    all_streamed.emplace(dataset,
-                         StreamedEpochs::Options{plan->panel_cache_bytes});
-  } else {
-    all = fmri::normalize_epochs(dataset);
-  }
-  const std::vector<fmri::Epoch>& all_meta =
-      streamed ? all_streamed->meta() : all->meta;
-
+  const std::vector<fmri::Epoch>& all_meta = dataset.epochs();
   for (std::int32_t fold = 0; fold < dataset.subjects(); ++fold) {
     const trace::Span fold_span("offline_fold");
     trace::count("offline/folds");
     // Training epochs: everything not belonging to the held-out subject.
     std::vector<std::size_t> train_epochs;
-    for (std::size_t e = 0; e < dataset.epochs().size(); ++e) {
-      if (dataset.epochs()[e].subject != fold) train_epochs.push_back(e);
+    for (std::size_t e = 0; e < all_meta.size(); ++e) {
+      if (all_meta[e].subject != fold) train_epochs.push_back(e);
     }
 
-    // Voxel selection: full FCMA over the training subjects.  Tasks run
-    // through the configured pool; results come back in task order, so the
-    // scoreboard fills identically at any thread count.
-    Scoreboard board(v_total);
-    std::vector<TaskResult> fold_results;
-    if (streamed) {
-      StreamedEpochs training(
-          dataset, train_epochs,
-          StreamedEpochs::Options{plan->panel_cache_bytes});
-      fold_results = run_tasks(training, tasks, options.pipeline);
-    } else {
-      const fmri::NormalizedEpochs training =
-          fmri::normalize_epochs(dataset, train_epochs);
-      fold_results = run_tasks(training, tasks, options.pipeline);
-    }
-    for (const TaskResult& tr : fold_results) board.add(tr);
+    // Voxel selection: full FCMA over the training subjects.  Results come
+    // back in task order, so the scoreboard fills identically at any thread
+    // count.  The training epochs are released before the final
+    // classifier's open, so one budget-sized source is alive at a time.
+    const Scoreboard board = [&] {
+      EpochRun training =
+          open_epoch_run(dataset, std::move(train_epochs),
+                         options.memory_budget_bytes, options.voxels_per_task);
+      return score_epoch_run(training, options.pipeline);
+    }();
+#if defined(__GLIBC__)
+    // glibc keeps freed heap below its trim threshold resident, and that
+    // threshold rises with every large buffer freed; hand the training
+    // run's buffers back before the all-epoch source opens (EXPERIMENTS.md).
+    if (options.memory_budget_bytes != 0) malloc_trim(0);
+#endif
     FoldResult fr;
     fr.left_out_subject = fold;
     fr.selected = board.top_voxels(options.top_k);
-    double acc_sum = 0.0;
-    for (const std::uint32_t v : fr.selected) acc_sum += board.accuracy_of(v);
-    fr.mean_selected_cv_accuracy =
-        fr.selected.empty()
-            ? 0.0
-            : acc_sum / static_cast<double>(fr.selected.size());
+    fr.mean_selected_cv_accuracy = board.mean_accuracy_of(fr.selected);
 
     // Final classifier: selected-voxel correlation patterns over *all*
     // epochs; train on the training subjects, test on the held-out one.
-    linalg::Matrix features =
-        streamed ? selected_correlation_features(*all_streamed, fr.selected)
-                 : selected_correlation_features(*all, fr.selected);
+    linalg::Matrix features = selected_correlation_features(
+        *open_epoch_run(dataset, options.memory_budget_bytes).epochs,
+        fr.selected);
     zscore_features_within_subject(features, all_meta);
     std::vector<std::size_t> train_idx;
     std::vector<std::size_t> test_idx;

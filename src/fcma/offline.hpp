@@ -23,12 +23,15 @@ namespace fcma::core {
 /// Options of the offline protocol.
 struct OfflineOptions {
   std::size_t top_k = 64;          ///< voxels selected per fold
-  std::size_t voxels_per_task = 0; ///< 0 = one task for all voxels
-  /// Peak-memory budget in bytes.  0 = resident: every fold's normalized
-  /// epochs are materialized up front.  Non-zero = streamed: panels are
-  /// rows are leased from the DatasetView through a budget-counted
-  /// StreamedEpochs and tasks are sized by plan_residency, so the run never
-  /// needs the full dataset in memory.  Results are bit-identical either way.
+  /// Voxels per task; 0 = one task for all voxels, or the budget plan's
+  /// grain.  A budget caps it at that grain.
+  std::size_t voxels_per_task = 0;
+  /// Peak-memory budget in bytes.  0 = resident: each fold's normalized
+  /// epochs are materialized.  Non-zero = streamed: rows are leased from the
+  /// DatasetView through a budget-counted StreamedEpochs, and plan-sized
+  /// tasks run one at a time with the pool inside each (open_epoch_run), so
+  /// the run never needs the full dataset in memory.  Results are
+  /// bit-identical either way.
   std::size_t memory_budget_bytes = 0;
   PipelineConfig pipeline;
 };
@@ -54,8 +57,10 @@ struct OfflineResult {
 
 /// Runs the full nested LOSO analysis.  The DatasetView form is primary:
 /// with a memory budget set, epoch rows stream through budget-counted row
-/// leases instead of being materialized per fold.  The Dataset overload wraps a
-/// borrowing InMemoryView.
+/// leases instead of being materialized per fold.  Each fold opens its
+/// training epochs for selection, releases them, then opens every epoch for
+/// the final classifier.  The Dataset overload wraps a borrowing
+/// InMemoryView.
 [[nodiscard]] OfflineResult run_offline_analysis(
     const fmri::DatasetView& dataset, const OfflineOptions& options);
 [[nodiscard]] OfflineResult run_offline_analysis(const fmri::Dataset& dataset,

@@ -22,7 +22,8 @@ namespace fcma::core {
 struct OnlineOptions {
   std::size_t top_k = 64;          ///< voxels selected for the classifier
   std::size_t k_folds = 4;         ///< CV folds over the subject's epochs
-  std::size_t voxels_per_task = 0; ///< 0 = one task for all voxels
+  /// Voxels per task; same semantics as OfflineOptions::voxels_per_task.
+  std::size_t voxels_per_task = 0;
   /// Peak-memory budget in bytes; 0 = resident.  Same semantics as
   /// OfflineOptions::memory_budget_bytes, scaled to one subject's epochs.
   std::size_t memory_budget_bytes = 0;
@@ -39,8 +40,8 @@ struct OnlineResult {
 };
 
 /// Runs online voxel selection + classifier construction for one subject.
-/// The DatasetView form is primary (panels stream under a budget when one
-/// is set); the Dataset overload wraps a borrowing InMemoryView.
+/// The DatasetView form is primary (rows stream under a budget when one is
+/// set); the Dataset overload wraps a borrowing InMemoryView.
 [[nodiscard]] OnlineResult run_online_selection(
     const fmri::DatasetView& dataset, std::int32_t subject,
     const OnlineOptions& options);

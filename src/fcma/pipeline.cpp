@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <numeric>
 
 #include "archsim/roofline.hpp"
 #include "common/aligned.hpp"
@@ -195,6 +196,50 @@ TaskResult run_task_grouped(const fmri::NormalizedEpochs& epochs,
                             std::size_t group_voxels) {
   ResidentEpochs source(epochs);
   return run_task_grouped(source, task, config, group_voxels);
+}
+
+EpochRun open_epoch_run(const fmri::DatasetView& view,
+                        std::vector<std::size_t> epoch_indices,
+                        std::size_t budget_bytes,
+                        std::size_t voxels_per_task) {
+  FCMA_CHECK(!epoch_indices.empty(), "a run needs epochs");
+  EpochRun run;
+  if (budget_bytes == 0) {
+    run.epochs = std::make_unique<ResidentEpochs>(
+        fmri::normalize_epochs(view, epoch_indices));
+    run.voxels_per_task = voxels_per_task != 0 ? voxels_per_task
+                                               : view.voxels();
+    return run;
+  }
+  // The widest lease a stage takes is every row of one subject run.
+  const std::vector<fmri::Epoch>& meta = view.epochs();
+  std::size_t longest_run = 0;
+  for (std::size_t i = 0, first = 0; i < epoch_indices.size(); ++i) {
+    FCMA_CHECK(epoch_indices[i] < meta.size(), "epoch index out of range");
+    if (meta[epoch_indices[i]].subject != meta[epoch_indices[first]].subject) {
+      first = i;
+    }
+    longest_run = std::max(longest_run, i - first + 1);
+  }
+  const BudgetPlan plan =
+      plan_residency(epoch_indices.size(), longest_run, view.voxels(),
+                     meta[epoch_indices.front()].length, budget_bytes);
+  run.epochs = std::make_unique<StreamedEpochs>(
+      view, std::move(epoch_indices),
+      StreamedEpochs::Options{plan.panel_cache_bytes});
+  run.voxels_per_task =
+      voxels_per_task != 0 ? std::min(voxels_per_task, plan.voxels_per_task)
+                           : plan.voxels_per_task;
+  run.group_voxels = plan.group_voxels;
+  return run;
+}
+
+EpochRun open_epoch_run(const fmri::DatasetView& view,
+                        std::size_t budget_bytes,
+                        std::size_t voxels_per_task) {
+  std::vector<std::size_t> all(view.epochs().size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return open_epoch_run(view, std::move(all), budget_bytes, voxels_per_task);
 }
 
 InstrumentedTaskResult run_task_instrumented(

@@ -9,7 +9,9 @@
 // that drive the Table 1/7 and Fig 9/10/11 reproductions.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "fcma/corr_norm.hpp"
 #include "fcma/svm_stage.hpp"
@@ -149,5 +151,37 @@ struct InstrumentedTaskResult {
 [[nodiscard]] std::vector<linalg::Matrix> grouped_kernels(
     EpochSource& epochs, const VoxelTask& task, const PipelineConfig& config,
     std::size_t group_voxels);
+
+/// The epochs one run reads and the size of its tasks: how every
+/// single-node protocol (analyze, offline, online) and `fcma cluster` runs
+/// with or without a memory budget.
+struct EpochRun {
+  std::unique_ptr<EpochSource> epochs;
+  /// Task grain (voxels per task).
+  std::size_t voxels_per_task = 0;
+  /// 0: score_epoch_run spreads the tasks over the pool (run_tasks).
+  /// Otherwise tasks run one at a time, the pool inside each, swept under
+  /// this in-flight cap (run_task_grouped).  A budget sets it to the plan's
+  /// group_voxels.
+  std::size_t group_voxels = 0;
+};
+
+/// Opens epochs `epoch_indices` of `view` (all of them in the second form)
+/// for one run and sizes its tasks.  Without a budget (budget_bytes 0) the
+/// epochs are normalized into an owning ResidentEpochs and tasks hold
+/// `voxels_per_task` voxels (0 = the whole brain).  With one, rows stream
+/// through a StreamedEpochs under plan_residency's row-lease budget
+/// (planned for these epochs, the longest subject run among them the
+/// widest lease), and the plan's grain caps the task size: a caller may ask
+/// for smaller tasks, never larger ones (0 = the plan's grain).  Throws
+/// fcma::Error on no epochs or an impossible budget.  The run must not
+/// outlive `view`.
+[[nodiscard]] EpochRun open_epoch_run(const fmri::DatasetView& view,
+                                      std::vector<std::size_t> epoch_indices,
+                                      std::size_t budget_bytes,
+                                      std::size_t voxels_per_task = 0);
+[[nodiscard]] EpochRun open_epoch_run(const fmri::DatasetView& view,
+                                      std::size_t budget_bytes,
+                                      std::size_t voxels_per_task = 0);
 
 }  // namespace fcma::core

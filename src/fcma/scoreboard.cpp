@@ -73,6 +73,14 @@ double Scoreboard::accuracy_of(std::uint32_t voxel) const {
   return scores_[voxel];
 }
 
+double Scoreboard::mean_accuracy_of(
+    std::span<const std::uint32_t> voxels) const {
+  if (voxels.empty()) return 0.0;
+  double sum = 0.0;
+  for (const std::uint32_t v : voxels) sum += accuracy_of(v);
+  return sum / static_cast<double>(voxels.size());
+}
+
 double Scoreboard::recovery_rate(
     const std::vector<std::uint32_t>& truth) const {
   if (truth.empty()) return 0.0;
@@ -82,6 +90,27 @@ double Scoreboard::recovery_rate(
   std::size_t hits = 0;
   for (const std::uint32_t v : top) hits += truth_set.count(v);
   return static_cast<double>(hits) / static_cast<double>(truth.size());
+}
+
+Scoreboard score_epoch_run(EpochRun& run, const PipelineConfig& config) {
+  Scoreboard board(run.epochs->voxels());
+  const std::vector<VoxelTask> tasks =
+      partition_voxels(run.epochs->voxels(), run.voxels_per_task);
+  if (run.group_voxels == 0) {
+    for (const TaskResult& tr : run_tasks(*run.epochs, tasks, config)) {
+      board.add(tr);
+    }
+    return board;
+  }
+  // One task at a time with the pool inside it, so a single
+  // group_voxels-capped correlation block is in flight: the accounting a
+  // budget plan assumes.  Each result is folded in as it completes:
+  // holding every task's result until the end fragments the heap and
+  // raises the peak RSS of a budgeted run (EXPERIMENTS.md).
+  for (const VoxelTask& task : tasks) {
+    board.add(run_task_grouped(*run.epochs, task, config, run.group_voxels));
+  }
+  return board;
 }
 
 }  // namespace fcma::core

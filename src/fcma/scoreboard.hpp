@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fcma/pipeline.hpp"
@@ -59,6 +60,12 @@ class Scoreboard {
   /// Accuracy of one voxel.
   [[nodiscard]] double accuracy_of(std::uint32_t voxel) const;
 
+  /// Mean accuracy of `voxels` (0 when empty), summed in the given order —
+  /// the selection summary of the offline and online protocols, over
+  /// top_voxels' ascending ids.
+  [[nodiscard]] double mean_accuracy_of(
+      std::span<const std::uint32_t> voxels) const;
+
   /// Fraction of `truth` present in the top-|truth| ranked voxels — the
   /// recovery metric used to validate planted synthetic structure.
   [[nodiscard]] double recovery_rate(
@@ -69,5 +76,12 @@ class Scoreboard {
   std::vector<bool> seen_;
   std::size_t scored_ = 0;
 };
+
+/// Scores every voxel of the run's brain in tasks of run.voxels_per_task,
+/// adding each task's result as it completes (run.group_voxels says how
+/// the tasks share the pool).  Bit-identical for any task grain, group size
+/// and pool.
+[[nodiscard]] Scoreboard score_epoch_run(EpochRun& run,
+                                         const PipelineConfig& config);
 
 }  // namespace fcma::core

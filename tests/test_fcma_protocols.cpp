@@ -3,8 +3,16 @@
 // held-out subjects.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
+#include <system_error>
 
+#include "common/timeline.hpp"
+#include "common/trace.hpp"
+#include "fcma/memory_model.hpp"
 #include "fcma/offline.hpp"
 #include "fcma/online.hpp"
 #include "fcma/scoreboard.hpp"
@@ -23,6 +31,30 @@ fmri::Dataset protocol_dataset() {
   spec.epochs_total = 48;  // 12 per subject
   return fmri::generate_synthetic(spec);
 }
+
+// Runs `fn` with a trace stream armed and returns the pipeline tasks it ran
+// (the `pipeline/tasks` counter).
+template <typename Fn>
+std::int64_t count_tasks(const std::string& name, Fn&& fn) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  trace::set_stream_dir(dir);
+  trace::set_enabled(true);
+  fn();
+  const std::int64_t tasks = trace::global().counter("pipeline/tasks");
+  trace::set_enabled(false);
+  trace::Timeline::global().finalize_stream();
+  trace::set_stream_dir("");
+  trace::global().reset();
+  trace::Timeline::global().reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return tasks;
+}
+
+std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 TEST(Scoreboard, TracksCompletion) {
   Scoreboard board(10);
@@ -82,6 +114,58 @@ TEST(Scoreboard, RecoveryRateCountsOverlap) {
   board.add(r);
   // top-3 = {0, 1, 4}; truth {0, 4, 5} -> 2/3 recovered.
   EXPECT_NEAR(board.recovery_rate({0, 4, 5}), 2.0 / 3.0, 1e-12);
+}
+
+TEST(Scoreboard, MeanAccuracyOfSumsInGivenOrder) {
+  Scoreboard board(4);
+  TaskResult r;
+  r.task = VoxelTask{0, 4};
+  r.accuracy = {0.1, 0.2, 0.7, 0.3};
+  board.add(r);
+  const std::vector<std::uint32_t> picked{0, 1, 3};
+  EXPECT_EQ(board.mean_accuracy_of(picked), (0.1 + 0.2 + 0.3) / 3.0);
+  EXPECT_EQ(board.mean_accuracy_of({}), 0.0);
+  EXPECT_THROW((void)board.mean_accuracy_of(std::vector<std::uint32_t>{4}),
+               Error);
+}
+
+// ---------------------------------------------------------------------------
+// open_epoch_run: one way to open a run's epochs and size its tasks
+// ---------------------------------------------------------------------------
+
+TEST(EpochRun, ResidentRunsTakeTheRequestedGrain) {
+  const fmri::Dataset d = protocol_dataset();
+  const fmri::InMemoryView view(d);
+  const EpochRun whole = open_epoch_run(view, 0);
+  EXPECT_NE(dynamic_cast<ResidentEpochs*>(whole.epochs.get()), nullptr);
+  EXPECT_EQ(whole.epochs->meta().size(), d.epochs().size());
+  EXPECT_EQ(whole.voxels_per_task, d.voxels());
+  EXPECT_EQ(whole.group_voxels, 0u);
+  const EpochRun split = open_epoch_run(view, view.epochs_of_subject(1), 0, 17);
+  EXPECT_EQ(split.voxels_per_task, 17u);
+  EXPECT_EQ(split.epochs->meta().size(), d.epochs_per_subject());
+  EXPECT_EQ(split.epochs->meta().front().subject, 1);
+}
+
+TEST(EpochRun, BudgetCapsTheTaskGrainAtThePlan) {
+  const fmri::Dataset d = protocol_dataset();
+  const fmri::InMemoryView view(d);
+  const std::size_t budget = 256u << 10;
+  const BudgetPlan plan = plan_residency(d.epochs().size(),
+                                         d.epochs_per_subject(), d.voxels(),
+                                         d.epochs().front().length, budget);
+  ASSERT_GT(plan.voxels_per_task, 1u);
+  const EpochRun planned = open_epoch_run(view, budget);
+  EXPECT_NE(dynamic_cast<StreamedEpochs*>(planned.epochs.get()), nullptr);
+  EXPECT_EQ(planned.voxels_per_task, plan.voxels_per_task);
+  EXPECT_EQ(planned.group_voxels, plan.group_voxels);
+  // Larger requests are capped; smaller ones are kept.
+  EXPECT_EQ(open_epoch_run(view, budget, d.voxels()).voxels_per_task,
+            plan.voxels_per_task);
+  EXPECT_EQ(open_epoch_run(view, budget, 1).voxels_per_task, 1u);
+  EXPECT_THROW((void)open_epoch_run(view, 1u << 10), Error);
+  EXPECT_THROW((void)open_epoch_run(view, std::vector<std::size_t>{}, budget),
+               Error);
 }
 
 TEST(KfoldGroups, InterleavesSamples) {
@@ -182,6 +266,42 @@ TEST(Offline, PooledTasksBitIdenticalToSerial) {
   }
 }
 
+TEST(Offline, BudgetedRunMatchesResidentInPlanSizedTasks) {
+  // Under a budget, tasks are capped at the plan's grain even when a larger
+  // one is asked for, run one at a time with the pool inside each, and the
+  // result is the resident run's bit for bit.
+  const fmri::Dataset d = protocol_dataset();
+  OfflineOptions resident;
+  resident.top_k = 8;
+  resident.voxels_per_task = 64;
+  OfflineOptions budgeted = resident;
+  budgeted.memory_budget_bytes = 256u << 10;
+  threading::ThreadPool pool(2);
+  budgeted.pipeline.pool = &pool;
+  const OfflineResult want = run_offline_analysis(d, resident);
+  OfflineResult got;
+  const std::int64_t tasks = count_tasks("fcma_offline_budget", [&] {
+    got = run_offline_analysis(d, budgeted);
+  });
+
+  // Each fold plans for its training epochs: every subject but one.
+  const std::size_t folds = static_cast<std::size_t>(d.subjects());
+  const BudgetPlan plan = plan_residency(
+      d.epochs().size() - d.epochs_per_subject(), d.epochs_per_subject(),
+      d.voxels(), d.epochs().front().length, budgeted.memory_budget_bytes);
+  ASSERT_LT(plan.voxels_per_task, budgeted.voxels_per_task);
+  EXPECT_EQ(static_cast<std::size_t>(tasks),
+            folds * ceil_div(d.voxels(), plan.voxels_per_task));
+  ASSERT_EQ(got.folds.size(), want.folds.size());
+  for (std::size_t f = 0; f < want.folds.size(); ++f) {
+    EXPECT_EQ(got.folds[f].left_out_subject, want.folds[f].left_out_subject);
+    EXPECT_EQ(got.folds[f].selected, want.folds[f].selected);
+    EXPECT_EQ(got.folds[f].mean_selected_cv_accuracy,
+              want.folds[f].mean_selected_cv_accuracy);
+    EXPECT_EQ(got.folds[f].test_accuracy, want.folds[f].test_accuracy);
+  }
+}
+
 TEST(SelectedFeatures, UpperTriangleDimensions) {
   const fmri::Dataset d = protocol_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
@@ -227,6 +347,36 @@ TEST(Online, SelectsInformativeVoxelsForOneSubject) {
   EXPECT_GT(static_cast<double>(hits) / 16.0, 0.6);
   EXPECT_GT(r.mean_selected_cv_accuracy, 0.7);
   EXPECT_GT(r.classifier_cv_accuracy, 0.6);
+}
+
+TEST(Online, BudgetedRunMatchesResidentInPlanSizedTasks) {
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.subjects = 2;
+  spec.epochs_total = 96;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  OnlineOptions resident;
+  resident.top_k = 8;
+  resident.voxels_per_task = 64;
+  OnlineOptions budgeted = resident;
+  budgeted.memory_budget_bytes = 512u << 10;
+  threading::ThreadPool pool(2);
+  budgeted.pipeline.pool = &pool;
+  const OnlineResult want = run_online_selection(d, 1, resident);
+  OnlineResult got;
+  const std::int64_t tasks = count_tasks("fcma_online_budget", [&] {
+    got = run_online_selection(d, 1, budgeted);
+  });
+
+  // The plan sees one subject's epochs.
+  const BudgetPlan plan = plan_residency(
+      d.epochs_per_subject(), d.epochs_per_subject(), d.voxels(),
+      d.epochs().front().length, budgeted.memory_budget_bytes);
+  ASSERT_LT(plan.voxels_per_task, budgeted.voxels_per_task);
+  EXPECT_EQ(static_cast<std::size_t>(tasks),
+            ceil_div(d.voxels(), plan.voxels_per_task));
+  EXPECT_EQ(got.selected, want.selected);
+  EXPECT_EQ(got.mean_selected_cv_accuracy, want.mean_selected_cv_accuracy);
+  EXPECT_EQ(got.classifier_cv_accuracy, want.classifier_cv_accuracy);
 }
 
 TEST(Online, RejectsBadSubject) {

@@ -91,8 +91,9 @@ cp "$BENCH_DIR/bench_cluster_smoke.metrics.json" \
   "$WORK/cluster_failover_metrics.json"
 
 # Out-of-core proof: streamed analysis of a shard store larger than the
-# memory budget must stay under budget (VmHWM, asserted inside the bench)
-# and match the resident run bit-for-bit; the sidecar records the cost.
+# memory budget, and a streamed offline study, must each stay under budget
+# (VmHWM, asserted inside the bench) and match the resident run
+# bit-for-bit; the sidecar records the cost.
 run_bench oocore "$BENCH_DIR/bench_oocore" --task 64
 cp "$BENCH_DIR/bench_oocore.metrics.json" "$WORK/oocore_metrics.json"
 
@@ -218,8 +219,17 @@ OOC_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/reports_identical")
 OOC_TASK_LOADS=$(cluster_num "$OOCORE_METRICS" "oocore\\/task_shard_loads")
 OOC_TASK_BLOCKS=$(cluster_num "$OOCORE_METRICS" "oocore\\/task_blocks")
 OOC_SUBJECTS=$(cluster_num "$OOCORE_METRICS" "oocore\\/subjects")
+OOC_OFF_BUDGET_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/offline_budget_mb")
+OOC_OFF_RSS_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/offline_peak_rss_mb")
+OOC_OFF_WITHIN=$(cluster_num "$OOCORE_METRICS" \
+  "oocore\\/offline_within_budget")
+OOC_OFF_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/offline_identical")
 test "$OOC_WITHIN" = "1"
 test "$OOC_IDENTICAL" = "1"
+# The streamed offline protocol (plan-sized tasks, one at a time) must stay
+# under its own budget and match its resident run.
+test "$OOC_OFF_WITHIN" = "1"
+test "$OOC_OFF_IDENTICAL" = "1"
 # The column sweep maps each subject's shard once per block and once for
 # the task's own rows: no streamed task may make more shard loads than
 # subjects x (blocks + 1).
@@ -301,7 +311,11 @@ cat > "$OUT" <<EOF
       "reports_identical": $OOC_IDENTICAL,
       "task_shard_loads": $OOC_TASK_LOADS,
       "task_blocks": $OOC_TASK_BLOCKS,
-      "subjects": $OOC_SUBJECTS
+      "subjects": $OOC_SUBJECTS,
+      "offline_budget_mb": $OOC_OFF_BUDGET_MB,
+      "offline_peak_rss_mb": $OOC_OFF_RSS_MB,
+      "offline_within_budget": $OOC_OFF_WITHIN,
+      "offline_identical": $OOC_OFF_IDENTICAL
     },
     "tracing_overhead": {
       "baseline_wall_s": $OVH_OFF_S,

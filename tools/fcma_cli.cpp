@@ -31,7 +31,6 @@
 #include "common/tlstream.hpp"
 #include "common/trace.hpp"
 #include "memsim/instrument.hpp"
-#include "fcma/memory_model.hpp"
 #include "fcma/offline.hpp"
 #include "fcma/pipeline.hpp"
 #include "fcma/report.hpp"
@@ -119,8 +118,8 @@ void finish_tracing(const std::string& dir) {
 void add_budget_flag(Cli& cli) {
   cli.add_flag("memory-budget", "",
                "peak-memory budget, e.g. 512M or 2G (bytes; K/M/G "
-               "suffixes).  Streams epoch panels through a bounded cache "
-               "and sizes tasks to fit, instead of materializing the whole "
+               "suffixes).  Leases epoch rows from the data as needed and "
+               "sizes tasks to fit, instead of materializing the whole "
                "normalized dataset; reports stay byte-identical");
 }
 
@@ -152,13 +151,6 @@ std::size_t threads_flag(const Cli& cli) {
   const long long threads = cli.get_int("threads");
   FCMA_CHECK(threads >= 0, "--threads must not be negative");
   return static_cast<std::size_t>(threads);
-}
-
-core::BudgetPlan budget_plan_for(const fmri::DatasetView& view,
-                                 std::size_t budget_bytes) {
-  return core::plan_residency(
-      view.epochs().size(), view.epochs_per_subject(), view.voxels(),
-      static_cast<std::size_t>(view.epochs().front().length), budget_bytes);
 }
 
 int cmd_generate(int argc, const char* const* argv) {
@@ -345,33 +337,21 @@ int cmd_analyze(int argc, const char* const* argv) {
     config.pool = &*pool;
   }
   WallTimer timer;
-  core::Scoreboard board(view->voxels());
-  std::optional<fmri::NormalizedEpochs> epochs;  // resident path only
-  if (budget > 0) {
-    // Out-of-core run: rows stream through budget-counted leases, the
-    // task grain caps kernel accumulation, and the group size caps the
-    // in-flight correlation block — peak residency follows the plan, not
-    // the dataset size.  Per-voxel results are independent of the task
-    // partition, so the report is byte-identical to the resident run.
-    const core::BudgetPlan plan = budget_plan_for(*view, budget);
-    core::StreamedEpochs source(
-        *view, core::StreamedEpochs::Options{plan.panel_cache_bytes});
-    for (const core::VoxelTask& task :
-         core::partition_voxels(view->voxels(), plan.voxels_per_task)) {
-      board.add(core::run_task_grouped(source, task, config,
-                                       plan.group_voxels));
-    }
-  } else {
-    epochs = fmri::normalize_epochs(*view);
-    board.add(core::run_task_grouped(
-        *epochs,
-        core::VoxelTask{0, static_cast<std::uint32_t>(view->voxels())},
-        config, static_cast<std::size_t>(grouped)));
+  // Under a budget, rows stream through budget-counted leases and plan-sized
+  // tasks run one at a time; resident, the whole brain is one task swept
+  // under --grouped.  Per-voxel results are independent of the task
+  // partition, so the report is byte-identical either way.
+  core::EpochRun run = core::open_epoch_run(*view, budget);
+  if (run.group_voxels == 0) {
+    run.group_voxels = static_cast<std::size_t>(grouped);
   }
+  const core::Scoreboard board = core::score_epoch_run(run, config);
   std::printf("scored %zu voxels in %.1f s\n", view->voxels(),
               timer.seconds());
 
-  if (!trace_dir.empty() && epochs.has_value()) {
+  const auto* resident =
+      dynamic_cast<const core::ResidentEpochs*>(run.epochs.get());
+  if (!trace_dir.empty() && resident != nullptr) {
     // Roofline calibration: a small serial instrumented run whose memsim
     // event counts attach modeled-time / arithmetic-intensity / %-roofline
     // attribution to the gemm/syrk/svm span labels in the exported trace.
@@ -383,7 +363,7 @@ int cmd_analyze(int argc, const char* const* argv) {
     const auto calib_voxels = static_cast<std::uint32_t>(
         std::min<std::size_t>(8, view->voxels()));
     (void)core::run_task_instrumented(
-        *epochs, core::VoxelTask{0, calib_voxels}, calib, ins);
+        resident->epochs(), core::VoxelTask{0, calib_voxels}, calib, ins);
   }
 
   const auto selected = core::significant_voxels(
@@ -484,28 +464,15 @@ int cmd_cluster(int argc, const char* const* argv) {
 
   WallTimer timer;
   cluster::DriverStats stats;
-  std::optional<fmri::NormalizedEpochs> epochs;
-  std::optional<core::ResidentEpochs> resident;
-  std::optional<core::StreamedEpochs> streamed;
-  core::EpochSource* source = nullptr;
-  if (budget > 0) {
-    const core::BudgetPlan plan = budget_plan_for(*view, budget);
-    if (opts.voxels_per_task == 0) {
-      // Every worker rank holds one task's correlation buffer at a time,
-      // so the plan's correlation allowance is split across the ranks.
-      opts.voxels_per_task =
-          std::max<std::size_t>(1, plan.group_voxels / opts.workers);
-    }
-    streamed.emplace(
-        *view, core::StreamedEpochs::Options{plan.panel_cache_bytes});
-    source = &*streamed;
-  } else {
-    epochs = fmri::normalize_epochs(*view);
-    resident.emplace(*epochs);
-    source = &*resident;
+  const core::EpochRun run = core::open_epoch_run(*view, budget);
+  if (run.group_voxels != 0 && opts.voxels_per_task == 0) {
+    // Every worker rank holds one task's correlation buffer at a time,
+    // so the plan's correlation allowance is split across the ranks.
+    opts.voxels_per_task =
+        std::max<std::size_t>(1, run.group_voxels / opts.workers);
   }
   const core::Scoreboard board =
-      cluster::run_cluster_analysis(*source, view->voxels(), opts, &stats);
+      cluster::run_cluster_analysis(*run.epochs, view->voxels(), opts, &stats);
   std::printf("scored %zu voxels on %zu workers in %.1f s "
               "(%zu tasks in %zu batches, %zu work requests)\n",
               view->voxels(), opts.workers, timer.seconds(),
@@ -552,7 +519,8 @@ int cmd_offline(int argc, const char* const* argv) {
                "worker threads for the task/stage parallelism (0 = hardware "
                "concurrency)");
   cli.add_flag("voxels-per-task", "64",
-               "voxels per pipeline task (0 = the whole brain in one task)");
+               "voxels per pipeline task (0 = the whole brain in one task, "
+               "or the budget plan's grain; a budget caps it at that grain)");
   cli.add_flag("sched", "steal",
                "task scheduler: steal (work-stealing pool) or serial");
   add_trace_flag(cli);
