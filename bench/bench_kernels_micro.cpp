@@ -60,6 +60,28 @@ void BM_Syrk_Optimized(benchmark::State& state) {
 }
 BENCHMARK(BM_Syrk_Optimized)->Arg(204)->Arg(540);
 
+// The sweep's kernel update at the benchmark workloads' shapes: M = 216
+// rows over one 3072-column block (face-scene; the block's row stride is
+// its width) and M = 64 over N = 1024 (the closed loop).  Items are
+// multiply-adds of the full M x M product.
+void BM_SyrkAccumulate(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const linalg::Matrix a = random_matrix(m, n, 5);
+  linalg::Matrix c(m, m);
+  c.fill(0.0f);
+  for (auto _ : state) {
+    linalg::opt::syrk_accumulate(a.view(), c.view(), /*mirror=*/false);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * m * n);
+}
+BENCHMARK(BM_SyrkAccumulate)
+    ->Args({216, 3072})
+    ->Args({64, 1024})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Syrk_Baseline(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const linalg::Matrix a = random_matrix(m, 8192, 3);

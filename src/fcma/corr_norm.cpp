@@ -118,8 +118,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     return;
   }
 
-  const auto rows =
-      epochs.acquire_rows(0, m_total, task.first, task.first + task.count);
+  const auto rows = epochs.acquire_rows(0, m_total, task.first,
+                                        task.first + task.count, pool);
   correlate_normalize_block(epochs, rows, task, 0, out.cols, out, pool);
 }
 
@@ -136,7 +136,8 @@ void correlate_normalize_block(EpochSource& epochs,
   // subject's E epoch rows for each voxel and normalize them immediately,
   // while the freshly-written panel is still cache resident.  The fused
   // sweep needs one subject run's rows [n0, n1) at a time — that run is the
-  // streaming granularity, and its lease is the only one held.  Within a
+  // streaming granularity, and its lease is the only one held (a streamed
+  // source normalizes the lease's epochs across the pool).  Within a
   // run the column panels are independent: each packs its own B^T slice
   // into a buffer of its own and writes only its own columns, so they
   // spread across the pool when one is given.
@@ -157,7 +158,7 @@ void correlate_normalize_block(EpochSource& epochs,
   std::vector<double> busy_s(tracing ? panels : 0, 0.0);
   std::vector<double> norm_s(tracing ? panels : 0, 0.0);
   for (const SubjectRun& run : runs) {
-    const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1);
+    const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1, pool);
     const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
     const std::size_t e_count = run.last - run.first;
     threading::for_each_index(pool, 0, panels, [&](std::size_t p) {

@@ -67,8 +67,9 @@ void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
 /// voxels [n0, n1).  Every column is computed and normalized on its own,
 /// within 512-column gemm panels counted from n0, so a block starting on a
 /// panel edge reproduces the whole-brain columns bit for bit.  With a
-/// `pool`, each subject run's panels spread across it; the result is
-/// bit-identical to the pool-less call.
+/// `pool`, each subject run's lease fills across it (acquire_rows' pool)
+/// and its panels spread across it; the result is bit-identical to the
+/// pool-less call.
 void correlate_normalize_block(EpochSource& epochs,
                                const EpochSource::RowLease& task_lease,
                                const VoxelTask& task, std::size_t n0,

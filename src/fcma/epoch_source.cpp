@@ -10,7 +10,8 @@ namespace fcma::core {
 EpochSource::RowLease EpochSource::acquire_rows(std::size_t first,
                                                 std::size_t last,
                                                 std::size_t r0,
-                                                std::size_t r1) {
+                                                std::size_t r1,
+                                                threading::ThreadPool*) {
   FCMA_CHECK(r0 <= r1 && r1 <= voxels(), "voxel row range out of bounds");
   auto whole = std::make_shared<RowLease>(acquire(first, last));
   RowLease lease;
@@ -119,10 +120,9 @@ EpochSource::RowLease StreamedEpochs::acquire(std::size_t first,
   return acquire_rows(first, last, 0, voxels_);
 }
 
-EpochSource::RowLease StreamedEpochs::acquire_rows(std::size_t first,
-                                                   std::size_t last,
-                                                   std::size_t r0,
-                                                   std::size_t r1) {
+EpochSource::RowLease StreamedEpochs::acquire_rows(
+    std::size_t first, std::size_t last, std::size_t r0, std::size_t r1,
+    threading::ThreadPool* pool) {
   FCMA_CHECK(first <= last && last <= meta_.size(),
              "epoch range out of bounds");
   FCMA_CHECK(r0 <= r1 && r1 <= voxels_, "voxel row range out of bounds");
@@ -135,17 +135,31 @@ EpochSource::RowLease StreamedEpochs::acquire_rows(std::size_t first,
   RowLease lease;
   lease.first_ = first;
   lease.rows_.reserve(last - first);
+  std::vector<linalg::MatrixView> slices;
+  slices.reserve(last - first);
   float* dst = buffer->data.data();
-  // Each panel is fetched while `held` still pins the previous one, so a
-  // backing shard stays mapped across its subject's epochs.
-  fmri::DatasetView::Panel held;
   for (std::size_t m = first; m < last; ++m) {
     const std::size_t length = meta_[m].length;
-    held = view_->epoch_panel(indices_[m]);
-    fmri::normalize_epoch_panel(
-        held, linalg::MatrixView{dst, rows, length, length}, r0);
-    lease.rows_.push_back(linalg::ConstMatrixView{dst, rows, length, length});
+    slices.push_back(linalg::MatrixView{dst, rows, length, length});
+    lease.rows_.push_back(slices.back());
     dst += rows * length;
+  }
+  // One subject's consecutive epochs at a time: their panels are fetched
+  // in order on this thread, so the subject's shard is mapped once, then
+  // normalized across the pool and released before the next subject's
+  // shard is mapped.
+  std::vector<fmri::DatasetView::Panel> panels;
+  for (std::size_t s0 = first; s0 < last;) {
+    std::size_t s1 = s0 + 1;
+    while (s1 < last && meta_[s1].subject == meta_[s0].subject) ++s1;
+    for (std::size_t m = s0; m < s1; ++m) {
+      panels.push_back(view_->epoch_panel(indices_[m]));
+    }
+    threading::for_each_index(pool, 0, s1 - s0, [&](std::size_t e) {
+      fmri::normalize_epoch_panel(panels[e], slices[s0 - first + e], r0);
+    });
+    panels.clear();
+    s0 = s1;
   }
   lease.pin_ = std::move(buffer);
   return lease;

@@ -23,7 +23,9 @@
 //   * StreamedEpochs — loads from any fmri::DatasetView (in-memory or
 //     mmap'd shard store) and normalizes with the shared
 //     normalize_epoch_panel kernel.  A lease loads only its rows into a
-//     buffer of its own, mapping each subject's shard once for the lease.
+//     buffer of its own, mapping each subject's shard once for the lease
+//     and normalizing its epochs across the caller's pool, if it passes
+//     one.
 //     Row buffers count against a byte budget: a released one is kept as a
 //     spare for the next lease while it fits.
 //
@@ -92,11 +94,13 @@ class EpochSource {
                                          std::size_t last) = 0;
 
   /// Pins voxel rows [r0, r1) of the normalized panels of [first, last).
-  /// The default narrows acquire(); backends may load only the rows.
-  /// Throws fcma::Error when a range is out of bounds.  Thread-safe.
-  [[nodiscard]] virtual RowLease acquire_rows(std::size_t first,
-                                              std::size_t last,
-                                              std::size_t r0, std::size_t r1);
+  /// The default narrows acquire(); backends may load only the rows.  A
+  /// backend that fills the rows may spread the fill across `pool` (null:
+  /// the calling thread); the rows' bits do not depend on it.  Throws
+  /// fcma::Error when a range is out of bounds.  Thread-safe.
+  [[nodiscard]] virtual RowLease acquire_rows(
+      std::size_t first, std::size_t last, std::size_t r0, std::size_t r1,
+      threading::ThreadPool* pool = nullptr);
 
   /// No-op kept for bench_fcma's TracedEpochs; ROADMAP item 1 deletes it.
   virtual void prefetch(std::size_t first, std::size_t last) {
@@ -156,10 +160,13 @@ class StreamedEpochs final : public EpochSource {
   /// acquire_rows(first, last, 0, voxels()).
   [[nodiscard]] RowLease acquire(std::size_t first, std::size_t last) override;
   /// Loads only rows [r0, r1) of each epoch, holding one mapping of each
-  /// subject's shard for the whole range.
-  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
-                                      std::size_t r0,
-                                      std::size_t r1) override;
+  /// subject's shard for the whole range.  The panels are mapped in order
+  /// on the calling thread, so each shard is loaded once per lease; the
+  /// eq. 2 normalization of the lease's epochs then runs across `pool`,
+  /// each epoch into its own slice of the lease's buffer.
+  [[nodiscard]] RowLease acquire_rows(
+      std::size_t first, std::size_t last, std::size_t r0, std::size_t r1,
+      threading::ThreadPool* pool = nullptr) override;
 
   /// Bytes of every row buffer held, leased or spare, for tests and the
   /// oocore bench.  It stays within the budget unless leased rows alone

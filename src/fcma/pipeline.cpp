@@ -126,7 +126,8 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
         static_cast<std::uint32_t>(std::min(shape.group, task.count - g0))};
     EpochSource::RowLease rows;
     if (sweep) {
-      rows = epochs.acquire_rows(0, m, group.first, group.first + group.count);
+      rows = epochs.acquire_rows(0, m, group.first, group.first + group.count,
+                                 config.pool);
     }
     for (std::size_t n0 = 0; n0 < n; n0 += shape.block) {
       const std::size_t n1 = std::min(n, n0 + shape.block);

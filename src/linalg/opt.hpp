@@ -12,10 +12,11 @@
 //
 //   syrk     — SVM kernel precomputation: C[M,M] = A[M,N] * A^T with
 //              M ~ 200-550, N ~ 35k.  Following the paper's Fig 7, the
-//              kernel walks the long dimension in panels of 96 columns,
-//              copies each panel into a local buffer, transposes it, and
-//              runs a fixed (rows x lanes x 96) register-blocked
-//              micro-kernel that accumulates into C in panel order.
+//              kernel walks the long dimension in panels of 96 columns.
+//              It reads each panel of A in place, packs only its
+//              transpose (register transposes, in the simd layer), and
+//              runs a fixed 8-row x 2-vector register-blocked micro-kernel
+//              that accumulates into C in panel order.
 //
 // Both kernels are serial.  The pipeline parallelizes around them — column
 // panels of the correlation stage, one syrk per voxel — so a result never
@@ -43,8 +44,10 @@ inline constexpr int kGemmUnroll = 4;
 /// the tall operand per block, an integral multiple of the VPU width).
 inline constexpr std::size_t kSyrkPanelK = 96;
 
-/// Micro-tile height (rows of C updated at once) in the syrk micro-kernel
-/// (paper: the auto-generated 16x9x96 routine; 16 lanes x 9 rows).
+/// Micro-tile height of the paper's KNC syrk micro-kernel (the
+/// auto-generated 16x9x96 routine; 16 lanes x 9 rows), which
+/// syrk_instrumented narrates for Tables 5-7.  The host kernel's tile is
+/// its own (simd.cpp).
 inline constexpr std::size_t kSyrkMicroRows = 9;
 
 /// Fixed numeric substep of the syrk accumulation: the micro-kernel flushes

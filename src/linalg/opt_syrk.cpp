@@ -10,33 +10,6 @@ namespace fcma::linalg::opt {
 
 namespace {
 
-// Packs A's columns [k0, k1) for all M rows into a_local[M][kb], then its
-// transpose at_local[kb][M] (paper Fig 7: blocks of A_local are transposed
-// into A^T_local before the micro-kernel runs).
-void pack_panel(ConstMatrixView a, std::size_t k0, std::size_t k1,
-                float* FCMA_RESTRICT a_local, float* FCMA_RESTRICT at_local) {
-  const std::size_t m = a.rows;
-  const std::size_t kb = k1 - k0;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::memcpy(a_local + i * kb, a.row(i) + k0, kb * sizeof(float));
-  }
-  for (std::size_t k = 0; k < kb; ++k) {
-    for (std::size_t i = 0; i < m; ++i) {
-      at_local[k * m + i] = a_local[i * kb + k];
-    }
-  }
-}
-
-// Accumulates the contribution of panel [k0, k1) into c (ldc-strided, full
-// lower triangle in micro-tile granularity).  The tile sweep and its
-// register-blocked micro-kernel live in the runtime-dispatched simd layer.
-void panel_contribution(ConstMatrixView a, std::size_t k0, std::size_t k1,
-                        float* a_local, float* at_local, float* c,
-                        std::size_t ldc) {
-  pack_panel(a, k0, k1, a_local, at_local);
-  simd::kernels().syrk_panel(a_local, at_local, a.rows, k1 - k0, c, ldc);
-}
-
 // Mirrors the computed lower triangle into the upper one.
 void mirror_upper(MatrixView c) {
   for (std::size_t i = 0; i < c.rows; ++i) {
@@ -59,12 +32,11 @@ void syrk_accumulate(ConstMatrixView a, MatrixView c, bool mirror) {
   const trace::Span span("syrk");
   const std::size_t m = a.rows;
   const std::size_t n = a.cols;
-  AlignedBuffer<float> a_local(m * kSyrkPanelK);
+  const simd::KernelTable& kernels = simd::kernels();
   AlignedBuffer<float> at_local(kSyrkPanelK * m);
   for (std::size_t k0 = 0; k0 < n; k0 += kSyrkPanelK) {
-    const std::size_t k1 = std::min(n, k0 + kSyrkPanelK);
-    panel_contribution(a, k0, k1, a_local.data(), at_local.data(), c.data,
-                       c.ld);
+    kernels.syrk_panel(a.data + k0, a.ld, at_local.data(), m,
+                       std::min(n - k0, kSyrkPanelK), c.data, c.ld);
   }
   if (mirror) mirror_upper(c);
 }
@@ -77,8 +49,12 @@ void syrk_instrumented(ConstMatrixView a, MatrixView c,
   for (std::size_t i = 0; i < m; ++i) {
     std::memset(c.row(i), 0, m * sizeof(float));
   }
-  AlignedBuffer<float> a_local(m * kSyrkPanelK);
-  AlignedBuffer<float> at_local(kSyrkPanelK * m);
+  // The modelled kernel is the paper's KNC one (Fig 7): it copies each
+  // panel into A_local and transposes that into A^T_local.  The simulator
+  // needs only the two buffers' addresses; the scalar recomputation reads
+  // A in place, which holds the same values.
+  AlignedBuffer<float> a_copy(m * kSyrkPanelK);
+  AlignedBuffer<float> at_copy(kSyrkPanelK * m);
   for (std::size_t k0 = 0; k0 < n; k0 += kSyrkPanelK) {
     const std::size_t k1 = std::min(n, k0 + kSyrkPanelK);
     const std::size_t kb = k1 - k0;
@@ -86,29 +62,23 @@ void syrk_instrumented(ConstMatrixView a, MatrixView c,
     // transpose (16x16 vector loads/stores, as the generated KNC kernels
     // do) into A^T_local.
     for (std::size_t i = 0; i < m; ++i) {
-      std::memcpy(a_local.data() + i * kb, a.row(i) + k0, kb * sizeof(float));
       for (std::size_t k = 0; k < kb; k += model_lanes) {
         const auto lanes = static_cast<unsigned>(
             std::min<std::size_t>(model_lanes, kb - k));
         ins.load(a.row(i) + k0 + k, lanes);
-        ins.store(a_local.data() + i * kb + k, lanes);
-      }
-    }
-    for (std::size_t k = 0; k < kb; ++k) {
-      for (std::size_t i = 0; i < m; ++i) {
-        at_local[k * m + i] = a_local[i * kb + k];
+        ins.store(a_copy.data() + i * kb + k, lanes);
       }
     }
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t k = 0; k < kb; k += model_lanes) {
-        ins.load(&a_local[i * kb + k],
+        ins.load(&a_copy[i * kb + k],
                  static_cast<unsigned>(
                      std::min<std::size_t>(model_lanes, kb - k)));
       }
     }
     for (std::size_t k = 0; k < kb; ++k) {
       for (std::size_t i = 0; i < m; i += model_lanes) {
-        ins.store(&at_local[k * m + i],
+        ins.store(&at_copy[k * m + i],
                   static_cast<unsigned>(
                       std::min<std::size_t>(model_lanes, m - i)));
       }
@@ -120,20 +90,20 @@ void syrk_instrumented(ConstMatrixView a, MatrixView c,
         const auto cols = static_cast<unsigned>(
             std::min<std::size_t>(model_lanes, m - j0));
         for (std::size_t k = 0; k < kb; ++k) {
-          ins.load(&at_local[k * m + j0], cols);  // one panel vector load
+          ins.load(&at_copy[k * m + j0], cols);  // one panel vector load
           for (std::size_t r = 0; r < rows; ++r) {
-            ins.load_broadcast(&a_local[(i0 + r) * kb + k], model_lanes);
+            ins.load_broadcast(&a_copy[(i0 + r) * kb + k], model_lanes);
             ins.arith(cols, 1, 2ull * cols);
           }
         }
         // Scalar recomputation + accumulate into C.
         for (std::size_t r = 0; r < rows; ++r) {
+          const float* arow = a.row(i0 + r) + k0;
           float* crow = c.row(i0 + r) + j0;
           for (unsigned wv = 0; wv < cols; ++wv) {
+            const float* brow = a.row(j0 + wv) + k0;
             float acc = 0.0f;
-            for (std::size_t k = 0; k < kb; ++k) {
-              acc += a_local[(i0 + r) * kb + k] * at_local[k * m + j0 + wv];
-            }
+            for (std::size_t k = 0; k < kb; ++k) acc += arow[k] * brow[k];
             crow[wv] += acc;
           }
           ins.load(crow, cols);

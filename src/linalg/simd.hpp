@@ -91,12 +91,16 @@ struct KernelTable {
   void (*gemm_row_panel)(const float* a, std::size_t k, const float* bt,
                          std::size_t width, float* c);
 
-  /// syrk packed-panel sweep: accumulates A_panel * A_panel^T into the
-  /// lower-triangle micro-tiles of c (ldc-strided, m x m).  a_local is the
-  /// m x kb row-major packed panel, at_local its kb x m transpose
-  /// (paper Fig 7).  Micro-tiles are 9 rows tall; C is updated every
-  /// opt::kSyrkNumericK elements of kb.
-  void (*syrk_panel)(const float* a_local, const float* at_local,
+  /// syrk panel: accumulates A_panel * A_panel^T into the lower triangle
+  /// of c (ldc-strided, m x m), for A_panel = the m x kb block at a (row
+  /// stride lda), read in place.  at_local is the caller's kb x m scratch:
+  /// the entry first packs A_panel's transpose into it through register
+  /// transposes (paper Fig 7's A^T_local), then sweeps micro-tiles that
+  /// broadcast A's elements from A's own rows against vectors of at_local.
+  /// Each element sums every opt::kSyrkNumericK elements of kb in a
+  /// register from zero, in ascending k, then adds that to C, so the tile
+  /// shape never moves a bit.  Entries above the diagonal are scratch.
+  void (*syrk_panel)(const float* a, std::size_t lda, float* at_local,
                      std::size_t m, std::size_t kb, float* c, std::size_t ldc);
 
   /// Normalization pass 1 for one row of a column chunk (paper Fig 6):

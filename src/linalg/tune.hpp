@@ -1,8 +1,9 @@
 // The one kernel geometry the optimized gemm/syrk run (paper §4.2, §4.4):
 // 512-column packed B^T panels with a 4-vector register block for the
-// correlation gemm, 96-deep panels with 9-row micro-tiles for the
-// kernel-matrix syrk.  These records name those constants; the plan
-// functions return them for every shape.
+// correlation gemm, 96-deep panels for the kernel-matrix syrk (whose
+// micro_rows records the modelled KNC tile, opt::kSyrkMicroRows).  These
+// records name those constants; the plan functions return them for every
+// shape.
 #pragma once
 
 #include <cstddef>

@@ -10,11 +10,13 @@
 #include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -411,7 +413,8 @@ TEST_P(PooledRunTasks, MatchesTheSerialLoop) {
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledRunTasks,
                          ::testing::Values(1, 2, 3, 4));
 
-// Counts epoch_panel calls: one per panel load.
+// Counts epoch_panel calls (one per panel load) and the most subjects
+// whose panels were held at once.
 class CountingView final : public fmri::DatasetView {
  public:
   explicit CountingView(const fmri::DatasetView& inner) : inner_(inner) {}
@@ -430,13 +433,33 @@ class CountingView final : public fmri::DatasetView {
   }
   [[nodiscard]] Panel epoch_panel(std::size_t idx) const override {
     loads_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.epoch_panel(idx);
+    Panel panel = inner_.epoch_panel(idx);
+    const std::int32_t subject = inner_.epochs()[idx].subject;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++held_[subject];
+      max_subjects_ = std::max(max_subjects_, held_.size());
+    }
+    // The panel's own keep-alive lives on in the deleter's capture.
+    panel.keepalive = std::shared_ptr<const void>(
+        this, [this, subject, inner = panel.keepalive](const void*) {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (--held_[subject] == 0) held_.erase(subject);
+        });
+    return panel;
   }
   [[nodiscard]] std::size_t loads() const { return loads_.load(); }
+  [[nodiscard]] std::size_t max_subjects_held() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_subjects_;
+  }
 
  private:
   const fmri::DatasetView& inner_;
   mutable std::atomic<std::size_t> loads_{0};
+  mutable std::mutex mu_;
+  mutable std::map<std::int32_t, std::size_t> held_;  ///< panels per subject
+  mutable std::size_t max_subjects_ = 0;
 };
 
 // Counts the reads of every (epoch, voxel row) through a source's leases.
@@ -455,11 +478,11 @@ class RowCountingSource final : public EpochSource {
     count(first, last, 0, voxels_);
     return inner_.acquire(first, last);
   }
-  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
-                                      std::size_t r0,
-                                      std::size_t r1) override {
+  [[nodiscard]] RowLease acquire_rows(
+      std::size_t first, std::size_t last, std::size_t r0, std::size_t r1,
+      threading::ThreadPool* pool = nullptr) override {
     count(first, last, r0, r1);
-    return inner_.acquire_rows(first, last, r0, r1);
+    return inner_.acquire_rows(first, last, r0, r1, pool);
   }
   [[nodiscard]] std::size_t reads(std::size_t m, std::size_t row) const {
     return reads_[m * voxels_ + row];
@@ -599,6 +622,77 @@ TEST(StreamedEpochs, CorrelationSpanLeavesOutLeaseFills) {
   EXPECT_LE(total_ns, end - start);
 }
 
+TEST(StreamedEpochs, PooledLeaseMatchesSerialAndResident) {
+  // A lease taken with a pool maps its panels in order on the calling
+  // thread and normalizes its epochs across the pool: pools of 1-4
+  // threads give the serial lease's bits, the resident rows, and the same
+  // shard loads, over one epoch, a subject run, a range across subjects
+  // and all epochs.
+  const fmri::Dataset d = small_dataset();
+  const TempShardStore store(d, "fcma_pooled_lease_test");
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  ResidentEpochs resident(norm);
+  const std::size_t n = d.voxels();
+  const std::size_t m_total = norm.meta.size();
+  const std::size_t per = d.epochs_per_subject();
+  const std::pair<std::size_t, std::size_t> epoch_ranges[] = {
+      {3, 4}, {per, 2 * per}, {per - 2, per + 3}, {0, m_total}};
+  const std::pair<std::size_t, std::size_t> row_ranges[] = {
+      {0, n}, {13, 29}, {n - 7, n}};
+  // Every leased row, in range order, and the shard loads of the leases.
+  const auto lease_all = [&](EpochSource& source,
+                             threading::ThreadPool* pool,
+                             std::int64_t* shard_loads) {
+    TracedScope traced("fcma_pooled_lease_stream");
+    std::vector<float> rows;
+    for (const auto& [first, last] : epoch_ranges) {
+      for (const auto& [r0, r1] : row_ranges) {
+        const EpochSource::RowLease lease =
+            source.acquire_rows(first, last, r0, r1, pool);
+        for (std::size_t m = first; m < last; ++m) {
+          const linalg::ConstMatrixView view = lease.epoch(m);
+          for (std::size_t r = 0; r < view.rows; ++r) {
+            rows.insert(rows.end(), view.row(r), view.row(r) + view.cols);
+          }
+        }
+      }
+    }
+    *shard_loads = trace::global().counter("io/shard_loads");
+    return rows;
+  };
+  std::int64_t resident_loads = 0;
+  const std::vector<float> want = lease_all(resident, nullptr,
+                                            &resident_loads);
+  std::int64_t serial_loads = 0;
+  std::vector<float> serial;
+  {
+    StreamedEpochs streamed(store.view(), {2 * panel_bytes(d)});
+    serial = lease_all(streamed, nullptr, &serial_loads);
+  }
+  ASSERT_EQ(serial.size(), want.size());
+  EXPECT_EQ(std::memcmp(serial.data(), want.data(),
+                        want.size() * sizeof(float)),
+            0);
+  EXPECT_GT(serial_loads, 0);
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("pool of " + std::to_string(threads));
+    threading::ThreadPool pool(threads);
+    const CountingView view(store.view());
+    StreamedEpochs streamed(view, {2 * panel_bytes(d)});
+    std::int64_t pooled_loads = 0;
+    const std::vector<float> pooled = lease_all(streamed, &pool,
+                                                &pooled_loads);
+    ASSERT_EQ(pooled.size(), want.size());
+    EXPECT_EQ(std::memcmp(pooled.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(pooled_loads, serial_loads);
+    // One subject's panels at a time, so at most one shard stays mapped.
+    EXPECT_EQ(view.max_subjects_held(), 1u);
+    EXPECT_LE(streamed.resident_bytes(), 2 * panel_bytes(d));
+  }
+}
+
 TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   // A streamed multi-block task reads the brain once: each block's rows
   // of each subject run once, and the task's own rows once more for the
@@ -710,11 +804,11 @@ class NestingSource final : public EpochSource {
                                  std::size_t last) override {
     return inner_.acquire(first, last);
   }
-  [[nodiscard]] RowLease acquire_rows(std::size_t first, std::size_t last,
-                                      std::size_t r0,
-                                      std::size_t r1) override {
+  [[nodiscard]] RowLease acquire_rows(
+      std::size_t first, std::size_t last, std::size_t r0, std::size_t r1,
+      threading::ThreadPool* pool = nullptr) override {
     if (++calls_ == 3) nested_();
-    return inner_.acquire_rows(first, last, r0, r1);
+    return inner_.acquire_rows(first, last, r0, r1, pool);
   }
 
  private:

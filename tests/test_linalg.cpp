@@ -5,7 +5,9 @@
 // paper's Tables 5/6 rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -241,6 +243,38 @@ TEST(Syrk, DiagonalIsNonNegative) {
   Matrix c(16, 16);
   opt::syrk(a.view(), c.view());
   for (std::size_t i = 0; i < 16; ++i) EXPECT_GE(c(i, i), 0.0f);
+}
+
+TEST(Syrk, ColumnBlocksAccumulateToTheWholeSyrk) {
+  // The column sweep's contract: blocks starting on kSyrkPanelK edges,
+  // read in place from rows wider than the block and summed in ascending
+  // order into a zeroed C, give one whole syrk's bits; M covers full and
+  // ragged micro-tiles.
+  for (const std::size_t m : {7, 40, 216}) {
+    const std::size_t n = 10 * opt::kSyrkPanelK + 44;
+    Matrix a(m, n, n + 20);
+    Rng rng(53 + m);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0f, 1.0f);
+    }
+    Matrix want(m, m);
+    opt::syrk(a.view(), want.view());
+    for (const std::size_t block :
+         {2 * opt::kSyrkPanelK, 4 * opt::kSyrkPanelK}) {
+      Matrix got(m, m);
+      got.fill(0.0f);
+      for (std::size_t n0 = 0; n0 < n; n0 += block) {
+        const std::size_t n1 = std::min(n, n0 + block);
+        opt::syrk_accumulate(
+            ConstMatrixView{a.row(0) + n0, m, n1 - n0, a.ld()}, got.view(),
+            /*mirror=*/n1 == n);
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(std::memcmp(got.row(i), want.row(i), m * sizeof(float)), 0)
+            << "m " << m << " block " << block << " row " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -108,32 +108,29 @@ TEST(SimdDispatch, GemmRowPanelMatchesReferenceOnEveryIsa) {
 }
 
 // ---------------------------------------------------------------------------
-// syrk packed-panel sweep: full-depth panels (the compile-time-KB fast
-// path) and a ragged panel, on an M that has both full 9-row tiles and an
-// edge tile.  Only the lower triangle is compared — the tile sweep writes
-// scratch above the diagonal that mirror_upper overwrites in production.
+// syrk panel: full-depth panels (the compile-time-substep fast path) and a
+// ragged panel, on an M that has full tiles and edge tiles, read in place
+// from rows wider than the panel.  Only the lower triangle is compared —
+// the tile sweep writes scratch above the diagonal that mirror_upper
+// overwrites in production.
 // ---------------------------------------------------------------------------
 
 void check_syrk_panel(std::size_t m, std::size_t kb) {
-  const auto a_local = random_vec(m * kb, 3);
-  std::vector<float> at_local(kb * m);
-  for (std::size_t k = 0; k < kb; ++k) {
-    for (std::size_t i = 0; i < m; ++i) {
-      at_local[k * m + i] = a_local[i * kb + k];
-    }
-  }
+  const std::size_t lda = kb + 5;
+  const auto a = random_vec(m * lda, 3);
 
   std::vector<std::vector<float>> got;
   for (const Isa isa : kAllIsas) {
+    std::vector<float> at_local(kb * m);
     std::vector<float> c(m * m, 0.0f);
-    kernels(isa).syrk_panel(a_local.data(), at_local.data(), m, kb, c.data(),
+    kernels(isa).syrk_panel(a.data(), lda, at_local.data(), m, kb, c.data(),
                             m);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
         double acc = 0.0;
         for (std::size_t k = 0; k < kb; ++k) {
-          acc += static_cast<double>(a_local[i * kb + k]) *
-                 static_cast<double>(a_local[j * kb + k]);
+          acc += static_cast<double>(a[i * lda + k]) *
+                 static_cast<double>(a[j * lda + k]);
         }
         EXPECT_NEAR(c[i * m + j], static_cast<float>(acc), 1e-4f)
             << "isa " << isa_name(isa) << " at (" << i << ", " << j << ")";
@@ -156,6 +153,204 @@ TEST(SimdDispatch, SyrkPanelFullDepthMatchesReferenceOnEveryIsa) {
 
 TEST(SimdDispatch, SyrkPanelRaggedDepthMatchesReferenceOnEveryIsa) {
   check_syrk_panel(13, 33);
+}
+
+// ---------------------------------------------------------------------------
+// The syrk oracle: a copy of the panel kernel before it read A in place —
+// each panel copied into a_local, a scalar transpose into at_local, and
+// 9-row x W-column micro-tiles flushing into C every opt::kSyrkNumericK
+// elements, with the shared 4-lane edge handler.  Every table of the
+// current kernel must reproduce its lower triangle bit for bit, so no
+// rewrite of the tiles can move a kernel matrix.
+// ---------------------------------------------------------------------------
+namespace oracle {
+
+template <int W>
+struct VecOf {
+  typedef float type
+      __attribute__((vector_size(W * sizeof(float)), aligned(4)));
+};
+
+template <int W>
+typename VecOf<W>::type vload(const float* p) {
+  return *reinterpret_cast<const typename VecOf<W>::type*>(p);
+}
+
+template <int W>
+void vstore(float* p, typename VecOf<W>::type v) {
+  *reinterpret_cast<typename VecOf<W>::type*>(p) = v;
+}
+
+using V4 = VecOf<4>::type;
+constexpr std::size_t kRows = 9;
+
+template <int W>
+void tile_full(const float* a_tile, std::size_t lda, const float* at_tile,
+               std::size_t ldat, float* c_tile, std::size_t ldc) {
+  using V = typename VecOf<W>::type;
+  V acc[kRows] = {};
+  for (std::size_t k = 0; k < opt::kSyrkNumericK; ++k) {
+    const V at = vload<W>(at_tile + k * ldat);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      acc[r] += a_tile[r * lda + k] * at;
+    }
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    float* crow = c_tile + r * ldc;
+    vstore<W>(crow, vload<W>(crow) + acc[r]);
+  }
+}
+
+void tile_edge(const float* a_tile, std::size_t lda, const float* at_tile,
+               std::size_t ldat, std::size_t kb, std::size_t rows,
+               std::size_t cols, float* c_tile, std::size_t ldc) {
+  for (std::size_t w0 = 0; w0 < cols; w0 += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, cols - w0);
+    V4 acc[kRows] = {};
+    if (lanes == 4) {
+      for (std::size_t k = 0; k < kb; ++k) {
+        const V4 at = vload<4>(at_tile + k * ldat + w0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          acc[r] += a_tile[r * lda + k] * at;
+        }
+      }
+    } else {
+      alignas(16) float tmp[4] = {};
+      for (std::size_t k = 0; k < kb; ++k) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          tmp[l] = at_tile[k * ldat + w0 + l];
+        }
+        const V4 at = vload<4>(tmp);
+        for (std::size_t r = 0; r < rows; ++r) {
+          acc[r] += a_tile[r * lda + k] * at;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* crow = c_tile + r * ldc + w0;
+      for (std::size_t l = 0; l < lanes; ++l) crow[l] += acc[r][l];
+    }
+  }
+}
+
+// One panel of kb columns of the m rows at a (row stride lda).
+template <int W>
+void panel(const float* a, std::size_t lda, std::size_t m, std::size_t kb,
+           float* c, std::size_t ldc) {
+  std::vector<float> a_local(m * kb);
+  std::vector<float> at_local(kb * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy(a + i * lda, a + i * lda + kb, a_local.begin() + i * kb);
+  }
+  for (std::size_t k = 0; k < kb; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      at_local[k * m + i] = a_local[i * kb + k];
+    }
+  }
+  for (std::size_t k0 = 0; k0 < kb; k0 += opt::kSyrkNumericK) {
+    const std::size_t kbs = std::min(opt::kSyrkNumericK, kb - k0);
+    for (std::size_t i0 = 0; i0 < m; i0 += kRows) {
+      const std::size_t rows = std::min(kRows, m - i0);
+      for (std::size_t j0 = 0; j0 <= i0 + rows - 1;
+           j0 += static_cast<std::size_t>(W)) {
+        const std::size_t cols = std::min<std::size_t>(W, m - j0);
+        const float* a_tile = a_local.data() + i0 * kb + k0;
+        const float* at_tile = at_local.data() + k0 * m + j0;
+        float* c_tile = c + i0 * ldc + j0;
+        if (rows == kRows && cols == static_cast<std::size_t>(W) &&
+            kbs == opt::kSyrkNumericK) {
+          tile_full<W>(a_tile, kb, at_tile, m, c_tile, ldc);
+        } else {
+          tile_edge(a_tile, kb, at_tile, m, kbs, rows, cols, c_tile, ldc);
+        }
+      }
+    }
+  }
+}
+
+// The old syrk_accumulate without the mirror: panels of kSyrkPanelK.
+template <int W>
+void accumulate(const float* a, std::size_t lda, std::size_t m,
+                std::size_t n, float* c, std::size_t ldc) {
+  for (std::size_t k0 = 0; k0 < n; k0 += opt::kSyrkPanelK) {
+    panel<W>(a + k0, lda, m, std::min(n - k0, opt::kSyrkPanelK), c, ldc);
+  }
+}
+
+void accumulate(Isa isa, const float* a, std::size_t lda, std::size_t m,
+                std::size_t n, float* c, std::size_t ldc) {
+  switch (isa) {
+    case Isa::kScalar: accumulate<4>(a, lda, m, n, c, ldc); break;
+    case Isa::kAvx2: accumulate<8>(a, lda, m, n, c, ldc); break;
+    case Isa::kAvx512: accumulate<16>(a, lda, m, n, c, ldc); break;
+  }
+}
+
+}  // namespace oracle
+
+std::vector<float> lower_triangle(const std::vector<float>& c, std::size_t m,
+                                  std::size_t ldc) {
+  std::vector<float> lower;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) lower.push_back(c[i * ldc + j]);
+  }
+  return lower;
+}
+
+// One panel on every table, against the oracle at the table's lane width,
+// over a C that already holds values: rows 1-40 cover every tile edge of
+// 8 and 9 rows and of 1, 2 and 4 vectors; 64, 216 and 360 are the closed
+// loop's, face-scene's and attention's M.  The pack must be A's exact
+// transpose.
+TEST(SyrkKernel, PanelMatchesTheOldKernelBitForBitOnEveryTable) {
+  std::vector<std::size_t> ms;
+  for (std::size_t m = 1; m <= 40; ++m) ms.push_back(m);
+  for (const std::size_t m : {64, 216, 360}) ms.push_back(m);
+  for (const std::size_t kb : {12, 33, 48, 96}) {
+    const std::size_t lda = kb + 7;
+    for (const std::size_t m : ms) {
+      const std::size_t ldc = m + 3;
+      const auto a = random_vec(m * lda, 100 + m);
+      const auto c0 = random_vec(m * ldc, 200 + m);
+      for (const Isa isa : kAllIsas) {
+        std::vector<float> want = c0;
+        oracle::accumulate(isa, a.data(), lda, m, kb, want.data(), ldc);
+        std::vector<float> got = c0;
+        std::vector<float> at_local(kb * m, -1.0f);
+        kernels(isa).syrk_panel(a.data(), lda, at_local.data(), m, kb,
+                                got.data(), ldc);
+        EXPECT_EQ(lower_triangle(got, m, ldc), lower_triangle(want, m, ldc))
+            << "isa " << isa_name(isa) << " m " << m << " kb " << kb;
+        bool transposed = true;
+        for (std::size_t k = 0; k < kb; ++k) {
+          for (std::size_t i = 0; i < m; ++i) {
+            transposed &= at_local[k * m + i] == a[i * lda + k];
+          }
+        }
+        EXPECT_TRUE(transposed)
+            << "isa " << isa_name(isa) << " m " << m << " kb " << kb;
+      }
+    }
+  }
+}
+
+// opt::syrk_accumulate through the active table (each forced table under
+// ctest's SyrkKernel.forced_isa_* entries) over several panels, the last
+// ragged, of a block read at a row stride wider than the block.
+TEST(SyrkKernel, AccumulateMatchesTheOldKernelAcrossPanels) {
+  for (const std::size_t m : {9, 40, 216}) {
+    const std::size_t n = 3 * opt::kSyrkPanelK + 33;
+    const std::size_t lda = n + 11;
+    const auto a = random_vec(m * lda, 300 + m);
+    const auto c0 = random_vec(m * m, 400 + m);
+    std::vector<float> want = c0;
+    oracle::accumulate(active_isa(), a.data(), lda, m, n, want.data(), m);
+    std::vector<float> got = c0;
+    opt::syrk_accumulate(ConstMatrixView{a.data(), m, n, lda},
+                         MatrixView{got.data(), m, m, m}, /*mirror=*/false);
+    EXPECT_EQ(lower_triangle(got, m, m), lower_triangle(want, m, m))
+        << "isa " << isa_name(active_isa()) << " m " << m;
+  }
 }
 
 // ---------------------------------------------------------------------------
