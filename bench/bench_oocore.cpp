@@ -17,8 +17,14 @@
 // scores every voxel once per fold, so it runs on a smaller store of its
 // own (fixed shape, see kOffline*).
 //
+// A fourth covers the cluster farm on that store: kClusterWorkers worker
+// ranks stream one source opened as `fcma cluster --memory-budget` opens
+// it (core::open_epoch_run with a lane per worker, each planned over its
+// share of the budget), at the default grain.  The process stays under
+// the budget and the scores match the resident single-node run.
+//
 // VmHWM is a per-process high-water mark, so each phase re-execs this
-// binary (--phase generate|resident|streamed|offline); the parent
+// binary (--phase generate|resident|streamed|offline|cluster); the parent
 // orchestrates, byte-compares the reports, and publishes oocore/* gauges to
 // the metrics sidecar for bench_smoke.sh.
 #include <sys/wait.h>
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "cluster/driver.hpp"
 #include "common/error.hpp"
 #include "common/trace.hpp"
 #include "fcma/memory_model.hpp"
@@ -115,6 +122,13 @@ constexpr std::size_t kOfflineVoxels = 2048;
 constexpr std::int32_t kOfflineSubjects = 4;
 constexpr std::size_t kOfflineEpochsPerSubject = 12;
 constexpr std::size_t kOfflineBudget = std::size_t{24} << 20;
+
+// The cluster phase's farm on the offline store: three worker ranks under
+// one budget, each rank planned over a third of it.  The farm peaks at
+// ~27 MB; splitting one rank's plan between the ranks instead peaks at
+// ~34 MB.
+constexpr std::size_t kClusterWorkers = 3;
+constexpr std::size_t kClusterBudget = std::size_t{32} << 20;
 
 struct PhaseArgs {
   std::string dir;
@@ -281,13 +295,58 @@ int phase_offline(const PhaseArgs& a) {
   return 0;
 }
 
+int phase_cluster(const PhaseArgs& a) {
+  WallTimer timer;
+  const auto view =
+      fmri::open_shard_store(a.dir + "/offline_store", "offline_store");
+  const core::EpochRun run =
+      core::open_epoch_run(*view, kClusterBudget, 0, kClusterWorkers);
+  cluster::DriverOptions options;
+  options.workers = kClusterWorkers;
+  options.voxels_per_task = run.voxels_per_task;
+  const core::Scoreboard board =
+      cluster::run_cluster_analysis(*run.epochs, view->voxels(), options);
+  const std::size_t peak = peak_rss_bytes();
+  const double wall = timer.seconds();
+  // The resident single-node reference runs after the peak is read.
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(*view);
+  threading::ThreadPool pool(a.threads);
+  core::PipelineConfig config = core::PipelineConfig::optimized();
+  config.pool = &pool;
+  const core::TaskResult resident = core::run_task_grouped(
+      norm, core::VoxelTask{0, static_cast<std::uint32_t>(view->voxels())},
+      config, core::kInFlightVoxels);
+  bool identical = board.complete();
+  for (std::uint32_t v = 0; v < view->voxels(); ++v) {
+    identical = identical && board.accuracy_of(v) == resident.accuracy[v];
+  }
+
+  std::ofstream stats(a.dir + "/cluster.stats");
+  write_stat(stats, "wall_s", wall);
+  write_stat(stats, "peak_rss_mb",
+             static_cast<double>(peak) / (1024.0 * 1024.0));
+  write_stat(stats, "voxels_per_task",
+             static_cast<double>(run.voxels_per_task));
+  write_stat(stats, "identical", identical ? 1.0 : 0.0);
+  if (peak > kClusterBudget) {
+    std::fprintf(stderr,
+                 "FAIL: streamed cluster peak RSS %.1f MB exceeds budget "
+                 "%.1f MB\n",
+                 static_cast<double>(peak) / (1024.0 * 1024.0),
+                 static_cast<double>(kClusterBudget) / (1024.0 * 1024.0));
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("bench_oocore",
           "out-of-core proof: streamed run under --memory-budget, "
           "byte-identical to resident");
-  cli.add_flag("phase", "", "internal: generate|resident|streamed|offline");
+  cli.add_flag("phase", "",
+               "internal: generate|resident|streamed|offline|cluster");
   cli.add_flag("dir", "", "working directory (default: a fresh temp dir)");
   cli.add_flag("voxels", "16384", "brain size (raw panels must exceed budget)");
   cli.add_flag("subjects", "10", "subject count");
@@ -311,11 +370,12 @@ int main(int argc, char** argv) {
     if (phase == "resident") return phase_resident(a);
     if (phase == "streamed") return phase_streamed(a);
     if (phase == "offline") return phase_offline(a);
+    if (phase == "cluster") return phase_cluster(a);
     std::fprintf(stderr, "unknown phase: %s\n", phase.c_str());
     return 2;
   }
 
-  // Parent: orchestrate the three phases in child processes so each gets
+  // Parent: orchestrate the phases in child processes so each gets
   // its own VmHWM, then compare and publish.
   const fcma::bench::MetricsSidecar metrics(argv[0]);
   bool own_dir = false;
@@ -344,6 +404,7 @@ int main(int argc, char** argv) {
   if (rc == 0) rc = run_phase(exe, "resident", pass.str());
   if (rc == 0) rc = run_phase(exe, "streamed", pass.str());
   if (rc == 0) rc = run_phase(exe, "offline", pass.str());
+  if (rc == 0) rc = run_phase(exe, "cluster", pass.str());
   FCMA_CHECK(rc == 0, "a bench phase failed (exit " + std::to_string(rc) +
                           ") -- see stderr above");
 
@@ -363,6 +424,15 @@ int main(int argc, char** argv) {
   const double off_budget_mb =
       static_cast<double>(kOfflineBudget) / (1024.0 * 1024.0);
   const bool off_within = off_rss > 0.0 && off_rss <= off_budget_mb;
+  const double clu_wall = read_stat(a.dir + "/cluster.stats", "wall_s");
+  const double clu_rss = read_stat(a.dir + "/cluster.stats", "peak_rss_mb");
+  const double clu_grain =
+      read_stat(a.dir + "/cluster.stats", "voxels_per_task");
+  const bool clu_identical =
+      read_stat(a.dir + "/cluster.stats", "identical") == 1.0;
+  const double clu_budget_mb =
+      static_cast<double>(kClusterBudget) / (1024.0 * 1024.0);
+  const bool clu_within = clu_rss > 0.0 && clu_rss <= clu_budget_mb;
 
   Table t("streamed vs resident");
   t.header({"metric", "resident", "streamed"});
@@ -398,6 +468,17 @@ int main(int argc, char** argv) {
   off.row({"folds identical to resident", off_identical ? "yes" : "NO"});
   off.print();
 
+  Table clu("streamed cluster farm (" + std::to_string(kClusterWorkers) +
+            " workers on the offline store, default grain)");
+  clu.header({"metric", "value"});
+  clu.row({"wall (s)", Table::num(clu_wall, 2)});
+  clu.row({"voxels per task", Table::num(clu_grain, 0)});
+  clu.row({"peak RSS (MB)", Table::num(clu_rss, 1)});
+  clu.row({"within budget (" + Table::num(clu_budget_mb, 0) + " MB)",
+           clu_within ? "yes" : "NO"});
+  clu.row({"scores identical to resident", clu_identical ? "yes" : "NO"});
+  clu.print();
+
   trace::gauge_set("oocore/budget_mb", budget_mb);
   trace::gauge_set("oocore/streamed_peak_rss_mb", str_rss);
   trace::gauge_set("oocore/resident_peak_rss_mb", res_rss);
@@ -414,12 +495,19 @@ int main(int argc, char** argv) {
   trace::gauge_set("oocore/offline_wall_s", off_wall);
   trace::gauge_set("oocore/offline_within_budget", off_within ? 1.0 : 0.0);
   trace::gauge_set("oocore/offline_identical", off_identical ? 1.0 : 0.0);
+  trace::gauge_set("oocore/cluster_budget_mb", clu_budget_mb);
+  trace::gauge_set("oocore/cluster_peak_rss_mb", clu_rss);
+  trace::gauge_set("oocore/cluster_wall_s", clu_wall);
+  trace::gauge_set("oocore/cluster_within_budget", clu_within ? 1.0 : 0.0);
+  trace::gauge_set("oocore/cluster_identical", clu_identical ? 1.0 : 0.0);
 
   if (own_dir) std::filesystem::remove_all(a.dir);
   FCMA_CHECK(identical, "streamed report differs from resident");
   FCMA_CHECK(str_rss <= budget_mb, "streamed run exceeded the memory budget");
   FCMA_CHECK(off_identical, "streamed offline folds differ from resident");
   FCMA_CHECK(off_within, "streamed offline run exceeded its memory budget");
+  FCMA_CHECK(clu_identical, "streamed cluster scores differ from resident");
+  FCMA_CHECK(clu_within, "streamed cluster run exceeded its memory budget");
   std::printf("streamed run stayed under %.0f MB and matched resident "
               "bit-for-bit (%.1fx wall)\n", budget_mb, slowdown);
   return 0;

@@ -731,11 +731,8 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
   FCMA_CHECK(options.faults.kill_master_after_batches == 0 || options.standby,
              "a master kill schedule requires a standby rank");
 
-  const std::size_t per_task =
-      options.voxels_per_task != 0
-          ? options.voxels_per_task
-          : (total_voxels + options.workers - 1) / options.workers;
-  const auto tasks = core::partition_voxels(total_voxels, per_task);
+  const auto tasks =
+      core::partition_voxels(total_voxels, options.voxels_per_task);
   // A quarter of a worker's even share per batch: every worker refills ~4
   // times, so the tail stays balanced.
   const std::size_t batch_size =

@@ -51,7 +51,10 @@ namespace fcma::cluster {
 /// Options of one distributed analysis run.
 struct DriverOptions {
   std::size_t workers = 2;
-  std::size_t voxels_per_task = 0;  ///< 0 = one task per worker
+  /// Task grain; a worker runs each task whole (core::run_task), so it
+  /// must fit one lane's in-flight share: core::open_epoch_run(…, workers)
+  /// sizes it.  0 throws fcma::Error.
+  std::size_t voxels_per_task = 0;
   core::PipelineConfig pipeline;
 
   // --- fault tolerance ---------------------------------------------------

@@ -7,6 +7,7 @@
 #include "common/trace.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
+#include "svm/cross_validation.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -105,33 +106,6 @@ linalg::Matrix selected_correlation_features(
   return selected_correlation_features(source, selected);
 }
 
-double train_and_test_classifier(const linalg::Matrix& features,
-                                 const std::vector<fmri::Epoch>& meta,
-                                 std::span<const std::size_t> train_idx,
-                                 std::span<const std::size_t> test_idx,
-                                 const svm::TrainOptions& options) {
-  FCMA_CHECK(features.rows() == meta.size(), "feature/epoch mismatch");
-  // Gram matrix over all epochs: K = F F^T via the optimized syrk.
-  linalg::Matrix gram(features.rows(), features.rows());
-  linalg::opt::syrk(features.view(), gram.view());
-  std::vector<std::int8_t> labels(meta.size());
-  for (std::size_t e = 0; e < meta.size(); ++e) {
-    labels[e] = meta[e].label == 1 ? std::int8_t{1} : std::int8_t{-1};
-  }
-  const svm::Model model = svm::phisvm_train(gram.view(), labels, train_idx,
-                                             options);
-  std::size_t correct = 0;
-  for (const std::size_t t : test_idx) {
-    const double f = svm::decision_value(model, gram.view(), t, train_idx);
-    const std::int8_t predicted = f >= 0.0 ? 1 : -1;
-    correct += (predicted == labels[t]);
-  }
-  return test_idx.empty()
-             ? 0.0
-             : static_cast<double>(correct) /
-                   static_cast<double>(test_idx.size());
-}
-
 OfflineResult run_offline_analysis(const fmri::DatasetView& dataset,
                                    const OfflineOptions& options) {
   OfflineResult result;
@@ -172,14 +146,19 @@ OfflineResult run_offline_analysis(const fmri::DatasetView& dataset,
         *open_epoch_run(dataset, options.memory_budget_bytes).epochs,
         fr.selected);
     zscore_features_within_subject(features, all_meta);
-    std::vector<std::size_t> train_idx;
-    std::vector<std::size_t> test_idx;
+    // One fold, the held-out subject's epochs, over the linear-kernel Gram
+    // matrix of the feature rows.
+    std::vector<std::vector<std::size_t>> test(1);
     for (std::size_t e = 0; e < all_meta.size(); ++e) {
-      (all_meta[e].subject == fold ? test_idx : train_idx).push_back(e);
+      if (all_meta[e].subject == fold) test[0].push_back(e);
     }
-    fr.test_accuracy = train_and_test_classifier(
-        features, all_meta, train_idx, test_idx,
-        options.pipeline.svm_options);
+    linalg::Matrix gram(features.rows(), features.rows());
+    linalg::opt::syrk(features.view(), gram.view());
+    fr.test_accuracy =
+        svm::cross_validate(svm::SolverKind::kPhiSvm, gram.view(),
+                            epoch_labels(all_meta), test,
+                            options.pipeline.svm_options)
+            .accuracy();
     result.folds.push_back(std::move(fr));
   }
   return result;

@@ -23,8 +23,9 @@ namespace fcma::core {
 /// Options of the offline protocol.
 struct OfflineOptions {
   std::size_t top_k = 64;          ///< voxels selected per fold
-  /// Voxels per task; 0 = one task for all voxels, or the budget plan's
-  /// grain.  A budget caps it at that grain.
+  /// Voxels per task, sized by open_epoch_run: 0 = the whole brain in one
+  /// task swept under kInFlightVoxels, or the budget plan's grain.  A budget
+  /// caps it at that grain.
   std::size_t voxels_per_task = 0;
   /// Peak-memory budget in bytes.  0 = resident: each fold's normalized
   /// epochs are materialized.  Non-zero = streamed: rows are leased from the
@@ -79,13 +80,5 @@ struct OfflineResult {
 [[nodiscard]] linalg::Matrix selected_correlation_features(
     const fmri::NormalizedEpochs& epochs,
     std::span<const std::uint32_t> selected);
-
-/// Trains on `train_idx` epochs of the feature matrix and reports accuracy
-/// on `test_idx` (linear kernel = gram matrix of the feature rows).
-[[nodiscard]] double train_and_test_classifier(
-    const linalg::Matrix& features, const std::vector<fmri::Epoch>& meta,
-    std::span<const std::size_t> train_idx,
-    std::span<const std::size_t> test_idx,
-    const svm::TrainOptions& options);
 
 }  // namespace fcma::core

@@ -1,12 +1,11 @@
 #include "fcma/online.hpp"
 
-#include <cmath>
-
 #include "common/trace.hpp"
 #include "fcma/offline.hpp"
 #include "fcma/scoreboard.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
+#include "svm/cross_validation.hpp"
 
 namespace fcma::core {
 
@@ -42,29 +41,19 @@ OnlineResult run_online_selection(const fmri::DatasetView& dataset,
   result.mean_selected_cv_accuracy = board.mean_accuracy_of(result.selected);
 
   // Final classifier estimate: k-fold CV over the selected voxels'
-  // correlation features within this subject.
+  // correlation features within this subject, on their linear-kernel Gram
+  // matrix.
   linalg::Matrix features =
       selected_correlation_features(source, result.selected);
   stats::fisher_zscore_block(features.row(0), features.rows(),
                              features.cols(), features.ld());
-  std::size_t correct = 0;
-  std::size_t total = 0;
-  for (const auto& test : folds) {
-    std::vector<bool> in_test(features.rows(), false);
-    for (const std::size_t t : test) in_test[t] = true;
-    std::vector<std::size_t> train_idx;
-    for (std::size_t t = 0; t < features.rows(); ++t) {
-      if (!in_test[t]) train_idx.push_back(t);
-    }
-    const double acc = train_and_test_classifier(
-        features, source.meta(), train_idx, test, pipeline.svm_options);
-    correct += static_cast<std::size_t>(
-        std::llround(acc * static_cast<double>(test.size())));
-    total += test.size();
-  }
+  linalg::Matrix gram(features.rows(), features.rows());
+  linalg::opt::syrk(features.view(), gram.view());
   result.classifier_cv_accuracy =
-      total == 0 ? 0.0
-                 : static_cast<double>(correct) / static_cast<double>(total);
+      svm::cross_validate(svm::SolverKind::kPhiSvm, gram.view(),
+                          epoch_labels(source.meta()), folds,
+                          pipeline.svm_options)
+          .accuracy();
   return result;
 }
 

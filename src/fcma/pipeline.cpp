@@ -201,15 +201,24 @@ TaskResult run_task_grouped(const fmri::NormalizedEpochs& epochs,
 
 EpochRun open_epoch_run(const fmri::DatasetView& view,
                         std::vector<std::size_t> epoch_indices,
-                        std::size_t budget_bytes,
-                        std::size_t voxels_per_task) {
+                        std::size_t budget_bytes, std::size_t voxels_per_task,
+                        std::size_t lanes) {
   FCMA_CHECK(!epoch_indices.empty(), "a run needs epochs");
+  const std::size_t asked =
+      voxels_per_task != 0 ? voxels_per_task : view.voxels();
   EpochRun run;
   if (budget_bytes == 0) {
     run.epochs = std::make_unique<ResidentEpochs>(
         fmri::normalize_epochs(view, epoch_indices));
-    run.voxels_per_task = voxels_per_task != 0 ? voxels_per_task
-                                               : view.voxels();
+    if (lanes != 0) {
+      run.group_voxels = std::max<std::size_t>(1, kInFlightVoxels / lanes);
+      run.voxels_per_task = std::min(asked, run.group_voxels);
+    } else {
+      run.voxels_per_task = std::min(asked, view.voxels());
+      if (run.voxels_per_task == view.voxels()) {
+        run.group_voxels = kInFlightVoxels;
+      }
+    }
     return run;
   }
   // The widest lease a stage takes is every row of one subject run.
@@ -222,25 +231,28 @@ EpochRun open_epoch_run(const fmri::DatasetView& view,
     }
     longest_run = std::max(longest_run, i - first + 1);
   }
+  // A single-node run is one lane.
+  const std::size_t planned_lanes = std::max<std::size_t>(lanes, 1);
   const BudgetPlan plan =
       plan_residency(epoch_indices.size(), longest_run, view.voxels(),
-                     meta[epoch_indices.front()].length, budget_bytes);
+                     meta[epoch_indices.front()].length,
+                     budget_bytes / planned_lanes);
   run.epochs = std::make_unique<StreamedEpochs>(
       view, std::move(epoch_indices),
-      StreamedEpochs::Options{plan.panel_cache_bytes});
+      StreamedEpochs::Options{planned_lanes * plan.panel_cache_bytes});
   run.voxels_per_task =
-      voxels_per_task != 0 ? std::min(voxels_per_task, plan.voxels_per_task)
-                           : plan.voxels_per_task;
+      std::min(asked, lanes != 0 ? plan.group_voxels : plan.voxels_per_task);
   run.group_voxels = plan.group_voxels;
   return run;
 }
 
 EpochRun open_epoch_run(const fmri::DatasetView& view,
-                        std::size_t budget_bytes,
-                        std::size_t voxels_per_task) {
+                        std::size_t budget_bytes, std::size_t voxels_per_task,
+                        std::size_t lanes) {
   std::vector<std::size_t> all(view.epochs().size());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  return open_epoch_run(view, std::move(all), budget_bytes, voxels_per_task);
+  return open_epoch_run(view, std::move(all), budget_bytes, voxels_per_task,
+                        lanes);
 }
 
 InstrumentedTaskResult run_task_instrumented(

@@ -152,36 +152,59 @@ struct InstrumentedTaskResult {
     EpochSource& epochs, const VoxelTask& task, const PipelineConfig& config,
     std::size_t group_voxels);
 
+/// Whole voxels of correlation (x M x N floats) a resident run keeps in
+/// flight: a single-node run that would be one task sweeps the brain under
+/// this cap with the pool inside the task, and the lanes of a cluster run
+/// split it.
+inline constexpr std::size_t kInFlightVoxels = 64;
+
 /// The epochs one run reads and the size of its tasks: how every
-/// single-node protocol (analyze, offline, online) and `fcma cluster` runs
-/// with or without a memory budget.
+/// single-node protocol (analyze, offline, online, StreamingAnalyzer) and
+/// `fcma cluster` runs with or without a memory budget.
 struct EpochRun {
   std::unique_ptr<EpochSource> epochs;
   /// Task grain (voxels per task).
   std::size_t voxels_per_task = 0;
-  /// 0: score_epoch_run spreads the tasks over the pool (run_tasks).
-  /// Otherwise tasks run one at a time, the pool inside each, swept under
-  /// this in-flight cap (run_task_grouped).  A budget sets it to the plan's
-  /// group_voxels.
+  /// One lane's in-flight cap, in whole voxels of correlation.  0: the
+  /// tasks hold the caller's grain and score_epoch_run spreads them over
+  /// the pool (run_tasks).  Otherwise a single-node run's tasks run one at
+  /// a time, the pool inside each, swept under this cap
+  /// (run_task_grouped); a cluster run's tasks are no wider than it, so a
+  /// worker holds each whole (run_task).
   std::size_t group_voxels = 0;
 };
 
 /// Opens epochs `epoch_indices` of `view` (all of them in the second form)
-/// for one run and sizes its tasks.  Without a budget (budget_bytes 0) the
-/// epochs are normalized into an owning ResidentEpochs and tasks hold
-/// `voxels_per_task` voxels (0 = the whole brain).  With one, rows stream
-/// through a StreamedEpochs under plan_residency's row-lease budget
-/// (planned for these epochs, the longest subject run among them the
-/// widest lease), and the plan's grain caps the task size: a caller may ask
-/// for smaller tasks, never larger ones (0 = the plan's grain).  Throws
-/// fcma::Error on no epochs or an impossible budget.  The run must not
-/// outlive `view`.
+/// for one run and sizes its tasks: the one place a run's task size and
+/// in-flight correlation are decided.  `lanes` is the number of cluster
+/// worker ranks, each holding one task whole beside the others; 0 (the
+/// default) is a single-node run, one lane whose pool works inside each
+/// task.  `voxels_per_task` is the caller's grain (0 = none); the rule may
+/// narrow it, never widen it.
+///
+/// Without a budget (budget_bytes 0) the epochs are normalized into an
+/// owning ResidentEpochs.  Single-node: a run that would be one task (grain
+/// 0, or at least the brain) is swept under kInFlightVoxels; a smaller
+/// grain is kept, its tasks spread over the pool.  Cluster: each task holds
+/// at most kInFlightVoxels / lanes voxels (at least 1).
+///
+/// With a budget, rows stream through a StreamedEpochs.  Each lane is
+/// planned by plan_residency over budget / lanes (the whole budget for a
+/// single-node run) for these epochs, the longest subject run among them
+/// the widest lease, and the source holds lanes x that plan's row-lease
+/// bytes.  Single-node: tasks of at most the plan's grain, swept under its
+/// group_voxels.  Cluster: tasks of at most group_voxels.
+///
+/// Throws fcma::Error on no epochs or an impossible budget.  The run must
+/// not outlive `view`.
 [[nodiscard]] EpochRun open_epoch_run(const fmri::DatasetView& view,
                                       std::vector<std::size_t> epoch_indices,
                                       std::size_t budget_bytes,
-                                      std::size_t voxels_per_task = 0);
+                                      std::size_t voxels_per_task = 0,
+                                      std::size_t lanes = 0);
 [[nodiscard]] EpochRun open_epoch_run(const fmri::DatasetView& view,
                                       std::size_t budget_bytes,
-                                      std::size_t voxels_per_task = 0);
+                                      std::size_t voxels_per_task = 0,
+                                      std::size_t lanes = 0);
 
 }  // namespace fcma::core

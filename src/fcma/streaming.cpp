@@ -8,11 +8,10 @@
 #include "fcma/online.hpp"
 #include "fcma/pipeline.hpp"
 #include "fcma/scoreboard.hpp"
-#include "fcma/task.hpp"
 #include "linalg/opt.hpp"
 #include "linalg/simd.hpp"
 #include "stats/stats.hpp"
-#include "threading/thread_pool.hpp"
+#include "svm/cross_validation.hpp"
 
 namespace fcma::core {
 
@@ -93,35 +92,26 @@ void StreamingAnalyzer::train() {
   FCMA_CHECK(ones > 0 && ones < m, "both conditions must be present");
 
   const fmri::Dataset data = snapshot_dataset();
-  // The buffered localizer is inherently resident, but it flows through the
-  // same DatasetView seam (and the same normalization kernel) as every
-  // other consumer of the data plane.
+  // The buffered localizer is inherently resident, but it opens through the
+  // same run opener (and the same normalization kernel) as every other
+  // protocol, so its tasks follow the one sizing rule.
   const fmri::InMemoryView view(data);
-  const fmri::NormalizedEpochs epochs = fmri::normalize_epochs(view);
+  EpochRun run = open_epoch_run(view, 0, options_.voxels_per_task);
   const auto folds = kfold_groups(m, options_.k_folds);
 
-  // Voxel selection over the buffered localizer, fanned out through the
-  // scheduler when one is configured.  Task results feed the scoreboard in
-  // task order and each voxel owns its slot, so the selection is identical
-  // at any pool size.
+  // Voxel selection over the buffered localizer.  Task results feed the
+  // scoreboard in task order and each voxel owns its slot, so the selection
+  // is identical at any pool size and grain.
   PipelineConfig pipeline = PipelineConfig::optimized();
   pipeline.svm_options = options_.svm_options;
   pipeline.cv_folds = &folds;
   pipeline.pool = options_.pool;
-  const std::size_t grain = options_.voxels_per_task != 0
-                                ? options_.voxels_per_task
-                                : options_.voxels;
-  const auto tasks = partition_voxels(options_.voxels, grain);
-  Scoreboard board(options_.voxels);
-  for (const TaskResult& result : run_tasks(epochs, tasks, pipeline)) {
-    board.add(result);
-  }
-  selected_ = board.top_voxels(options_.top_k);
+  selected_ = score_epoch_run(run, pipeline).top_voxels(options_.top_k);
 
   // Feedback classifier on the selected voxels' correlation features, with
   // the normalization statistics frozen from the training data so
   // classify_pending() transforms incoming epochs consistently.
-  train_features_ = selected_correlation_features(epochs, selected_);
+  train_features_ = selected_correlation_features(*run.epochs, selected_);
   const std::size_t dim = train_features_.cols();
   feature_mean_.assign(dim, 0.0f);
   feature_inv_sd_.assign(dim, 0.0f);
@@ -150,43 +140,17 @@ void StreamingAnalyzer::train() {
     }
   }
 
-  // CV accuracy estimate on the frozen features, then the final model on
-  // every epoch.  Folds run through the scheduler when available; each fold
-  // writes its own slot and the sum folds them in fold order, matching the
-  // serial loop's floating-point order exactly.
-  std::vector<double> fold_correct(folds.size(), 0.0);
-  std::vector<std::size_t> fold_total(folds.size(), 0);
-  auto eval_fold = [&](std::size_t f) {
-    const auto& test = folds[f];
-    std::vector<bool> in_test(m, false);
-    for (const std::size_t t : test) in_test[t] = true;
-    std::vector<std::size_t> train_idx;
-    for (std::size_t t = 0; t < m; ++t) {
-      if (!in_test[t]) train_idx.push_back(t);
-    }
-    fold_correct[f] = train_and_test_classifier(train_features_,
-                                                data.epochs(), train_idx,
-                                                test, options_.svm_options) *
-                      static_cast<double>(test.size());
-    fold_total[f] = test.size();
-  };
-  threading::for_each_index(options_.pool, 0, folds.size(), eval_fold);
-  double correct = 0.0;
-  std::size_t total = 0;
-  for (std::size_t f = 0; f < folds.size(); ++f) {
-    correct += fold_correct[f];
-    total += fold_total[f];
-  }
-  training_cv_accuracy_ = total == 0 ? 0.0 : correct / total;
-
+  // One linear-kernel Gram matrix of the frozen features serves the CV
+  // accuracy estimate and the final model on every epoch.
   linalg::Matrix gram(m, m);
   linalg::opt::syrk(train_features_.view(), gram.view());
-  std::vector<std::int8_t> labels(m);
+  const std::vector<std::int8_t> labels = epoch_labels(data.epochs());
+  training_cv_accuracy_ =
+      svm::cross_validate(svm::SolverKind::kPhiSvm, gram.view(), labels,
+                          folds, options_.svm_options)
+          .accuracy();
   std::vector<std::size_t> all(m);
   std::iota(all.begin(), all.end(), 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    labels[e] = epoch_labels_[e] == 1 ? std::int8_t{1} : std::int8_t{-1};
-  }
   model_ = svm::phisvm_train(gram.view(), labels, all,
                              options_.svm_options);
 }

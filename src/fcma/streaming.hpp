@@ -47,12 +47,14 @@ class StreamingAnalyzer {
     std::size_t top_k = 32;         ///< voxels selected by train()
     std::size_t k_folds = 4;        ///< CV folds used during selection
     svm::TrainOptions svm_options;
-    /// Scheduler for train(): voxel selection fans out in tasks of
-    /// `voxels_per_task` voxels and the CV-estimate folds run concurrently.
-    /// Results are merged in task/fold order, so any pool size (including
-    /// none) produces bit-identical selections and accuracy estimates.
+    /// Scheduler for train()'s voxel selection, which opens its epochs
+    /// through core::open_epoch_run: tasks of `voxels_per_task` voxels
+    /// fan out over the pool, or at grain 0 the whole brain is one task
+    /// swept under core::kInFlightVoxels with the pool inside it.  Results
+    /// are merged in task order, so any pool size (including none) and
+    /// grain produce bit-identical selections and accuracy estimates.
     threading::ThreadPool* pool = nullptr;
-    std::size_t voxels_per_task = 0;  ///< selection task grain (0 = one task)
+    std::size_t voxels_per_task = 0;  ///< selection task grain
   };
 
   explicit StreamingAnalyzer(const Options& options);

@@ -9,7 +9,10 @@
 #include "cluster/cost_model.hpp"
 #include "cluster/driver.hpp"
 #include "cluster/sim.hpp"
+#include "fcma/memory_model.hpp"
 #include "fcma/pipeline.hpp"
+#include "fcma/task.hpp"
+#include "fmri/dataset_view.hpp"
 #include "fmri/presets.hpp"
 #include "fmri/synthetic.hpp"
 
@@ -111,13 +114,9 @@ TEST(Driver, DistributedMatchesSingleNode) {
 // change a single bit of any voxel's score.
 core::Scoreboard single_node_reference(const fmri::NormalizedEpochs& ne,
                                        std::size_t voxels,
-                                       std::size_t voxels_per_task,
-                                       std::size_t workers) {
-  const std::size_t per_task =
-      voxels_per_task != 0 ? voxels_per_task
-                           : (voxels + workers - 1) / workers;
+                                       std::size_t voxels_per_task) {
   core::Scoreboard board(voxels);
-  for (const auto& task : core::partition_voxels(voxels, per_task)) {
+  for (const auto& task : core::partition_voxels(voxels, voxels_per_task)) {
     board.add(core::run_task(ne, task, core::PipelineConfig::optimized()));
   }
   return board;
@@ -144,7 +143,7 @@ TEST(Driver, SingleWorkerIsBitIdenticalToSingleNode) {
       run_cluster_analysis(ne, d.voxels(), opts, &stats);
   EXPECT_TRUE(board.complete());
   EXPECT_EQ(stats.tasks_dispatched, 4u);
-  expect_bit_identical(single_node_reference(ne, d.voxels(), 16, 1), board,
+  expect_bit_identical(single_node_reference(ne, d.voxels(), 16), board,
                        d.voxels());
 }
 
@@ -163,7 +162,7 @@ TEST(Driver, MoreWorkersThanTasksIsBitIdentical) {
   EXPECT_EQ(stats.tasks_dispatched, 2u);
   // The 4 surplus workers are released with an immediate shutdown.
   EXPECT_EQ(stats.batches, 2u);
-  expect_bit_identical(single_node_reference(ne, d.voxels(), 32, 6), board,
+  expect_bit_identical(single_node_reference(ne, d.voxels(), 32), board,
                        d.voxels());
 }
 
@@ -181,7 +180,7 @@ TEST(Driver, NonDividingGrainIsBitIdentical) {
       run_cluster_analysis(ne, d.voxels(), opts, &stats);
   EXPECT_TRUE(board.complete());
   EXPECT_EQ(stats.tasks_dispatched, 9u);  // ceil(61/7)
-  expect_bit_identical(single_node_reference(ne, d.voxels(), 7, 3), board,
+  expect_bit_identical(single_node_reference(ne, d.voxels(), 7), board,
                        d.voxels());
 }
 
@@ -202,8 +201,175 @@ TEST(Driver, ExplicitBatchingDispatchesInBatchesAndStaysBitIdentical) {
   // are pulled by work requests.
   EXPECT_LT(stats.batches, stats.tasks_dispatched);
   EXPECT_GE(stats.work_requests, 1u);
-  expect_bit_identical(single_node_reference(ne, d.voxels(), 2, 2), board,
+  expect_bit_identical(single_node_reference(ne, d.voxels(), 2), board,
                        d.voxels());
+}
+
+TEST(Driver, ZeroGrainIsAnError) {
+  // The grain comes from core::open_epoch_run; the driver has no rule of
+  // its own for a missing one.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  DriverOptions opts;
+  opts.workers = 2;
+  opts.voxels_per_task = 0;
+  EXPECT_THROW((void)run_cluster_analysis(ne, d.voxels(), opts), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Budgeted lanes: open_epoch_run(..., workers) sizes a streamed farm
+// ---------------------------------------------------------------------------
+
+// A 64-voxel farm whose worker ranks stream one budgeted source, opened as
+// `fcma cluster --memory-budget` opens it: every rank a lane, each planned
+// over budget / workers.
+constexpr std::size_t kFarmBudget = std::size_t{1} << 20;
+
+class BudgetedFarm {
+ public:
+  BudgetedFarm(std::size_t workers, std::size_t grain)
+      : dataset_(tiny_dataset()),
+        view_(dataset_),
+        run_(core::open_epoch_run(view_, kFarmBudget, grain, workers)) {
+    // The rule only narrows: these grains fit a lane's plan.
+    EXPECT_EQ(run_.voxels_per_task, grain);
+    EXPECT_NE(dynamic_cast<core::StreamedEpochs*>(run_.epochs.get()),
+              nullptr);
+  }
+
+  [[nodiscard]] core::EpochSource& epochs() { return *run_.epochs; }
+  [[nodiscard]] std::size_t voxels() const { return dataset_.voxels(); }
+
+  // The resident single-node scores: every voxel's accuracy is independent
+  // of the task partition, the source and the lane count.
+  [[nodiscard]] core::Scoreboard reference() const {
+    core::Scoreboard board(voxels());
+    board.add(core::run_task(
+        fmri::normalize_epochs(dataset_),
+        core::VoxelTask{0, static_cast<std::uint32_t>(voxels())},
+        core::PipelineConfig::optimized()));
+    return board;
+  }
+
+ private:
+  static fmri::Dataset tiny_dataset() {
+    fmri::DatasetSpec spec = fmri::tiny_spec();
+    spec.voxels = 64;
+    return fmri::generate_synthetic(spec);
+  }
+
+  fmri::Dataset dataset_;
+  fmri::InMemoryView view_;
+  core::EpochRun run_;
+};
+
+TEST(BudgetedLanes, ThreeLaneRunDispatchesTasksThatFitOneLanesPlan) {
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 64;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::InMemoryView view(d);
+  const std::size_t lanes = 3;
+  const std::size_t budget = 480u << 10;
+  const std::size_t m = d.epochs().size();
+  const core::BudgetPlan lane = core::plan_residency(
+      m, d.epochs_per_subject(), d.voxels(), d.epochs().front().length,
+      budget / lanes);
+  const core::EpochRun run = core::open_epoch_run(view, budget, 0, lanes);
+  ASSERT_GT(run.voxels_per_task, 1u);
+  ASSERT_LT(run.voxels_per_task, d.voxels());
+  EXPECT_EQ(run.group_voxels, lane.group_voxels);
+  // Each worker holds a task whole, so a task's correlation must fit the
+  // in-flight share of one lane's plan.
+  const std::size_t lane_corr_bytes =
+      lane.group_voxels * m * d.voxels() * sizeof(float);
+  for (const core::VoxelTask& task :
+       core::partition_voxels(d.voxels(), run.voxels_per_task)) {
+    EXPECT_LE(std::size_t{task.count} * m * d.voxels() * sizeof(float),
+              lane_corr_bytes);
+  }
+
+  DriverOptions opts;
+  opts.workers = lanes;
+  opts.voxels_per_task = run.voxels_per_task;
+  DriverStats stats;
+  const core::Scoreboard board =
+      run_cluster_analysis(*run.epochs, d.voxels(), opts, &stats);
+  EXPECT_TRUE(board.complete());
+  EXPECT_EQ(stats.tasks_dispatched,
+            (d.voxels() + run.voxels_per_task - 1) / run.voxels_per_task);
+  expect_bit_identical(
+      single_node_reference(fmri::normalize_epochs(d), d.voxels(), d.voxels()),
+      board, d.voxels());
+}
+
+TEST(BudgetedLanes, KilledWorkerIsBitIdenticalOnAStreamedSource) {
+  // As DriverRecovery's kill test: 32 two-voxel tasks in two-task batches.
+  BudgetedFarm farm(3, 2);
+  DriverOptions opts;
+  opts.workers = 3;
+  opts.voxels_per_task = 2;
+  opts.lease_timeout_s = 0.5;
+  opts.faults.kill_rank = 2;
+  opts.faults.kill_after_tasks = 1;
+  DriverStats stats;
+  const core::Scoreboard board =
+      run_cluster_analysis(farm.epochs(), farm.voxels(), opts, &stats);
+  EXPECT_TRUE(board.complete());
+  EXPECT_EQ(stats.workers_died, 1u);
+  EXPECT_GE(stats.tasks_requeued, 1u);
+  expect_bit_identical(farm.reference(), board, farm.voxels());
+}
+
+TEST(BudgetedLanes, DroppedMessagesAreBitIdenticalOnAStreamedSource) {
+  BudgetedFarm farm(2, 4);
+  DriverOptions opts;
+  opts.workers = 2;
+  opts.voxels_per_task = 4;
+  opts.faults.seed = 5;
+  opts.faults.drop = 0.2;
+  opts.max_task_retries = 64;
+  DriverStats stats;
+  const core::Scoreboard board =
+      run_cluster_analysis(farm.epochs(), farm.voxels(), opts, &stats);
+  EXPECT_TRUE(board.complete());
+  EXPECT_GE(stats.retries, 1u);
+  expect_bit_identical(farm.reference(), board, farm.voxels());
+}
+
+TEST(BudgetedLanes, DuplicatedDeliveryIsBitIdenticalOnAStreamedSource) {
+  BudgetedFarm farm(2, 8);
+  DriverOptions opts;
+  opts.workers = 2;
+  opts.voxels_per_task = 8;
+  opts.faults.seed = 11;
+  opts.faults.duplicate = 1.0;
+  const core::Scoreboard board =
+      run_cluster_analysis(farm.epochs(), farm.voxels(), opts);
+  EXPECT_TRUE(board.complete());
+  expect_bit_identical(farm.reference(), board, farm.voxels());
+}
+
+TEST(BudgetedLanes, ResumeIsBitIdenticalOnAStreamedSource) {
+  BudgetedFarm farm(2, 8);
+  // The first four of eight tasks already scored.
+  core::Scoreboard partial(farm.voxels());
+  const auto tasks = core::partition_voxels(farm.voxels(), 8);
+  for (std::size_t t = 0; t < 4; ++t) {
+    partial.add(core::run_task(farm.epochs(), tasks[t],
+                               core::PipelineConfig::optimized()));
+  }
+  DriverOptions opts;
+  opts.workers = 2;
+  opts.voxels_per_task = 8;
+  opts.resume = &partial;
+  DriverStats stats;
+  const core::Scoreboard board =
+      run_cluster_analysis(farm.epochs(), farm.voxels(), opts, &stats);
+  EXPECT_TRUE(board.complete());
+  EXPECT_EQ(stats.tasks_dispatched, 4u);
+  expect_bit_identical(farm.reference(), board, farm.voxels());
 }
 
 // ---------------------------------------------------------------------------

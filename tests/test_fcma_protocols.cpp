@@ -3,6 +3,7 @@
 // held-out subjects.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -18,6 +19,8 @@
 #include "fcma/scoreboard.hpp"
 #include "fmri/presets.hpp"
 #include "fmri/synthetic.hpp"
+#include "fold_loop_oracle.hpp"
+#include "stats/normalization.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace fcma::core {
@@ -139,12 +142,50 @@ TEST(EpochRun, ResidentRunsTakeTheRequestedGrain) {
   const EpochRun whole = open_epoch_run(view, 0);
   EXPECT_NE(dynamic_cast<ResidentEpochs*>(whole.epochs.get()), nullptr);
   EXPECT_EQ(whole.epochs->meta().size(), d.epochs().size());
+  // A run that would be one task sweeps under the in-flight constant, the
+  // pool inside; a smaller grain is kept and spread over the pool.
   EXPECT_EQ(whole.voxels_per_task, d.voxels());
-  EXPECT_EQ(whole.group_voxels, 0u);
+  EXPECT_EQ(whole.group_voxels, kInFlightVoxels);
+  EXPECT_EQ(open_epoch_run(view, 0, 2 * d.voxels()).group_voxels,
+            kInFlightVoxels);
   const EpochRun split = open_epoch_run(view, view.epochs_of_subject(1), 0, 17);
   EXPECT_EQ(split.voxels_per_task, 17u);
+  EXPECT_EQ(split.group_voxels, 0u);
   EXPECT_EQ(split.epochs->meta().size(), d.epochs_per_subject());
   EXPECT_EQ(split.epochs->meta().front().subject, 1);
+}
+
+TEST(EpochRun, ClusterLanesSplitTheInFlightShare) {
+  const fmri::Dataset d = protocol_dataset();
+  const fmri::InMemoryView view(d);
+  // Resident: each of three lanes holds at most 64 / 3 voxels whole.
+  const EpochRun resident = open_epoch_run(view, 0, 0, 3);
+  EXPECT_EQ(resident.voxels_per_task, kInFlightVoxels / 3);
+  EXPECT_EQ(resident.group_voxels, kInFlightVoxels / 3);
+  EXPECT_EQ(open_epoch_run(view, 0, 40, 3).voxels_per_task,
+            kInFlightVoxels / 3);
+  EXPECT_EQ(open_epoch_run(view, 0, 5, 3).voxels_per_task, 5u);
+  EXPECT_EQ(open_epoch_run(view, 0, 0, 1).voxels_per_task, kInFlightVoxels);
+  EXPECT_EQ(open_epoch_run(view, 0, 0, 1000).voxels_per_task, 1u);
+  // Budgeted: each lane is planned over budget / lanes, and a task is no
+  // wider than that plan's in-flight correlation.
+  const std::size_t budget = 768u << 10;
+  const BudgetPlan lane = plan_residency(d.epochs().size(),
+                                         d.epochs_per_subject(), d.voxels(),
+                                         d.epochs().front().length,
+                                         budget / 3);
+  const EpochRun budgeted = open_epoch_run(view, budget, 0, 3);
+  EXPECT_NE(dynamic_cast<StreamedEpochs*>(budgeted.epochs.get()), nullptr);
+  EXPECT_EQ(budgeted.group_voxels, lane.group_voxels);
+  EXPECT_EQ(budgeted.voxels_per_task, lane.group_voxels);
+  // One lane of a whole budget.
+  const BudgetPlan whole = plan_residency(d.epochs().size(),
+                                          d.epochs_per_subject(), d.voxels(),
+                                          d.epochs().front().length, budget);
+  EXPECT_EQ(open_epoch_run(view, budget, 0, 1).voxels_per_task,
+            whole.group_voxels);
+  // A lane's share of an impossible budget fails as the whole would.
+  EXPECT_THROW((void)open_epoch_run(view, 256u << 10, 0, 64), Error);
 }
 
 TEST(EpochRun, BudgetCapsTheTaskGrainAtThePlan) {
@@ -302,6 +343,36 @@ TEST(Offline, BudgetedRunMatchesResidentInPlanSizedTasks) {
   }
 }
 
+TEST(Offline, FinalClassifierMatchesTheFoldLoop) {
+  // One cross_validate fold over one Gram matrix scores each held-out
+  // subject exactly as the per-fold loop did.
+  const fmri::Dataset d = protocol_dataset();
+  OfflineOptions opts;
+  opts.top_k = 8;
+  opts.voxels_per_task = 32;
+  const OfflineResult result = run_offline_analysis(d, opts);
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  const std::vector<fmri::Epoch>& meta = d.epochs();
+  for (const FoldResult& fr : result.folds) {
+    linalg::Matrix features = selected_correlation_features(ne, fr.selected);
+    for (std::size_t first = 0, e = 1; e <= meta.size(); ++e) {
+      if (e == meta.size() || meta[e].subject != meta[first].subject) {
+        stats::fisher_zscore_block(features.row(first), e - first,
+                                   features.cols(), features.ld());
+        first = e;
+      }
+    }
+    std::vector<std::size_t> test;
+    for (std::size_t e = 0; e < meta.size(); ++e) {
+      if (meta[e].subject == fr.left_out_subject) test.push_back(e);
+    }
+    EXPECT_EQ(fr.test_accuracy,
+              oracle::fold_loop_accuracy(
+                  features, meta, oracle::train_indices(meta.size(), test),
+                  test, opts.pipeline.svm_options));
+  }
+}
+
 TEST(SelectedFeatures, UpperTriangleDimensions) {
   const fmri::Dataset d = protocol_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
@@ -377,6 +448,40 @@ TEST(Online, BudgetedRunMatchesResidentInPlanSizedTasks) {
   EXPECT_EQ(got.selected, want.selected);
   EXPECT_EQ(got.mean_selected_cv_accuracy, want.mean_selected_cv_accuracy);
   EXPECT_EQ(got.classifier_cv_accuracy, want.classifier_cv_accuracy);
+}
+
+TEST(Online, ClassifierCvMatchesTheFoldLoop) {
+  // A weaker signal and four voxels score 37 of 48 epochs: not a multiple
+  // of 4, so a fold scored differently, or skipped, moves the estimate.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.subjects = 2;
+  spec.epochs_total = 96;
+  spec.signal = 0.7;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  OnlineOptions opts;
+  opts.top_k = 4;
+  opts.k_folds = 4;
+  const OnlineResult r = run_online_selection(d, 1, opts);
+  ASSERT_EQ(r.classifier_cv_accuracy, 37.0 / 48.0);
+
+  const fmri::InMemoryView view(d);
+  const fmri::NormalizedEpochs ne =
+      fmri::normalize_epochs(view, view.epochs_of_subject(1));
+  linalg::Matrix features = selected_correlation_features(ne, r.selected);
+  stats::fisher_zscore_block(features.row(0), features.rows(),
+                             features.cols(), features.ld());
+  std::size_t correct = 0;
+  std::size_t total = 0;
+  for (const auto& test : kfold_groups(features.rows(), opts.k_folds)) {
+    const double acc = oracle::fold_loop_accuracy(
+        features, ne.meta, oracle::train_indices(features.rows(), test), test,
+        opts.pipeline.svm_options);
+    correct += static_cast<std::size_t>(
+        std::llround(acc * static_cast<double>(test.size())));
+    total += test.size();
+  }
+  EXPECT_EQ(r.classifier_cv_accuracy,
+            static_cast<double>(correct) / static_cast<double>(total));
 }
 
 TEST(Online, RejectsBadSubject) {

@@ -3,9 +3,16 @@
 // with the batch pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "fcma/offline.hpp"
+#include "fcma/online.hpp"
 #include "fcma/streaming.hpp"
+#include "fmri/dataset_view.hpp"
 #include "fmri/presets.hpp"
 #include "fmri/synthetic.hpp"
+#include "fold_loop_oracle.hpp"
+#include "stats/stats.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace fcma::core {
@@ -184,6 +191,65 @@ TEST(Streaming, PooledTrainIsBitIdenticalToSerial) {
   const Feedback fp = pooled.classify_pending();
   EXPECT_EQ(fs.label, fp.label);
   EXPECT_EQ(fs.decision, fp.decision);
+}
+
+TEST(Streaming, TrainingEstimateMatchesTheFoldLoop) {
+  // train() scores its CV folds with svm::cross_validate over one Gram
+  // matrix; the estimate equals the per-fold loop's, which rebuilt the Gram
+  // for every fold and summed accuracy x fold size.
+  // Eight voxels score 29 of 32 epochs: not a multiple of 4, so a fold
+  // scored differently, or skipped, moves the estimate.
+  const fmri::Dataset d = session_dataset();
+  StreamingAnalyzer::Options o = options_for(d);
+  o.top_k = 8;
+  StreamingAnalyzer analyzer(o);
+  const std::size_t m = 32;
+  for (std::size_t e = 0; e < m; ++e) {
+    push_epoch(analyzer, d, e);
+    analyzer.commit_epoch(d.epochs()[e].label);
+  }
+  analyzer.train();
+  ASSERT_EQ(analyzer.training_cv_accuracy(), 29.0 / 32.0);
+
+  // The analyzer's frozen features over the committed epochs.
+  std::vector<std::size_t> committed(m);
+  for (std::size_t e = 0; e < m; ++e) committed[e] = e;
+  const fmri::NormalizedEpochs ne =
+      fmri::normalize_epochs(fmri::InMemoryView(d), committed);
+  linalg::Matrix features =
+      selected_correlation_features(ne, analyzer.selected_voxels());
+  const std::size_t dim = features.cols();
+  std::vector<float> mean(dim, 0.0f);
+  for (std::size_t e = 0; e < m; ++e) {
+    stats::fisher_z({features.row(e), dim});
+    for (std::size_t x = 0; x < dim; ++x) mean[x] += features(e, x);
+  }
+  for (std::size_t x = 0; x < dim; ++x) mean[x] /= static_cast<float>(m);
+  for (std::size_t x = 0; x < dim; ++x) {
+    double var = 0.0;
+    for (std::size_t e = 0; e < m; ++e) {
+      const double diff = features(e, x) - mean[x];
+      var += diff * diff;
+    }
+    var /= static_cast<double>(m);
+    const float inv_sd =
+        var > 0.0 ? static_cast<float>(1.0 / std::sqrt(var)) : 0.0f;
+    for (std::size_t e = 0; e < m; ++e) {
+      features(e, x) = (features(e, x) - mean[x]) * inv_sd;
+    }
+  }
+
+  double correct = 0.0;
+  std::size_t total = 0;
+  for (const auto& test : kfold_groups(m, o.k_folds)) {
+    correct += oracle::fold_loop_accuracy(features, ne.meta,
+                                          oracle::train_indices(m, test),
+                                          test, o.svm_options) *
+               static_cast<double>(test.size());
+    total += test.size();
+  }
+  EXPECT_EQ(analyzer.training_cv_accuracy(),
+            correct / static_cast<double>(total));
 }
 
 TEST(Streaming, BufferCapacityIsEnforced) {

@@ -224,12 +224,21 @@ OOC_OFF_RSS_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/offline_peak_rss_mb")
 OOC_OFF_WITHIN=$(cluster_num "$OOCORE_METRICS" \
   "oocore\\/offline_within_budget")
 OOC_OFF_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/offline_identical")
+OOC_CLU_BUDGET_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/cluster_budget_mb")
+OOC_CLU_RSS_MB=$(cluster_num "$OOCORE_METRICS" "oocore\\/cluster_peak_rss_mb")
+OOC_CLU_WITHIN=$(cluster_num "$OOCORE_METRICS" \
+  "oocore\\/cluster_within_budget")
+OOC_CLU_IDENTICAL=$(cluster_num "$OOCORE_METRICS" "oocore\\/cluster_identical")
 test "$OOC_WITHIN" = "1"
 test "$OOC_IDENTICAL" = "1"
 # The streamed offline protocol (plan-sized tasks, one at a time) must stay
 # under its own budget and match its resident run.
 test "$OOC_OFF_WITHIN" = "1"
 test "$OOC_OFF_IDENTICAL" = "1"
+# The streamed cluster farm (a lane per worker rank, each planned over its
+# share of the budget) must hold the whole budget and match resident.
+test "$OOC_CLU_WITHIN" = "1"
+test "$OOC_CLU_IDENTICAL" = "1"
 # The column sweep maps each subject's shard once per block and once for
 # the task's own rows: no streamed task may make more shard loads than
 # subjects x (blocks + 1).
@@ -315,7 +324,11 @@ cat > "$OUT" <<EOF
       "offline_budget_mb": $OOC_OFF_BUDGET_MB,
       "offline_peak_rss_mb": $OOC_OFF_RSS_MB,
       "offline_within_budget": $OOC_OFF_WITHIN,
-      "offline_identical": $OOC_OFF_IDENTICAL
+      "offline_identical": $OOC_OFF_IDENTICAL,
+      "cluster_budget_mb": $OOC_CLU_BUDGET_MB,
+      "cluster_peak_rss_mb": $OOC_CLU_RSS_MB,
+      "cluster_within_budget": $OOC_CLU_WITHIN,
+      "cluster_identical": $OOC_CLU_IDENTICAL
     },
     "tracing_overhead": {
       "baseline_wall_s": $OVH_OFF_S,

@@ -308,7 +308,6 @@ int cmd_analyze(int argc, const char* const* argv) {
   cli.add_flag("report", "analysis.txt", "report output path");
   cli.add_flag("top-k", "20", "voxels listed in the report");
   cli.add_flag("fdr", "0.05", "FDR level for the selected set");
-  cli.add_flag("grouped", "64", "voxels in flight (memory-bounded driver)");
   cli.add_flag("baseline", "false", "use the baseline implementation");
   cli.add_flag("threads", "0",
                "worker threads for every stage (0 = hardware concurrency)");
@@ -321,8 +320,6 @@ int cmd_analyze(int argc, const char* const* argv) {
   FCMA_CHECK(sched == "steal" || sched == "serial",
              "--sched expects 'steal' or 'serial'");
   const std::size_t threads = threads_flag(cli);
-  const long long grouped = cli.get_int("grouped");
-  FCMA_CHECK(grouped >= 1, "--grouped must be at least 1");
 
   const std::string trace_dir = setup_tracing(cli);
 
@@ -339,12 +336,9 @@ int cmd_analyze(int argc, const char* const* argv) {
   WallTimer timer;
   // Under a budget, rows stream through budget-counted leases and plan-sized
   // tasks run one at a time; resident, the whole brain is one task swept
-  // under --grouped.  Per-voxel results are independent of the task
-  // partition, so the report is byte-identical either way.
+  // under core::kInFlightVoxels.  Per-voxel results are independent of the
+  // task partition, so the report is byte-identical either way.
   core::EpochRun run = core::open_epoch_run(*view, budget);
-  if (run.group_voxels == 0) {
-    run.group_voxels = static_cast<std::size_t>(grouped);
-  }
   const core::Scoreboard board = core::score_epoch_run(run, config);
   std::printf("scored %zu voxels in %.1f s\n", view->voxels(),
               timer.seconds());
@@ -396,7 +390,9 @@ int cmd_cluster(int argc, const char* const* argv) {
   cli.add_flag("report", "cluster.txt", "report output path");
   cli.add_flag("workers", "3", "worker ranks (rank 0 is the master)");
   cli.add_flag("voxels-per-task", "0",
-               "voxels per task (0 = one task per worker)");
+               "voxels per task, capped at one worker's in-flight share "
+               "(0 = that share: 64 / workers resident, the per-worker "
+               "budget plan's otherwise)");
   cli.add_flag("top-k", "20", "voxels listed in the report");
   cli.add_flag("fdr", "0.05", "FDR level for the selected set");
   cli.add_flag("lease-timeout", "10.0",
@@ -435,8 +431,6 @@ int cmd_cluster(int argc, const char* const* argv) {
 
   cluster::DriverOptions opts;
   opts.workers = static_cast<std::size_t>(cli.get_int("workers"));
-  opts.voxels_per_task =
-      static_cast<std::size_t>(cli.get_int("voxels-per-task"));
   opts.lease_timeout_s = cli.get_double("lease-timeout");
   opts.faults.seed = static_cast<std::uint64_t>(cli.get_int("fault-seed"));
   opts.faults.drop = cli.get_double("fault-drop");
@@ -464,13 +458,11 @@ int cmd_cluster(int argc, const char* const* argv) {
 
   WallTimer timer;
   cluster::DriverStats stats;
-  const core::EpochRun run = core::open_epoch_run(*view, budget);
-  if (run.group_voxels != 0 && opts.voxels_per_task == 0) {
-    // Every worker rank holds one task's correlation buffer at a time,
-    // so the plan's correlation allowance is split across the ranks.
-    opts.voxels_per_task =
-        std::max<std::size_t>(1, run.group_voxels / opts.workers);
-  }
+  // Every worker rank is a lane holding one task at a time.
+  const core::EpochRun run = core::open_epoch_run(
+      *view, budget,
+      static_cast<std::size_t>(cli.get_int("voxels-per-task")), opts.workers);
+  opts.voxels_per_task = run.voxels_per_task;
   const core::Scoreboard board =
       cluster::run_cluster_analysis(*run.epochs, view->voxels(), opts, &stats);
   std::printf("scored %zu voxels on %zu workers in %.1f s "

@@ -126,7 +126,6 @@ expect_exit_1() {
 }
 expect_exit_1 analyze --threads -1
 expect_exit_1 offline --threads -1
-expect_exit_1 analyze --grouped 0
 # A byte size no size_t can hold is rejected, not converted.
 expect_exit_1 analyze --memory-budget inf
 expect_exit_1 analyze --memory-budget 1e30G
@@ -216,6 +215,15 @@ cmp cluster_clean.txt cluster_streamed.txt
 "$FCMA" cluster --in sharded --report cluster_streamed2.txt --workers 2 \
     --voxels-per-task 40 --top-k 6 --memory-budget 16M
 cmp cluster_clean.txt cluster_streamed2.txt
+# At the default grain every farm is sized by the one rule
+# (core::open_epoch_run): resident, the workers split the in-flight cap;
+# budgeted, each worker is planned over its share of the budget.  Both
+# render the single-node analyze report verbatim.
+"$FCMA" cluster --in clean --report cluster_default.txt --workers 3 --top-k 6
+cmp analysis.txt cluster_default.txt
+"$FCMA" cluster --in sharded --report cluster_budgeted.txt --workers 3 \
+    --top-k 6 --memory-budget 48M
+cmp analysis.txt cluster_budgeted.txt
 
 "$FCMA" cluster --in clean --report cluster_faulted.txt --workers 3 \
     --voxels-per-task 40 --top-k 6 --lease-timeout 0.5 \
