@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
   cli.add_flag("subjects", "6", "scaled subject count for calibration");
   cli.add_flag("calib-task", "8", "task voxels in the calibration run");
   cli.add_flag("threads", "0",
-               "worker threads for workload generation and calibration "
-               "(0 = hardware concurrency)");
+               "threads for workload generation and calibration, the "
+               "caller included (0 = hardware concurrency)");
   cli.add_flag("grain-task", "8",
-               "voxels per task in the small-grain scheduler sweep (the "
-               "steal-heavy regime; 0 = skip the sweep)");
+               "voxels per task in the small-grain sweep (0 = skip the "
+               "sweep)");
   if (!cli.parse(argc, argv)) return 0;
 
   bench::print_preamble(
@@ -99,29 +99,23 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  // Small-grain scheduler sweep: run the real pipeline over the face-scene
-  // workload with tiny tasks — the regime where per-task dispatch overhead
-  // and load imbalance dominate, i.e. where work stealing earns its keep.
-  // Wall-clock plus the scheduler's steal/local-hit counters go to stdout
-  // and (as trace counters) into the metrics sidecar.
+  // Small-grain sweep: run the real pipeline over the face-scene workload
+  // with tiny tasks, the regime where per-task dispatch overhead and load
+  // imbalance dominate.  The wall-clock goes to stdout and (as a trace
+  // gauge) into the metrics sidecar.
   const auto grain = static_cast<std::size_t>(cli.get_int("grain-task"));
   if (grain > 0) {
     const bench::Workload& w = *workloads[0];
     core::PipelineConfig config = core::PipelineConfig::optimized();
     config.pool = &pool;
     const auto tasks = core::partition_voxels(w.dataset.voxels(), grain);
-    const sched::Scheduler::Stats before = pool.scheduler().stats();
     WallTimer timer;
     const auto results = core::run_tasks(w.epochs, tasks, config);
     const double wall = timer.seconds();
-    const sched::Scheduler::Stats after = pool.scheduler().stats();
     std::printf(
         "\nsmall-grain sweep (%s, %zu tasks of %zu voxels, %zu threads): "
-        "%.3f s wall, %llu steals, %llu local hits\n",
-        w.spec.name.c_str(), tasks.size(), grain, pool.size(), wall,
-        static_cast<unsigned long long>(after.steals - before.steals),
-        static_cast<unsigned long long>(after.local_hits -
-                                        before.local_hits));
+        "%.3f s wall\n",
+        w.spec.name.c_str(), tasks.size(), grain, pool.size(), wall);
     trace::gauge_set("bench/fig9/small_grain_wall_s", wall);
     (void)results;
   }

@@ -1,9 +1,9 @@
 // Timeline collector: per-thread event rings spilling to the stream.
 //
 // PR 1's trace layer funnels every span through one registry mutex — fine at
-// stage granularity, hostile once the work-stealing scheduler (PR 3) records
-// a busy span per task across every worker.  This layer keeps the global
-// mutex off the span hot path and records *when* each span ran, so every
+// stage granularity, hostile once every pool thread records spans and busy
+// intervals at once.  This layer keeps the global mutex off the span hot
+// path and records *when* each span ran, so every
 // view — the Chrome timeline, the fcma.trace.v2 per-label summary with its
 // percentiles, the merged cross-rank report — derives from one store.
 //

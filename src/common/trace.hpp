@@ -138,7 +138,7 @@ class Span {
 
 /// Records one span occurrence under the nesting-qualified `label` with
 /// its true wall-clock interval, for callers that already hold both
-/// endpoints (scheduler worker busy periods).
+/// endpoints (a pool helper's busy period in one loop).
 void record_interval(std::string_view label,
                      std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point end);

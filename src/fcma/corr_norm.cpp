@@ -190,7 +190,7 @@ void correlate_normalize_block(EpochSource& epochs,
       if (tracing) busy_s[p] += panel_timer.seconds();
     });
     if (tracing) {
-      // Pool workers' seconds add up to more than the run's wall; keep
+      // Pool lanes' seconds add up to more than the run's wall; keep
       // normalization's share of the busy thread time so neither span can
       // exceed the wall or go negative.  A serial sweep's busy time never
       // exceeds its wall, so it records the measured seconds unscaled.

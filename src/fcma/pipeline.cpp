@@ -55,11 +55,9 @@ std::vector<TaskResult> run_tasks(EpochSource& epochs,
                                   const PipelineConfig& config) {
   std::vector<TaskResult> results(tasks.size());
   if (config.pool != nullptr && tasks.size() > 1) {
-    // One scheduler task per FCMA task, and no pool below it: each task's
-    // stages run inline on the worker that took it.  Nesting the stages on
-    // the same pool would let a worker that helps while it joins start a
-    // sibling task with its own correlation buffer still held, stacking
-    // buffers per thread.  Every voxel writes its own accuracy slot and the
+    // One loop index per FCMA task, and no pool below it: each task's
+    // stages run inline on the lane that claimed it, one correlation
+    // buffer per lane.  Every voxel writes its own accuracy slot and the
     // results vector is indexed by task order, so results match the serial
     // loop exactly.
     PipelineConfig inline_config = config;
@@ -113,9 +111,9 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   for (std::uint32_t v = 0; v < task.count; ++v) kernels.emplace_back(m, m);
   // Each thread keeps one spare block, so a task reuses the last one's
   // memory instead of mapping a fresh block.  The block is moved out of the
-  // slot for the task's duration: a task nested on this thread (a join that
-  // runs queued work) finds the slot empty and allocates its own.  On the
-  // way out the larger of the two blocks stays.
+  // slot for the task's duration: a task nested on this thread (say, from
+  // an EpochSource's acquire) finds the slot empty and allocates its own.
+  // On the way out the larger of the two blocks stays.
   thread_local AlignedBuffer<float> spare;
   AlignedBuffer<float> block = std::move(spare);
   const std::size_t block_floats = shape.group * m * shape.block;

@@ -76,8 +76,8 @@ struct TaskResult {
 /// Runs every task and returns the results in task order.
 ///
 /// With a pool configured and more than one task, tasks are distributed
-/// across the workers (the paper's task-level parallelism); each task runs
-/// with config.pool cleared, so its stages run inline on its worker and no
+/// across the lanes (the paper's task-level parallelism); each task runs
+/// with config.pool cleared, so its stages run inline on its lane and no
 /// pool work nests inside another.  With one task — or no pool — tasks run
 /// on the calling thread with the config unchanged, which keeps the pool
 /// available to the task's stages instead.  Either way the result vector

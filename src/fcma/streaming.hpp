@@ -47,7 +47,7 @@ class StreamingAnalyzer {
     std::size_t top_k = 32;         ///< voxels selected by train()
     std::size_t k_folds = 4;        ///< CV folds used during selection
     svm::TrainOptions svm_options;
-    /// Scheduler for train()'s voxel selection, which opens its epochs
+    /// Pool for train()'s voxel selection, which opens its epochs
     /// through core::open_epoch_run: tasks of `voxels_per_task` voxels
     /// fan out over the pool, or at grain 0 the whole brain is one task
     /// swept under core::kInFlightVoxels with the pool inside it.  Results

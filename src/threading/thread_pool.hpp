@@ -1,87 +1,108 @@
-// Thread-pool compatibility shim over the work-stealing scheduler.
+// One fixed-lane parallel loop.
 //
-// FCMA's worker pipeline parallelizes over voxels (one SVM problem per
-// voxel) and over panel blocks inside the matrix kernels.  Both used to run
-// on a single shared-FIFO pool defined here; PR 3 moved dispatch to
-// `sched::Scheduler` (per-worker deques, randomized stealing, help-first
-// joins — see sched/scheduler.hpp), and this header keeps the original
-// `ThreadPool` / `parallel_for` surface as a thin forwarding layer so the
-// many existing call sites did not have to churn.  New code should target
-// `sched::Scheduler` directly (`pool.scheduler()` bridges).
+// FCMA's worker runs each stage as one flat loop across the machine's
+// threads: over voxels for the SVMs and over column panels (or epochs) for
+// the kernels.  `ThreadPool(n)` is n lanes.  The calling thread is lane 0,
+// so the pool starts n - 1 threads and `ThreadPool(1)` runs everything on
+// the caller.  A loop wakes the lanes, and each lane claims indices from
+// one atomic counter until the range is used up.  Every index writes only
+// its own output, so results never depend on which lane ran an index: the
+// serial and pooled runs are bit-identical by construction.
+//
+// One loop runs on the lanes at a time.  A loop that finds the pool busy —
+// started from inside one of its lanes, or from another thread meanwhile —
+// runs inline, in order, on its caller, so no call ever waits for the pool.
+// The first exception a body throws stops further claims and is rethrown on
+// the caller once every lane has left the loop.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <future>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
-#include "sched/scheduler.hpp"
+namespace fcma::sched {
+
+/// The tallies the deleted work-stealing scheduler kept.  Only bench_fcma
+/// still reads them; ROADMAP item 1 deletes this stub with its per-layer
+/// `sched.*` counters.  `executed` counts the indices run through the pool;
+/// the other three always read 0.
+struct Scheduler {
+  struct Stats {
+    std::uint64_t local_hits = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t inbox_hits = 0;
+    std::uint64_t executed = 0;
+  };
+};
+
+}  // namespace fcma::sched
 
 namespace fcma::threading {
 
-/// Compatibility wrapper: owns a `sched::Scheduler` and forwards to it.
-///
-/// Shutdown semantics are inherited from the scheduler: the destructor
-/// *drains* — every task already submitted runs to completion before the
-/// workers exit, so a future held past the pool's lifetime resolves
-/// normally instead of throwing std::future_error(broken_promise).
+using LoopBody = std::function<void(std::size_t)>;
+
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (defaults to hardware concurrency, min 1).
-  explicit ThreadPool(std::size_t threads = 0) : sched_(threads) {}
+  /// `lanes` lanes, the caller included (0 = hardware concurrency, min 1).
+  explicit ThreadPool(std::size_t lanes = 0);
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; the future resolves with its result (or exception).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    return sched_.submit(std::forward<F>(fn));
-  }
+  /// Number of lanes, the calling thread included.
+  [[nodiscard]] std::size_t size() const { return helpers_.size() + 1; }
 
-  [[nodiscard]] std::size_t size() const { return sched_.size(); }
-
-  /// The scheduler behind this pool — for callers that want TaskGroup,
-  /// spawn(), or dispatch stats.
-  [[nodiscard]] sched::Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] const sched::Scheduler& scheduler() const { return sched_; }
-
-  /// True when the calling thread is a worker of *this* pool's scheduler.
-  /// The old process-global variant wrongly reported true on workers of
-  /// *other* pools (so a task on pool A inlined parallel_for on pool B);
-  /// the check is now instance-scoped, and with help-first joins nothing
-  /// keys dispatch off it anyway.
-  [[nodiscard]] bool inside_worker() const {
-    return sched_.on_worker_thread();
-  }
+  /// bench_fcma reads `pool.scheduler().stats()`; ROADMAP item 1 deletes
+  /// both with the sched::Scheduler stub.
+  [[nodiscard]] const ThreadPool& scheduler() const { return *this; }
+  [[nodiscard]] sched::Scheduler::Stats stats() const;
 
  private:
-  sched::Scheduler sched_;
+  friend void parallel_for_each(ThreadPool& pool, std::size_t begin,
+                                std::size_t end, const LoopBody& body);
+
+  struct Loop;
+
+  void run(std::size_t begin, std::size_t end, const LoopBody& body);
+  /// Runs claims on the calling lane.  Helpers pass their busy label and
+  /// record one interval per loop; the caller (lane 0) passes null: its
+  /// time already lies in its own spans, and a caller that lays stage spans
+  /// back to back across the loop afterwards (correlate_normalize_block)
+  /// would otherwise put them out of end order on its timeline lane.
+  void work(Loop& loop, const std::string* busy_label);
+  void helper_main(std::size_t lane);
+  void stop_helpers();
+
+  std::atomic<bool> busy_{false};  // a loop holds the lanes
+  std::mutex mutex_;
+  std::condition_variable wake_;  // a loop opened, or shutdown
+  std::condition_variable left_;  // a helper left the loop
+  Loop* loop_ = nullptr;          // the open loop; guarded by mutex_
+  std::uint64_t generation_ = 0;  // loops opened; guarded by mutex_
+  std::size_t inside_ = 0;        // helpers in the loop; guarded by mutex_
+  bool stopping_ = false;         // guarded by mutex_
+  std::atomic<std::uint64_t> executed_{0};
+  std::vector<std::thread> helpers_;  // lanes 1 .. n-1; last, as they use
+                                      // every member above
 };
 
-/// Runs fn(lo, hi) over [begin, end) across the pool, in chunks of `grain`.
-/// Blocks until all iterations finish; rethrows the first chunk exception
-/// once every chunk has completed.  Re-entrant at any depth: a worker
-/// calling this helps execute chunks while it waits (and other workers
-/// steal them), so nested calls are genuinely parallel instead of inlining
-/// serially; an external caller parks until the chunks drain.
-inline void parallel_for(
-    ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  pool.scheduler().parallel_for(begin, end, grain, body);
-}
-
-/// Convenience overload: body receives a single index.
-inline void parallel_for_each(ThreadPool& pool, std::size_t begin,
-                              std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  pool.scheduler().parallel_for_each(begin, end, body);
-}
+/// Runs body(i) for every i in [begin, end) across the pool's lanes and
+/// returns once every lane has left the loop; rethrows the first body
+/// exception.
+void parallel_for_each(ThreadPool& pool, std::size_t begin, std::size_t end,
+                       const LoopBody& body);
 
 /// parallel_for_each on `pool`, or an in-order loop on the calling thread
 /// when `pool` is null — one loop body for the serial and pooled runs.
 inline void for_each_index(ThreadPool* pool, std::size_t begin,
-                           std::size_t end,
-                           const std::function<void(std::size_t)>& body) {
+                           std::size_t end, const LoopBody& body) {
   if (pool != nullptr) {
     parallel_for_each(*pool, begin, end, body);
   } else {

@@ -349,8 +349,8 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledGroupedPipeline,
                          ::testing::Values(1, 2, 3, 4));
 
 // run_tasks spreads whole tasks over the pool and runs each task's stages
-// inline on its worker: one scheduler task per FCMA task, nothing nested
-// below it, from resident panels or streamed rows alike.
+// inline on its lane: one pool index per FCMA task, nothing nested below
+// it, from resident panels or streamed rows alike.
 TEST(RunTasks, SpawnsOnePoolTaskPerTask) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
@@ -818,10 +818,9 @@ class NestingSource final : public EpochSource {
 };
 
 TEST(CorrelationBlock, NestedTaskOnTheSameThreadGetsItsOwnBlock) {
-  // A task that runs a larger one on its own thread mid-block, as the
-  // scheduler's stall rescue may do on a thread blocked in a join: the
-  // nested task must not reuse (or regrow) the block the outer task is
-  // still writing.
+  // A task that runs a larger one on its own thread mid-block, as an
+  // EpochSource may do from its acquire: the nested task must not reuse
+  // (or regrow) the block the outer task is still writing.
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 3500;
   spec.informative = 32;

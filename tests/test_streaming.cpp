@@ -163,9 +163,9 @@ TEST(Streaming, RetrainingAfterMoreDataIsAllowed) {
 }
 
 TEST(Streaming, PooledTrainIsBitIdenticalToSerial) {
-  // Training through the work-stealing scheduler must give the same result
-  // as the serial path: task partitioning fixes the arithmetic, the
-  // scheduler only moves tasks between threads.
+  // Training on a pool must give the same result as the serial path: task
+  // partitioning fixes the arithmetic, the pool only moves tasks between
+  // lanes.
   const fmri::Dataset d = session_dataset();
   StreamingAnalyzer::Options serial_opts = options_for(d);
   serial_opts.voxels_per_task = 16;  // same partition, no pool

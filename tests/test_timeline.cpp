@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <string>
@@ -162,12 +163,16 @@ TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
   constexpr std::size_t kIterations = 2000;
   {
     threading::ThreadPool pool(4);
-    threading::parallel_for_each(pool, 0, kIterations, [](std::size_t i) {
+    // The first four indices wait for each other, so all four lanes record
+    // at once (a lane holding one of them cannot claim another).
+    std::latch all_lanes(4);
+    threading::parallel_for_each(pool, 0, kIterations, [&](std::size_t i) {
       // Recorded before the Span opens: record_interval_ns() qualifies its
       // label with the thread's current span path.
       const std::uint64_t t0 = now_ns();
       record_interval_ns("stress/manual", t0, t0 + 1000 * (i + 1));
       const Span span("stress/span");
+      if (i < 4) all_lanes.arrive_and_wait();
     });
   }
   const auto folded = spans();
@@ -183,12 +188,13 @@ TEST_F(TimelineTest, ConcurrentSpanAndHistogramRecordingMergesExactly) {
   EXPECT_LE(p95, manual.max_s);
   EXPECT_DOUBLE_EQ(manual.min_s, 1e-6);
   EXPECT_DOUBLE_EQ(manual.max_s, 1e-6 * kIterations);
-  // Worker busy intervals cover every task the scheduler executed.
+  // Each of the three helpers joined the loop and recorded one busy
+  // interval; the caller (lane 0) records none.
   std::uint64_t busy = 0;
   for (const auto& [label, s] : folded) {
     if (label.rfind("sched/worker", 0) == 0) busy += s.count;
   }
-  EXPECT_GT(busy, 0u);
+  EXPECT_EQ(busy, 3u);
 }
 
 // --- Chrome-trace export ------------------------------------------------
@@ -208,20 +214,16 @@ std::vector<double> extract_numbers(const std::string& json,
 
 TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
   {
-    threading::ThreadPool pool(2);
-    // Lanes exist for threads that recorded events: two tasks that wait for
-    // each other occupy both workers, so each worker lane records.
-    std::atomic<int> started{0};
-    std::vector<std::future<void>> both;
-    for (int i = 0; i < 2; ++i) {
-      both.push_back(pool.submit([&started] {
-        const Span s("chrome/span");
-        started.fetch_add(1);
-        while (started.load() < 2) std::this_thread::yield();
-      }));
-    }
-    for (auto& f : both) f.get();
-    threading::parallel_for_each(pool, 0, 62, [](std::size_t) {
+    threading::ThreadPool pool(3);
+    // Lanes exist for threads that recorded events: three bodies that wait
+    // for each other occupy the caller and both helpers, so each helper
+    // records its busy interval and a span.
+    std::latch all_started(3);
+    threading::parallel_for_each(pool, 0, 3, [&all_started](std::size_t) {
+      const Span s("chrome/span");
+      all_started.arrive_and_wait();
+    });
+    threading::parallel_for_each(pool, 0, 61, [](std::size_t) {
       const Span s("chrome/span");
     });
   }
@@ -231,9 +233,10 @@ TEST_F(TimelineTest, ChromeJsonIsTimeSortedWithNamedWorkerLanes) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"fcma.timeline.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
-  // One named lane per scheduler worker.
-  EXPECT_NE(json.find("\"sched/worker0\""), std::string::npos);
+  // One named lane per helper thread; the caller is lane 0.
   EXPECT_NE(json.find("\"sched/worker1\""), std::string::npos);
+  EXPECT_NE(json.find("\"sched/worker2\""), std::string::npos);
+  EXPECT_EQ(json.find("\"sched/worker0"), std::string::npos);
   // Complete events sorted by timestamp, with non-negative durations, and
   // exactly the events the stream holds.
   const std::vector<double> ts = extract_numbers(json, "ts");

@@ -159,17 +159,15 @@ test -n "$BASE_CORR" && test -n "$BASE_SYRK"
 grep -qE "face-scene.*\|[^|]*x" "$WORK/fig9_single_node_speedup.txt"
 grep -qE "attention" "$WORK/fig9_single_node_speedup.txt"
 
-# Scheduler dispatch counters and the small-grain sweep wall-clock, from
-# the Fig 9 metrics sidecar.  The counters are always seeded, but fall back
-# to 0 so a missing sidecar key degrades instead of breaking the sweep.
+# The small-grain sweep wall-clock, from the Fig 9 metrics sidecar; it
+# falls back to 0 so a missing sidecar key degrades instead of breaking the
+# sweep.
 FIG9_METRICS="$BENCH_DIR/bench_fig9_single_node_speedup.metrics.json"
 sidecar_num() {
   v=$(sed -n "s/.*\"$1\": \([0-9.eE+-]*\).*/\1/p" "$FIG9_METRICS" \
     | head -n 1)
   echo "${v:-0}"
 }
-SCHED_STEALS=$(sidecar_num "sched\\/steals")
-SCHED_LOCAL=$(sidecar_num "sched\\/local_hits")
 SMALL_GRAIN_S=$(sidecar_num "bench\\/fig9\\/small_grain_wall_s")
 
 # p95 span latencies of the pipeline stages, from the Fig 9 sidecar.  Each
@@ -287,8 +285,6 @@ cat > "$OUT" <<EOF
     "fig9_single_node_speedup": {
       "wall_s": $(wall_s fig9_single_node_speedup),
       "small_grain_wall_s": $SMALL_GRAIN_S,
-      "sched_steals": $SCHED_STEALS,
-      "sched_local_hits": $SCHED_LOCAL,
       "p95_task_correlation_s": $P95_CORR,
       "p95_task_svm_s": $P95_SVM
     },

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ThreadSanitizer gate for the concurrency-sensitive layers: configures a
-# separate build tree with -DFCMA_SANITIZE=thread, builds the scheduler
-# (unit + sched-stress), threading, tracing, cluster fault-tolerance and
+# separate build tree with -DFCMA_SANITIZE=thread, builds the threading
+# (parallel loop + stress), tracing, cluster fault-tolerance and
 # epoch-source test binaries, and runs them under TSan.  Any reported race fails
 # the script (halt_on_error); environments where TSan cannot compile or run
 # (no libtsan, unsupported kernel/ASLR settings) skip with exit 77, which
@@ -46,16 +46,12 @@ cmake -S "$SRC" -B "$BUILD" \
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
-  --target test_sched test_sched_stress test_threading test_trace \
+  --target test_threading test_trace \
           test_timeline test_tlstream test_cluster test_cluster_recovery \
           test_epoch_source \
   -j "$JOBS" > /dev/null
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
-echo "ci_tsan: running test_sched under TSan"
-"$BUILD/tests/test_sched"
-echo "ci_tsan: running test_sched_stress under TSan"
-"$BUILD/tests/test_sched_stress"
 echo "ci_tsan: running test_threading under TSan"
 "$BUILD/tests/test_threading"
 echo "ci_tsan: running test_trace under TSan"

@@ -146,7 +146,7 @@ std::size_t parse_bytes(const std::string& s) {
   return static_cast<std::size_t>(bytes);
 }
 
-// --threads as a pool size: 0 means hardware concurrency.
+// --threads as a pool's lane count: 0 means hardware concurrency.
 std::size_t threads_flag(const Cli& cli) {
   const long long threads = cli.get_int("threads");
   FCMA_CHECK(threads >= 0, "--threads must not be negative");
@@ -310,15 +310,11 @@ int cmd_analyze(int argc, const char* const* argv) {
   cli.add_flag("fdr", "0.05", "FDR level for the selected set");
   cli.add_flag("baseline", "false", "use the baseline implementation");
   cli.add_flag("threads", "0",
-               "worker threads for every stage (0 = hardware concurrency)");
-  cli.add_flag("sched", "steal",
-               "task scheduler: steal (work-stealing pool) or serial");
+               "threads for every stage, the caller included (0 = hardware "
+               "concurrency, 1 = serial)");
   add_trace_flag(cli);
   add_budget_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const std::string sched = cli.get("sched");
-  FCMA_CHECK(sched == "steal" || sched == "serial",
-             "--sched expects 'steal' or 'serial'");
   const std::size_t threads = threads_flag(cli);
 
   const std::string trace_dir = setup_tracing(cli);
@@ -328,11 +324,8 @@ int cmd_analyze(int argc, const char* const* argv) {
   core::PipelineConfig config = cli.get_bool("baseline")
                                     ? core::PipelineConfig::baseline()
                                     : core::PipelineConfig::optimized();
-  std::optional<threading::ThreadPool> pool;
-  if (sched == "steal") {
-    pool.emplace(threads);
-    config.pool = &*pool;
-  }
+  threading::ThreadPool pool(threads);
+  config.pool = &pool;
   WallTimer timer;
   // Under a budget, rows stream through budget-counted leases and plan-sized
   // tasks run one at a time; resident, the whole brain is one task swept
@@ -508,19 +501,14 @@ int cmd_offline(int argc, const char* const* argv) {
   cli.add_flag("report", "offline.txt", "report output path");
   cli.add_flag("top-k", "32", "voxels selected per fold");
   cli.add_flag("threads", "0",
-               "worker threads for the task/stage parallelism (0 = hardware "
-               "concurrency)");
+               "threads for the task/stage parallelism, the caller included "
+               "(0 = hardware concurrency, 1 = serial)");
   cli.add_flag("voxels-per-task", "64",
                "voxels per pipeline task (0 = the whole brain in one task, "
                "or the budget plan's grain; a budget caps it at that grain)");
-  cli.add_flag("sched", "steal",
-               "task scheduler: steal (work-stealing pool) or serial");
   add_trace_flag(cli);
   add_budget_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const std::string sched = cli.get("sched");
-  FCMA_CHECK(sched == "steal" || sched == "serial",
-             "--sched expects 'steal' or 'serial'");
   const std::size_t threads = threads_flag(cli);
 
   const std::string trace_dir = setup_tracing(cli);
@@ -531,11 +519,8 @@ int cmd_offline(int argc, const char* const* argv) {
   opts.voxels_per_task =
       static_cast<std::size_t>(cli.get_int("voxels-per-task"));
   opts.memory_budget_bytes = parse_bytes(cli.get("memory-budget"));
-  std::optional<threading::ThreadPool> pool;
-  if (sched == "steal") {
-    pool.emplace(threads);
-    opts.pipeline.pool = &*pool;
-  }
+  threading::ThreadPool pool(threads);
+  opts.pipeline.pool = &pool;
   WallTimer timer;
   const core::OfflineResult result = core::run_offline_analysis(*view, opts);
   std::printf("%zu folds in %.1f s; mean held-out accuracy %.3f\n",

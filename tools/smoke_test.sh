@@ -38,9 +38,9 @@ grep -q "ROI clusters" analysis.txt
 # Tracing: --trace-stream writes the event stream plus two views rendered
 # from it at exit — the span/counter summary trace.json, with all three
 # pipeline stages, latency percentiles, roofline attribution, and the
-# work-stealing scheduler's activity, and the Chrome-trace view (one named
-# lane per scheduler worker).
-"$FCMA" analyze --in clean --report traced.txt --top-k 6 \
+# pool helpers' busy intervals, and the Chrome-trace view (one named lane
+# per helper thread; the caller is lane 0).
+"$FCMA" analyze --in clean --report traced.txt --top-k 6 --threads 4 \
     --trace-stream tl_stream
 test -f tl_stream/trace.json && test -f tl_stream/timeline.json
 grep -q '"fcma.trace.v2"' tl_stream/trace.json
@@ -48,13 +48,11 @@ grep -q '"task/correlation"' tl_stream/trace.json
 grep -q '"task/normalization"' tl_stream/trace.json
 grep -q 'svm' tl_stream/trace.json
 grep -q 'sched/' tl_stream/trace.json
-grep -q 'sched/steals' tl_stream/trace.json
-grep -q 'sched/local_hits' tl_stream/trace.json
 grep -q '"p95_s"' tl_stream/trace.json
 grep -q '"roofline"' tl_stream/trace.json
 grep -q 'task/correlation/gemm_nt' tl_stream/trace.json
 grep -q '"fcma.timeline.v1"' tl_stream/timeline.json
-grep -q 'sched/worker0' tl_stream/timeline.json
+grep -q 'sched/worker1' tl_stream/timeline.json
 trace_check tl_stream
 # Every view comes only from the stream: the old flags are gone.
 for gone in --trace-timeline --trace; do
@@ -99,14 +97,20 @@ test -f err_stream/timeline.json
 grep -q '"fcma.trace.v2"' err_stream/trace.json
 trace_check err_stream/trace.json err_stream/timeline.json
 
-# --sched serial runs the same analysis without a pool and must produce an
-# identical report (the scheduler only moves tasks between threads).
-"$FCMA" analyze --in clean --report serial.txt --top-k 6 --sched serial
+# --threads 1 runs the same analysis on the calling thread alone and must
+# produce an identical report (the pool only moves indices between lanes).
+"$FCMA" analyze --in clean --report serial.txt --top-k 6 --threads 1
 cmp traced.txt serial.txt
-if "$FCMA" analyze --in clean --sched bogus 2>/dev/null; then
-  echo "expected failure for an unknown --sched value" >&2
-  exit 1
-fi
+# The scheduler switch is gone from both commands, so its old serial form
+# must be rejected as an unknown flag.
+gone=sched
+for cmd in analyze offline; do
+  if "$FCMA" "$cmd" --in clean --report gone.txt "--$gone" serial \
+      2>/dev/null; then
+    echo "expected $cmd to reject --$gone as an unknown flag" >&2
+    exit 1
+  fi
+done
 # Numeric flags parse strictly: a malformed value is an error, not a 0.
 if "$FCMA" analyze --in clean --report bad_topk.txt --top-k abc \
     2>/dev/null; then
@@ -179,7 +183,7 @@ cmp offline.txt offline_streamed.txt
 # must render the same report byte for byte.
 "$FCMA" generate --out wide --voxels 1100 --subjects 4 \
     --epochs-per-subject 12 --informative 32 > /dev/null
-"$FCMA" analyze --in wide --report wide_serial.txt --top-k 6 --sched serial
+"$FCMA" analyze --in wide --report wide_serial.txt --top-k 6 --threads 1
 "$FCMA" analyze --in wide --report wide_pooled.txt --top-k 6 --threads 4
 "$FCMA" analyze --in wide --report wide_streamed.txt --top-k 6 --threads 3 \
     --memory-budget 2M

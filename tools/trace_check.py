@@ -14,8 +14,8 @@ Accepts any artifact the CLI / benches emit and sniffs which one it got:
   view ``DIR/timeline.json`` rendered from a ``--trace-stream DIR`` stream.
   Checks that complete events are globally time-sorted with non-negative
   durations, that every event's lane (tid) has exactly one thread_name
-  metadata record, and that named scheduler-worker lanes are distinct (one
-  lane per worker).
+  metadata record, and that named pool-helper lanes (``sched/worker<k>``)
+  are distinct (one lane per helper thread).
 * a stream directory (``fcma.tlstream.v1``): the continuous-profiling
   segments written by ``--trace-stream`` (pass the directory itself).
   Checks every segment's header against its filename, that every event
