@@ -207,8 +207,8 @@ int phase_streamed(const PhaseArgs& a) {
         std::min(run.voxels_per_task, a.task_voxels - first);
     const core::VoxelTask task{static_cast<std::uint32_t>(first),
                                static_cast<std::uint32_t>(count)};
-    const core::ColumnSweep sweep =
-        core::column_sweep(count, view->voxels(), run.group_voxels);
+    const core::ColumnSweep sweep = core::column_sweep(
+        count, view->voxels(), run.group_voxels, pool.size());
     const std::size_t groups = (count + sweep.group - 1) / sweep.group;
     const std::size_t blocks =
         groups * ((view->voxels() + sweep.block - 1) / sweep.block);

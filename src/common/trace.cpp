@@ -103,6 +103,22 @@ ScopedParent::ScopedParent(std::uint64_t parent_span)
 
 ScopedParent::~ScopedParent() { detail::t_current_span = saved_; }
 
+Context current_context() {
+  if (!enabled()) return {};
+  return Context{detail::t_path, detail::t_current_span};
+}
+
+ScopedContext::ScopedContext(const Context& context)
+    : saved_{detail::t_path, detail::t_current_span} {
+  detail::t_path = context.path;
+  detail::t_current_span = context.span;
+}
+
+ScopedContext::~ScopedContext() {
+  detail::t_path = std::move(saved_.path);
+  detail::t_current_span = saved_.span;
+}
+
 void set_stream_dir(const std::string& dir, std::uint64_t budget_bytes,
                     std::uint64_t rotate_bytes) {
   tlstream::StreamConfig config;

@@ -103,6 +103,32 @@ class ScopedParent {
   std::uint64_t saved_ = 0;
 };
 
+/// The calling thread's span nesting: its label path and current span id.
+struct Context {
+  std::string path;
+  std::uint64_t span = 0;
+};
+
+/// The calling thread's Context, to hand to work that runs on another
+/// thread (empty while tracing is disabled).
+[[nodiscard]] Context current_context();
+
+/// Adopts `context` on the calling thread for this scope: spans and
+/// intervals recorded inside get the context's path as their label prefix
+/// and its span as their parent, as if recorded on the thread it came from
+/// (a pool lane running part of a stage its caller spans).
+class ScopedContext {
+ public:
+  explicit ScopedContext(const Context& context);
+  ~ScopedContext();
+
+  ScopedContext(const ScopedContext&) = delete;
+  ScopedContext& operator=(const ScopedContext&) = delete;
+
+ private:
+  Context saved_;
+};
+
 /// Arms the event stream: span occurrences are recorded as events and
 /// spill to fcma.tlstream.v1 segment files under `dir` (empty disarms;
 /// spans recorded while disarmed are discarded).  0 keeps a default
@@ -145,8 +171,8 @@ void record_interval(std::string_view label,
 
 /// record_interval() with timeline-epoch endpoints the caller already holds
 /// in ns — e.g. a comm flight time [ctx.sent_ns, recv now_ns()], whose
-/// start was stamped on another rank, or the two halves of the fused
-/// correlate+normalize stage laid back to back.
+/// start was stamped on another rank, or the correlate and normalize
+/// halves of one unit of the fused stage 1+2, split at one stamp.
 void record_interval_ns(std::string_view label, std::uint64_t start_ns,
                         std::uint64_t end_ns);
 

@@ -1,12 +1,12 @@
 #include "fcma/corr_norm.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/timer.hpp"
 #include "common/trace.hpp"
+#include "fcma/memory_model.hpp"
 #include "linalg/baseline.hpp"
 #include "linalg/opt.hpp"
 #include "stats/normalization.hpp"
@@ -132,82 +132,76 @@ void correlate_normalize_block(EpochSource& epochs,
   FCMA_CHECK(n0 <= n1 && n1 <= epochs.voxels() &&
                  out.rows == task.count * m_total && out.cols == n1 - n0,
              "bad corr block shape");
-  // Merged (idea #2): per subject and per column panel, compute that
-  // subject's E epoch rows for each voxel and normalize them immediately,
-  // while the freshly-written panel is still cache resident.  The fused
-  // sweep needs one subject run's rows [n0, n1) at a time — that run is the
-  // streaming granularity, and its lease is the only one held (a streamed
-  // source normalizes the lease's epochs across the pool).  Within a
-  // run the column panels are independent: each packs its own B^T slice
-  // into a buffer of its own and writes only its own columns, so they
-  // spread across the pool when one is given.
+  // Merged (idea #2): per subject run, pack the run's B^T panels once,
+  // then compute each (panel, voxel block) unit's E epoch rows and
+  // normalize them at once, while the freshly-written panel is still cache
+  // resident.  A unit runs its epoch loop outside its voxel loop, so each
+  // epoch's packed panel serves the block's rows from L1 (the paper's §4.2
+  // tall-skinny blocking).  The run is the streaming granularity: its lease
+  // is the only one held (a streamed source normalizes the lease's epochs
+  // across the pool).  Units write disjoint outputs, so both loops spread
+  // across the pool when one is given.
   //
-  // The two logical stages interleave per panel, so their trace spans are
-  // split per subject run by timing the normalization slices of every
-  // panel and attributing the rest of the run's compute wall to
-  // correlation.  The run's lease comes before that wall, so a streamed
-  // source's fill spans sit between the runs' pairs and overlap neither.
-  const bool tracing = trace::enabled();
+  // Each unit records its correlation and normalization spans on the lane
+  // that ran it, under the caller's span; the run's lease comes before its
+  // loops, so a streamed source's fill spans overlap no unit.
   const std::size_t n = n1 - n0;
   const auto runs = subject_runs(epochs.meta());
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
-  constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
-  const std::size_t panels = (n + kPanelCols - 1) / kPanelCols;
-  // Per-panel busy and normalization seconds of the current run; runs are
-  // separated by the pool's join, so each slot has one writer at a time.
-  std::vector<double> busy_s(tracing ? panels : 0, 0.0);
-  std::vector<double> norm_s(tracing ? panels : 0, 0.0);
+  constexpr std::size_t kUnitVoxels = 8;
+  const std::size_t panels = (n + kSweepPanelCols - 1) / kSweepPanelCols;
+  const std::size_t voxel_blocks =
+      (task.count + kUnitVoxels - 1) / kUnitVoxels;
+  std::size_t max_e = 0;
+  for (const SubjectRun& r : runs) max_e = std::max(max_e, r.last - r.first);
+  // Panel p of the run holds its epochs' packed panels, epoch e at
+  // e * t_len * width; only the last panel is narrower than kSweepPanelCols.
+  AlignedBuffer<float> bt(max_e * t_len * n);
+  const bool tracing = trace::enabled();
+  const trace::Context context = trace::current_context();
   for (const SubjectRun& run : runs) {
     const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1, pool);
-    const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
     const std::size_t e_count = run.last - run.first;
+    const auto panel_of = [&](std::size_t p) {
+      const std::size_t j0 = p * kSweepPanelCols;
+      return std::pair{j0, std::min(n, j0 + kSweepPanelCols) - j0};
+    };
     threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
-      const WallTimer panel_timer;
-      const std::size_t j0 = p * kPanelCols;
-      const std::size_t width = std::min(n, j0 + kPanelCols) - j0;
-      AlignedBuffer<float> bt(e_count * t_len * width);
+      const auto [j0, width] = panel_of(p);
+      float* panel = bt.data() + e_count * t_len * j0;
       for (std::size_t e = 0; e < e_count; ++e) {
         linalg::opt::pack_bt_panel(lease.epoch(run.first + e), j0, j0 + width,
-                                   bt.data() + e * t_len * width);
+                                   panel + e * t_len * width);
       }
-      for (std::size_t v = 0; v < task.count; ++v) {
-        for (std::size_t e = 0; e < e_count; ++e) {
-          linalg::opt::gemm_row_panel(
-              task_lease.epoch(run.first + e).row(v), t_len,
-              bt.data() + e * t_len * width, width,
-              out.row(v * m_total + run.first + e) + j0);
-        }
-        if (tracing) {
-          const WallTimer norm_timer;
-          stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
-                                     e_count, width, out.ld);
-          norm_s[p] += norm_timer.seconds();
-        } else {
-          stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
-                                     e_count, width, out.ld);
-        }
-      }
-      if (tracing) busy_s[p] += panel_timer.seconds();
     });
-    if (tracing) {
-      // Pool lanes' seconds add up to more than the run's wall; keep
-      // normalization's share of the busy thread time so neither span can
-      // exceed the wall or go negative.  A serial sweep's busy time never
-      // exceeds its wall, so it records the measured seconds unscaled.
-      // The two spans are laid back to back across the run's compute
-      // wall: correlation first, then normalization.
-      const std::uint64_t t1 = trace::now_ns();
-      const double wall = static_cast<double>(t1 - t0) * 1e-9;
-      const double busy = std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
-      double norm = std::accumulate(norm_s.begin(), norm_s.end(), 0.0);
-      if (busy > wall) norm *= wall / busy;
-      const auto norm_ns =
-          std::min(t1 - t0, static_cast<std::uint64_t>(norm * 1e9));
-      trace::record_interval_ns("correlation", t0, t1 - norm_ns);
-      trace::record_interval_ns("normalization", t1 - norm_ns, t1);
-      std::fill(busy_s.begin(), busy_s.end(), 0.0);
-      std::fill(norm_s.begin(), norm_s.end(), 0.0);
-    }
+    threading::for_each_index(
+        pool, 0, panels * voxel_blocks, [&](std::size_t unit) {
+          const auto [j0, width] = panel_of(unit / voxel_blocks);
+          const float* panel = bt.data() + e_count * t_len * j0;
+          const std::size_t v0 = unit % voxel_blocks * kUnitVoxels;
+          const std::size_t v1 = std::min<std::size_t>(task.count,
+                                                       v0 + kUnitVoxels);
+          const trace::ScopedContext lane_context(context);
+          const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
+          for (std::size_t e = 0; e < e_count; ++e) {
+            const linalg::ConstMatrixView rows =
+                task_lease.epoch(run.first + e);
+            for (std::size_t v = v0; v < v1; ++v) {
+              linalg::opt::gemm_row_panel(
+                  rows.row(v), t_len, panel + e * t_len * width, width,
+                  out.row(v * m_total + run.first + e) + j0);
+            }
+          }
+          const std::uint64_t t1 = tracing ? trace::now_ns() : 0;
+          for (std::size_t v = v0; v < v1; ++v) {
+            stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
+                                       e_count, width, out.ld);
+          }
+          if (tracing) {
+            trace::record_interval_ns("correlation", t0, t1);
+            trace::record_interval_ns("normalization", t1, trace::now_ns());
+          }
+        });
   }
 }
 

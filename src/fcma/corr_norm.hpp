@@ -65,11 +65,13 @@ void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
 /// time.  `out` is task.count * M rows by n1 - n0 columns: row v * M + m
 /// holds voxel (task.first + v)'s normalized correlations in epoch m with
 /// voxels [n0, n1).  Every column is computed and normalized on its own,
-/// within 512-column gemm panels counted from n0, so a block starting on a
-/// panel edge reproduces the whole-brain columns bit for bit.  With a
-/// `pool`, each subject run's lease fills across it (acquire_rows' pool)
-/// and its panels spread across it; the result is bit-identical to the
-/// pool-less call.
+/// within kSweepPanelCols-wide panels counted from n0, so a block starting
+/// on a panel edge reproduces the whole-brain columns bit for bit.  Each
+/// subject run packs its panels once, then runs one unit per (panel,
+/// 8-voxel block), which records its correlation and normalization spans
+/// on the lane that ran it, under the caller's span.  With a `pool`, each subject run's lease fills
+/// across it (acquire_rows' pool) and its panels and units spread across
+/// it; the result is bit-identical to the pool-less call.
 void correlate_normalize_block(EpochSource& epochs,
                                const EpochSource::RowLease& task_lease,
                                const VoxelTask& task, std::size_t n0,

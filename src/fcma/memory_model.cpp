@@ -45,17 +45,16 @@ std::size_t optimized_max_voxels(std::size_t epochs, std::size_t brain_voxels,
 }
 
 ColumnSweep column_sweep(std::size_t task_voxels, std::size_t brain_voxels,
-                         std::size_t group_voxels) {
+                         std::size_t group_voxels, std::size_t lanes) {
   FCMA_CHECK(group_voxels > 0, "group size must be positive");
   FCMA_CHECK(brain_voxels > 0, "column sweep needs brain voxels");
-  if (task_voxels <= group_voxels) return {task_voxels, brain_voxels};
-  // Columns of one epoch row the in-flight correlation may hold.
-  const std::size_t cap = sat_mul(group_voxels, brain_voxels);
-  const std::size_t widest = cap / task_voxels / kSweepBlockCols *
-                             kSweepBlockCols;
-  if (widest > 0) return {task_voxels, std::min(widest, brain_voxels)};
-  const std::size_t block = std::min(brain_voxels, kSweepBlockCols);
-  return {cap / block, block};
+  FCMA_CHECK(lanes > 0, "column sweep needs a lane");
+  const std::size_t block =
+      std::min(brain_voxels, sat_mul(kSweepPanelCols, lanes));
+  const std::size_t group = std::clamp<std::size_t>(
+      sat_mul(group_voxels, brain_voxels) / block, 1,
+      std::max<std::size_t>(task_voxels, 1));
+  return {group, block};
 }
 
 BudgetPlan plan_residency(std::size_t total_epochs,
@@ -88,11 +87,11 @@ BudgetPlan plan_residency(std::size_t total_epochs,
   plan.panel_cache_bytes = min_cache;
   // The rest is split evenly between in-flight correlation (group size)
   // and per-task kernel accumulation (task grain), the grain capped at
-  // what one pass of kSweepBlockCols-wide blocks holds.
+  // what one pass of four-lane blocks holds.
   const std::size_t rest = usable - min_cache;
   plan.group_voxels = std::max<std::size_t>(1, rest / 2 / corr_voxel);
   const std::size_t one_pass = sat_mul(plan.group_voxels, brain_voxels) /
-                               std::min(brain_voxels, kSweepBlockCols);
+                               std::min(brain_voxels, 4 * kSweepPanelCols);
   plan.voxels_per_task = std::max(
       plan.group_voxels,
       std::min(one_pass, std::max<std::size_t>(1, rest / 2 / kernel_voxel)));

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <numeric>
 
 #include "linalg/opt.hpp"
 
@@ -41,12 +40,13 @@ inline constexpr std::size_t kPhiAvailableBytes = 6ull << 30;
                                                std::size_t available_bytes,
                                                std::size_t group = 8);
 
-/// Width granule of the column sweep (pipeline.hpp): a brain block starts
-/// on both a gemm panel edge (512 columns) and a syrk panel edge (96), so
-/// every packed panel and every accumulation step of the block kernels is
-/// the one the whole-brain sweep runs.
-inline constexpr std::size_t kSweepBlockCols =
-    std::lcm(linalg::opt::kGemmPanelCols, linalg::opt::kSyrkPanelK);
+/// Columns one lane of the column sweep (pipeline.hpp) correlates per
+/// block: four syrk panels.  The sweep's block is this many columns per
+/// lane of the pool inside the task, so every block starts on a syrk panel
+/// edge (96) and a 64-column edge (the gemm's widest register block and
+/// the Fisher/z-score chunk), and every packed panel and accumulation step
+/// of the block kernels computes the whole-brain sweep's bits.
+inline constexpr std::size_t kSweepPanelCols = 4 * linalg::opt::kSyrkPanelK;
 
 /// How the merged stages 1+2 sweep one task: voxel groups of `group`
 /// voxels, each correlated against the brain in column blocks of `block`
@@ -56,16 +56,17 @@ struct ColumnSweep {
   std::size_t block = 0;
 };
 
-/// The sweep of a `task_voxels` task over `brain_voxels` columns whose
-/// in-flight correlation may hold `group_voxels` whole voxels
-/// (group_voxels x M x N floats).  The whole task in one block when it
-/// fits; otherwise the whole task in the widest multiple of
-/// kSweepBlockCols that fits; otherwise the fewest voxel groups that fit
-/// one kSweepBlockCols block (or the whole brain, if narrower).  Throws
-/// fcma::Error when group_voxels or brain_voxels is 0.
+/// The sweep of a `task_voxels` task over `brain_voxels` columns by a pool
+/// of `lanes` lanes (1 for a pool-less task), whose in-flight correlation
+/// may hold `group_voxels` whole voxels (group_voxels x M x N floats).  One
+/// rule: block = min(N, kSweepPanelCols x lanes), one panel per lane, and
+/// group = group_voxels x N / block clamped to [1, task_voxels], so a group
+/// x block never holds more than group_voxels x N columns of an epoch row.
+/// Throws fcma::Error when group_voxels, brain_voxels or lanes is 0.
 [[nodiscard]] ColumnSweep column_sweep(std::size_t task_voxels,
                                        std::size_t brain_voxels,
-                                       std::size_t group_voxels);
+                                       std::size_t group_voxels,
+                                       std::size_t lanes);
 
 /// Residency plan for a budget-bounded streamed run (`--memory-budget`).
 ///
@@ -76,13 +77,13 @@ struct ColumnSweep {
 ///     lease the stages take (every row of one subject run).  The column
 ///     sweep's buffers (one block of one subject run at a time, and the
 ///     task's own rows) and offline's selected-voxel rows come out of it;
-///   * correlation — in-flight count x M x B blocks, capped at
+///   * correlation — in-flight group x M x B blocks, capped at
 ///     group_voxels x M x N floats (column_sweep);
 ///   * kernels — the per-task accumulated M x M kernel matrices.
 /// The row leases take their floor and the rest is split evenly between
 /// correlation and kernels.  voxels_per_task is capped so one task fits a
-/// single pass of kSweepBlockCols-wide blocks: the sweep then reads each
-/// panel row once per task.
+/// single pass of 1536-column blocks (a four-lane sweep's): a sweep of up
+/// to four lanes then reads each panel row once per task.
 /// Only ~5/8 of the budget is planned; the rest is headroom for code,
 /// transient shard mappings, SVM scratch, and allocator slack so the
 /// *process* peak RSS stays under the user's number, not just the plan.

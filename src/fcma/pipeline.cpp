@@ -91,18 +91,20 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   const std::size_t m = epochs.meta().size();
   const std::size_t n = epochs.voxels();
 
-  // The merged optimized stages sweep the brain in column blocks; the
-  // baseline and separated stages correlate whole rows, one block of N.
+  // The merged optimized stages sweep the brain in column blocks of one
+  // panel per lane; the baseline and separated stages correlate whole
+  // rows, one block of N.
   const bool sweep = config.impl == Impl::kOptimized &&
                      config.norm_mode == NormMode::kMerged;
-  ColumnSweep shape = column_sweep(task.count, n, group_voxels);
+  const std::size_t lanes = config.pool != nullptr ? config.pool->size() : 1;
+  ColumnSweep shape = column_sweep(task.count, n, group_voxels, lanes);
   if (!sweep) shape = {std::min<std::size_t>(group_voxels, task.count), n};
 
   // Per voxel group and block, correlate+normalize into one reusable
   // correlation block, then add the block to every group voxel's kernel,
-  // both across the pool: the merged stage 1+2 spreads column panels, and
-  // each voxel's kernel is one serial syrk on one thread, so results are
-  // pool-independent.  Blocks start on syrk panel edges and accumulate in
+  // both across the pool: the merged stage 1+2 spreads (panel, voxel
+  // block) units, and each voxel's kernel is one serial syrk on one
+  // thread, so results are pool-independent.  Blocks start on syrk panel edges and accumulate in
   // ascending order, so the kernels carry the whole-brain syrk's bits.
   // Iterating in size_t keeps a group larger than 2^32 - 1 voxels from
   // wrapping the loop.

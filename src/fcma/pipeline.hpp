@@ -27,9 +27,10 @@ struct PipelineConfig {
   svm::SolverKind solver = svm::SolverKind::kPhiSvm;
   svm::TrainOptions svm_options;
   /// Optional pool, used at exactly one level.  run_task and
-  /// run_task_grouped run every stage on it: column panels of the optimized
-  /// merged stage 1+2, one serial syrk (accumulation) per voxel, and one
-  /// SVM cross-validation per voxel.  run_tasks with more than one task spreads
+  /// run_task_grouped run every stage on it: (column panel, voxel block)
+  /// units of the optimized merged stage 1+2, whose block is one panel per
+  /// lane, one serial syrk (accumulation) per voxel, and one SVM
+  /// cross-validation per voxel.  run_tasks with more than one task spreads
   /// whole tasks over it instead, and their stages run pool-less on their
   /// worker.  Results never depend on it.
   threading::ThreadPool* pool = nullptr;
@@ -59,7 +60,7 @@ struct TaskResult {
 };
 
 /// Runs the three-stage pipeline for `task`:
-/// run_task_grouped(epochs, task, config, task.count), one block of N.
+/// run_task_grouped(epochs, task, config, task.count), one voxel group.
 ///
 /// The EpochSource form is primary: stages lease what they need (whole
 /// panels per epoch for the baseline and separated stages, a subject run's
@@ -116,25 +117,24 @@ struct InstrumentedTaskResult {
 /// at once caps a coprocessor task at ~120 voxels at the paper's
 /// dimensions.  run_task_grouped instead sweeps the brain in column blocks
 /// (memory_model.hpp, column_sweep): for each block [n0, n1) of B columns,
-/// stages 1+2 correlate and normalize every task voxel against the block
-/// into one task.count x M x B buffer, and each voxel's M x M kernel
-/// matrix gets that block's syrk panels added to it.  `group_voxels` caps
-/// the in-flight correlation at group_voxels x M x N floats: B = N when the
-/// whole task fits, else the widest multiple of kSweepBlockCols (1536) that
-/// holds the whole task, else the task splits into the fewest voxel groups
-/// that fit 1536-column blocks.  Only the small kernel matrices
-/// accumulate, so a task of 240+ voxels fits the modeled 6GB — the enabler
-/// for full thread occupancy during SVM cross-validation.  A task swept in
-/// one voxel group reads each of its subject runs' voxel rows once per
-/// task; a streamed source loads only those rows.
+/// stages 1+2 correlate and normalize a voxel group against the block into
+/// one group x M x B buffer, and each voxel's M x M kernel matrix gets that
+/// block's syrk panels added to it.  B = min(N, kSweepPanelCols (384) x
+/// lanes), one panel per lane of config.pool (1 without one), so the block
+/// follows the lanes that compute it; `group_voxels` caps the in-flight
+/// correlation at group_voxels x M x N floats through the group size,
+/// group_voxels x N / B clamped to [1, task.count].  Only the small kernel
+/// matrices accumulate, so a task of 240+ voxels fits the modeled 6GB —
+/// the enabler for full thread occupancy during SVM cross-validation.  A
+/// task swept in one voxel group reads each of its subject runs' voxel
+/// rows once per task; a streamed source loads only those rows.
 ///
-/// Blocks start on gemm and syrk panel edges and add to the kernels in
-/// ascending order, so kernels and accuracies are bit-identical for any
-/// group size and any config.pool: the pool runs each subject run's column
-/// panels of stages 1-2 and one serial syrk accumulation per voxel.  The
-/// baseline and separated stages have no block form; they run B = N, in
-/// groups of group_voxels.  A group size of task.count or more processes
-/// the task as one block.
+/// Blocks start on syrk panel edges and add to the kernels in ascending
+/// order, so kernels and accuracies are bit-identical for any group size
+/// and any config.pool (whose lane count sets B): the pool runs each
+/// subject run's (panel, voxel block) units of stages 1-2 and one serial
+/// syrk accumulation per voxel.  The baseline and separated stages have no
+/// block form; they run B = N, in groups of group_voxels.
 [[nodiscard]] TaskResult run_task_grouped(EpochSource& epochs,
                                           const VoxelTask& task,
                                           const PipelineConfig& config,
@@ -146,8 +146,8 @@ struct InstrumentedTaskResult {
 
 /// Stages 1-2 and the kernel reduction of run_task_grouped: the M x M
 /// kernel matrix of every task voxel, in voxel order, computed block by
-/// block.  Bit-identical for any group size and config.pool;
-/// run_task_grouped cross-validates exactly these matrices.
+/// block under column_sweep's rule.  Bit-identical for any group size and
+/// config.pool; run_task_grouped cross-validates exactly these matrices.
 [[nodiscard]] std::vector<linalg::Matrix> grouped_kernels(
     EpochSource& epochs, const VoxelTask& task, const PipelineConfig& config,
     std::size_t group_voxels);

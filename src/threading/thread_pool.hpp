@@ -73,9 +73,7 @@ class ThreadPool {
   void run(std::size_t begin, std::size_t end, const LoopBody& body);
   /// Runs claims on the calling lane.  Helpers pass their busy label and
   /// record one interval per loop; the caller (lane 0) passes null: its
-  /// time already lies in its own spans, and a caller that lays stage spans
-  /// back to back across the loop afterwards (correlate_normalize_block)
-  /// would otherwise put them out of end order on its timeline lane.
+  /// time already lies in its own spans.
   void work(Loop& loop, const std::string* busy_label);
   void helper_main(std::size_t lane);
   void stop_helpers();

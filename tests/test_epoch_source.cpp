@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -258,14 +259,67 @@ TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
   }
 }
 
-// The grouped pipeline's pooled column sweep (column panels across the
-// pool, one serial syrk accumulation per voxel and block) against the
-// pool-less whole-brain run, over the whole configuration space: N = 3500
-// sweeps in blocks of 1536, 1536 and a ragged 428 (whose last gemm panel is
-// a ragged 428 and last syrk panel a ragged 44); pools of 1-4 threads;
-// groups that split the task into voxel groups (1, 7), sweep it whole in
-// 1536- or 3072-column blocks (9, 18) or in one block (20); resident panels
-// and streamed ones under the plan's row-lease budget.
+TEST(ColumnSweep, OneWidthPerLane) {
+  // One rule: a block of kSweepPanelCols columns per lane (the whole brain
+  // when narrower), and the widest voxel group whose blocks stay within
+  // group_voxels x N columns, clamped to [1, task].
+  constexpr std::size_t n = 3500;
+  EXPECT_EQ(kSweepPanelCols, 384u);
+  EXPECT_EQ(column_sweep(20, n, 20, 1).block, 384u);
+  EXPECT_EQ(column_sweep(20, n, 20, 1).group, 20u);
+  EXPECT_EQ(column_sweep(20, n, 20, 2).block, 768u);
+  EXPECT_EQ(column_sweep(20, n, 20, 2).group, 20u);
+  EXPECT_EQ(column_sweep(20, n, 20, 4).block, 1536u);
+  EXPECT_EQ(column_sweep(20, n, 20, 4).group, 20u);
+  // A pool wider than N / 384 sweeps the brain as one block.
+  EXPECT_EQ(column_sweep(20, n, 20, 10).block, n);
+  EXPECT_EQ(column_sweep(20, n, 20, 10).group, 20u);
+  // A group cap that splits the task: 1 x 3500 columns hold 9 voxels'
+  // 384-column blocks, 2 voxels' 1536-column blocks and 1 whole voxel.
+  EXPECT_EQ(column_sweep(20, n, 1, 1).group, 9u);
+  EXPECT_EQ(column_sweep(20, n, 1, 4).group, 2u);
+  EXPECT_EQ(column_sweep(20, n, 1, 10).group, 1u);
+  EXPECT_EQ(column_sweep(20, n, 7, 4).group, 15u);
+  // An empty task still gets a valid group; a brain narrower than one
+  // panel is one block.
+  EXPECT_EQ(column_sweep(0, n, 20, 1).group, 1u);
+  EXPECT_EQ(column_sweep(20, 100, 20, 4).block, 100u);
+  EXPECT_THROW((void)column_sweep(20, n, 0, 1), Error);
+  EXPECT_THROW((void)column_sweep(20, 0, 20, 1), Error);
+  EXPECT_THROW((void)column_sweep(20, n, 20, 0), Error);
+}
+
+TEST(ColumnSweep, InFlightCorrelationNeverExceedsTheCap) {
+  // Whatever the task, brain, cap and pool, a group x block holds at most
+  // group_voxels x N columns of an epoch row — group_voxels x M x N floats
+  // of correlation — and every block but the last starts and ends on a
+  // panel edge.
+  for (const std::size_t task : {1u, 7u, 20u, 64u, 1000u, 8192u}) {
+    for (const std::size_t n : {1u, 100u, 384u, 1100u, 3500u, 8192u}) {
+      for (const std::size_t cap : {1u, 2u, 7u, 9u, 64u, 8192u}) {
+        for (const std::size_t lanes : {1u, 2u, 3u, 4u, 16u}) {
+          const ColumnSweep sweep = column_sweep(task, n, cap, lanes);
+          SCOPED_TRACE(std::to_string(task) + " " + std::to_string(n) + " " +
+                       std::to_string(cap) + " " + std::to_string(lanes));
+          EXPECT_GE(sweep.group, 1u);
+          EXPECT_LE(sweep.group, task);
+          EXPECT_LE(sweep.group * sweep.block, cap * n);
+          EXPECT_EQ(sweep.block, std::min(n, kSweepPanelCols * lanes));
+        }
+      }
+    }
+  }
+}
+
+// The grouped pipeline's pooled column sweep ((panel, voxel block) units
+// across the pool, one serial syrk accumulation per voxel and block)
+// against the pool-less whole-brain run, over the whole configuration
+// space: pools of 1-4 lanes sweep N = 3500 in blocks of 384, 768, 1152 and
+// 1536 columns, whose ragged last blocks are 44 or 428 wide (a ragged
+// panel of 44 columns, and a ragged last syrk panel of 44); groups that
+// split the task into voxel groups (1, and 7 on four lanes) or sweep it
+// whole (9, 18, 20); resident panels and streamed ones under the plan's
+// row-lease budget.
 class PooledGroupedPipeline : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
@@ -276,13 +330,12 @@ TEST_P(PooledGroupedPipeline, IsBitIdenticalToThePoolLessRun) {
   const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
   const fmri::InMemoryView view(d);
   const VoxelTask task{500, 20};
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 1).group, 2u);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 7).group, 15u);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 7).block, 1536u);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 9).group, task.count);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 9).block, 1536u);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 18).block, 3072u);
-  EXPECT_EQ(column_sweep(task.count, d.voxels(), 20).block, d.voxels());
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 1, GetParam()).block,
+            kSweepPanelCols * GetParam());
+  EXPECT_LT(column_sweep(task.count, d.voxels(), 1, GetParam()).group,
+            task.count);
+  EXPECT_EQ(column_sweep(task.count, d.voxels(), 9, GetParam()).group,
+            task.count);
   const PipelineConfig serial = PipelineConfig::optimized();
   const TaskResult want = run_task_grouped(norm, task, serial, task.count);
   ResidentEpochs resident(norm);
@@ -554,10 +607,12 @@ TEST(StreamedEpochs, TracedTaskRecordsOneFillSpanPerLease) {
   PipelineConfig config = PipelineConfig::optimized();
   config.pool = &pool;
   const VoxelTask task{100, 20};
-  const std::size_t group_voxels = 9;  // three column blocks, as above
-  const ColumnSweep sweep = column_sweep(task.count, d.voxels(), group_voxels);
+  const std::size_t group_voxels = 9;  // five 768-column blocks, one group
+  const ColumnSweep sweep =
+      column_sweep(task.count, d.voxels(), group_voxels, pool.size());
+  ASSERT_EQ(sweep.group, task.count);
   const std::size_t blocks = (d.voxels() + sweep.block - 1) / sweep.block;
-  ASSERT_EQ(blocks, 3u);
+  ASSERT_EQ(blocks, 5u);
 
   TracedScope traced("fcma_fill_span_stream");
   StreamedEpochs streamed(store.view(), {});
@@ -707,11 +762,12 @@ TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   const CountingView view(store.view());
   const VoxelTask task{100, 20};
   const std::size_t group_voxels = 9;
-  const ColumnSweep sweep = column_sweep(task.count, d.voxels(), group_voxels);
+  threading::ThreadPool pool(3);
+  const ColumnSweep sweep =
+      column_sweep(task.count, d.voxels(), group_voxels, pool.size());
   ASSERT_EQ(sweep.group, task.count);
   const std::size_t blocks = (d.voxels() + sweep.block - 1) / sweep.block;
-  ASSERT_EQ(blocks, 3u);
-  threading::ThreadPool pool(3);
+  ASSERT_EQ(blocks, 4u);  // three lanes: blocks of 1152 and a ragged 44
   PipelineConfig config = PipelineConfig::optimized();
   config.pool = &pool;
 
@@ -757,6 +813,39 @@ TEST(StreamedEpochs, SweepReadsEachRowOncePerTask) {
   for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
     EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
   }
+}
+
+TEST(StreamedEpochs, PoolLessTaskSweepsOnePanelPerBlock) {
+  // A pool-less task sweeps one 384-column panel per block, however much
+  // correlation its cap would let it hold: a 20-voxel task over a
+  // 3500-voxel brain leases its own rows once and each subject run's rows
+  // once in each of ten blocks, with the pooled run's results.
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const TempShardStore store(d, "fcma_pool_less_sweep_test");
+  const VoxelTask task{100, 20};
+  const PipelineConfig serial = PipelineConfig::optimized();
+  StreamedEpochs streamed(store.view(), {});
+  RowCountingSource counted(streamed);
+  const TaskResult got = run_task_grouped(counted, task, serial, task.count);
+  const std::size_t blocks =
+      (d.voxels() + kSweepPanelCols - 1) / kSweepPanelCols;
+  ASSERT_EQ(blocks, 10u);
+  EXPECT_EQ(counted.leases(),
+            1 + blocks * static_cast<std::size_t>(d.subjects()));
+
+  threading::ThreadPool pool(2);
+  PipelineConfig pooled = serial;
+  pooled.pool = &pool;
+  const TaskResult want =
+      run_task_grouped(fmri::normalize_epochs(d), task, pooled, task.count);
+  ASSERT_EQ(got.accuracy.size(), want.accuracy.size());
+  for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
+    EXPECT_EQ(got.accuracy[v], want.accuracy[v]) << "voxel " << v;
+  }
+  EXPECT_EQ(got.svm_iterations, want.svm_iterations);
 }
 
 // One whole-brain syrk per voxel of `task`: the kernels every sweep must
@@ -831,7 +920,7 @@ TEST(CorrelationBlock, NestedTaskOnTheSameThreadGetsItsOwnBlock) {
   const PipelineConfig serial = PipelineConfig::optimized();
   const VoxelTask outer{500, 20};
   const VoxelTask inner{1000, 40};
-  ASSERT_EQ(column_sweep(outer.count, d.voxels(), 9).block, 1536u);
+  ASSERT_EQ(column_sweep(outer.count, d.voxels(), 9, 1).block, 384u);
 
   std::vector<linalg::Matrix> inner_kernels;
   NestingSource nesting(resident, [&] {
@@ -863,8 +952,8 @@ TEST(CorrelationBlock, RetainedHeapIsBounded) {
     const struct mallinfo2 info = ::mallinfo2();
     return info.uordblks + info.hblkhd;
   };
-  // Whole-brain blocks of count x M x N floats: 34, 17, 8.5 and 4.3 MiB,
-  // each in a power-of-two size class of its own.
+  // Pool-less blocks of count x M x 384 floats: 3.8, 1.9, 0.9 and
+  // 0.5 MiB.
   const auto run = [&](std::uint32_t count) {
     return run_task_grouped(resident, VoxelTask{0, count}, serial, count);
   };
@@ -874,6 +963,43 @@ TEST(CorrelationBlock, RetainedHeapIsBounded) {
     EXPECT_EQ(run(count).accuracy.size(), count);
   }
   EXPECT_LT(in_use(), after_largest + (std::size_t{1} << 20));
+#endif
+}
+
+TEST(CorrelationBlock, PoolLessTaskRetainsOnePanelPerVoxel) {
+  // A pool-less run_task keeps one spare block of count x M x 384 floats
+  // on its thread, not a whole-brain count x M x N one (8.5 MiB here).  A
+  // fresh thread starts with no spare block.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#elif !defined(__GLIBC__) || __GLIBC__ < 2 || \
+    (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33)
+  GTEST_SKIP() << "mallinfo2 needs glibc 2.33";
+#else
+  fmri::DatasetSpec spec = fmri::tiny_spec();
+  spec.voxels = 3500;
+  spec.informative = 32;
+  const fmri::Dataset d = fmri::generate_synthetic(spec);
+  const fmri::NormalizedEpochs norm = fmri::normalize_epochs(d);
+  ResidentEpochs resident(norm);
+  const VoxelTask task{0, 20};
+  const auto in_use = [] {
+    const struct mallinfo2 info = ::mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  std::size_t before = 0;
+  std::size_t after = 0;
+  std::thread([&] {
+    before = in_use();
+    EXPECT_EQ(run_task(resident, task, PipelineConfig::optimized())
+                  .accuracy.size(),
+              task.count);
+    after = in_use();
+  }).join();
+  // The block itself, plus the allocator's rounding of one mapping.
+  const std::size_t block =
+      task.count * norm.meta.size() * kSweepPanelCols * sizeof(float);
+  EXPECT_LE(after, before + block + (std::size_t{64} << 10));
 #endif
 }
 
@@ -964,17 +1090,19 @@ TEST(BudgetPlan, IsDeterministicAndWithinBudget) {
 
 TEST(BudgetPlan, TaskRunsInOnePass) {
   // The row leases take their floor, and a task of the planned grain is
-  // swept whole (one voxel group) in kSweepBlockCols-multiple blocks: at
-  // the face-scene bench shape with a 64 MiB budget, 8 voxels are one
-  // task in one pass.
+  // swept whole (one voxel group) by a pool of up to four lanes: at the
+  // face-scene bench shape with a 64 MiB budget, 8 voxels are one task in
+  // one pass.
   const std::size_t panel = 8192 * 12 * sizeof(float);
   const BudgetPlan plan = plan_residency(216, 12, 8192, 12, 64u << 20);
   EXPECT_EQ(plan.panel_cache_bytes, 13 * panel);
   EXPECT_GE(plan.voxels_per_task, 8u);
-  const ColumnSweep sweep =
-      column_sweep(plan.voxels_per_task, 8192, plan.group_voxels);
-  EXPECT_EQ(sweep.group, plan.voxels_per_task);
-  EXPECT_EQ(sweep.block % kSweepBlockCols, 0u);
+  for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+    const ColumnSweep sweep =
+        column_sweep(plan.voxels_per_task, 8192, plan.group_voxels, lanes);
+    EXPECT_EQ(sweep.group, plan.voxels_per_task) << lanes << " lanes";
+    EXPECT_EQ(sweep.block, kSweepPanelCols * lanes);
+  }
 }
 
 TEST(BudgetPlan, HugeBudgetDoesNotWrap) {

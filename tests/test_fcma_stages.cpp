@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -144,12 +145,13 @@ TEST(CorrStage, MergedAndSeparatedAgree) {
 }
 
 TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
-  // The pooled sweep still records task/correlation and task/normalization
-  // on the calling thread, one pair per subject run.  Worker seconds add
-  // up past the wall, so the normalization share is scaled to it: each
-  // pair is laid back to back inside its run, correlation first, so
-  // neither goes negative and together they never exceed the fused call's
-  // wall time.
+  // The pooled sweep records one task/correlation and task/normalization
+  // pair per (panel, voxel block) unit and subject run, on the lane that
+  // ran the unit and under the caller's task span: 1100 columns are three
+  // 384-column panels and 24 voxels three 8-voxel blocks, nine units per
+  // run.  Each pair is back to back, correlation first, inside the call;
+  // a lane's units never overlap, so on each lane the pairs add up to no
+  // more than the call's wall time.
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 1100;
   const fmri::Dataset d = fmri::generate_synthetic(spec);
@@ -167,8 +169,10 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   trace::set_stream_dir(dir);
   trace::set_enabled(true);
   const std::uint64_t start = trace::now_ns();
+  std::uint64_t task_id = 0;
   {
     const trace::Span task_span("task");
+    task_id = task_span.id();
     optimized_correlate_normalize(source, task, buf.view(), NormMode::kMerged,
                                   &pool);
   }
@@ -183,27 +187,30 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 
-  std::vector<trace::tlstream::StreamEvent> corr;
-  std::vector<trace::tlstream::StreamEvent> norm;
-  for (const auto& ev : read.events) {
-    if (ev.label == "task/correlation") corr.push_back(ev);
-    if (ev.label == "task/normalization") norm.push_back(ev);
+  // Events come ordered by lane and record order: each correlation is
+  // followed by its unit's normalization.
+  std::map<std::size_t, std::uint64_t> covered;  // per lane
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < read.events.size(); ++i) {
+    const auto& corr = read.events[i];
+    EXPECT_NE(corr.label, "correlation");  // never outside the task span
+    if (corr.label != "task/correlation") continue;
+    ASSERT_LT(i + 1, read.events.size());
+    const auto& norm = read.events[i + 1];
+    ASSERT_EQ(norm.label, "task/normalization");
+    EXPECT_EQ(norm.lane_id, corr.lane_id);
+    EXPECT_EQ(corr.parent, task_id);
+    EXPECT_EQ(norm.parent, task_id);
+    EXPECT_GE(corr.start_ns, start);
+    EXPECT_LE(corr.start_ns, corr.end_ns);
+    EXPECT_EQ(corr.end_ns, norm.start_ns);  // back to back
+    EXPECT_LE(norm.start_ns, norm.end_ns);
+    EXPECT_LE(norm.end_ns, end);
+    covered[corr.lane_id] += norm.end_ns - corr.start_ns;
+    ++pairs;
   }
-  const auto runs = static_cast<std::size_t>(d.subjects());
-  ASSERT_EQ(corr.size(), runs);
-  ASSERT_EQ(norm.size(), runs);
-  std::uint64_t covered = 0;
-  std::uint64_t previous_end = start;
-  for (std::size_t r = 0; r < runs; ++r) {
-    EXPECT_GE(corr[r].start_ns, previous_end);
-    EXPECT_LE(corr[r].start_ns, corr[r].end_ns);
-    EXPECT_EQ(corr[r].end_ns, norm[r].start_ns);  // back to back
-    EXPECT_LE(norm[r].start_ns, norm[r].end_ns);
-    previous_end = norm[r].end_ns;
-    covered += norm[r].end_ns - corr[r].start_ns;
-  }
-  EXPECT_LE(previous_end, end);
-  EXPECT_LE(covered, end - start);
+  EXPECT_EQ(pairs, 9 * static_cast<std::size_t>(d.subjects()));
+  for (const auto& [lane, ns] : covered) EXPECT_LE(ns, end - start);
 }
 
 TEST(CorrStage, InstrumentedTwinsMatchFastPaths) {
