@@ -157,15 +157,15 @@ void correlate_normalize_block(EpochSource& epochs,
   // Panel p of the run holds its epochs' packed panels, epoch e at
   // e * t_len * width; only the last panel is narrower than kSweepPanelCols.
   AlignedBuffer<float> bt(max_e * t_len * n);
+  const auto panel_of = [&](std::size_t p) {  // first column and width
+    const std::size_t j0 = p * kSweepPanelCols;
+    return std::pair{j0, std::min(n, j0 + kSweepPanelCols) - j0};
+  };
   const bool tracing = trace::enabled();
   const trace::Context context = trace::current_context();
   for (const SubjectRun& run : runs) {
     const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1, pool);
     const std::size_t e_count = run.last - run.first;
-    const auto panel_of = [&](std::size_t p) {
-      const std::size_t j0 = p * kSweepPanelCols;
-      return std::pair{j0, std::min(n, j0 + kSweepPanelCols) - j0};
-    };
     threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
       const auto [j0, width] = panel_of(p);
       float* panel = bt.data() + e_count * t_len * j0;
