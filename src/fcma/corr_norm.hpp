@@ -69,9 +69,10 @@ void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
 /// on a panel edge reproduces the whole-brain columns bit for bit.  Each
 /// subject run packs its panels once, then runs one unit per (panel,
 /// 8-voxel block), which records its correlation and normalization spans
-/// on the lane that ran it, under the caller's span.  With a `pool`, each subject run's lease fills
-/// across it (acquire_rows' pool) and its panels and units spread across
-/// it; the result is bit-identical to the pool-less call.
+/// on the lane that ran it, under the caller's span.  With a `pool`, each
+/// subject run's lease fills across it (acquire_rows' pool) and its panels
+/// and units spread across it; the result is bit-identical to the
+/// pool-less call.
 void correlate_normalize_block(EpochSource& epochs,
                                const EpochSource::RowLease& task_lease,
                                const VoxelTask& task, std::size_t n0,

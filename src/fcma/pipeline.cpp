@@ -104,8 +104,9 @@ std::vector<linalg::Matrix> grouped_kernels(EpochSource& epochs,
   // correlation block, then add the block to every group voxel's kernel,
   // both across the pool: the merged stage 1+2 spreads (panel, voxel
   // block) units, and each voxel's kernel is one serial syrk on one
-  // thread, so results are pool-independent.  Blocks start on syrk panel edges and accumulate in
-  // ascending order, so the kernels carry the whole-brain syrk's bits.
+  // thread, so results are pool-independent.  Blocks start on syrk panel
+  // edges and accumulate in ascending order, so the kernels carry the
+  // whole-brain syrk's bits.
   // Iterating in size_t keeps a group larger than 2^32 - 1 voxels from
   // wrapping the loop.
   std::vector<linalg::Matrix> kernels;

@@ -177,8 +177,8 @@ trace_check streamed
 "$FCMA" offline --in sharded --report offline_streamed.txt --top-k 12 \
     --threads 2 --voxels-per-task 100 --memory-budget 16M
 cmp offline.txt offline_streamed.txt
-# Multi-panel bit-identity: 1100 voxels give three 512-column correlation
-# panels, the last a ragged 76 wide, which the pooled stages 1-2 spread
+# Multi-panel bit-identity: 1100 voxels give three 384-column correlation
+# panels, the last a ragged 332 wide, which the pooled stages 1-2 spread
 # across threads.  Serial, pooled and pooled-streamed-under-eviction runs
 # must render the same report byte for byte.
 "$FCMA" generate --out wide --voxels 1100 --subjects 4 \
