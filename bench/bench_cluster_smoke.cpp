@@ -22,10 +22,6 @@ int main(int argc, char** argv) {
   cli.add_flag("fault-drop", "0", "P(drop) per message");
   cli.add_flag("fault-kill-rank", "0", "worker rank to crash (0 = none)");
   cli.add_flag("fault-kill-after", "0", "tasks the victim completes first");
-  cli.add_flag("fault-kill-master-after", "0",
-               "batches the primary master dispatches before crashing "
-               "(0 = never; standby takes over)");
-  cli.add_flag("standby", "1", "replicate the control plane to a standby");
   if (!cli.parse(argc, argv)) return 0;
 
   bench::print_preamble(
@@ -44,9 +40,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("fault-kill-rank"));
   options.faults.kill_after_tasks =
       static_cast<std::size_t>(cli.get_int("fault-kill-after"));
-  options.faults.kill_master_after_batches =
-      static_cast<std::size_t>(cli.get_int("fault-kill-master-after"));
-  options.standby = cli.get_int("standby") != 0;
   cluster::DriverStats stats;
   const core::Scoreboard board = run_cluster_analysis(
       w.epochs, w.dataset.voxels(), options, &stats);
@@ -85,7 +78,6 @@ int main(int argc, char** argv) {
   r.row({"heartbeat misses",
          Table::count(static_cast<long long>(stats.heartbeat_misses))});
   r.row({"recovery wall (s)", Table::num(stats.recovery_wall_s, 3)});
-  r.row({"failovers", Table::count(static_cast<long long>(stats.failovers))});
   r.row({"resurrections",
          Table::count(static_cast<long long>(stats.resurrections))});
   r.print();

@@ -1,9 +1,13 @@
 #include "cluster/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <limits>
-#include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -19,6 +23,59 @@ void append_double(std::string& out, double v) {
   // 17 significant digits round-trip any IEEE-754 double through strtod.
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
+}
+
+std::string errno_text() { return std::strerror(errno); }
+
+/// Owns one open file descriptor: every exit path closes it, and close()
+/// reports the failure a caller must see (the last write-back).
+class Fd {
+ public:
+  Fd(const std::string& path, int flags)
+      : fd_(::open(path.c_str(), flags, 0644)) {
+    FCMA_CHECK(fd_ >= 0, "cannot open " + path + ": " + errno_text());
+  }
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  [[nodiscard]] int get() const { return fd_; }
+  [[nodiscard]] bool close() { return ::close(std::exchange(fd_, -1)) == 0; }
+
+ private:
+  int fd_;
+};
+
+/// Writes `data` to a fresh `path` and fsyncs it before closing.
+void write_synced(const std::string& path, const std::string& data) {
+  Fd file(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC);
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n =
+        ::write(file.get(), data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    FCMA_CHECK(n > 0, "checkpoint write failed: " + path + ": " +
+                          errno_text());
+    done += static_cast<std::size_t>(n);
+  }
+  FCMA_CHECK(::fsync(file.get()) == 0,
+             "checkpoint fsync failed: " + path + ": " + errno_text());
+  FCMA_CHECK(file.close(),
+             "checkpoint close failed: " + path + ": " + errno_text());
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it survives a
+/// host crash.
+void sync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  Fd handle(dir, O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  FCMA_CHECK(::fsync(handle.get()) == 0,
+             "checkpoint directory fsync failed: " + dir + ": " +
+                 errno_text());
 }
 
 }  // namespace
@@ -61,17 +118,15 @@ void write_checkpoint(const std::string& path,
   }
   out += first_run ? "]\n}\n" : "\n  ]\n}\n";
 
-  // tmp + rename: readers never observe a torn file.
+  // tmp + rename: readers never observe a torn file.  The tmp file is
+  // fsynced before the rename and the directory after it, so a host crash
+  // leaves either the old checkpoint or the whole new one, never a renamed
+  // but empty file.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    FCMA_CHECK(f.good(), "cannot open checkpoint file for writing: " + tmp);
-    f.write(out.data(), static_cast<std::streamsize>(out.size()));
-    f.flush();
-    FCMA_CHECK(f.good(), "checkpoint write failed: " + tmp);
-  }
+  write_synced(tmp, out);
   FCMA_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "checkpoint rename failed: " + path);
+             "checkpoint rename failed: " + path + ": " + errno_text());
+  sync_parent_dir(path);
 }
 
 core::Scoreboard load_checkpoint(const std::string& path,

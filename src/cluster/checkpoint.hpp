@@ -15,9 +15,10 @@
 
 namespace fcma::cluster {
 
-/// Writes `board`'s scored voxels to `path` (atomically: tmp + rename, so a
-/// crash mid-write never leaves a torn checkpoint).  Throws fcma::Error on
-/// I/O failure.
+/// Writes `board`'s scored voxels to `path` durably: the tmp file is
+/// fsynced, renamed over `path`, and the directory fsynced, so neither a
+/// crash mid-write nor a host crash after it leaves a torn or empty
+/// checkpoint.  Throws fcma::Error on any I/O failure.
 void write_checkpoint(const std::string& path, const core::Scoreboard& board);
 
 /// Loads a checkpoint into a fresh scoreboard.  Throws fcma::Error on I/O

@@ -53,11 +53,6 @@ enum class Tag : std::int32_t {
   kWorkRequest = 4,  ///< worker -> master: queue low / idle retransmit
   kHeartbeat = 5,    ///< worker -> master: liveness (renews the task lease)
   kTaskNack = 6,     ///< worker -> master: batch unusable (bad checksum)
-  kStateDelta = 7,   ///< master -> standby: one newly-recorded task result
-                     ///< (same packed payload as kTaskResult)
-  kMasterPing = 8,   ///< master -> standby: liveness while no results flow
-  kTakeover = 9,     ///< standby -> everyone: I am the master now; route
-                     ///< protocol traffic to this message's source rank
   kUser = 100,       ///< first tag available to applications
 };
 

@@ -33,9 +33,8 @@ constexpr std::size_t kLowWater = 1;
 constexpr std::uint8_t kRequestRefill = 0;
 constexpr std::uint8_t kRequestIdleRetry = 1;
 
-// A promoted standby opens a disjoint batch-id space so its fresh leases can
-// never collide with ids still riding in stale worker queues.
-constexpr std::uint64_t kFailoverBatchBase = std::uint64_t{1} << 32;
+// The control plane's rank; workers are 1..workers.
+constexpr std::size_t kMaster = 0;
 
 /// The rendezvous behind FaultPlan::stall_rank.  The straggler parks after
 /// its lease-renewing heartbeat; when the master declares it dead, it is
@@ -102,7 +101,7 @@ std::vector<std::uint8_t> assign_payload(
   return payload;
 }
 
-/// A kTaskResult / kStateDelta payload: batch id, task descriptor,
+/// A kTaskResult payload: batch id, task descriptor,
 /// accuracies, packed as doubles.
 struct PackedResult {
   std::uint64_t batch_id = 0;
@@ -135,10 +134,6 @@ std::optional<PackedResult> decode_result(
 /// stalling the farm.  Each task start sends a heartbeat (renews the
 /// master-side lease), and an assignment that fails its checksum is nacked
 /// so the master can re-dispatch immediately.
-///
-/// The master is not a fixed rank: protocol traffic goes to whichever rank
-/// last assigned work or announced a takeover, so a standby promotion
-/// redirects the farm without restarting it.
 void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
                  const DriverOptions& options, StallGate& stall_gate,
                  double& busy_s) {
@@ -147,7 +142,6 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
   const std::string task_label =
       "cluster/worker" + std::to_string(rank) + "/task";
   trace::set_thread_name("cluster/worker" + std::to_string(rank));
-  std::size_t master = 0;  // rank currently running the control plane
   // Local queue entries remember their causal origin: the master's dispatch
   // span (from the assignment's piggybacked context) parents everything the
   // task records, and the arrival instant feeds the queue-wait attribution.
@@ -173,30 +167,21 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
         // Idle with nothing inbound: our request or its assignment may
         // have been lost.  Retransmit with backoff; the idle-retry flag
         // tells the master to requeue whatever it still thinks we hold.
-        comm.send(rank, master, Tag::kWorkRequest, {kRequestIdleRetry});
+        comm.send(rank, kMaster, Tag::kWorkRequest, {kRequestIdleRetry});
         requested = true;
         poll = std::min(poll * 2.0, base_poll * 8.0);
         continue;
       }
       if (m->tag == Tag::kShutdown) return;
-      if (m->tag == Tag::kTakeover) {
-        // New control plane: route to it and re-request promptly — our old
-        // request (or its assignment) may have died with the old master.
-        master = m->source;
-        requested = false;
-        poll = base_poll;
-        continue;
-      }
       if (m->tag == Tag::kTaskAssign) {
         if (!m->checksum_ok()) {
           // Corrupted in flight: unusable (even the batch id bytes are
           // suspect).  Nack so the master requeues our leases promptly.
-          comm.send(rank, master, Tag::kTaskNack, {});
+          comm.send(rank, kMaster, Tag::kTaskNack, {});
           continue;
         }
         FCMA_CHECK(m->payload.size() > sizeof(std::uint64_t),
                    "empty task batch");
-        master = m->source;  // results go to whoever assigned the work
         std::uint64_t batch_id = 0;
         std::memcpy(&batch_id, m->payload.data(), sizeof(batch_id));
         const std::vector<std::uint8_t> rest(
@@ -220,7 +205,7 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
       continue;
     }
     if (!requested && local.size() <= kLowWater) {
-      comm.send(rank, master, Tag::kWorkRequest, {kRequestRefill});
+      comm.send(rank, kMaster, Tag::kWorkRequest, {kRequestRefill});
       requested = true;
     }
     const LocalTask entry = local.front();
@@ -231,13 +216,13 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
     // queue wait, the task span, and the result send's context all parent
     // to it — the cross-rank stitch.
     const trace::ScopedParent dispatch_parent(entry.parent_span);
-    comm.send(rank, master, Tag::kHeartbeat, {});  // renews our lease
+    comm.send(rank, kMaster, Tag::kHeartbeat, {});  // renews our lease
     if (options.faults.stalls(rank)) {
       // Scheduled straggler: the lease ages while we are parked, until the
       // master declares us dead.  Our wake-up heartbeat then drives its
       // resurrection path, and the task's result below arrives late.
       const bool released = stall_gate.park(
-          [&] { comm.send(rank, master, Tag::kHeartbeat, {}); });
+          [&] { comm.send(rank, kMaster, Tag::kHeartbeat, {}); });
       if (!released) return;  // the farm was torn down meanwhile
     }
     if (trace::enabled() && entry.recv_ns != 0) {
@@ -260,27 +245,24 @@ void worker_main(Comm& comm, std::size_t rank, core::EpochSource& epochs,
       packed.push_back(static_cast<double>(task.count));
       packed.insert(packed.end(), result.accuracy.begin(),
                     result.accuracy.end());
-      comm.send(rank, master, Tag::kTaskResult, encode_vector(packed));
+      comm.send(rank, kMaster, Tag::kTaskResult, encode_vector(packed));
     }
     ++completed;
   }
 }
 
 /// Joins the farm on every exit path: poisons the communicator first so a
-/// worker (or the standby) blocked in recv unblocks (the shutdown-race
-/// fix), then joins.
+/// worker blocked in recv unblocks (the shutdown-race fix), then joins.
 struct FarmGuard {
   Comm& comm;
   StallGate& stall_gate;
   std::vector<std::thread>& threads;
-  std::thread* standby = nullptr;
   ~FarmGuard() {
     comm.close();
     stall_gate.close();
     for (auto& t : threads) {
       if (t.joinable()) t.join();
     }
-    if (standby != nullptr && standby->joinable()) standby->join();
   }
 };
 
@@ -298,40 +280,19 @@ void emit_counters(const DriverStats& s, std::size_t reassigned) {
                static_cast<std::int64_t>(s.corrupt_payloads));
   trace::count("cluster/resurrections",
                static_cast<std::int64_t>(s.resurrections));
-  trace::count("cluster/failovers", static_cast<std::int64_t>(s.failovers));
 }
 
-/// Immutable per-run context shared by both control-plane incarnations.
-struct ControlContext {
-  Comm& comm;
-  const DriverOptions& options;
-  const std::vector<core::VoxelTask>& tasks;
-  std::size_t batch_size;
-  std::size_t standby_rank;  ///< 0 = control plane not replicated
-  StallGate& stall_gate;     ///< FaultPlan::stall_rank's rendezvous
-};
-
-enum class MasterExit {
-  kCompleted,  ///< every voxel scored; farm shut down
-  kKilled,     ///< injected master crash (kill_master_after_batches)
-  kAbdicated,  ///< a promoted standby (or teardown) superseded this loop
-};
-
-/// The master protocol loop, runnable by the primary (self = 0, fresh or
-/// resumed state) and by a promoted standby (self = standby_rank, state
-/// replicated from the delta stream).  Rebuilds the pending queue from the
-/// scoreboard exactly like checkpoint/resume, primes every worker,
-/// then collects results, answers work requests, and recovers losses until
-/// every voxel is scored.  `reassigned_death` accumulates tasks moved off
-/// dead workers (the cluster/reassignments counter).
-MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
-                           bool is_failover, core::Scoreboard& board,
-                           DriverStats& stats,
-                           std::size_t& reassigned_death) {
-  Comm& comm = ctx.comm;
-  const DriverOptions& options = ctx.options;
+/// The master protocol loop on rank 0, from a fresh or resumed scoreboard.
+/// Builds the pending queue from the scoreboard, primes every worker, then
+/// collects results, answers work requests, and recovers losses until every
+/// voxel is scored.  Returns the number of tasks moved off dead workers
+/// (the cluster/reassignments counter).  `stall_gate` is
+/// FaultPlan::stall_rank's rendezvous.
+std::size_t run_master_loop(Comm& comm, const DriverOptions& options,
+                            const std::vector<core::VoxelTask>& tasks,
+                            std::size_t batch_size, StallGate& stall_gate,
+                            core::Scoreboard& board, DriverStats& stats) {
   const std::size_t workers = options.workers;
-  const bool replicate = ctx.standby_rank != 0 && self != ctx.standby_rank;
 
   const auto task_scored = [&board](const core::VoxelTask& task) {
     for (std::uint32_t v = task.first; v < task.first + task.count; ++v) {
@@ -341,11 +302,10 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   };
 
   // Pending queue: every task with at least one unscored voxel.  A resumed
-  // (or failed-over) run therefore skips completed ranges entirely;
-  // partially-scored tasks are recomputed whole (the idempotent scoreboard
-  // absorbs the overlap).
+  // run therefore skips completed ranges entirely; partially-scored tasks
+  // are recomputed whole (the idempotent scoreboard absorbs the overlap).
   std::deque<core::VoxelTask> pending;
-  for (const auto& task : ctx.tasks) {
+  for (const auto& task : tasks) {
     if (!task_scored(task)) pending.push_back(task);
   }
 
@@ -354,13 +314,13 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
     std::vector<core::VoxelTask> outstanding;  ///< tasks without a result yet
   };
   std::unordered_map<std::uint64_t, Lease> leases;
-  std::uint64_t next_batch_id = is_failover ? kFailoverBatchBase : 1;
+  std::uint64_t next_batch_id = 1;
   std::vector<char> alive(workers + 1, 1);
   std::vector<Clock::time_point> last_activity(workers + 1, Clock::now());
   std::unordered_map<std::uint32_t, std::size_t> requeue_count;
   std::size_t results_since_ckpt = 0;
-  // A failover IS a recovery window: clock it from promotion to completion.
-  bool any_death = is_failover;
+  std::size_t reassigned_death = 0;
+  bool any_death = false;
   Clock::time_point first_death = Clock::now();
 
   // Returns `w`'s outstanding leased tasks to the front of the pending
@@ -401,7 +361,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   // pending (the worker keeps idling and will retry later).
   const auto dispatch = [&](std::size_t w) -> bool {
     if (pending.empty()) return false;
-    const std::size_t count = std::min(ctx.batch_size, pending.size());
+    const std::size_t count = std::min(batch_size, pending.size());
     std::vector<core::VoxelTask> batch(
         pending.begin(),
         pending.begin() + static_cast<std::ptrdiff_t>(count));
@@ -413,7 +373,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
       // on its worker: send() stamps it into the assignment's context while
       // the span is still open.
       const trace::Span dispatch_span("cluster/dispatch");
-      comm.send(self, w, Tag::kTaskAssign, assign_payload(batch_id, batch));
+      comm.send(kMaster, w, Tag::kTaskAssign, assign_payload(batch_id, batch));
     }
     leases[batch_id] = Lease{w, std::move(batch)};
     stats.tasks_dispatched += count;
@@ -451,7 +411,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
       }
       // A parked straggler sends its wake-up heartbeat before anything it
       // held is requeued (see StallGate).
-      if (options.faults.stalls(w)) ctx.stall_gate.release();
+      if (options.faults.stalls(w)) stall_gate.release();
       reassigned_death += requeue_worker(w);
       // Recovery window for this death: last sign of life to requeue done.
       trace::record_interval("cluster/recovery", last_activity[w], now);
@@ -475,56 +435,23 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   };
 
   // Prime every worker with one batch; surplus workers idle until
-  // shutdown.  (A promoted standby re-primes the same way: stale in-flight
-  // work is absorbed idempotently.)
+  // shutdown.
   for (std::size_t w = 1; w <= workers; ++w) (void)dispatch(w);
 
   // Collect results, answer work requests, and recover losses until every
   // voxel is scored.  The poll timeout bounds how stale the lease sweep can
   // be; messages wake the master immediately.
   const double master_poll = std::min(0.05, options.lease_timeout_s / 4.0);
-  Clock::time_point last_ping = Clock::now();
   while (!board.complete()) {
-    // Injected master crash: the primary vanishes mid-protocol — no
-    // farewell, no final delta — once it has dispatched its quota.
-    if (self == 0 && options.faults.kills_master(stats.batches)) {
-      return MasterExit::kKilled;
-    }
-    const std::optional<Message> maybe = comm.recv_for(self, master_poll);
+    const std::optional<Message> maybe = comm.recv_for(kMaster, master_poll);
     sweep();
-    if (replicate) {
-      // Liveness for the standby while no results flow; results themselves
-      // double as liveness (every delta refreshes the standby's timer).
-      const auto now = Clock::now();
-      if (std::chrono::duration<double>(now - last_ping).count() >=
-          master_poll) {
-        comm.send(self, ctx.standby_rank, Tag::kMasterPing, {});
-        ++stats.messages;
-        last_ping = now;
-      }
-    }
     if (!maybe) continue;
     const Message& m = *maybe;
-    if (m.tag == Tag::kShutdown) return MasterExit::kAbdicated;  // teardown
-    if (m.tag == Tag::kTakeover) {
-      // A promoted standby declared us dead.  Its state is a superset of
-      // what we have durably forwarded, the workers now route to it, and
-      // anything we still believe is leased will be recomputed from its
-      // pending queue — abdicate instead of fighting for the farm.
-      return MasterExit::kAbdicated;
-    }
     ++stats.messages;
     const std::size_t w = m.source;
-    if (w < 1 || w > workers) {
-      // Control-plane traffic from the old master (a not-actually-dead
-      // primary still relaying): absorb state deltas, ignore pings.
-      if (m.tag == Tag::kStateDelta && m.checksum_ok()) {
-        if (const auto delta = decode_result(m.payload)) {
-          (void)board.add_idempotent(delta->result);
-        }
-      }
-      continue;
-    }
+    // `w` indexes alive/last_activity: only worker ranks talk to the master.
+    FCMA_CHECK(w >= 1 && w <= workers,
+               "master received a message from outside the worker ranks");
     last_activity[w] = Clock::now();
     if (!alive[w]) {
       // Resurrection: a declared-dead worker spoke again (it was slow, not
@@ -581,14 +508,7 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
         FCMA_CHECK(packed.has_value(), "malformed result payload");
         // At-least-once: duplicates (redelivery, recomputation after a
         // false requeue) are absorbed; disagreement throws.
-        const std::size_t newly = board.add_idempotent(packed->result);
-        if (replicate && newly > 0) {
-          // Replicate before anything else observes the new state: the
-          // delta is the result payload verbatim, so the standby's board
-          // is bit-identical to ours by construction.
-          comm.send(self, ctx.standby_rank, Tag::kStateDelta, m.payload);
-          ++stats.messages;
-        }
+        (void)board.add_idempotent(packed->result);
         ++results_since_ckpt;
         const auto lease_it = leases.find(packed->batch_id);
         if (lease_it != leases.end()) {
@@ -616,104 +536,10 @@ MasterExit run_master_loop(const ControlContext& ctx, std::size_t self,
   checkpoint_if_due(true);
   // Release the farm; a lost shutdown is covered by the guard's close().
   for (std::size_t w = 1; w <= workers; ++w) {
-    comm.send(self, w, Tag::kShutdown, {});
+    comm.send(kMaster, w, Tag::kShutdown, {});
     ++stats.messages;
   }
-  if (replicate) {
-    comm.send(self, ctx.standby_rank, Tag::kShutdown, {});
-    ++stats.messages;
-  }
-  if (self != 0) {
-    // Tell an abdicated (or long-dead) primary the run is over.
-    comm.send(self, 0, Tag::kShutdown, {});
-    ++stats.messages;
-  }
-  return MasterExit::kCompleted;
-}
-
-/// What the standby thread hands back to the orchestrator.  Only read
-/// after the thread is joined.
-struct StandbyOutcome {
-  std::optional<core::Scoreboard> board;
-  DriverStats stats;
-  std::size_t reassigned_death = 0;
-  bool completed = false;
-  std::exception_ptr error;
-};
-
-/// Standby loop: mirror the master's scoreboard through the delta stream,
-/// and promote to master once the primary has been silent for 1.5 lease
-/// timeouts (more conservative than the worker-death threshold — a
-/// failover re-primes the whole farm, a worker requeue moves one batch).
-void standby_main(const ControlContext& ctx, core::Scoreboard board,
-                  StandbyOutcome& out) {
-  try {
-    trace::set_thread_name("cluster/standby");
-    const double poll = std::min(0.05, ctx.options.lease_timeout_s / 4.0);
-    const double silence_limit = 1.5 * ctx.options.lease_timeout_s;
-    auto last_master = Clock::now();
-    for (;;) {
-      const std::optional<Message> m =
-          ctx.comm.recv_for(ctx.standby_rank, poll);
-      if (m) {
-        if (m->tag == Tag::kShutdown) return;  // primary completed/teardown
-        last_master = Clock::now();
-        if (m->tag == Tag::kStateDelta && m->checksum_ok()) {
-          if (const auto delta = decode_result(m->payload)) {
-            // The delta carries the result payload verbatim, so the mirror
-            // is bit-identical; a dropped or corrupted delta only means the
-            // promoted plan recomputes that task.
-            (void)board.add_idempotent(delta->result);
-          }
-        }
-        // kMasterPing (and any stray traffic) only refreshes liveness.
-        continue;
-      }
-      const double silent_s =
-          std::chrono::duration<double>(Clock::now() - last_master).count();
-      if (silent_s <= silence_limit) continue;
-      // Promote: announce the takeover to every worker (and the old master,
-      // in case it is merely slow — it abdicates on receipt), then run the
-      // same master loop from the replicated state.
-      out.stats.failovers = 1;
-      for (std::size_t w = 1; w <= ctx.options.workers; ++w) {
-        ctx.comm.send(ctx.standby_rank, w, Tag::kTakeover, {});
-        ++out.stats.messages;
-      }
-      ctx.comm.send(ctx.standby_rank, 0, Tag::kTakeover, {});
-      ++out.stats.messages;
-      // Takeover window: last sign of the primary to promotion complete.
-      trace::record_interval("cluster/recovery/takeover", last_master,
-                             Clock::now());
-      const MasterExit exit =
-          run_master_loop(ctx, ctx.standby_rank, /*is_failover=*/true, board,
-                          out.stats, out.reassigned_death);
-      out.completed = exit == MasterExit::kCompleted;
-      out.board.emplace(std::move(board));
-      return;
-    }
-  } catch (...) {
-    out.error = std::current_exception();
-  }
-}
-
-/// Field-wise accumulation of one control-plane incarnation's counters into
-/// the run totals (worker_busy_s stays with the orchestrator).
-void merge_stats(DriverStats& total, const DriverStats& part) {
-  total.tasks_dispatched += part.tasks_dispatched;
-  total.batches += part.batches;
-  total.work_requests += part.work_requests;
-  total.messages += part.messages;
-  total.workers_died += part.workers_died;
-  total.tasks_requeued += part.tasks_requeued;
-  total.retries += part.retries;
-  total.heartbeat_misses += part.heartbeat_misses;
-  total.corrupt_payloads += part.corrupt_payloads;
-  total.checkpoints_written += part.checkpoints_written;
-  total.failovers += part.failovers;
-  total.resurrections += part.resurrections;
-  total.recovery_wall_s = std::max(total.recovery_wall_s,
-                                   part.recovery_wall_s);
+  return reassigned_death;
 }
 
 }  // namespace
@@ -728,8 +554,6 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
   FCMA_CHECK(options.worker_poll_s > 0.0, "worker poll must be positive");
   FCMA_CHECK(options.max_task_retries >= 1, "retry limit must be at least 1");
   options.faults.validate(options.workers + 1);
-  FCMA_CHECK(options.faults.kill_master_after_batches == 0 || options.standby,
-             "a master kill schedule requires a standby rank");
 
   const auto tasks =
       core::partition_voxels(total_voxels, options.voxels_per_task);
@@ -759,10 +583,8 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
     return board;
   }
 
-  // Rank layout: 0 = primary master, 1..workers = workers, last = standby
-  // (if enabled).
-  const std::size_t standby_rank = options.standby ? options.workers + 1 : 0;
-  const std::size_t ranks = options.workers + 1 + (options.standby ? 1 : 0);
+  // Rank layout: 0 = master, 1..workers = workers.
+  const std::size_t ranks = options.workers + 1;
   const std::unique_ptr<Comm> comm_owner =
       options.faults.message_faults()
           ? std::make_unique<FaultyComm>(ranks, options.faults)
@@ -770,46 +592,19 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
   Comm& comm = *comm_owner;
 
   StallGate stall_gate;
-  const ControlContext ctx{comm, options, tasks, batch_size, standby_rank,
-                           stall_gate};
-
   std::vector<std::thread> workers;
   workers.reserve(options.workers);
-  std::thread standby_thread;
-  const FarmGuard guard{comm, stall_gate, workers, &standby_thread};
+  const FarmGuard guard{comm, stall_gate, workers};
   for (std::size_t w = 1; w <= options.workers; ++w) {
     workers.emplace_back(worker_main, std::ref(comm), w, std::ref(epochs),
                          std::cref(options), std::ref(stall_gate),
                          std::ref(totals.worker_busy_s[w - 1]));
   }
-  StandbyOutcome standby_out;
-  if (options.standby) {
-    // The mirror seed is copied here, before the primary loop mutates the
-    // board; from then on the delta stream keeps the copies convergent.
-    standby_thread = std::thread(
-        [&ctx, &standby_out, seed = board]() mutable {
-          standby_main(ctx, std::move(seed), standby_out);
-        });
-  }
 
-  DriverStats primary;
-  std::size_t primary_reassigned = 0;
-  const MasterExit exit =
-      run_master_loop(ctx, 0, /*is_failover=*/false, board, primary,
-                      primary_reassigned);
-
-  if (exit != MasterExit::kCompleted) {
-    // The primary died (injected crash) or abdicated to a promoted standby:
-    // the run now completes — or fails — on the standby's control plane.
-    // Do NOT close the communicator here; the standby is still driving the
-    // farm over it.
-    FCMA_CHECK(options.standby, "master died with no standby to take over");
-    if (standby_thread.joinable()) standby_thread.join();
-    if (standby_out.error) std::rethrow_exception(standby_out.error);
-    FCMA_CHECK(standby_out.completed && standby_out.board.has_value(),
-               "standby exited without completing the analysis");
-    board = std::move(*standby_out.board);
-  }
+  // The master loop writes its counters straight into `totals`; the
+  // workers write only their own worker_busy_s slots.
+  const std::size_t reassigned = run_master_loop(
+      comm, options, tasks, batch_size, stall_gate, board, totals);
 
   // The guard closes the communicator and joins every thread here — the
   // per-rank busy slots are final afterwards, but we still need them below,
@@ -819,12 +614,6 @@ core::Scoreboard run_cluster_analysis(core::EpochSource& epochs,
   for (auto& t : workers) {
     if (t.joinable()) t.join();
   }
-  if (standby_thread.joinable()) standby_thread.join();
-
-  merge_stats(totals, primary);
-  merge_stats(totals, standby_out.stats);
-  const std::size_t reassigned =
-      primary_reassigned + standby_out.reassigned_death;
 
   emit_counters(totals, reassigned);
   // Straggler / load-imbalance summary (joined above, so the per-rank busy

@@ -19,21 +19,18 @@
 // redelivered results are deduplicated by the scoreboard's idempotent
 // per-voxel slots, which is what keeps every recovery path bit-identical
 // to the fault-free run.  Corrupted payloads are caught by the per-message
-// checksum (kTaskNack / ignored result).  The scoreboard can be
-// checkpointed periodically and a later run resumed from the sidecar,
-// skipping completed voxel ranges.
+// checksum (kTaskNack / ignored result).  A worker declared dead that
+// speaks again is readmitted after its stale leases are purged.
 //
-// The control plane itself is replicated (PR 6): a standby rank mirrors the
-// scoreboard through kStateDelta messages piggybacked on the result flow
-// (one delta per newly-recorded result, pings while idle), declares the
-// master dead after lease_timeout_s of silence, announces the takeover to
-// every worker, and resumes the same master loop from the replicated state
-// — the failover analogue of checkpoint/resume, with in-flight duplicates
-// absorbed by the idempotent scoreboard.  A worker declared dead that
-// speaks again is readmitted after its stale leases are purged.  Fault
-// injection for all of the above lives in fault.hpp; the virtual-time
-// simulator (sim.hpp) answers the timing questions at 96-node scale,
-// including recovery and failover overhead.
+// The master is rank 0 and is not replicated.  Losing it is recovered by
+// checkpoint/resume: a run with checkpoint_path and checkpoint_every N
+// durably writes the scoreboard every N results (fcma.ckpt.v1, fsynced
+// tmp + rename), and a later run given that scoreboard as `resume`
+// dispatches only the tasks with unscored voxels.  Every rank is a thread
+// of one process, so a checkpoint on disk is the only master state that
+// survives a real crash.  Fault injection lives in fault.hpp; the
+// virtual-time simulator (sim.hpp) answers the timing questions at
+// 96-node scale, including recovery overhead.
 #pragma once
 
 #include <cstddef>
@@ -73,24 +70,20 @@ struct DriverOptions {
   std::size_t max_task_retries = 8;
   /// Fault injection (inactive by default).  Message faults wrap the
   /// communicator in a FaultyComm; kill_rank/kill_after_tasks crash a
-  /// worker thread mid-run; kill_master_after_batches crashes the primary
-  /// master (standby takeover); stall_rank plants a straggler that
-  /// stalls until declared dead (the resurrection path).
+  /// worker thread mid-run; stall_rank plants a straggler that stalls
+  /// until declared dead (the resurrection path).  There is no master
+  /// fault: master loss is recovered by checkpoint_every + resume.
   FaultPlan faults;
 
-  // --- replicated control plane -------------------------------------------
-  /// Mirror the master's state (scoreboard deltas piggybacked on result
-  /// traffic, pings while idle) to a standby rank that promotes itself on
-  /// master silence longer than lease_timeout_s: it announces the takeover,
-  /// rebuilds the pending queue from the replicated scoreboard, and
-  /// re-primes the workers mid-fold.  The idempotent scoreboard absorbs any
-  /// work the old master had in flight, so failover is bit-identical.
+  /// Ignored: the master is not replicated.  bench_fcma still assigns this
+  /// field; ROADMAP item 2 deletes the stub.
   bool standby = true;
 
   // --- checkpoint / resume ----------------------------------------------
-  /// When non-empty, the master writes the scoreboard here (fcma.ckpt.v1,
-  /// atomic tmp+rename): every `checkpoint_every` task results if that is
-  /// non-zero, and always once at completion.
+  /// When non-empty, the master writes the scoreboard here (fcma.ckpt.v1;
+  /// tmp file fsynced, renamed, then the directory fsynced): every
+  /// `checkpoint_every` task results if that is non-zero, and always once
+  /// at completion.
   std::string checkpoint_path;
   std::size_t checkpoint_every = 0;
   /// Resume from a previously checkpointed scoreboard (loaded via
@@ -118,8 +111,6 @@ struct DriverStats {
   std::size_t corrupt_payloads = 0;  ///< checksum failures (master + nacks)
   std::size_t checkpoints_written = 0;
 
-  // --- control plane ------------------------------------------------------
-  std::size_t failovers = 0;  ///< standby promotions (master silence)
   /// Declared-dead workers readmitted after late traffic (their stale
   /// leases are purged on the way back in).
   std::size_t resurrections = 0;

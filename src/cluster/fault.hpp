@@ -51,12 +51,6 @@ struct FaultPlan {
   std::size_t kill_rank = 0;
   std::size_t kill_after_tasks = 0;
 
-  /// Master crash schedule: the primary master abandons the run — no
-  /// farewell messages, state deltas stop — once it has dispatched this
-  /// many batches (0 = disabled).  Requires a standby rank to take over;
-  /// the driver refuses the plan otherwise.
-  std::size_t kill_master_after_batches = 0;
-
   /// Deterministic straggler: rank `stall_rank` (0 = disabled) stalls
   /// before each task's compute, after its lease-renewing heartbeat, until
   /// the master declares it dead.  Its wake-up heartbeat then reaches the
@@ -83,13 +77,6 @@ struct FaultPlan {
     return kill_rank != 0 && rank == kill_rank && tasks >= kill_after_tasks;
   }
 
-  /// True when the primary master should crash given it has dispatched
-  /// `batches` batches.
-  [[nodiscard]] bool kills_master(std::size_t batches) const {
-    return kill_master_after_batches != 0 &&
-           batches >= kill_master_after_batches;
-  }
-
   /// True when `rank` is the scheduled straggler.
   [[nodiscard]] bool stalls(std::size_t rank) const {
     return stall_rank != 0 && rank == stall_rank;
@@ -98,12 +85,6 @@ struct FaultPlan {
   /// True when any message-level fault can fire (drives FaultyComm use).
   [[nodiscard]] bool message_faults() const {
     return drop > 0.0 || duplicate > 0.0 || corrupt > 0.0 || delay > 0.0;
-  }
-
-  /// True when the plan injects anything at all.
-  [[nodiscard]] bool active() const {
-    return message_faults() || kill_rank != 0 ||
-           kill_master_after_batches != 0 || stall_rank != 0;
   }
 
   /// Throws fcma::Error on out-of-range probabilities or a kill plan aimed

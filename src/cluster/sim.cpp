@@ -99,11 +99,6 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
     FCMA_CHECK(w.speed > 0.0, "worker speed must be positive");
   }
 
-  FCMA_CHECK(config.master_fails_at >= 0.0,
-             "master failure time must be non-negative");
-  FCMA_CHECK(config.failover_detect_s > 0.0,
-             "failover detection interval must be positive");
-
   FarmOutcomeEx outcome;
   outcome.base.worker_busy_s.assign(workers.size(), 0.0);
   double clock = broadcast_s(config.net, config.broadcast_bytes,
@@ -116,12 +111,6 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
     double not_before;
   };
   std::vector<bool> dead(workers.size(), false);
-  // Master death is a one-time event across the whole run: once the standby
-  // promotes, the control plane is back for good.
-  const bool master_mortal = std::isfinite(config.master_fails_at);
-  const double failover_resume =
-      config.master_fails_at + config.failover_detect_s;
-  bool failed_over = false;
 
   for (std::size_t fold = 0; fold < folds; ++fold) {
     std::vector<Pending> pending;
@@ -151,17 +140,8 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
       const Pending task = pending[best];
       pending.erase(pending.begin() + static_cast<long>(best));
 
-      double send_begin =
+      const double send_begin =
           std::max({master_send_free, worker_ready, task.not_before});
-      if (master_mortal && !failed_over &&
-          send_begin >= config.master_fails_at) {
-        // The primary died before this dispatch: nothing moves until the
-        // standby's silence detector fires and it re-primes the farm.
-        failed_over = true;
-        ++outcome.failovers;
-        outcome.failover_overhead_s += config.failover_detect_s;
-        send_begin = std::max(send_begin, failover_resume);
-      }
       master_send_free = send_begin + assign_s;
       const double service =
           config.task_overhead_s + task.task_s / workers[w].speed;
@@ -184,18 +164,6 @@ FarmOutcomeEx simulate_task_farm(const FarmConfig& config,
         continue;
       }
       const double result_arrives = compute_done + result_s;
-      if (master_mortal && result_arrives >= config.master_fails_at &&
-          result_arrives < failover_resume) {
-        // The result was in flight to the dead master: lost.  The promoted
-        // standby's pending queue (rebuilt from the replicated scoreboard)
-        // re-dispatches the task after the blackout; the node itself is
-        // unharmed and frees up normally.
-        ++outcome.tasks_reassigned;
-        outcome.failover_overhead_s += task.task_s / workers[w].speed;
-        pending.push_back(Pending{task.task_s, failover_resume});
-        free_at.push({result_arrives, w});
-        continue;
-      }
       free_at.push({result_arrives, w});
       fold_end = std::max(fold_end, result_arrives);
       outcome.base.compute_s += task.task_s / workers[w].speed;

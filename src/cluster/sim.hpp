@@ -58,14 +58,6 @@ struct FarmConfig {
   /// How long the master takes to notice a dead worker and re-dispatch its
   /// task (heartbeat/timeout interval); used by the fault-injected overload.
   double failure_detect_s = 5.0;
-  /// Virtual instant at which the primary master dies (infinity = never).
-  /// Dispatches stall until the standby notices the silence and promotes;
-  /// results in flight to the dead master during the blackout are lost and
-  /// recomputed — the model of driver.hpp's replicated control plane.
-  double master_fails_at = std::numeric_limits<double>::infinity();
-  /// Standby silence threshold: the dispatch blackout after a master death
-  /// lasts this long (the real driver waits 1.5 lease timeouts).
-  double failover_detect_s = 5.0;
 };
 
 /// Outcome of a simulated run.
@@ -125,13 +117,6 @@ struct FarmOutcomeEx {
   /// so recovery overhead can be budgeted at 96-node scale before paying
   /// for a real run.
   double recovery_overhead_s = 0.0;
-
-  // --- control plane -----------------------------------------------------
-  std::size_t failovers = 0;  ///< master deaths survived by the standby
-  /// Virtual seconds of failover damage: the dispatch blackout
-  /// (failover_detect_s) plus the compute of every result lost in flight
-  /// to the dead master.
-  double failover_overhead_s = 0.0;
 };
 
 /// Heterogeneous / faulty cluster: like simulate_task_farm but each worker

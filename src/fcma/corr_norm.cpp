@@ -142,9 +142,10 @@ void correlate_normalize_block(EpochSource& epochs,
   // across the pool).  Units write disjoint outputs, so both loops spread
   // across the pool when one is given.
   //
-  // Each unit records its correlation and normalization spans on the lane
-  // that ran it, under the caller's span; the run's lease comes before its
-  // loops, so a streamed source's fill spans overlap no unit.
+  // Each run's B^T packing is one `pack` span on the calling thread, and
+  // each unit records its correlation and normalization spans on the lane
+  // that ran it, all under the caller's span; the run's lease comes before
+  // its loops, so a streamed source's fill spans overlap neither.
   const std::size_t n = n1 - n0;
   const auto runs = subject_runs(epochs.meta());
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
@@ -166,14 +167,17 @@ void correlate_normalize_block(EpochSource& epochs,
   for (const SubjectRun& run : runs) {
     const auto lease = epochs.acquire_rows(run.first, run.last, n0, n1, pool);
     const std::size_t e_count = run.last - run.first;
-    threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
-      const auto [j0, width] = panel_of(p);
-      float* panel = bt.data() + e_count * t_len * j0;
-      for (std::size_t e = 0; e < e_count; ++e) {
-        linalg::opt::pack_bt_panel(lease.epoch(run.first + e), j0, j0 + width,
-                                   panel + e * t_len * width);
-      }
-    });
+    {
+      const trace::Span pack_span("pack");
+      threading::for_each_index(pool, 0, panels, [&](std::size_t p) {
+        const auto [j0, width] = panel_of(p);
+        float* panel = bt.data() + e_count * t_len * j0;
+        for (std::size_t e = 0; e < e_count; ++e) {
+          linalg::opt::pack_bt_panel(lease.epoch(run.first + e), j0,
+                                     j0 + width, panel + e * t_len * width);
+        }
+      });
+    }
     threading::for_each_index(
         pool, 0, panels * voxel_blocks, [&](std::size_t unit) {
           const auto [j0, width] = panel_of(unit / voxel_blocks);

@@ -169,60 +169,6 @@ TEST(FaultSim, RejectsBadProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-plane model: master failover
-// ---------------------------------------------------------------------------
-
-TEST(FaultSim, MasterFailoverAddsTheDetectionWindow) {
-  const std::vector<double> tasks(64, 2.0);
-  FarmConfig config = basic_config();
-  const auto workers = uniform_workers(8);
-  const double clean =
-      simulate_task_farm(config, tasks, 1, workers).base.makespan_s;
-  config.master_fails_at = clean / 2.0;  // mid-fold
-  config.failover_detect_s = 3.0;
-  const auto failed = simulate_task_farm(config, tasks, 1, workers);
-  EXPECT_EQ(failed.failovers, 1u);
-  EXPECT_GE(failed.failover_overhead_s, config.failover_detect_s);
-  // The blackout costs at least the detection window, but the farm still
-  // finishes — it does not degenerate to a restart from scratch.
-  EXPECT_GT(failed.base.makespan_s, clean);
-  EXPECT_LT(failed.base.makespan_s, 2.0 * clean);
-}
-
-TEST(FaultSim, ResultsInFlightToTheDeadMasterAreRecomputed) {
-  const std::vector<double> tasks(16, 2.0);
-  FarmConfig config = basic_config();
-  const auto workers = uniform_workers(4);
-  // Kill the master while the first wave's results are on the wire.
-  config.master_fails_at = 2.0;
-  config.failover_detect_s = 1.0;
-  const auto failed = simulate_task_farm(config, tasks, 1, workers);
-  EXPECT_EQ(failed.failovers, 1u);
-  EXPECT_GE(failed.tasks_reassigned, 1u);  // lost in flight, redone
-  EXPECT_EQ(failed.workers_lost, 0u);      // the nodes themselves survived
-}
-
-TEST(FaultSim, ImmortalMasterReportsNoFailover) {
-  const std::vector<double> tasks(32, 1.0);
-  FarmConfig config = basic_config();
-  const auto workers = uniform_workers(4);
-  const auto outcome = simulate_task_farm(config, tasks, 1, workers);
-  EXPECT_EQ(outcome.failovers, 0u);
-  EXPECT_EQ(outcome.failover_overhead_s, 0.0);
-}
-
-TEST(FaultSim, RejectsBadControlPlaneConfig) {
-  const std::vector<double> tasks(4, 1.0);
-  const auto workers = uniform_workers(2);
-  FarmConfig config = basic_config();
-  config.master_fails_at = -1.0;
-  EXPECT_THROW((void)simulate_task_farm(config, tasks, 1, workers), Error);
-  config = basic_config();
-  config.failover_detect_s = 0.0;
-  EXPECT_THROW((void)simulate_task_farm(config, tasks, 1, workers), Error);
-}
-
-// ---------------------------------------------------------------------------
 // KNL forward-port model (paper's conclusion: "migrated ... to KNL")
 // ---------------------------------------------------------------------------
 

@@ -151,7 +151,8 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   // 384-column panels and 24 voxels three 8-voxel blocks, nine units per
   // run.  Each pair is back to back, correlation first, inside the call;
   // a lane's units never overlap, so on each lane the pairs add up to no
-  // more than the call's wall time.
+  // more than the call's wall time.  Each run's B^T packing is one
+  // task/pack span on the calling lane, also under the task span.
   fmri::DatasetSpec spec = fmri::tiny_spec();
   spec.voxels = 1100;
   const fmri::Dataset d = fmri::generate_synthetic(spec);
@@ -191,9 +192,18 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
   // followed by its unit's normalization.
   std::map<std::size_t, std::uint64_t> covered;  // per lane
   std::size_t pairs = 0;
+  std::size_t packs = 0;
   for (std::size_t i = 0; i < read.events.size(); ++i) {
     const auto& corr = read.events[i];
     EXPECT_NE(corr.label, "correlation");  // never outside the task span
+    EXPECT_NE(corr.label, "pack");
+    if (corr.label == "task/pack") {
+      EXPECT_EQ(corr.parent, task_id);
+      EXPECT_GE(corr.start_ns, start);
+      EXPECT_LE(corr.end_ns, end);
+      ++packs;
+      continue;
+    }
     if (corr.label != "task/correlation") continue;
     ASSERT_LT(i + 1, read.events.size());
     const auto& norm = read.events[i + 1];
@@ -210,6 +220,7 @@ TEST(CorrStage, PooledMergedSweepKeepsStageSpansValid) {
     ++pairs;
   }
   EXPECT_EQ(pairs, 9 * static_cast<std::size_t>(d.subjects()));
+  EXPECT_EQ(packs, static_cast<std::size_t>(d.subjects()));
   for (const auto& [lane, ns] : covered) EXPECT_LE(ns, end - start);
 }
 

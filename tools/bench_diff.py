@@ -35,8 +35,6 @@ SPANS = [
     ("benches.cluster_smoke.wall_s", "down", 0.08),
     ("benches.cluster_smoke_faulted.wall_s", "down", 0.08),
     ("benches.cluster_smoke_faulted.recovery_wall_s", "down", 0.10),
-    ("benches.cluster_smoke_failover.wall_s", "down", 0.10),
-    ("benches.cluster_smoke_failover.recovery_wall_s", "down", 0.15),
 ]
 
 

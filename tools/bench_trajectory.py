@@ -35,8 +35,6 @@ METRICS = [
      "benches.fig9_single_node_speedup.small_grain_wall_s", "%.3f", "down"),
     ("recovery s", "benches.cluster_smoke_faulted.recovery_wall_s",
      "%.3f", "down"),
-    ("failover s", "benches.cluster_smoke_failover.recovery_wall_s",
-     "%.3f", "down"),
     ("oocore slow x", "benches.oocore.streamed_slowdown", "%.1f", "down"),
     ("trace ovh %", "benches.tracing_overhead.overhead_pct", "%.1f", "down"),
 ]

@@ -400,15 +400,10 @@ int cmd_cluster(int argc, const char* const* argv) {
                "worker rank to crash mid-run (0 = none)");
   cli.add_flag("fault-kill-after", "0",
                "tasks the doomed rank completes before dying");
-  cli.add_flag("fault-kill-master-after", "0",
-               "batches the primary master dispatches before crashing "
-               "(0 = never; requires --standby 1)");
-  cli.add_flag("standby", "1",
-               "replicate the control plane to a standby rank that takes "
-               "over if the master goes silent");
   cli.add_flag("checkpoint", "",
                "scoreboard checkpoint path (fcma.ckpt.v1; written "
-               "periodically and at completion)");
+               "periodically and at completion; with --resume, how a "
+               "run survives losing its master)");
   cli.add_flag("checkpoint-every", "0",
                "task results between periodic checkpoints (0 = final only)");
   cli.add_flag("resume", "",
@@ -434,9 +429,6 @@ int cmd_cluster(int argc, const char* const* argv) {
       static_cast<std::size_t>(cli.get_int("fault-kill-rank"));
   opts.faults.kill_after_tasks =
       static_cast<std::size_t>(cli.get_int("fault-kill-after"));
-  opts.faults.kill_master_after_batches =
-      static_cast<std::size_t>(cli.get_int("fault-kill-master-after"));
-  opts.standby = cli.get_int("standby") != 0;
   opts.checkpoint_path = cli.get("checkpoint");
   opts.checkpoint_every =
       static_cast<std::size_t>(cli.get_int("checkpoint-every"));
@@ -467,8 +459,7 @@ int cmd_cluster(int argc, const char* const* argv) {
               stats.workers_died, stats.tasks_requeued, stats.retries,
               stats.heartbeat_misses, stats.corrupt_payloads,
               stats.recovery_wall_s);
-  std::printf("control plane: failovers=%zu resurrections=%zu\n",
-              stats.failovers, stats.resurrections);
+  std::printf("control plane: resurrections=%zu\n", stats.resurrections);
   if (stats.checkpoints_written > 0) {
     std::printf("checkpoint written to %s (%zu snapshot(s))\n",
                 opts.checkpoint_path.c_str(), stats.checkpoints_written);

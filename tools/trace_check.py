@@ -108,7 +108,7 @@ def check_metrics(c, doc):
     if isinstance(counters, dict) and "cluster/tasks_dispatched" in counters:
         for name in ("cluster/retries", "cluster/reassignments",
                      "cluster/heartbeat_misses", "cluster/corrupt_payloads",
-                     "cluster/resurrections", "cluster/failovers"):
+                     "cluster/resurrections"):
             value = counters.get(name)
             c.check(c.is_number(value) and value >= 0,
                     "cluster run: counter %r missing or negative" % name)
